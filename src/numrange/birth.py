@@ -119,13 +119,14 @@ def birth_family(A, alpha, H=None, grid: int = 512) -> BirthFamily:
     # the derivative compressed onto the top cluster is linear in the
     # angle error, so its minimizer pins the angle to machine precision.
     if sigma == "m":
+        pencil = mc.Pencil(A)
 
         def scalar_defect(th):
-            Q = extremal.max_eigenspace(A, th)
+            Q = pencil.top_cluster(th, pencil.ctol)[1]
             k = Q.shape[1]
             if k < 2:
                 return 1e300
-            C = mc.compress(mc.rotate_prime(A, th), Q)
+            C = mc.compress(pencil.prime(th), Q)
             return float(np.linalg.norm(C - (np.trace(C).real / k) * np.eye(k)))
 
         refined = extremal._golden_min(scalar_defect, theta - 1e-4, theta + 1e-4)
@@ -190,7 +191,7 @@ class BirthRow:
     endpoint_error: float
 
 
-def verify_birth(family: BirthFamily, eps_list, N: int = 1024) -> list[BirthRow]:
+def verify_birth(family: BirthFamily, eps_list) -> list[BirthRow]:
     """Check the flat portions of member(eps) against the closed forms.
 
     For each eps the face of member(eps) at the supporting angle is

@@ -7,8 +7,10 @@ paths as CSV with an ``x,y`` header; numbers are serialized so that
 parsing them back reproduces the doubles bit for bit.
 
 Exit codes: 0 success, 1 usage error, 2 malformed matrix file,
-3 precondition violation (the library diagnostic is printed verbatim on
-stderr).
+3 precondition violation, 4 numerical failure (a computation did not
+reach its tolerance, e.g. a Schur triangularization, the dual Newton
+solve, or two classifier criteria that disagree).  For codes 3 and 4 the
+library diagnostic is printed verbatim on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 import numpy as np
 
 from . import birth, extremal, kipp3, maxent, oracle, rangegeo as rg
-from .errors import MatrixFileError, PreconditionError
+from .errors import MatrixFileError, NumericalError, PreconditionError
 
 
 def parse_matrix(path: str) -> np.ndarray:
@@ -118,7 +120,6 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("matrix", help="matrix file (JSON with d, re, im)")
         sp.add_argument("--samples", type=int, default=1024, help="angle grid size")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads (output-invariant)")
         sp.add_argument("--seed", type=int, default=0, help="sampling seed")
         if point:
             sp.add_argument("--point", required=True, help="planar point 'x,y'")
@@ -144,7 +145,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("matrix", help="first matrix file")
     sp.add_argument("matrix_b", help="second matrix file")
     sp.add_argument("--samples", type=int, default=1024)
-    sp.add_argument("--threads", type=int, default=1)
     return p
 
 
@@ -334,6 +334,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         sys.stderr.write(f"{exc}\n")
         return 3
+    except NumericalError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,3 +11,12 @@ class PreconditionError(ValueError):
 
 class MatrixFileError(ValueError):
     """A matrix file is missing, malformed, or inconsistent (CLI exit code 2)."""
+
+
+class NumericalError(RuntimeError):
+    """A computation did not reach its tolerance (CLI exit code 4).
+
+    Raised when a solve misses its accuracy target or two criteria that
+    must agree do not; the input is then numerically on a boundary the
+    algorithm cannot resolve.
+    """

@@ -22,9 +22,8 @@ import numpy as np
 from . import matcore as mc
 from .errors import PreconditionError
 
-# Relative width of an eigenvalue cluster (single source of truth for the
-# whole package: multiplicities, pre-image dimensions, crossing detection).
-CLUSTER_RTOL = 1e-8
+# Relative width of an eigenvalue cluster (defined with the pencil).
+CLUSTER_RTOL = mc.CLUSTER_RTOL
 # Faces longer than this (relative) count as flat boundary portions.
 FLAT_LENGTH_RTOL = 1e-7
 # Distance at which a point counts as a member of a face.
@@ -35,6 +34,13 @@ ARC_SINGLE_ANGLE = 1e-6
 POINT_MATCH_RTOL = 1e-8
 # Crossing refinement target for the top eigenvalue gap.
 GAP_REFINE_RTOL = 1e-12
+# Machine-level degeneracy threshold for face membership probes.  The
+# reported faces and pre-images group eigenvalues at CLUSTER_RTOL, but
+# deciding whether a *probe angle* carries a genuine segment must not:
+# near a transversal crossing the top gap is quadratic in the angle, and
+# the 1e-8 grouping would smear the normal arc of the crossing point by
+# ~1e-4 rad, turning round boundary points into fake corners.
+STRICT_GAP_RTOL = 1e-14
 
 _BISECT_STEPS = 48
 
@@ -56,15 +62,6 @@ def as_point(p) -> complex:
 
 def _inner(a: complex, b: complex) -> float:
     return (a * np.conj(b)).real
-
-
-def max_eigenspace(A, theta: float) -> np.ndarray:
-    """Orthonormal basis of the top eigenvalue cluster of A(theta)."""
-    A = mc.as_matrix(A)
-    dec = mc.eig_hermitian(mc.rotate(A, theta))
-    w = dec.eigenvalues
-    keep = w >= w[-1] - cluster_tolerance(A)
-    return dec.eigenvectors[:, keep]
 
 
 @dataclass(frozen=True)
@@ -93,28 +90,15 @@ class FaceDescriptor:
 
     def distance(self, p) -> float:
         """Euclidean distance from a planar point to the face segment."""
-        p = as_point(p)
-        u = np.exp(1j * self.theta)
-        radial = self.support - _inner(p, u)
-        eta = _inner(p, 1j * u)
         lo, hi = self.deriv_minus, self.deriv_plus
-        off = max(lo - eta, 0.0, eta - hi)
-        return float(np.hypot(radial, off))
+        return float(_segment_distance(as_point(p), self.theta, self.support, lo, hi))
 
 
 def face(A, theta: float) -> FaceDescriptor:
     """Compute the exposed face of W(A) with outward normal ``e^{i theta}``."""
-    A = mc.as_matrix(A)
-    ctol = cluster_tolerance(A)
-    dec = mc.eig_hermitian(mc.rotate(A, theta))
-    w, V = dec.eigenvalues, dec.eigenvectors
-    support = float(w[-1])
-    Qm = V[:, w >= support - ctol]
-
-    C = mc.compress(mc.rotate_prime(A, theta), Qm)
-    C = (C + C.conj().T) / 2.0
-    cdec = mc.eig_hermitian(C)
-    mu, W = cdec.eigenvalues, cdec.eigenvectors
+    pencil = mc.Pencil(A)
+    ctol = pencil.ctol
+    support, Qm, mu, W = pencil.segment(theta, ctol)
     lo, hi = float(mu[0]), float(mu[-1])
     basis_plus = Qm @ W[:, mu >= hi - ctol]
     basis_minus = Qm @ W[:, mu <= lo + ctol]
@@ -151,12 +135,12 @@ def eigencurve_derivatives(A, theta: float) -> list[tuple[float, float, int]]:
     their eigenvector; a cluster gets the eigenvalues of the compression
     of A'(theta) onto its eigenspace, matched in ascending order.
     """
-    A = mc.as_matrix(A)
-    dec = mc.eig_hermitian(mc.rotate(A, theta))
+    pencil = mc.Pencil(A)
+    dec = mc.eig_hermitian(pencil.rotate(theta))
     w, V = dec.eigenvalues, dec.eigenvectors
-    Ap = mc.rotate_prime(A, theta)
+    Ap = pencil.prime(theta)
     out: list[tuple[float, float, int]] = []
-    for cl in _clusters(w, cluster_tolerance(A)):
+    for cl in _clusters(w, pencil.ctol):
         size = cl.stop - cl.start
         if size == 1:
             v = V[:, cl.start]
@@ -175,54 +159,27 @@ def eigencurve_derivatives(A, theta: float) -> list[tuple[float, float, int]]:
 # ---------------------------------------------------------------------------
 
 
-class _Scan:
-    """Batched spectral data of A(theta) over a uniform angle grid."""
-
-    def __init__(self, A: np.ndarray, grid: int):
-        self.A = A
-        self.d = A.shape[0]
-        self.thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-        stack = mc.rotate_stack(A, self.thetas)
-        w, V = np.linalg.eigh(stack)
-        self.eigvals = w  # (grid, d) ascending
-        self.eigvecs = V
-        self.ctol = cluster_tolerance(A)
-        prime = mc.rotate_prime_stack(A, self.thetas)
-        top = V[:, :, -1]
-        self.top_slope = np.real(np.einsum("ni,nij,nj->n", top.conj(), prime, top))
-        if self.d > 1:
-            self.gap = w[:, -1] - w[:, -2]
-        else:
-            self.gap = np.full(grid, np.inf)
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.eigvals[:, -1]
-
-    def touch_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Face endpoints over the grid: (points p-, points p+), complex.
-
-        Angles with a simple top eigenvalue contribute the single touch
-        point ``e^{i theta}(support + i * slope)``; clustered angles fall
-        back to the full face computation.
-        """
-        u = np.exp(1j * self.thetas)
-        pts = u * (self.support + 1j * self.top_slope)
-        lo = pts.copy()
-        hi = pts.copy()
-        for j in np.nonzero(self.gap <= self.ctol)[0]:
-            fd = face(self.A, self.thetas[j])
-            lo[j], hi[j] = fd.p_minus, fd.p_plus
-        return lo, hi
+def _angle_grid(grid: int, what: str) -> np.ndarray:
+    """Uniform grid of ``grid`` angles on [0, 2 pi), at least 64 of them."""
+    if grid < 64:
+        raise PreconditionError(f"{what} requires grid >= 64")
+    return np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
 
 
-def _support_at(A, theta: float) -> float:
-    return float(np.linalg.eigvalsh(mc.rotate(A, theta))[-1])
+def _bisect(inside, inner, outer) -> np.ndarray:
+    """Batched bisection of the edges of angle sets.
 
-
-def _gap_at(A, theta: float) -> float:
-    w = np.linalg.eigvalsh(mc.rotate(A, theta))
-    return float(w[-1] - w[-2])
+    ``inside(angles)`` returns a boolean array; each ``inner[i]`` is
+    inside and ``outer[i]`` outside.  Returns the refined inner angles.
+    """
+    inner = np.array(inner, dtype=float)
+    outer = np.array(outer, dtype=float)
+    for _ in range(_BISECT_STEPS):
+        mid = (inner + outer) / 2.0
+        member = inside(mid)
+        inner[member] = mid[member]
+        outer[~member] = mid[~member]
+    return inner
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 90) -> float:
@@ -281,48 +238,36 @@ class FlatPortion:
     length: float
 
 
-def _flat_candidates(A: np.ndarray, scan: _Scan) -> list[float]:
+def _flat_candidates(pencil: mc.Pencil, thetas: np.ndarray, gap: np.ndarray) -> list[float]:
     """Refined angles where the top eigenvalue of A(theta) is degenerate.
 
-    Two regimes per candidate run of the gap scan: a transversal crossing
+    ``gap`` is the top eigenvalue gap on the uniform grid ``thetas``.  Two
+    regimes per candidate run of the gap scan: a transversal crossing
     (the gap dips to zero at one interior angle, located by golden-section
     minimization) and a degenerate band (the gap is already zero across
     grid points, e.g. repeated diagonal entries; the faces of interest sit
     at the two transition edges, located by bisection).
     """
-    grid = scan.thetas.size
+    grid = thetas.size
     step = 2.0 * np.pi / grid
-    scale = mc.fro(A)
+    scale = pencil.norm
     # eigenvalue curves of A(theta) are Lipschitz with constant <= ||A||_F
-    thresh = 2.0 * step * scale + 10.0 * scan.ctol
-    mask = scan.gap <= thresh
+    thresh = 2.0 * step * scale + 10.0 * pencil.ctol
+    mask = gap <= thresh
     gap_tol = GAP_REFINE_RTOL * (1.0 + scale)
     found: list[float] = []
+    edge_in: list[float] = []
+    edge_out: list[float] = []
     for start, stop in _circular_runs(mask):
         idx = np.arange(start, stop) % grid
-        band = scan.gap[idx] <= gap_tol
-        lo = scan.thetas[start % grid] - step
+        band = gap[idx] <= gap_tol
+        lo = thetas[start % grid] - step
         hi = lo + (stop - start + 1) * step
         if band.sum() >= 2 and stop - start < grid:
             band_idx = idx[band]
-            found.append(float(scan.thetas[band_idx[len(band_idx) // 2]]))
-            left_out, left_in = lo, scan.thetas[band_idx[0]]
-            for _ in range(_BISECT_STEPS):
-                mid = (left_out + left_in) / 2.0
-                if _gap_at(A, mid) <= gap_tol:
-                    left_in = mid
-                else:
-                    left_out = mid
-            found.append(left_in % (2.0 * np.pi))
-            right_in = scan.thetas[band_idx[0]] + (band_idx.size - 1) * step
-            right_out = hi
-            for _ in range(_BISECT_STEPS):
-                mid = (right_in + right_out) / 2.0
-                if _gap_at(A, mid) <= gap_tol:
-                    right_in = mid
-                else:
-                    right_out = mid
-            found.append(right_in % (2.0 * np.pi))
+            found.append(float(thetas[band_idx[len(band_idx) // 2]]))
+            edge_in += [thetas[band_idx[0]], thetas[band_idx[0]] + (band_idx.size - 1) * step]
+            edge_out += [lo, hi]
         elif stop - start >= grid:
             # degenerate at every angle: the range is a point or the matrix
             # is a scalar shift of a degenerate family; one probe suffices
@@ -332,15 +277,19 @@ def _flat_candidates(A: np.ndarray, scan: _Scan) -> list[float]:
             # nearly parallel eigenvalue curves can keep a whole arc below
             # the scan threshold, and a single wide bracket would not be
             # unimodal
-            g = scan.gap[idx]
-            left = np.concatenate([[scan.gap[(start - 1) % grid]], g[:-1]])
-            right = np.concatenate([g[1:], [scan.gap[stop % grid]]])
+            g = gap[idx]
+            left = np.concatenate([[gap[(start - 1) % grid]], g[:-1]])
+            right = np.concatenate([g[1:], [gap[stop % grid]]])
             local_min = np.nonzero((g <= left) & (g <= right))[0]
             for m in local_min[:64]:
-                t0 = scan.thetas[start % grid] + m * step
-                t = _golden_min(lambda th: _gap_at(A, th), t0 - step, t0 + step)
-                if _gap_at(A, t) <= gap_tol:
+                t0 = thetas[start % grid] + m * step
+                t = _golden_min(lambda th: float(pencil.gap(th)), t0 - step, t0 + step)
+                if pencil.gap(t) <= gap_tol:
                     found.append(t % (2.0 * np.pi))
+    if edge_in:
+        # both edges of every band, bisected together
+        edges = _bisect(lambda t: pencil.gap(t) <= gap_tol, edge_in, edge_out)
+        found += [float(t) for t in edges % (2.0 * np.pi)]
     found.sort()
     out: list[float] = []
     for t in found:
@@ -349,25 +298,12 @@ def _flat_candidates(A: np.ndarray, scan: _Scan) -> list[float]:
     return out
 
 
-def flat_portions(A, grid: int = 512) -> list[FlatPortion]:
-    """All flat boundary portions of W(A), located by a gap scan.
-
-    The grid is scanned for angles where the two largest eigenvalues of
-    A(theta) nearly cross; each candidate is refined by golden-section
-    minimization of the gap, and kept when the face there is a genuine
-    segment.  A degenerate one-dimensional W(A) reports itself under
-    both of its normals.
-    """
-    A = mc.as_matrix(A)
-    if grid < 64:
-        raise PreconditionError("flat_portions requires grid >= 64")
-    if A.shape[0] == 1:
-        return []
-    scan = _Scan(A, grid)
-    length_tol = FLAT_LENGTH_RTOL * (1.0 + mc.fro(A))
+def _flat_portions(pencil: mc.Pencil, candidates: list[float]) -> list[FlatPortion]:
+    """Flat portions at the candidate angles of :func:`_flat_candidates`."""
+    length_tol = FLAT_LENGTH_RTOL * (1.0 + pencil.norm)
     portions = []
-    for t in _flat_candidates(A, scan):
-        fd = face(A, t)
+    for t in candidates:
+        fd = face(pencil.A, t)
         if fd.length > length_tol:
             portions.append(FlatPortion(theta=t, endpoints=(fd.p_minus, fd.p_plus), length=fd.length))
     portions.sort(key=lambda fp: fp.theta)
@@ -380,6 +316,20 @@ def flat_portions(A, grid: int = 512) -> list[FlatPortion]:
         if gap_angle <= 1e-8:
             dedup.pop()
     return dedup
+
+
+def flat_portions(A, grid: int = 512) -> list[FlatPortion]:
+    """All flat boundary portions of W(A), located by a gap scan.
+
+    The grid is scanned for angles where the two largest eigenvalues of
+    A(theta) nearly cross; each candidate is refined by golden-section
+    minimization of the gap, and kept when the face there is a genuine
+    segment.  A degenerate one-dimensional W(A) reports itself under
+    both of its normals.
+    """
+    pencil = mc.Pencil(A)
+    thetas = _angle_grid(grid, "flat_portions")
+    return _flat_portions(pencil, _flat_candidates(pencil, thetas, pencil.gap(thetas)))
 
 
 @dataclass(frozen=True)
@@ -399,82 +349,14 @@ class ExtremePointReport:
     normal_arc: tuple[float, float]
 
 
-def _strict_gap_tol(A) -> float:
-    """Machine-level degeneracy threshold for face membership probes.
-
-    The reported faces and pre-images group eigenvalues at the package
-    cluster tolerance, but deciding whether a *probe angle* carries a
-    genuine segment must not: near a transversal crossing the top gap is
-    quadratic in the angle, and the 1e-8 grouping would smear the normal
-    arc of the crossing point by ~1e-4 rad, turning round boundary
-    points into fake corners.
-    """
-    return 1e-14 * (1.0 + mc.fro(A))
-
-
-def _segment_at(A: np.ndarray, theta: float, ctol: float) -> tuple[float, float, float]:
-    """(support, mu_min, mu_max) of the face at theta, grouping with ctol."""
-    dec = mc.eig_hermitian(mc.rotate(A, theta))
-    w, V = dec.eigenvalues, dec.eigenvectors
-    Qm = V[:, w >= w[-1] - ctol]
-    if Qm.shape[1] == 1:
-        v = Qm[:, 0]
-        mu = float((v.conj() @ mc.rotate_prime(A, theta) @ v).real)
-        return float(w[-1]), mu, mu
-    C = mc.compress(mc.rotate_prime(A, theta), Qm)
-    muv = mc.eig_hermitian((C + C.conj().T) / 2.0).eigenvalues
-    return float(w[-1]), float(muv[0]), float(muv[-1])
-
-
-def _segment_distance(p: complex, theta: float, support: float, mu_lo: float, mu_hi: float) -> float:
+def _segment_distance(p, theta, support, mu_lo, mu_hi):
+    """Distance from planar points to the face segments
+    e^{i theta}(support + i [mu_lo, mu_hi]); broadcasts over arrays."""
     u = np.exp(1j * theta)
-    radial = support - _inner(p, u)
-    eta = _inner(p, 1j * u)
-    off = max(mu_lo - eta, 0.0, eta - mu_hi)
-    return float(np.hypot(radial, off))
-
-
-def _face_distance_batch(A: np.ndarray, pts: np.ndarray, thetas: np.ndarray, strict_tol: float) -> np.ndarray:
-    """Distances from pts[i] to the face of W(A) at thetas[i].
-
-    Faces are singletons unless the top eigenvalue is degenerate to
-    machine precision (see :func:`_strict_gap_tol`).
-    """
-    stack = mc.rotate_stack(A, thetas)
-    w, V = np.linalg.eigh(stack)
-    prime = mc.rotate_prime_stack(A, thetas)
-    top = V[:, :, -1]
-    slope = np.real(np.einsum("ni,nij,nj->n", top.conj(), prime, top))
-    u = np.exp(1j * thetas)
-    out = np.empty(len(thetas))
-    if w.shape[1] > 1:
-        clustered = (w[:, -1] - w[:, -2]) <= strict_tol
-    else:
-        clustered = np.zeros(len(thetas), dtype=bool)
-    q = u * (w[:, -1] + 1j * slope)
-    out[~clustered] = np.abs(pts[~clustered] - q[~clustered])
-    for j in np.nonzero(clustered)[0]:
-        sup, lo, hi = _segment_at(A, thetas[j], strict_tol)
-        out[j] = _segment_distance(pts[j], thetas[j], sup, lo, hi)
-    return out
-
-
-def _refine_arc_edges(A, pts, inner, outer, member_tol, strict_tol):
-    """Batched bisection for the edge of each point's supporting arc.
-
-    ``inner[i]`` is an angle where pts[i] lies on the face, ``outer[i]``
-    one where it does not; returns the membership boundary.
-    """
-    inner = np.array(inner, dtype=float)
-    outer = np.array(outer, dtype=float)
-    pts = np.asarray(pts, dtype=complex)
-    for _ in range(_BISECT_STEPS):
-        mid = (inner + outer) / 2.0
-        dist = _face_distance_batch(A, pts, mid, strict_tol)
-        member = dist <= member_tol
-        inner[member] = mid[member]
-        outer[~member] = mid[~member]
-    return inner
+    radial = support - (p * np.conj(u)).real
+    eta = (p * np.conj(1j * u)).real
+    off = np.maximum(np.maximum(mu_lo - eta, 0.0), eta - mu_hi)
+    return np.hypot(radial, off)
 
 
 def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
@@ -485,15 +367,16 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     arc (refined by bisection), an exposed/non-exposed verdict, and its
     pre-image basis.
     """
-    A = mc.as_matrix(A)
-    if grid < 64:
-        raise PreconditionError("extreme_points requires grid >= 64")
-    scale = 1.0 + mc.fro(A)
+    pencil = mc.Pencil(A)
+    A = pencil.A
+    thetas = _angle_grid(grid, "extreme_points")
+    scale = 1.0 + pencil.norm
     dedup_tol = 1e-10 * scale
     member_tol = FACE_MEMBER_RTOL * scale
     match_tol = POINT_MATCH_RTOL * scale
+    strict_tol = STRICT_GAP_RTOL * scale
 
-    if A.shape[0] == 1:
+    if pencil.d == 1:
         p = complex(A[0, 0])
         return [
             ExtremePointReport(
@@ -505,13 +388,16 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
             )
         ]
 
-    scan = _Scan(A, grid)
-    lo_pts, hi_pts = scan.touch_points()
-    portions = flat_portions(A, grid)
+    eig = pencil.eigh(thetas)
+    u_grid = np.exp(1j * thetas)
+    sup, mu_lo, mu_hi = pencil.faces(thetas, pencil.ctol, eig)
+    lo_pts = u_grid * (sup + 1j * mu_lo)
+    hi_pts = u_grid * (sup + 1j * mu_hi)
+    portions = _flat_portions(pencil, _flat_candidates(pencil, thetas, pencil.top_gap(eig[0])))
 
     # (angle, point) candidates, sorted by angle then point for stable dedup
     cand: list[tuple[float, complex]] = []
-    for j, t in enumerate(scan.thetas):
+    for j, t in enumerate(thetas):
         cand.append((float(t), complex(lo_pts[j])))
         if abs(hi_pts[j] - lo_pts[j]) > dedup_tol:
             cand.append((float(t), complex(hi_pts[j])))
@@ -538,18 +424,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
 
     # membership matrix of every (point, grid angle) pair, to find arc runs
     step = 2.0 * np.pi / grid
-    strict_tol = _strict_gap_tol(A)
-    u_grid = np.exp(1j * scan.thetas)
-    q_grid = u_grid * (scan.support + 1j * scan.top_slope)
-    D = np.abs(pts[:, None] - q_grid[None, :])
-    for j in np.nonzero(scan.gap <= strict_tol)[0]:
-        sup, lo, hi = _segment_at(A, scan.thetas[j], strict_tol)
-        uj = u_grid[j]
-        radial = sup - (pts * np.conj(uj)).real
-        eta = (pts * np.conj(1j * uj)).real
-        off = np.maximum(np.maximum(lo - eta, 0.0), eta - hi)
-        D[:, j] = np.hypot(radial, off)
-    member = D <= member_tol
+    member = _segment_distance(pts[:, None], thetas, *pencil.faces(thetas, strict_tol, eig)) <= member_tol
 
     left_inner = th0.copy()
     left_outer = th0.copy()
@@ -581,43 +456,47 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
             right_inner[i] = jr * step
             right_outer[i] = (jr + 1) * step
 
-    need = left_outer != left_inner
+    # left and right arc edges of every point, bisected in one stack
+    left = np.nonzero(left_outer != left_inner)[0]
+    right = np.nonzero(right_outer != right_inner)[0]
+    which = np.concatenate([left, right])
     lo_edge = left_inner.copy()
-    if need.any():
-        lo_edge[need] = _refine_arc_edges(
-            A, pts[need], left_inner[need], left_outer[need], member_tol, strict_tol
-        )
-    need = right_outer != right_inner
     hi_edge = right_inner.copy()
-    if need.any():
-        hi_edge[need] = _refine_arc_edges(
-            A, pts[need], right_inner[need], right_outer[need], member_tol, strict_tol
+    if which.size:
+        edges = _bisect(
+            lambda t: _segment_distance(pts[which], t, *pencil.faces(t, strict_tol)) <= member_tol,
+            np.concatenate([left_inner[left], right_inner[right]]),
+            np.concatenate([left_outer[left], right_outer[right]]),
         )
+        lo_edge[left] = edges[: left.size]
+        hi_edge[right] = edges[left.size :]
 
     flat_ends = np.array(
         [e for fp in portions for e in fp.endpoints], dtype=complex
     ) if portions else np.empty(0, dtype=complex)
 
+    # pre-images at the arc midpoints: one stacked solve; angles whose top
+    # eigenvalue is clustered need the full face
+    theta_rep = (lo_edge + hi_edge) / 2.0
+    w_rep, V_rep = pencil.eigh(theta_rep)
+    clustered = pencil.top_gap(w_rep) <= pencil.ctol
+    tops = mc._fix_phases(V_rep[:, :, -1:])
     reports = []
     for i in range(n):
         arc = (float(lo_edge[i]), float(hi_edge[i]))
-        arc_len = arc[1] - arc[0]
         is_flat_end = bool(flat_ends.size) and bool(
             np.min(np.abs(flat_ends - pts[i])) <= 10 * match_tol
         )
-        if arc_len <= ARC_SINGLE_ANGLE:
-            kind = "non-exposed" if is_flat_end else "exposed"
-            theta_rep = (arc[0] + arc[1]) / 2.0
-        else:
-            kind = "exposed"
-            theta_rep = (arc[0] + arc[1]) / 2.0
-        fd = face(A, theta_rep)
-        if fd.length <= match_tol:
-            basis = fd.basis_m
-        elif abs(pts[i] - fd.p_plus) <= abs(pts[i] - fd.p_minus):
-            basis = fd.basis_plus
-        else:
-            basis = fd.basis_minus
+        kind = "non-exposed" if arc[1] - arc[0] <= ARC_SINGLE_ANGLE and is_flat_end else "exposed"
+        basis = tops[i]
+        if clustered[i]:
+            fd = face(A, theta_rep[i])
+            if fd.length <= match_tol:
+                basis = fd.basis_m
+            elif abs(pts[i] - fd.p_plus) <= abs(pts[i] - fd.p_minus):
+                basis = fd.basis_plus
+            else:
+                basis = fd.basis_minus
         reports.append(
             ExtremePointReport(
                 point=complex(pts[i]),
@@ -631,13 +510,6 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     return reports
 
 
-def _support_slope_at(A, theta: float) -> float:
-    """Derivative of the support curve at theta (top eigenvector slope)."""
-    w, V = np.linalg.eigh(mc.rotate(A, theta))
-    x = V[:, -1]
-    return float((x.conj() @ mc.rotate_prime(A, theta) @ x).real)
-
-
 def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     """Angle maximizing g(theta) = <p, e^{i theta}> - support(theta), and g there.
 
@@ -649,24 +521,23 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     sqrt(eps) resolution of the flat quadratic top).  On plateaus (fat
     normal cones) any maximizing angle is returned.
     """
-    A = mc.as_matrix(A)
+    pencil = mc.Pencil(A)
     p = as_point(p)
     scan_thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    sup = np.linalg.eigvalsh(mc.rotate_stack(A, scan_thetas))[:, -1]
-    g = p.real * np.cos(scan_thetas) + p.imag * np.sin(scan_thetas) - sup
+    g = p.real * np.cos(scan_thetas) + p.imag * np.sin(scan_thetas) - pencil.support(scan_thetas)
     j = int(np.argmax(g))
     step = 2.0 * np.pi / grid
 
     def g_at(th):
-        return p.real * np.cos(th) + p.imag * np.sin(th) - _support_at(A, th)
+        return p.real * np.cos(th) + p.imag * np.sin(th) - float(pencil.support(th))
 
     def g_slope(th):
         u = np.exp(1j * th)
-        return _inner(p, 1j * u) - _support_slope_at(A, th)
+        return _inner(p, 1j * u) - float(pencil.slope(th))
 
     lo, hi = scan_thetas[j] - step, scan_thetas[j] + step
     slo, shi = g_slope(lo), g_slope(hi)
-    plateau_tol = 1e-11 * (1.0 + mc.fro(A)) * (1.0 + abs(p))
+    plateau_tol = 1e-11 * (1.0 + pencil.norm) * (1.0 + abs(p))
     if slo >= 0.0 >= shi:
         for _ in range(80):
             mid = (lo + hi) / 2.0

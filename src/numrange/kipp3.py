@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import extremal, matcore as mc, rangegeo as rg
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 
 # Normal-eigenvalue detection: smallest singular value of the stacked
 # joint-eigenvector system, relative to 1 + ||A||.
@@ -229,22 +229,18 @@ def _is_normal_matrix(A: np.ndarray) -> bool:
     return mc.fro(comm) <= 1e-10 * (1.0 + mc.fro(A) ** 2)
 
 
-def _rank_one_angles(A: np.ndarray, grid: int) -> list[float]:
-    """Angles where support(theta) I - A(theta) has rank exactly one.
+def _rank_one_angles(pencil: mc.Pencil, candidates: list[float]) -> list[float]:
+    """Candidate angles where support(theta) I - A(theta) has rank exactly one.
 
     Equivalent to the top eigenvalue of A(theta) being doubly degenerate
     with the third eigenvalue strictly below; scanning theta over the
     full circle also covers degeneracies of the minimal eigenvalue
     (A(theta + pi) = -A(theta)).
     """
-    scan = extremal._Scan(A, grid)
-    ctol = extremal.cluster_tolerance(A)
-    out = []
-    for t in extremal._flat_candidates(A, scan):
-        w = np.linalg.eigvalsh(mc.rotate(A, t))
-        if w[-1] - w[-2] <= 10 * extremal.GAP_REFINE_RTOL * (1.0 + mc.fro(A)) and w[-1] - w[0] > ctol:
-            out.append(t)
-    return out
+    w = np.linalg.eigvalsh(pencil.rotate(np.array(candidates, dtype=float)))
+    gap_tol = 10 * extremal.GAP_REFINE_RTOL * (1.0 + pencil.norm)
+    keep = (w[:, -1] - w[:, -2] <= gap_tol) & (w[:, -1] - w[:, 0] > pencil.ctol)
+    return [t for t, k in zip(candidates, keep, strict=True) if k]
 
 
 def classify(A, grid: int = 512) -> KippenhahnClassification:
@@ -272,7 +268,7 @@ def classify(A, grid: int = 512) -> KippenhahnClassification:
             return KippenhahnClassification(CLASS_R3, shape, ne, None, [])
         ed = elliptic_data(A)
         if ed is None:
-            raise RuntimeError(
+            raise NumericalError(
                 "inconsistent classification: reducible non-normal matrix "
                 "without elliptical data"
             )
@@ -285,10 +281,14 @@ def classify(A, grid: int = 512) -> KippenhahnClassification:
         return KippenhahnClassification(CLASS_R3, shape, ne, ed, [])
 
     ed = elliptic_data(A)
-    portions = extremal.flat_portions(A, grid)
-    rank_one = _rank_one_angles(A, grid)
+    # one gap scan and one candidate search serve both criteria
+    pencil = mc.Pencil(A)
+    thetas = extremal._angle_grid(grid, "classify")
+    candidates = extremal._flat_candidates(pencil, thetas, pencil.gap(thetas))
+    portions = extremal._flat_portions(pencil, candidates)
+    rank_one = _rank_one_angles(pencil, candidates)
     if bool(portions) != bool(rank_one):
-        raise RuntimeError(
+        raise NumericalError(
             "flat-portion scan and rank-one criterion disagree; the matrix "
             "sits numerically on a class boundary"
         )
@@ -510,7 +510,7 @@ def canonical_reducible_form(A, grid: int = 512) -> CanonicalForm3:
 def _check_canonical(cf: CanonicalForm3, A: np.ndarray, scale: float) -> None:
     err = mc.fro(cf.apply(A) - cf.canonical)
     if err > 1e-8 * scale:
-        raise RuntimeError(
+        raise NumericalError(
             f"canonical form witnesses drifted: reproduction error {err:.3e}"
         )
 
@@ -636,7 +636,7 @@ def e3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
 
     check = classify(B, grid)
     if check.class_tag != CLASS_E3:
-        raise RuntimeError(f"witness failed to classify as E3 (got {check.class_tag})")
+        raise NumericalError(f"witness failed to classify as E3 (got {check.class_tag})")
     return B
 
 
@@ -680,7 +680,7 @@ def f3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
             B = np.array([[0, 2, 0], [0, 0, 0], [0, 0, 1]], dtype=complex) + 1j * eps * ones
             check = classify(B, grid)
             if check.class_tag != CLASS_F3:
-                raise RuntimeError(
+                raise NumericalError(
                     f"witness failed to classify as F3 (got {check.class_tag})"
                 )
             return B
@@ -710,5 +710,5 @@ def f3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
 
     check = classify(B, grid)
     if check.class_tag != CLASS_F3:
-        raise RuntimeError(f"witness failed to classify as F3 (got {check.class_tag})")
+        raise NumericalError(f"witness failed to classify as F3 (got {check.class_tag})")
     return B

@@ -4,8 +4,10 @@ Everything downstream is built from the pieces in this module: the
 Hermitian real/imaginary decomposition A = Re(A) + i*Im(A), the rotated
 Hermitian family A(theta) = Re(e^{-i theta} A) and its derivative
 A'(theta) = Im(e^{-i theta} A), the quadratic-form map x -> x*Ax, a
-deterministic cyclic-Jacobi eigensolver for Hermitian matrices,
-subspace compressions Q*BQ, and a 3x3 complex Schur triangularization.
+phase-normalized LAPACK eigensolver for Hermitian matrices, the
+per-matrix :class:`Pencil` that validates A once and solves the family
+A(theta) over angle arrays, subspace compressions Q*BQ, and a 3x3
+complex Schur triangularization.
 
 All matrices are dense ``numpy`` arrays of ``complex128``.  Tolerances
 are relative to the Frobenius norm unless noted otherwise.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 
 # Hermitian symmetry defect allowed on inputs, relative to ||H||_F.
 HERMITIAN_RTOL = 1e-13
@@ -25,9 +27,9 @@ HERMITIAN_RTOL = 1e-13
 ORTHONORMAL_TOL = 1e-12
 # Unit-norm defect allowed on vectors fed to f_eval.
 UNIT_NORM_TOL = 1e-10
-# Cyclic Jacobi: off-diagonal target relative to ||H||_F, and sweep cap.
-JACOBI_OFF_RTOL = 1e-14
-JACOBI_MAX_SWEEPS = 60
+# Relative width of an eigenvalue cluster (single source of truth for the
+# whole package: multiplicities, pre-image dimensions, crossing detection).
+CLUSTER_RTOL = 1e-8
 # schur3: allowed sub-diagonal residual relative to ||A||_F.
 SCHUR_SUBDIAG_RTOL = 1e-10
 
@@ -61,14 +63,12 @@ def im_part(A) -> np.ndarray:
 
 def rotate(A, theta: float) -> np.ndarray:
     """Rotated Hermitian part cos(theta)*Re(A) + sin(theta)*Im(A)."""
-    A = as_matrix(A)
-    return np.cos(theta) * re_part(A) + np.sin(theta) * im_part(A)
+    return Pencil(A).rotate(theta)
 
 
 def rotate_prime(A, theta: float) -> np.ndarray:
     """Derivative of ``rotate`` in theta: -sin(theta)*Re(A) + cos(theta)*Im(A)."""
-    A = as_matrix(A)
-    return -np.sin(theta) * re_part(A) + np.cos(theta) * im_part(A)
+    return Pencil(A).prime(theta)
 
 
 def rotate_stack(A, thetas) -> np.ndarray:
@@ -76,18 +76,7 @@ def rotate_stack(A, thetas) -> np.ndarray:
 
     Vectorized companion of :func:`rotate` for angle grids.
     """
-    A = as_matrix(A)
-    t = np.atleast_1d(np.asarray(thetas, dtype=float))
-    R, S = re_part(A), im_part(A)
-    return np.cos(t)[:, None, None] * R + np.sin(t)[:, None, None] * S
-
-
-def rotate_prime_stack(A, thetas) -> np.ndarray:
-    """Stack of derivative parts, shape (len(thetas), d, d)."""
-    A = as_matrix(A)
-    t = np.atleast_1d(np.asarray(thetas, dtype=float))
-    R, S = re_part(A), im_part(A)
-    return -np.sin(t)[:, None, None] * R + np.cos(t)[:, None, None] * S
+    return Pencil(A).rotate(np.atleast_1d(thetas))
 
 
 def check_hermitian(H, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
@@ -120,61 +109,121 @@ class SpectralDecomposition:
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Make the largest-modulus component of each column real positive."""
-    V = V.copy()
-    idx = np.argmax(np.abs(V), axis=0)
-    for k in range(V.shape[1]):
-        piv = V[idx[k], k]
-        a = abs(piv)
-        if a > 0.0:
-            V[:, k] *= piv.conjugate() / a
-    return V
+    """Make the largest-modulus component of each column real positive.
+
+    Works on a single matrix or on a stack of them (last two axes).
+    """
+    idx = np.argmax(np.abs(V), axis=-2)[..., None, :]
+    piv = np.take_along_axis(V, idx, axis=-2)
+    a = np.abs(piv)
+    return V * np.divide(piv.conj(), a, out=np.ones_like(piv), where=a > 0.0)
 
 
 def eig_hermitian(H) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 
-    Deterministic: fixed sweep order, stable sort of eigenvalues, and
-    eigenvector phases fixed by making the largest-modulus component of
-    each column real positive.
+    Deterministic: eigenvalues ascending, and eigenvector phases fixed by
+    making the largest-modulus component of each column real positive.
     """
-    H = check_hermitian(H)
-    d = H.shape[0]
-    V = np.eye(d, dtype=np.complex128)
-    if d == 1:
-        return SpectralDecomposition(np.array([H[0, 0].real]), V)
-    target = JACOBI_OFF_RTOL * max(fro(H), 1e-300)
+    w, V = np.linalg.eigh(check_hermitian(H))
+    return SpectralDecomposition(w, _fix_phases(V))
 
-    M = H.copy()
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = fro(M - np.diag(np.diag(M)))
-        if off <= target:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = M[p, q]
-                m = abs(apq)
-                if m <= 1e-300:
-                    continue
-                phase = apq / m
-                tau = (M[q, q].real - M[p, p].real) / (2.0 * m)
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # 2x2 unitary [[c*phase, s*phase], [-s, c]] zeroes M[p, q].
-                J = np.array([[c * phase, s * phase], [-s, c]], dtype=np.complex128)
-                M[:, [p, q]] = M[:, [p, q]] @ J
-                M[[p, q], :] = J.conj().T @ M[[p, q], :]
-                M[p, q] = 0.0
-                M[q, p] = 0.0
-                M[p, p] = M[p, p].real
-                M[q, q] = M[q, q].real
-                V[:, [p, q]] = V[:, [p, q]] @ J
 
-    w = np.diag(M).real.copy()
-    order = np.argsort(w, kind="stable")
-    return SpectralDecomposition(w[order], _fix_phases(V[:, order]))
+class Pencil:
+    """The Hermitian family A(theta) of one matrix, validated once.
+
+    Caches R = Re(A), S = Im(A), ||A||_F and the cluster tolerance
+    ``ctol = CLUSTER_RTOL * (1 + ||A||_F)``.  Angle arguments may be
+    scalars or arrays; array angles give stacks solved in one LAPACK
+    call, with results indexed by angle along the leading axis.
+    """
+
+    def __init__(self, A):
+        self.A = as_matrix(A)
+        self.d = self.A.shape[0]
+        self.R = re_part(self.A)
+        self.S = im_part(self.A)
+        self.norm = fro(self.A)
+        self.ctol = CLUSTER_RTOL * (1.0 + self.norm)
+
+    def rotate(self, thetas) -> np.ndarray:
+        """A(theta) = cos(theta) R + sin(theta) S."""
+        t = np.asarray(thetas, dtype=float)[..., None, None]
+        return np.cos(t) * self.R + np.sin(t) * self.S
+
+    def prime(self, thetas) -> np.ndarray:
+        """A'(theta) = -sin(theta) R + cos(theta) S."""
+        t = np.asarray(thetas, dtype=float)[..., None, None]
+        return -np.sin(t) * self.R + np.cos(t) * self.S
+
+    def eigh(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of A(theta)."""
+        return np.linalg.eigh(self.rotate(thetas))
+
+    def support(self, thetas) -> np.ndarray:
+        """Support function of W(A): the top eigenvalue of A(theta)."""
+        return np.linalg.eigvalsh(self.rotate(thetas))[..., -1]
+
+    def gap(self, thetas) -> np.ndarray:
+        """Gap between the two largest eigenvalues of A(theta)."""
+        return self.top_gap(np.linalg.eigvalsh(self.rotate(thetas)))
+
+    @staticmethod
+    def top_gap(w: np.ndarray) -> np.ndarray:
+        """Gap between the two largest of ascending eigenvalues (last axis);
+        inf for 1x1 matrices, which have no second eigenvalue."""
+        if w.shape[-1] == 1:
+            return np.full(w.shape[:-1], np.inf)
+        return w[..., -1] - w[..., -2]
+
+    def slope(self, thetas, V=None) -> np.ndarray:
+        """Slope x*A'(theta)x of the top eigenvalue curve, x the top
+        eigenvector (from the eigenvectors ``V`` when given)."""
+        t = np.asarray(thetas, dtype=float)
+        if V is None:
+            V = self.eigh(t)[1]
+        x = V[..., -1]
+        xr = np.einsum("...i,ij,...j->...", x.conj(), self.R, x).real
+        xs = np.einsum("...i,ij,...j->...", x.conj(), self.S, x).real
+        return -np.sin(t) * xr + np.cos(t) * xs
+
+    def top_cluster(self, theta: float, tol: float) -> tuple[float, np.ndarray]:
+        """Top eigenvalue of A(theta) and an orthonormal basis of the
+        eigenvectors whose eigenvalues lie within ``tol`` of it."""
+        dec = eig_hermitian(self.rotate(theta))
+        w = dec.eigenvalues
+        return float(w[-1]), dec.eigenvectors[:, w >= w[-1] - tol]
+
+    def segment(self, theta: float, tol: float):
+        """Face of W(A) at one angle, grouping eigenvalues within ``tol``.
+
+        Returns ``(support, Qm, mu, W)``: the top eigenvalue, the basis Qm
+        of its cluster (:meth:`top_cluster`), and the ascending eigenvalues
+        mu and eigenvectors W of A'(theta) compressed onto Qm.  The face
+        is the segment e^{i theta}(support + i [mu[0], mu[-1]]).
+        """
+        support, Qm = self.top_cluster(theta, tol)
+        C = Qm.conj().T @ self.prime(theta) @ Qm
+        cdec = eig_hermitian((C + C.conj().T) / 2.0)
+        return support, Qm, cdec.eigenvalues, cdec.eigenvectors
+
+    def faces(self, thetas, tol: float, eig=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Face segments at an angle array: (support, mu_lo, mu_hi).
+
+        Where the top eigenvalue is simple within ``tol`` the face is one
+        touch point and mu_lo = mu_hi is the top-curve slope; clustered
+        angles fall back to :meth:`segment`.  ``eig`` passes the
+        :meth:`eigh` result at the same angles when the caller has it.
+        """
+        t = np.asarray(thetas, dtype=float)
+        w, V = self.eigh(t) if eig is None else eig
+        sup = w[:, -1].copy()
+        lo = self.slope(t, V)
+        hi = lo.copy()
+        for j in np.nonzero(self.top_gap(w) <= tol)[0]:
+            sup[j], _, mu, _ = self.segment(t[j], tol)
+            lo[j], hi[j] = mu[0], mu[-1]
+        return sup, lo, hi
 
 
 def compress(B, Q) -> np.ndarray:
@@ -366,6 +415,6 @@ def schur3(A) -> tuple[np.ndarray, np.ndarray]:
     T = U.conj().T @ A @ U
     sub = np.array([T[1, 0], T[2, 0], T[2, 1]])
     if np.linalg.norm(sub) > SCHUR_SUBDIAG_RTOL * scale:
-        raise RuntimeError("schur3 failed to triangularize within tolerance")
+        raise NumericalError("schur3 failed to triangularize within tolerance")
     T = np.triu(T)
     return U, T

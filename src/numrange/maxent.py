@@ -17,13 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extremal, matcore as mc, rangegeo as rg
-from .errors import PreconditionError
+from .errors import NumericalError, PreconditionError
 
 # Interior margin below which a point is routed to the boundary solver.
 INTERIOR_MARGIN_RTOL = 1e-7
 # Dual Newton convergence (gradient norm) and iteration cap.
 DUAL_GRAD_TOL = 1e-10
 DUAL_MAX_ITER = 200
+# Relative rounding level of the dual value (a few ulps of log tr exp).
+DUAL_ROUNDING = 64 * np.finfo(float).eps
 # Density matrix validation tolerances.
 DENSITY_TOL = 1e-12
 # Eigenvalue clamp inside entropy (0 log 0 = 0 convention).
@@ -94,32 +96,32 @@ def relative_depth(A, p, grid: int = 1024) -> float:
     segment endpoint, provided p sits on the carrying line; off-line
     points report minus their transverse deviation.
     """
-    A = mc.as_matrix(A)
+    pencil = mc.Pencil(A)
     p = extremal.as_point(p)
-    scale = 1.0 + mc.fro(A)
+    scale = 1.0 + pencil.norm
     half = grid // 2
     thetas = np.linspace(0.0, 2.0 * np.pi, 2 * half, endpoint=False)
-    sup = np.linalg.eigvalsh(mc.rotate_stack(A, thetas))[:, -1]
+    sup = pencil.support(thetas)
     width = sup + np.roll(sup, -half)
     if width.min() > DEGENERATE_THICKNESS_RTOL * scale:
         return boundary_depth(A, p, grid)
+
+    def opposite(th):
+        """Support values at th and th + pi."""
+        return pencil.support([th, th + np.pi])
+
     j = int(np.argmin(width))
     step = np.pi / half
-
-    def width_at(th):
-        return extremal._support_at(A, th) + extremal._support_at(A, th + np.pi)
-
-    t = extremal._golden_min(width_at, thetas[j] - step, thetas[j] + step)
+    t = extremal._golden_min(lambda th: float(opposite(th).sum()), thetas[j] - step, thetas[j] + step)
     u = np.exp(1j * t)
-    center = (extremal._support_at(A, t) - extremal._support_at(A, t + np.pi)) / 2.0
-    trans = (p * np.conj(u)).real - center
+    s_t, s_opp = opposite(t)
+    trans = (p * np.conj(u)).real - (s_t - s_opp) / 2.0
     if abs(trans) > 1e-7 * scale:
         return -abs(trans)
     phi = t + np.pi / 2.0
     e = np.exp(1j * phi)
-    hi = extremal._support_at(A, phi) - (p * np.conj(e)).real
-    lo = extremal._support_at(A, phi + np.pi) + (p * np.conj(e)).real
-    return float(min(hi, lo))
+    s_phi, s_opp = opposite(phi)
+    return float(min(s_phi - (p * np.conj(e)).real, s_opp + (p * np.conj(e)).real))
 
 
 def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
@@ -190,11 +192,17 @@ def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
             f1 = dual_value(u + t * step)
             if f1 <= f0 + 1e-4 * t * (grad @ step):
                 break
+            # near the optimum the decrease sinks below the rounding of the
+            # dual value, where the Armijo test rejects every step: accept
+            # one that lowers the gradient norm instead
+            if abs(f1 - f0) <= DUAL_ROUNDING * (1.0 + abs(f0)):
+                if np.linalg.norm(dual_state_grad_hess(u + t * step)[1]) < gn:
+                    break
             t /= 2.0
         u = u + t * step
         f0 = dual_value(u)
     else:
-        raise RuntimeError("dual Newton did not converge within the iteration cap")
+        raise NumericalError("dual Newton did not converge within the iteration cap")
 
     rho, grad, _ = dual_state_grad_hess(u)
     value = complex(np.trace(rho @ A))

@@ -38,9 +38,9 @@ class SupportSample:
 
 def support_value(A, theta: float) -> SupportSample:
     """Top eigenvalue of A(theta) and the size of its eigenvalue cluster."""
-    A = mc.as_matrix(A)
-    w = np.linalg.eigvalsh(mc.rotate(A, theta))
-    mult = int(np.sum(w >= w[-1] - extremal.cluster_tolerance(A)))
+    pencil = mc.Pencil(A)
+    w = np.linalg.eigvalsh(pencil.rotate(theta))
+    mult = int(np.sum(w >= w[-1] - pencil.ctol))
     return SupportSample(theta=float(theta), support=float(w[-1]), multiplicity=mult)
 
 
@@ -153,17 +153,18 @@ def boundary_polygon(A, N: int = DEFAULT_BOUNDARY_SAMPLES) -> ConvexPolygon:
     faces), so the polygon is an inner approximation that refines as N
     grows.
     """
-    A = mc.as_matrix(A)
+    pencil = mc.Pencil(A)
     if N < 8:
         raise PreconditionError("boundary_polygon requires N >= 8")
-    if A.shape[0] == 1:
-        z = complex(A[0, 0])
+    if pencil.d == 1:
+        z = complex(pencil.A[0, 0])
         return ConvexPolygon(np.array([[z.real, z.imag]]))
-    scan = extremal._Scan(A, N)
-    lo, hi = scan.touch_points()
-    zs = np.concatenate([lo, hi])
+    thetas = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+    sup, lo, hi = pencil.faces(thetas, pencil.ctol)
+    u = np.exp(1j * thetas)
+    zs = np.concatenate([u * (sup + 1j * lo), u * (sup + 1j * hi)])
     pts = np.column_stack([zs.real, zs.imag])
-    scale = 1.0 + mc.fro(A)
+    scale = 1.0 + pencil.norm
     # drop near-duplicates cheaply before the hull pass
     poly = convex_hull(pts, collinear_tol=1e-13 * max(scale, 1.0) ** 2)
     if len(poly) > 1:
@@ -180,17 +181,16 @@ def contains(A, p, grid: int = 2048) -> bool:
     A coarse grid pass finds the most violated direction; golden-section
     refinement around it decides within 1e-9 * (1 + ||A||).
     """
-    A = mc.as_matrix(A)
+    pencil = mc.Pencil(A)
     p = extremal.as_point(p)
-    tol = CONTAINS_RTOL * (1.0 + mc.fro(A))
+    tol = CONTAINS_RTOL * (1.0 + pencil.norm)
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    sup = np.linalg.eigvalsh(mc.rotate_stack(A, thetas))[:, -1]
-    g = p.real * np.cos(thetas) + p.imag * np.sin(thetas) - sup
+    g = p.real * np.cos(thetas) + p.imag * np.sin(thetas) - pencil.support(thetas)
     j = int(np.argmax(g))
     step = 2.0 * np.pi / grid
 
     def neg_g(th):
-        return extremal._support_at(A, th) - (p.real * np.cos(th) + p.imag * np.sin(th))
+        return float(pencil.support(th)) - (p.real * np.cos(th) + p.imag * np.sin(th))
 
     t = extremal._golden_min(neg_g, thetas[j] - 2 * step, thetas[j] + 2 * step)
     return max(float(g[j]), -neg_g(t)) <= tol

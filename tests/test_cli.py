@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from numrange import cli
+from numrange import cli, kipp3
+from numrange.errors import NumericalError
 
 
 @pytest.fixture
@@ -68,7 +69,7 @@ def test_boundary_command_csv(capsys, matrix_file):
 def test_boundary_deterministic(capsys, matrix_file):
     path = matrix_file("m", np.array([[0.3, 1 + 2j, 0], [0, -0.5, 1], [0.2j, 0, 0.1]]))
     _, out1, _ = run_cli(capsys, "boundary", path, "--samples", "128")
-    _, out2, _ = run_cli(capsys, "boundary", path, "--samples", "128", "--threads", "4")
+    _, out2, _ = run_cli(capsys, "boundary", path, "--samples", "128")
     assert out1 == out2
 
 
@@ -182,6 +183,18 @@ def test_probe_exit3_on_simply_generated(capsys, matrix_file):
     code, out, err = run_cli(capsys, "probe", path, "--point", "1,0")
     assert code == 3
     assert "simply generated" in err
+
+
+def test_numerical_failure_exit4(capsys, matrix_file, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NumericalError("flat-portion scan and rank-one criterion disagree")
+
+    monkeypatch.setattr(kipp3, "classify", fail)
+    path = matrix_file("cp", [[0, 2, 0], [0, 0, 0], [0, 0, 2]])
+    code, out, err = run_cli(capsys, "classify3", path)
+    assert code == 4
+    assert out == ""
+    assert err == "flat-portion scan and rank-one criterion disagree\n"
 
 
 def test_oracle_command(capsys, matrix_file):

@@ -8,6 +8,8 @@ from conftest import (
     CIRCLE_POINT,
     DISK,
     DISK_EIG_BOUNDARY,
+    JORDAN3,
+    SEGMENT,
     TRIANGLE,
     random_matrix,
     segment_distance,
@@ -16,18 +18,23 @@ from conftest import (
 SQ3 = np.sqrt(3.0)
 
 
-def test_max_eigenspace_examples():
-    Q = ex.max_eigenspace(CIRCLE_POINT, 0.0)
+def top_cluster(A, theta):
+    pencil = mc.Pencil(A)
+    return pencil.top_cluster(theta, pencil.ctol)[1]
+
+
+def test_top_cluster_examples():
+    Q = top_cluster(CIRCLE_POINT, 0.0)
     assert Q.shape[1] == 1
     assert np.allclose(np.abs(Q.ravel()), [0, 0, 1], atol=1e-12)
-    Q = ex.max_eigenspace(DISK_EIG_BOUNDARY, 0.0)
+    Q = top_cluster(DISK_EIG_BOUNDARY, 0.0)
     assert Q.shape[1] == 2
-    Q = ex.max_eigenspace(np.diag([0.0, 1.0]), 0.0)
+    Q = top_cluster(np.diag([0.0, 1.0]), 0.0)
     assert np.allclose(np.abs(Q.ravel()), [0, 1], atol=1e-12)
 
 
-def test_max_eigenspace_maps_into_face(rng):
-    Q = ex.max_eigenspace(DISK_EIG_BOUNDARY, 0.0)
+def test_top_cluster_maps_into_face(rng):
+    Q = top_cluster(DISK_EIG_BOUNDARY, 0.0)
     sup = rg.support_value(DISK_EIG_BOUNDARY, 0.0).support
     for _ in range(50):
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -226,3 +233,135 @@ def test_preimage_rejections():
 def test_preimage_accepts_tuple_points():
     B = ex.preimage(DISK, (0.0, 1.0))
     assert B.shape[1] == 1
+
+
+def face_at(R, S, theta, tol):
+    """One face solve at one angle: (support, mu_lo, mu_hi), grouping within tol."""
+    w, V = np.linalg.eigh(np.cos(theta) * R + np.sin(theta) * S)
+    Q = V[:, w >= w[-1] - tol]
+    mu = np.linalg.eigvalsh(Q.conj().T @ (np.cos(theta) * S - np.sin(theta) * R) @ Q)
+    return w[-1], mu[0], mu[-1]
+
+
+def face_distance(p, theta, face):
+    sup, lo, hi = face
+    u = np.exp(1j * theta)
+    eta = (p * np.conj(1j * u)).real
+    return np.hypot(sup - (p * np.conj(u)).real, max(lo - eta, 0.0, eta - hi))
+
+
+def reference_extreme_points(A, grid):
+    """extreme_points with one face solve per angle and per point: the loop
+    version of its stacked solves."""
+    R, S = mc.re_part(A), mc.im_part(A)
+    scale = 1.0 + mc.fro(A)
+    strict = ex.STRICT_GAP_RTOL * scale
+    member_tol = ex.FACE_MEMBER_RTOL * scale
+    step = 2.0 * np.pi / grid
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    portions = ex.flat_portions(A, grid)
+    cand = []
+    for t in thetas:
+        fd = ex.face(A, t)
+        cand.append((float(t), fd.p_minus))
+        if abs(fd.p_plus - fd.p_minus) > 1e-10 * scale:
+            cand.append((float(t), fd.p_plus))
+    cand += [(fp.theta, e) for fp in portions for e in fp.endpoints]
+    cand.sort(key=lambda c: (c[0], c[1].real, c[1].imag))
+    seeds = []
+    for t, p in cand:
+        if all(abs(p - q) > 1e-10 * scale for _, q in seeds):
+            seeds.append((t, p))
+
+    def edge(p, inner, outer):
+        for _ in range(48):
+            mid = (inner + outer) / 2.0
+            if face_distance(p, mid, face_at(R, S, mid, strict)) <= member_tol:
+                inner = mid
+            else:
+                outer = mid
+        return inner
+
+    grid_faces = [face_at(R, S, t, strict) for t in thetas]
+    ends = [e for fp in portions for e in fp.endpoints]
+    out = []
+    for t0, p in seeds:
+        row = [face_distance(p, t, f) <= member_tol for t, f in zip(thetas, grid_faces)]
+        j0 = int(round((t0 % (2 * np.pi)) / step)) % grid
+        if not row[j0]:
+            arc = (edge(p, t0, t0 - step), edge(p, t0, t0 + step))
+        elif all(row):
+            arc = (0.0, 2.0 * np.pi)
+        else:
+            jl = jr = j0
+            while row[(jl - 1) % grid]:
+                jl -= 1
+            while row[(jr + 1) % grid]:
+                jr += 1
+            arc = (edge(p, jl * step, (jl - 1) * step), edge(p, jr * step, (jr + 1) * step))
+        flat_end = any(abs(e - p) <= 10 * ex.POINT_MATCH_RTOL * scale for e in ends)
+        kind = "non-exposed" if arc[1] - arc[0] <= ex.ARC_SINGLE_ANGLE and flat_end else "exposed"
+        fd = ex.face(A, (arc[0] + arc[1]) / 2.0)
+        if fd.length <= ex.POINT_MATCH_RTOL * scale:
+            basis = fd.basis_m
+        elif abs(p - fd.p_plus) <= abs(p - fd.p_minus):
+            basis = fd.basis_plus
+        else:
+            basis = fd.basis_minus
+        out.append((p, kind, arc, basis))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["circle_point", "disk_eig_boundary", "disk", "triangle", "segment", "jordan", "g3a", "g3b", "g8"]
+)
+def test_extreme_points_match_per_angle_reference(name):
+    rng = np.random.default_rng(7)
+    ginibre = {d: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (3, 8)}
+    A = {
+        "circle_point": CIRCLE_POINT,
+        "disk_eig_boundary": DISK_EIG_BOUNDARY,
+        "disk": DISK,
+        "triangle": TRIANGLE,
+        "segment": SEGMENT,
+        "jordan": JORDAN3,
+        "g3a": ginibre[3] / np.linalg.norm(ginibre[3]),
+        "g3b": random_matrix(rng, 3),
+        "g8": ginibre[8] / np.linalg.norm(ginibre[8]),
+    }[name]
+    tol = 1e-12 * (1.0 + mc.fro(A))
+    got = ex.extreme_points(A, 64)
+    want = reference_extreme_points(A, 64)
+    assert len(got) == len(want)
+    for p, kind, arc, basis in want:
+        r = min(got, key=lambda r: abs(r.point - p))
+        assert abs(r.point - p) <= tol
+        assert r.kind == kind
+        assert np.max(np.abs(np.subtract(r.normal_arc, arc))) <= tol
+        P, Q = r.preimage @ r.preimage.conj().T, basis @ basis.conj().T
+        assert np.max(np.abs(P - Q)) <= 1e-12
+
+
+# exact pre-image projector of the multiply generated point 1 of DISK_EIG_BOUNDARY
+DEB_PROJECTOR = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    ("A", "p", "P"),
+    [
+        (DISK_EIG_BOUNDARY, 1.0, DEB_PROJECTOR),
+        (CIRCLE_POINT, 2.0, None),
+        (DISK, 1j, None),
+        (TRIANGLE, 1.0, None),
+    ],
+)
+def test_preimage_unitary_invariance(A, p, P):
+    rng = np.random.default_rng(3)
+    if P is None:
+        B = ex.preimage(A, p)
+        P = B @ B.conj().T
+    for _ in range(3):
+        Q, R = np.linalg.qr(rng.standard_normal(A.shape) + 1j * rng.standard_normal(A.shape))
+        U = Q * (np.diag(R) / np.abs(np.diag(R)))
+        C = ex.preimage(U.conj().T @ A @ U, p)
+        assert np.max(np.abs(C @ C.conj().T - U.conj().T @ P @ U)) <= 1e-12

@@ -225,6 +225,34 @@ def test_discontinuity_probe_fixture():
     assert np.all(rep.boundary_entropies <= 1e-6)
 
 
+def ginibre(rng, d):
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return A / np.linalg.norm(A)
+
+
+def haar_unitary(rng, d):
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def test_maxent_interior_converges_below_dual_rounding():
+    # Newton reaches a gradient norm near 3e-10 here, where the Armijo
+    # decrease sinks below the rounding of the dual value
+    A = ginibre(np.random.default_rng(1), 3)
+    res = me.maxent_interior(A, 0.0 + 0.0j)
+    assert res.residual <= 1e-10
+    assert 0.0 < res.entropy <= np.log(3)
+
+
+def test_discontinuity_probe_unitary_invariance():
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        U = haar_unitary(rng, 3)
+        rep = me.discontinuity_probe(U.conj().T @ DISK_EIG_BOUNDARY @ U, 1.0 + 0j)
+        assert rep.value_entropy == pytest.approx(LOG2, abs=1e-6)
+        assert rep.discontinuous
+
+
 def test_discontinuity_probe_rejections():
     with pytest.raises(PreconditionError, match="simply generated"):
         me.discontinuity_probe(DISK, 1.0 + 0j)
