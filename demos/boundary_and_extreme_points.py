@@ -5,8 +5,17 @@ convex hull of the unit circle and the point 2: the two tangent segments
 from the point to the circle are flat boundary portions, and the two
 tangency points are extreme but NOT exposed — every supporting line
 through them contains a whole segment.  This script walks the boundary
-machinery over that fixture and writes the polygon to CSV.
+machinery over that fixture and writes the polygon to CSV:
+
+    python demos/boundary_and_extreme_points.py [output.csv]
+
+The CSV goes to ``circle_point_boundary.csv`` in the system temporary
+directory unless an output path is given.
 """
+
+import os
+import sys
+import tempfile
 
 import numpy as np
 
@@ -54,8 +63,9 @@ gap = nr.hausdorff(nr.hull(cloud), nr.boundary_polygon(A, 1024))
 print(f"\nsampling oracle: Hausdorff gap of 5e4 samples to the boundary polygon = {gap:.2e}")
 
 poly = nr.boundary_polygon(A, 512)
-with open("circle_point_boundary.csv", "w") as fh:
+out = sys.argv[1] if len(sys.argv) > 1 else os.path.join(tempfile.gettempdir(), "circle_point_boundary.csv")
+with open(out, "w") as fh:
     fh.write("x,y\n")
     for x, y in poly.vertices:
         fh.write(f"{x!r},{y!r}\n")
-print(f"wrote circle_point_boundary.csv ({len(poly.vertices)} vertices)")
+print(f"wrote {out} ({len(poly.vertices)} vertices)")

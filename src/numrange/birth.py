@@ -79,34 +79,19 @@ def birth_family(A, alpha, H=None, grid: int = 512) -> BirthFamily:
     of W(A), or is extreme but simply generated (pre-image dimension 1):
     no flat boundary portion can be born at such a point.
     """
-    A = mc.as_matrix(A)
+    pencil = mc.as_pencil(A)
+    A = pencil.A
     alpha = extremal.as_point(alpha)
-    scale = 1.0 + mc.fro(A)
+    scale = 1.0 + pencil.norm
     tol = extremal.POINT_MATCH_RTOL * scale
 
-    theta, gval = extremal.supporting_angle(A, alpha, grid)
-    if abs(gval) > tol:
-        raise PreconditionError(
-            f"point {alpha} is not an extreme point of W(A) "
-            f"(support gap {gval:.3e})"
-        )
-
-    def match(th):
-        fd = extremal.face(A, th)
-        if fd.length <= tol:
-            return fd, "m", fd.basis_m
-        if abs(alpha - fd.p_plus) <= tol:
-            return fd, "+", fd.basis_plus
-        if abs(alpha - fd.p_minus) <= tol:
-            return fd, "-", fd.basis_minus
-        return fd, None, None
-
-    fd, sigma, basis = match(theta)
-    if sigma is None:
-        raise PreconditionError(
-            f"point {alpha} is not an extreme point of W(A): relative interior "
-            "of a flat boundary portion"
-        )
+    # the pre-image face, with the angle of a tangentially supported point pinned
+    fd, basis = extremal._preimage(pencil, alpha, *extremal.supporting_angle(pencil, alpha, grid))
+    theta = fd.theta
+    if fd.length <= tol:
+        sigma = "m"
+    else:
+        sigma = "+" if abs(alpha - fd.p_plus) <= tol else "-"
     if basis.shape[1] < 2:
         raise PreconditionError(
             f"point {alpha} is simply generated (pre-image dimension 1): "
@@ -114,28 +99,7 @@ def birth_family(A, alpha, H=None, grid: int = 512) -> BirthFamily:
             "extreme point"
         )
 
-    # The supporting angle of a tangentially supported point is only
-    # determined to sqrt(eps) by support values; the scalarity defect of
-    # the derivative compressed onto the top cluster is linear in the
-    # angle error, so its minimizer pins the angle to machine precision.
-    if sigma == "m":
-        pencil = mc.Pencil(A)
-
-        def scalar_defect(th):
-            Q = pencil.top_cluster(th, pencil.ctol)[1]
-            k = Q.shape[1]
-            if k < 2:
-                return 1e300
-            C = mc.compress(pencil.prime(th), Q)
-            return float(np.linalg.norm(C - (np.trace(C).real / k) * np.eye(k)))
-
-        refined = extremal._golden_min(scalar_defect, theta - 1e-4, theta + 1e-4)
-        if scalar_defect(refined) <= scalar_defect(theta):
-            new_fd, new_sigma, new_basis = match(refined)
-            if new_sigma == "m" and new_basis.shape[1] >= 2:
-                theta, fd, sigma, basis = refined, new_fd, new_sigma, new_basis
-
-    C = mc.compress(mc.rotate_prime(A, theta), basis)
+    C = mc.compress(pencil.prime(theta), basis)
     k = basis.shape[1]
     lam = float(np.trace(C).real) / k
     if np.linalg.norm(C - lam * np.eye(k)) > 1e-7 * scale:

@@ -95,8 +95,12 @@ class FaceDescriptor:
 
 
 def face(A, theta: float) -> FaceDescriptor:
-    """Compute the exposed face of W(A) with outward normal ``e^{i theta}``."""
-    pencil = mc.Pencil(A)
+    """Compute the exposed face of W(A) with outward normal ``e^{i theta}``.
+
+    ``A`` is a matrix or a :class:`~numrange.matcore.Pencil`, as for every
+    function of this module that takes one.
+    """
+    pencil = mc.as_pencil(A)
     ctol = pencil.ctol
     support, Qm, mu, W = pencil.segment(theta, ctol)
     lo, hi = float(mu[0]), float(mu[-1])
@@ -135,7 +139,7 @@ def eigencurve_derivatives(A, theta: float) -> list[tuple[float, float, int]]:
     their eigenvector; a cluster gets the eigenvalues of the compression
     of A'(theta) onto its eigenspace, matched in ascending order.
     """
-    pencil = mc.Pencil(A)
+    pencil = mc.as_pencil(A)
     dec = mc.eig_hermitian(pencil.rotate(theta))
     w, V = dec.eigenvalues, dec.eigenvectors
     Ap = pencil.prime(theta)
@@ -167,10 +171,13 @@ def _angle_grid(grid: int, what: str) -> np.ndarray:
 
 
 def _bisect(inside, inner, outer) -> np.ndarray:
-    """Batched bisection of the edges of angle sets.
+    """Batched bisection of the edges of angle sets, in 48 halvings.
 
     ``inside(angles)`` returns a boolean array; each ``inner[i]`` is
     inside and ``outer[i]`` outside.  Returns the refined inner angles.
+    Used where the predicate is a step function with no usable values
+    (the degenerate-band edges of :func:`_flat_candidates`); edges of a
+    continuous distance use :func:`_false_position`.
     """
     inner = np.array(inner, dtype=float)
     outer = np.array(outer, dtype=float)
@@ -180,6 +187,52 @@ def _bisect(inside, inner, outer) -> np.ndarray:
         inner[member] = mid[member]
         outer[~member] = mid[~member]
     return inner
+
+
+def _false_position(f, a, fa, b, fb, tol) -> np.ndarray:
+    """Batched Illinois false position on the sign changes of f.
+
+    Bracket i has its inside end ``a[i]`` (f <= 0) and its outside end
+    ``b[i]`` (f > 0), with values ``fa``/``fb``; ``f(t, idx)`` evaluates
+    f at the angles ``t`` of the brackets ``idx`` (one stacked solve).
+    An end kept by two false-position steps in a row has its value
+    halved (Illinois), a bracket whose last step did not halve it bisects
+    next, so jumps of f cost at most one step per halving, and no point
+    lands within tol/2 of an end.  Stops when a bracket is at most
+    max(tol, 4 ulp) wide; returns the inside ends.
+    """
+    a, fa, b, fb = (np.array(x, dtype=float) for x in (a, fa, b, fb))
+    tol = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    kept = np.zeros(a.size, dtype=int)  # end kept by the last false-position step: +1 a, -1 b
+    halve = np.zeros(a.size, dtype=bool)
+    live = np.nonzero(np.abs(b - a) > tol)[0]
+    while live.size:
+        al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = al - fal * (bl - al) / (fbl - fal)
+        # a secant point within tol/2 of an end moves to tol/2 from it
+        # (Brent's minimum step): one step past a converged end closes the
+        # bracket
+        half_tol = np.copysign(tol[live] / 2.0, bl - al)
+        t = np.where(np.abs(t - al) < np.abs(half_tol), al + half_tol, t)
+        t = np.where(np.abs(t - bl) < np.abs(half_tol), bl - half_tol, t)
+        # bisect where asked to, or where the secant point is not strictly inside
+        bis = halve[live] | ~((t - al) * (t - bl) < 0.0)
+        t[bis] = (al[bis] + bl[bis]) / 2.0
+        ft = f(t, live)
+        inside = ft <= 0.0
+        # Illinois over the false-position steps (bisections do not count):
+        # an end kept by two of them in a row has its value halved
+        i_in, i_out = live[inside & ~bis], live[~inside & ~bis]
+        fb[i_in[kept[i_in] == -1]] /= 2.0
+        fa[i_out[kept[i_out] == 1]] /= 2.0
+        kept[i_in], kept[i_out] = -1, 1
+        a[live[inside]], fa[live[inside]] = t[inside], ft[inside]
+        b[live[~inside]], fb[live[~inside]] = t[~inside], ft[~inside]
+        width = np.abs(b[live] - a[live])
+        halve[live] = ~bis & (width > np.abs(bl - al) / 2.0)
+        live = live[width > tol[live]]
+    return a
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 90) -> float:
@@ -303,7 +356,7 @@ def _flat_portions(pencil: mc.Pencil, candidates: list[float]) -> list[FlatPorti
     length_tol = FLAT_LENGTH_RTOL * (1.0 + pencil.norm)
     portions = []
     for t in candidates:
-        fd = face(pencil.A, t)
+        fd = face(pencil, t)
         if fd.length > length_tol:
             portions.append(FlatPortion(theta=t, endpoints=(fd.p_minus, fd.p_plus), length=fd.length))
     portions.sort(key=lambda fp: fp.theta)
@@ -327,7 +380,7 @@ def flat_portions(A, grid: int = 512) -> list[FlatPortion]:
     segment.  A degenerate one-dimensional W(A) reports itself under
     both of its normals.
     """
-    pencil = mc.Pencil(A)
+    pencil = mc.as_pencil(A)
     thetas = _angle_grid(grid, "flat_portions")
     return _flat_portions(pencil, _flat_candidates(pencil, thetas, pencil.gap(thetas)))
 
@@ -364,10 +417,13 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
 
     Covers every endpoint seen on the grid plus the refined endpoints of
     every flat portion.  Each deduplicated point gets its supporting-angle
-    arc (refined by bisection), an exposed/non-exposed verdict, and its
-    pre-image basis.
+    arc, an exposed/non-exposed verdict, and its pre-image basis.  The arc
+    runs of every point come from the distances of the grid faces to the
+    point; their edges are refined by batched false position on that
+    distance minus the membership tolerance, seeded with the grid values,
+    to the resolution of 48 halvings of the grid step (or 4 ulp).
     """
-    pencil = mc.Pencil(A)
+    pencil = mc.as_pencil(A)
     A = pencil.A
     thetas = _angle_grid(grid, "extreme_points")
     scale = 1.0 + pencil.norm
@@ -422,54 +478,55 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     th0 = np.array(uniq_theta)
     n = len(pts)
 
-    # membership matrix of every (point, grid angle) pair, to find arc runs
+    # distance of every (point, grid angle) pair to the face there: its
+    # runs give the arcs, its values seed the arc-edge refinement
     step = 2.0 * np.pi / grid
-    member = _segment_distance(pts[:, None], thetas, *pencil.faces(thetas, strict_tol, eig)) <= member_tol
+    f_grid = _segment_distance(pts[:, None], thetas, *pencil.faces(thetas, strict_tol, eig)) - member_tol
+    member = f_grid <= 0.0
 
-    left_inner = th0.copy()
-    left_outer = th0.copy()
-    right_inner = th0.copy()
-    right_outer = th0.copy()
+    lo_edge = np.zeros(n)
+    hi_edge = np.full(n, 2.0 * np.pi)
+    owner, inner, outer, f_in, f_out = [], [], [], [], []
     for i in range(n):
-        j0 = int(round((th0[i] % (2 * np.pi)) / step)) % grid
         row = member[i]
+        if row.all():
+            continue
+        j0 = int(round((th0[i] % (2 * np.pi)) / step)) % grid
+        owner += [i, i]
         if not row[j0]:
             # seed angle came from a refined portion angle off the grid
-            left_inner[i] = th0[i]
-            left_outer[i] = th0[i] - step
-            right_inner[i] = th0[i]
-            right_outer[i] = th0[i] + step
-        elif row.all():
-            left_inner[i] = 0.0
-            left_outer[i] = 0.0
-            right_inner[i] = 2.0 * np.pi
-            right_outer[i] = 2.0 * np.pi
-        else:
-            jl = j0
-            while row[(jl - 1) % grid]:
-                jl -= 1
-            jr = j0
-            while row[(jr + 1) % grid]:
-                jr += 1
-            left_inner[i] = jl * step
-            left_outer[i] = (jl - 1) * step
-            right_inner[i] = jr * step
-            right_outer[i] = (jr + 1) * step
+            inner += [th0[i], th0[i]]
+            outer += [th0[i] - step, th0[i] + step]
+            f_in += [np.nan, np.nan]
+            f_out += [np.nan, np.nan]
+            continue
+        jl = j0
+        while row[(jl - 1) % grid]:
+            jl -= 1
+        jr = j0
+        while row[(jr + 1) % grid]:
+            jr += 1
+        for j_in, j_out in ((jl, jl - 1), (jr, jr + 1)):
+            inner.append(j_in * step)
+            outer.append(j_out * step)
+            f_in.append(f_grid[i, j_in % grid])
+            f_out.append(f_grid[i, j_out % grid])
 
-    # left and right arc edges of every point, bisected in one stack
-    left = np.nonzero(left_outer != left_inner)[0]
-    right = np.nonzero(right_outer != right_inner)[0]
-    which = np.concatenate([left, right])
-    lo_edge = left_inner.copy()
-    hi_edge = right_inner.copy()
-    if which.size:
-        edges = _bisect(
-            lambda t: _segment_distance(pts[which], t, *pencil.faces(t, strict_tol)) <= member_tol,
-            np.concatenate([left_inner[left], right_inner[right]]),
-            np.concatenate([left_outer[left], right_outer[right]]),
-        )
-        lo_edge[left] = edges[: left.size]
-        hi_edge[right] = edges[left.size :]
+    # left and right arc edges of every point, refined together
+    if owner:
+        edge_pts = pts[owner]
+        inner, outer, f_in, f_out = map(np.array, (inner, outer, f_in, f_out))
+
+        def f(t, idx):
+            return _segment_distance(edge_pts[idx], t, *pencil.faces(t, strict_tol)) - member_tol
+
+        off = np.nonzero(np.isnan(f_in))[0]
+        if off.size:
+            vals = f(np.concatenate([inner[off], outer[off]]), np.concatenate([off, off]))
+            f_in[off], f_out[off] = vals[: off.size], vals[off.size :]
+        edges = _false_position(f, inner, f_in, outer, f_out, step * 2.0**-_BISECT_STEPS)
+        lo_edge[owner[0::2]] = edges[0::2]
+        hi_edge[owner[1::2]] = edges[1::2]
 
     flat_ends = np.array(
         [e for fp in portions for e in fp.endpoints], dtype=complex
@@ -490,7 +547,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
         kind = "non-exposed" if arc[1] - arc[0] <= ARC_SINGLE_ANGLE and is_flat_end else "exposed"
         basis = tops[i]
         if clustered[i]:
-            fd = face(A, theta_rep[i])
+            fd = face(pencil, theta_rep[i])
             if fd.length <= match_tol:
                 basis = fd.basis_m
             elif abs(pts[i] - fd.p_plus) <= abs(pts[i] - fd.p_minus):
@@ -506,7 +563,8 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
                 normal_arc=arc,
             )
         )
-    reports.sort(key=lambda r: (np.angle(r.point - pts.mean()) if n > 1 else 0.0))
+    center = pts.mean()
+    reports.sort(key=lambda r: (np.angle(r.point - center) if n > 1 else 0.0))
     return reports
 
 
@@ -515,44 +573,106 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
 
     For p on the boundary the maximum is ~0 at a supporting angle; for an
     interior point it is strictly negative (minus the depth), and for an
-    exterior point strictly positive (the distance).  A grid scan finds
-    the maximizing cell; bisection on the sign change of g' then pins the
-    angle to machine precision (golden-section alone would stall at the
-    sqrt(eps) resolution of the flat quadratic top).  On plateaus (fat
-    normal cones) any maximizing angle is returned.
+    exterior point strictly positive (the distance).  The uniform scan of
+    the grid (:meth:`~numrange.matcore.Pencil.scan`, shared through a
+    Pencil) finds the maximizing cell.  Where g' changes sign across the
+    cell, safeguarded Newton on g' pins the angle to machine precision
+    (golden-section alone would stall at the sqrt(eps) resolution of the
+    flat quadratic top): each step takes h, h' and h'' of the support
+    curve h from one eigendecomposition, and the step is taken when
+    g'' < 0 and it stays inside the bracket g'(lo) >= 0 >= g'(hi);
+    otherwise, and where the top eigenvalue is clustered (h'' undefined),
+    the bracket is bisected on the slope of the top eigenvector.  It
+    stops at g' = 0, a Newton step or a bracket below 1e-15.  On plateaus
+    (fat normal cones) any maximizing angle is returned.
     """
-    pencil = mc.Pencil(A)
+    pencil = mc.as_pencil(A)
     p = as_point(p)
-    scan_thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    g = p.real * np.cos(scan_thetas) + p.imag * np.sin(scan_thetas) - pencil.support(scan_thetas)
+    scan_thetas, sup = pencil.scan(grid)
+    g = p.real * np.cos(scan_thetas) + p.imag * np.sin(scan_thetas) - sup
     j = int(np.argmax(g))
     step = 2.0 * np.pi / grid
+
+    def g_slope(th, V):
+        return -p.real * np.sin(th) + p.imag * np.cos(th) - pencil.slope(th, V)
+
+    cell = np.array([scan_thetas[j] - step, scan_thetas[j], scan_thetas[j] + step])
+    w, V = pencil.eigh(cell)
+    slo, _, shi = g_slope(cell, V)
+    plateau_tol = 1e-11 * (1.0 + pencil.norm) * (1.0 + abs(p))
+    if slo >= 0.0 >= shi:
+        lo, t, hi = cell
+        eig = w[1], V[1]
+        for _ in range(80):
+            pu = _inner(p, np.exp(1j * t))
+            gt = pu - eig[0][-1]
+            d1 = float(g_slope(t, eig[1]))
+            if d1 == 0.0:
+                break
+            if d1 > 0.0:
+                lo = t
+            else:
+                hi = t
+            # Newton on g'' = -<p, e^{i t}> - h'' where the top eigenvalue is
+            # simple (h'' is undefined in a cluster)
+            nt = np.nan
+            if pencil.top_gap(eig[0]) > pencil.ctol:
+                d2 = -pu - float(pencil.curvature(t, eig))
+                if d2 < 0.0:
+                    nt = t - d1 / d2
+            if abs(nt - t) < 1e-15:
+                t = nt
+                break
+            if not lo < nt < hi:
+                nt = (lo + hi) / 2.0
+            if hi - lo < 1e-15:
+                break
+            t = nt
+            eig = pencil.eigh(t)
+        else:
+            gt = _inner(p, np.exp(1j * t)) - eig[0][-1]
+        return t % (2.0 * np.pi), float(gt)
+    if abs(slo) <= plateau_tol and abs(shi) <= plateau_tol:
+        return scan_thetas[j], float(g[j])
 
     def g_at(th):
         return p.real * np.cos(th) + p.imag * np.sin(th) - float(pencil.support(th))
 
-    def g_slope(th):
-        u = np.exp(1j * th)
-        return _inner(p, 1j * u) - float(pencil.slope(th))
-
-    lo, hi = scan_thetas[j] - step, scan_thetas[j] + step
-    slo, shi = g_slope(lo), g_slope(hi)
-    plateau_tol = 1e-11 * (1.0 + pencil.norm) * (1.0 + abs(p))
-    if slo >= 0.0 >= shi:
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if g_slope(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                break
-        t = (lo + hi) / 2.0
-    elif abs(slo) <= plateau_tol and abs(shi) <= plateau_tol:
-        t = scan_thetas[j]
-    else:
-        t = _golden_min(lambda th: -g_at(th), lo - step, hi + step)
+    t = _golden_min(lambda th: -g_at(th), cell[0] - step, cell[2] + step)
     return t % (2.0 * np.pi), g_at(t)
+
+
+def pinned_face(A, theta: float, tol: float) -> FaceDescriptor:
+    """Face at theta, with the angle pinned at a tangentially multiply
+    generated point.
+
+    When the face is a singleton (length <= ``tol``) with a top cluster
+    of dimension two or more, the top eigenvalues tie over a band of
+    angles, so support values fix the angle only to sqrt(eps).  The
+    scalarity defect of the derivative A'(theta) compressed onto the top
+    cluster is linear in the angle error, so its golden-section minimizer
+    pins the angle to machine precision; the face there is returned when
+    it is again such a singleton.  Other faces are returned as they are.
+    """
+    pencil = mc.as_pencil(A)
+    fd = face(pencil, theta)
+    if fd.length > tol or fd.basis_m.shape[1] < 2:
+        return fd
+
+    def scalar_defect(th):
+        Q = pencil.top_cluster(th, pencil.ctol)[1]
+        k = Q.shape[1]
+        if k < 2:
+            return 1e300
+        C = mc.compress(pencil.prime(th), Q)
+        return float(np.linalg.norm(C - (np.trace(C).real / k) * np.eye(k)))
+
+    refined = _golden_min(scalar_defect, theta - 1e-4, theta + 1e-4)
+    if scalar_defect(refined) <= scalar_defect(theta):
+        pinned = face(pencil, refined)
+        if pinned.length <= tol and pinned.basis_m.shape[1] >= 2:
+            return pinned
+    return fd
 
 
 def preimage(A, p, grid: int = 512) -> np.ndarray:
@@ -562,11 +682,15 @@ def preimage(A, p, grid: int = 512) -> np.ndarray:
     interior points, exterior points, and relative-interior points of
     flat boundary portions are all rejected with a diagnostic.
     """
-    A = mc.as_matrix(A)
+    pencil = mc.as_pencil(A)
     p = as_point(p)
-    scale = 1.0 + mc.fro(A)
-    tol = POINT_MATCH_RTOL * scale
-    theta, gval = supporting_angle(A, p, grid)
+    return _preimage(pencil, p, *supporting_angle(pencil, p, grid))[1]
+
+
+def _preimage(pencil: mc.Pencil, p: complex, theta: float, gval: float) -> tuple[FaceDescriptor, np.ndarray]:
+    """:func:`preimage` at a supporting angle theta with g value gval:
+    the (pinned) face there and the pre-image basis of p."""
+    tol = POINT_MATCH_RTOL * (1.0 + pencil.norm)
     if gval < -tol:
         raise PreconditionError(
             f"point {p} is not an extreme point of W(A): interior point "
@@ -577,13 +701,13 @@ def preimage(A, p, grid: int = 512) -> np.ndarray:
             f"point {p} is not an extreme point of W(A): lies outside the range "
             f"(distance {gval:.3e})"
         )
-    fd = face(A, theta)
+    fd = pinned_face(pencil, theta, tol)
     if fd.length <= tol:
-        return fd.basis_m
+        return fd, fd.basis_m
     if abs(p - fd.p_plus) <= tol:
-        return fd.basis_plus
+        return fd, fd.basis_plus
     if abs(p - fd.p_minus) <= tol:
-        return fd.basis_minus
+        return fd, fd.basis_minus
     if fd.distance(p) <= tol:
         raise PreconditionError(
             f"point {p} is not an extreme point of W(A): relative interior "

@@ -136,6 +136,12 @@ class Pencil:
     ``ctol = CLUSTER_RTOL * (1 + ||A||_F)``.  Angle arguments may be
     scalars or arrays; array angles give stacks solved in one LAPACK
     call, with results indexed by angle along the leading axis.
+
+    The support values on a uniform angle grid are solved once per grid
+    size and kept (:meth:`scan`), so every query that reaches W(A)
+    through a scan of the same grid shares one stacked solve.  Public
+    functions accept a matrix or a Pencil (:func:`as_pencil`); passing
+    one Pencil down a chain of calls shares its scans.
     """
 
     def __init__(self, A):
@@ -145,6 +151,15 @@ class Pencil:
         self.S = im_part(self.A)
         self.norm = fro(self.A)
         self.ctol = CLUSTER_RTOL * (1.0 + self.norm)
+        self._scans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def scan(self, grid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Uniform grid of ``grid`` angles on [0, 2 pi) and the support
+        values there, solved on the first call for each grid size."""
+        if grid not in self._scans:
+            thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+            self._scans[grid] = (thetas, self.support(thetas))
+        return self._scans[grid]
 
     def rotate(self, thetas) -> np.ndarray:
         """A(theta) = cos(theta) R + sin(theta) S."""
@@ -187,6 +202,22 @@ class Pencil:
         xs = np.einsum("...i,ij,...j->...", x.conj(), self.S, x).real
         return -np.sin(t) * xr + np.cos(t) * xs
 
+    def curvature(self, thetas, eig) -> np.ndarray:
+        """Second derivative of the top eigenvalue curve from the
+        :meth:`eigh` result ``eig`` at the same angles:
+
+            h'' = -h + 2 sum_k |v_k* A'(theta) x|^2 / (h - lambda_k)
+
+        (A''(theta) = -A(theta), plus second-order perturbation over the
+        other eigenpairs).  Defined only where the top eigenvalue is simple;
+        callers check :meth:`top_gap` against ``ctol`` first.
+        """
+        w, V = eig
+        x = V[..., -1:]
+        y = V.conj().swapaxes(-1, -2) @ (self.prime(thetas) @ x)
+        c = np.abs(y[..., :-1, 0]) ** 2
+        return -w[..., -1] + 2.0 * np.sum(c / (w[..., -1:] - w[..., :-1]), axis=-1)
+
     def top_cluster(self, theta: float, tol: float) -> tuple[float, np.ndarray]:
         """Top eigenvalue of A(theta) and an orthonormal basis of the
         eigenvectors whose eigenvalues lie within ``tol`` of it."""
@@ -224,6 +255,11 @@ class Pencil:
             sup[j], _, mu, _ = self.segment(t[j], tol)
             lo[j], hi[j] = mu[0], mu[-1]
         return sup, lo, hi
+
+
+def as_pencil(A) -> Pencil:
+    """The Pencil of A; a Pencil is returned as it is, keeping its scans."""
+    return A if isinstance(A, Pencil) else Pencil(A)
 
 
 def compress(B, Q) -> np.ndarray:

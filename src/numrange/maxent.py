@@ -67,19 +67,29 @@ class InferenceResult:
     residual: float
 
 
+def _gibbs_parts(K: np.ndarray):
+    """Eigenpairs (w, V) of Hermitian K, the shifted weights e = exp(w - max w),
+    their sum Z and log tr exp(K), overflow-safe."""
+    w, V = np.linalg.eigh((K + K.conj().T) / 2.0)
+    e = np.exp(w - w[-1])
+    Z = float(np.sum(e))
+    return w, V, e, Z, float(w[-1] + np.log(Z))
+
+
 def _gibbs(K: np.ndarray) -> tuple[np.ndarray, float]:
     """(exp(K)/tr exp(K), log tr exp(K)) for Hermitian K, overflow-safe."""
-    w, V = np.linalg.eigh((K + K.conj().T) / 2.0)
-    m = w[-1]
-    e = np.exp(w - m)
-    Z = float(np.sum(e))
-    rho = (V * (e / Z)) @ V.conj().T
-    return rho, float(m + np.log(Z))
+    _, V, e, Z, logZ = _gibbs_parts(K)
+    return (V * (e / Z)) @ V.conj().T, logZ
 
 
 def boundary_depth(A, p, grid: int = 1024) -> float:
     """Distance from p to the boundary of W(A): positive inside, negative
-    outside (then it is minus the distance to W(A))."""
+    outside (then it is minus the distance to W(A)).
+
+    ``A`` is a matrix or a :class:`~numrange.matcore.Pencil`, as for every
+    inference function of this module; one Pencil passed down a chain of
+    calls solves its support scan once.
+    """
     _, g = extremal.supporting_angle(A, p, grid)
     return -g
 
@@ -96,15 +106,15 @@ def relative_depth(A, p, grid: int = 1024) -> float:
     segment endpoint, provided p sits on the carrying line; off-line
     points report minus their transverse deviation.
     """
-    pencil = mc.Pencil(A)
+    pencil = mc.as_pencil(A)
     p = extremal.as_point(p)
     scale = 1.0 + pencil.norm
     half = grid // 2
-    thetas = np.linspace(0.0, 2.0 * np.pi, 2 * half, endpoint=False)
-    sup = pencil.support(thetas)
+    # for an even grid this is the scan of boundary_depth as well
+    thetas, sup = pencil.scan(2 * half)
     width = sup + np.roll(sup, -half)
     if width.min() > DEGENERATE_THICKNESS_RTOL * scale:
-        return boundary_depth(A, p, grid)
+        return boundary_depth(pencil, p, grid)
 
     def opposite(th):
         """Support values at th and th + pi."""
@@ -132,39 +142,34 @@ def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
     the Hessian is the divided-difference (Kubo-Mori) covariance of the
     two observables in the Gibbs state.
     """
-    A = mc.as_matrix(A)
+    pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
-    scale = 1.0 + mc.fro(A)
-    depth = relative_depth(A, alpha, grid)
-    if depth < INTERIOR_MARGIN_RTOL * scale:
+    depth = relative_depth(pencil, alpha, grid)
+    if depth < INTERIOR_MARGIN_RTOL * (1.0 + pencil.norm):
         raise PreconditionError(
             f"alpha = {alpha} is on or outside the boundary of W(A) "
             f"(relative depth {depth:.3e}); use maxent_boundary"
         )
-    R, S = mc.re_part(A), mc.im_part(A)
+    return _interior_state(pencil, alpha)
+
+
+def _interior_state(pencil: mc.Pencil, alpha: complex) -> InferenceResult:
+    """The dual Newton solve of :func:`maxent_interior`, for an alpha
+    already known to be interior."""
+    R, S = pencil.R, pencil.S
     target = np.array([alpha.real, alpha.imag])
 
-    u = np.zeros(2)
-
-    def dual_value(uv):
-        _, logZ = _gibbs(uv[0] * R + uv[1] * S)
-        return logZ - uv @ target
-
-    def dual_state_grad_hess(uv):
-        K = uv[0] * R + uv[1] * S
-        w, V = np.linalg.eigh((K + K.conj().T) / 2.0)
-        m = w[-1]
-        e = np.exp(w - m)
-        Z = float(np.sum(e))
-        probs = e / Z
-        rho = (V * probs) @ V.conj().T
+    def state(uv):
+        """Dual value, Gibbs state, gradient and Hessian from one eigh of K(uv)."""
+        w, V, e, Z, logZ = _gibbs_parts(uv[0] * R + uv[1] * S)
+        rho = (V * (e / Z)) @ V.conj().T
+        value = logZ - uv @ target
         means = np.array([np.trace(rho @ R).real, np.trace(rho @ S).real])
         grad = means - target
         # divided-difference kernel of the exponential in the eigenbasis
         dw = w[:, None] - w[None, :]
-        ew = e[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ker = np.where(np.abs(dw) > 1e-12, (e[:, None] - e[None, :]) / dw, ew)
+            ker = np.where(np.abs(dw) > 1e-12, (e[:, None] - e[None, :]) / dw, e[:, None])
         Rb = V.conj().T @ R @ V
         Sb = V.conj().T @ S @ V
         obs = (Rb, Sb)
@@ -173,11 +178,11 @@ def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
             for j in range(i, 2):
                 val = np.sum(ker * obs[i] * obs[j].conj()).real / Z
                 H[i, j] = H[j, i] = val - means[i] * means[j]
-        return rho, grad, H
+        return value, rho, grad, H
 
-    f0 = dual_value(u)
+    u = np.zeros(2)
+    f0, rho, grad, H = state(u)
     for _ in range(DUAL_MAX_ITER):
-        rho, grad, H = dual_state_grad_hess(u)
         gn = np.linalg.norm(grad)
         if gn <= DUAL_GRAD_TOL:
             break
@@ -189,23 +194,25 @@ def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
             step = -grad
         t = 1.0
         while t > 1e-14:
-            f1 = dual_value(u + t * step)
+            trial = state(u + t * step)
+            f1 = trial[0]
             if f1 <= f0 + 1e-4 * t * (grad @ step):
                 break
             # near the optimum the decrease sinks below the rounding of the
             # dual value, where the Armijo test rejects every step: accept
             # one that lowers the gradient norm instead
             if abs(f1 - f0) <= DUAL_ROUNDING * (1.0 + abs(f0)):
-                if np.linalg.norm(dual_state_grad_hess(u + t * step)[1]) < gn:
+                if np.linalg.norm(trial[2]) < gn:
                     break
             t /= 2.0
         u = u + t * step
-        f0 = dual_value(u)
+        # the accepted trial is the new iterate; a search that ran out
+        # without accepting moves to an untried point
+        f0, rho, grad, H = trial if t > 1e-14 else state(u)
     else:
         raise NumericalError("dual Newton did not converge within the iteration cap")
 
-    rho, grad, _ = dual_state_grad_hess(u)
-    value = complex(np.trace(rho @ A))
+    value = complex(np.trace(rho @ pencil.A))
     residual = abs(value - alpha)
     return InferenceResult(
         rho=rho, entropy=entropy(rho), dual_point=(float(u[0]), float(u[1])), residual=residual
@@ -280,29 +287,33 @@ def maxent_boundary(A, alpha, grid: int = 1024) -> InferenceResult:
     problem compresses onto the top eigenvalue cluster of A(theta) at a
     supporting angle, where it becomes a single-observable family in the
     compressed derivative part; endpoint targets recurse once more onto
-    its extreme eigenspaces.
+    its extreme eigenspaces.  At a tangentially multiply generated point
+    the angle is pinned first (:func:`~numrange.extremal.pinned_face`).
     """
-    A = mc.as_matrix(A)
+    pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
-    scale = 1.0 + mc.fro(A)
-    theta, gval = extremal.supporting_angle(A, alpha, grid)
-    if gval > extremal.POINT_MATCH_RTOL * scale:
+    tol = extremal.POINT_MATCH_RTOL * (1.0 + pencil.norm)
+    theta, gval = extremal.supporting_angle(pencil, alpha, grid)
+    if gval > tol:
         raise PreconditionError(f"alpha = {alpha} lies outside W(A) (distance {gval:.3e})")
-    if gval < -100 * extremal.POINT_MATCH_RTOL * scale:
+    if gval < -100 * tol:
         raise PreconditionError(
             f"alpha = {alpha} is an interior point (depth {-gval:.3e}); "
             "use maxent_interior"
         )
-    fd = extremal.face(A, theta)
+    return _boundary_state(pencil, alpha, extremal.pinned_face(pencil, theta, tol))
+
+
+def _boundary_state(pencil: mc.Pencil, alpha: complex, fd: extremal.FaceDescriptor) -> InferenceResult:
+    """The compressed solve of :func:`maxent_boundary` on the face fd."""
     Qm = fd.basis_m
-    C = mc.compress(mc.rotate_prime(A, theta), Qm)
+    C = mc.compress(pencil.prime(fd.theta), Qm)
     C = (C + C.conj().T) / 2.0
-    u = np.exp(1j * theta)
+    u = np.exp(1j * fd.theta)
     eta = (alpha * np.conj(1j * u)).real
-    ctol = extremal.cluster_tolerance(A)
-    rho_c = _solve_single_observable(C, eta, ctol)
+    rho_c = _solve_single_observable(C, eta, pencil.ctol)
     rho = Qm @ rho_c @ Qm.conj().T
-    value = complex(np.trace(rho @ A))
+    value = complex(np.trace(rho @ pencil.A))
     return InferenceResult(
         rho=rho, entropy=entropy(rho), dual_point=None, residual=abs(value - alpha)
     )
@@ -310,22 +321,22 @@ def maxent_boundary(A, alpha, grid: int = 1024) -> InferenceResult:
 
 def infer(A, alpha, grid: int = 1024) -> InferenceResult:
     """Route alpha to the interior or boundary solver by its depth."""
-    A = mc.as_matrix(A)
+    pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
-    depth = relative_depth(A, alpha, grid)
-    if depth >= INTERIOR_MARGIN_RTOL * (1.0 + mc.fro(A)):
-        return maxent_interior(A, alpha, grid)
-    return maxent_boundary(A, alpha, grid)
+    depth = relative_depth(pencil, alpha, grid)
+    if depth >= INTERIOR_MARGIN_RTOL * (1.0 + pencil.norm):
+        return _interior_state(pencil, alpha)
+    return maxent_boundary(pencil, alpha, grid)
 
 
 def round_boundary_points(A, grid: int = 512) -> list[complex]:
     """Extreme points with a unique supporting line that do not end a
     flat boundary portion (sampled at the resolution of the grid)."""
-    A = mc.as_matrix(A)
-    reports = extremal.extreme_points(A, grid)
-    portions = extremal.flat_portions(A, grid)
+    pencil = mc.as_pencil(A)
+    reports = extremal.extreme_points(pencil, grid)
+    portions = extremal.flat_portions(pencil, grid)
     ends = np.array([e for fp in portions for e in fp.endpoints], dtype=complex)
-    tol = 10 * extremal.POINT_MATCH_RTOL * (1.0 + mc.fro(A))
+    tol = 10 * extremal.POINT_MATCH_RTOL * (1.0 + pencil.norm)
     out = []
     for r in reports:
         if r.normal_arc[1] - r.normal_arc[0] > extremal.ARC_SINGLE_ANGLE:
@@ -360,45 +371,45 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
     from both sides, and compares the path limits with the value at
     alpha; a spread above 1e-3 flags a discontinuity.
     """
-    A = mc.as_matrix(A)
+    pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
-    scale = 1.0 + mc.fro(A)
+    scale = 1.0 + pencil.norm
+    tol = extremal.POINT_MATCH_RTOL * scale
 
-    theta, gval = extremal.supporting_angle(A, alpha, grid)
-    if abs(gval) > extremal.POINT_MATCH_RTOL * scale:
+    theta, gval = extremal.supporting_angle(pencil, alpha, grid)
+    if abs(gval) > tol:
         raise PreconditionError(
             f"alpha = {alpha} is not a boundary point of W(A) (gap {gval:.3e})"
         )
-    basis = extremal.preimage(A, alpha)
+    fd, basis = extremal._preimage(pencil, alpha, theta, gval)
     if basis.shape[1] < 2:
         raise PreconditionError(
             f"alpha = {alpha} is simply generated (pre-image dimension 1); "
             "the probe requires a multiply generated round boundary point"
         )
-    fd = extremal.face(A, theta)
-    if fd.length > extremal.POINT_MATCH_RTOL * scale:
+    if fd.length > tol:
         raise PreconditionError(
             f"alpha = {alpha} lies on a flat boundary portion; the probe "
             "requires a round boundary point"
         )
-    portions = extremal.flat_portions(A, min(grid, 512))
+    portions = extremal.flat_portions(pencil, min(grid, 512))
     ends = np.array([e for fp in portions for e in fp.endpoints], dtype=complex)
-    if ends.size and np.min(np.abs(ends - alpha)) <= 10 * extremal.POINT_MATCH_RTOL * scale:
+    if ends.size and np.min(np.abs(ends - alpha)) <= 10 * tol:
         raise PreconditionError(
             f"alpha = {alpha} is an endpoint of a flat boundary portion, "
             "not a round boundary point"
         )
 
-    value = maxent_boundary(A, alpha, grid)
+    value = _boundary_state(pencil, alpha, fd)
 
-    centroid = rg.boundary_polygon(A, 512).centroid()
+    centroid = rg.boundary_polygon(pencil, 512).centroid()
     radial_pts, radial_ent = [], []
     for k in range(n_steps):
         t = 1.0 - 0.5 ** (k + 1)
         p = centroid + t * (alpha - centroid)
-        if boundary_depth(A, p, grid) < 10 * INTERIOR_MARGIN_RTOL * scale:
+        if boundary_depth(pencil, p, grid) < 10 * INTERIOR_MARGIN_RTOL * scale:
             break
-        res = maxent_interior(A, p, grid)
+        res = _interior_state(pencil, p)
         radial_pts.append(p)
         radial_ent.append(res.entropy)
 
@@ -406,11 +417,11 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
     for k in range(n_steps):
         dth = 0.2 * 0.5**k
         for sgn in (-1.0, 1.0):
-            fd_side = extremal.face(A, theta + sgn * dth)
+            fd_side = extremal.face(pencil, fd.theta + sgn * dth)
             p = fd_side.p_plus if sgn < 0 else fd_side.p_minus
-            if abs(p - alpha) <= extremal.POINT_MATCH_RTOL * scale:
+            if abs(p - alpha) <= tol:
                 continue
-            res = maxent_boundary(A, p, grid)
+            res = maxent_boundary(pencil, p, grid)
             boundary_pts.append(p)
             boundary_ent.append(res.entropy)
 

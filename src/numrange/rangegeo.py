@@ -151,9 +151,9 @@ def boundary_polygon(A, N: int = DEFAULT_BOUNDARY_SAMPLES) -> ConvexPolygon:
 
     Every vertex lies on the boundary of W(A) (endpoints of exposed
     faces), so the polygon is an inner approximation that refines as N
-    grows.
+    grows.  ``A`` is a matrix or a :class:`~numrange.matcore.Pencil`.
     """
-    pencil = mc.Pencil(A)
+    pencil = mc.as_pencil(A)
     if N < 8:
         raise PreconditionError("boundary_polygon requires N >= 8")
     if pencil.d == 1:
@@ -178,22 +178,13 @@ def boundary_polygon(A, N: int = DEFAULT_BOUNDARY_SAMPLES) -> ConvexPolygon:
 def contains(A, p, grid: int = 2048) -> bool:
     """Dual membership test: p is in W(A) iff <p, u> <= support(u) for all u.
 
-    A coarse grid pass finds the most violated direction; golden-section
-    refinement around it decides within 1e-9 * (1 + ||A||).
+    The most violated direction is the supporting angle of p
+    (:func:`~numrange.extremal.supporting_angle` on a ``grid`` scan); p is
+    a member when the violation there is within 1e-9 * (1 + ||A||).
     """
-    pencil = mc.Pencil(A)
-    p = extremal.as_point(p)
+    pencil = mc.as_pencil(A)
     tol = CONTAINS_RTOL * (1.0 + pencil.norm)
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    g = p.real * np.cos(thetas) + p.imag * np.sin(thetas) - pencil.support(thetas)
-    j = int(np.argmax(g))
-    step = 2.0 * np.pi / grid
-
-    def neg_g(th):
-        return float(pencil.support(th)) - (p.real * np.cos(th) + p.imag * np.sin(th))
-
-    t = extremal._golden_min(neg_g, thetas[j] - 2 * step, thetas[j] + 2 * step)
-    return max(float(g[j]), -neg_g(t)) <= tol
+    return extremal.supporting_angle(pencil, p, grid)[1] <= tol
 
 
 def hausdorff(K: ConvexPolygon, L: ConvexPolygon, grid: int = HAUSDORFF_GRID, upper: bool = False) -> float:

@@ -120,6 +120,21 @@ def test_extremes_and_preimage_commands(capsys, matrix_file):
     assert np.allclose(mg[0]["point"], [1.0, 0.0], atol=1e-9)
 
 
+def test_negative_option_values(capsys, matrix_file):
+    # a value starting with '-' after --point/--eps is a value, not an option
+    path = matrix_file("disk", [[0, 2], [0, 0]])
+    code, out, err = run_cli(capsys, "preimage", path, "--point", "-1,0")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["point"] == [-1.0, 0.0]
+    assert doc["dimension"] == 1
+    # parsed, then refused by the library (eps must be positive): exit 3, not 1
+    deb = matrix_file("deb", [[0, 2, 0], [0, 0, 0], [0, 0, 1]])
+    code, _, err = run_cli(capsys, "birth", deb, "--point", "1,0", "--eps", "-0.1")
+    assert code == 3, err
+    assert "positive" in err
+
+
 def test_flat_command(capsys, matrix_file):
     path = matrix_file("cp", [[0, 2, 0], [0, 0, 0], [0, 0, 2]])
     code, out, _ = run_cli(capsys, "flat", path)

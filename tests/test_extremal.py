@@ -357,11 +357,101 @@ DEB_PROJECTOR = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
 )
 def test_preimage_unitary_invariance(A, p, P):
     rng = np.random.default_rng(3)
+    B = ex.preimage(A, p)
     if P is None:
-        B = ex.preimage(A, p)
         P = B @ B.conj().T
+    else:
+        assert np.max(np.abs(B @ B.conj().T - P)) <= 1e-12
     for _ in range(3):
         Q, R = np.linalg.qr(rng.standard_normal(A.shape) + 1j * rng.standard_normal(A.shape))
         U = Q * (np.diag(R) / np.abs(np.diag(R)))
         C = ex.preimage(U.conj().T @ A @ U, p)
         assert np.max(np.abs(C @ C.conj().T - U.conj().T @ P @ U)) <= 1e-12
+
+
+def reference_supporting_angle(A, p, grid=512):
+    """supporting_angle by grid scan and up to 80 bisection steps on the sign
+    of g', one eigendecomposition per step (plateau and golden-section
+    branches as in supporting_angle)."""
+    R, S = mc.re_part(A), mc.im_part(A)
+    scale = 1.0 + mc.fro(A)
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    step = 2.0 * np.pi / grid
+
+    def g_at(t):
+        top = np.linalg.eigvalsh(np.cos(t) * R + np.sin(t) * S)[-1]
+        return p.real * np.cos(t) + p.imag * np.sin(t) - top
+
+    def g_slope(t):
+        x = np.linalg.eigh(np.cos(t) * R + np.sin(t) * S)[1][:, -1]
+        slope = (x.conj() @ (np.cos(t) * S - np.sin(t) * R) @ x).real
+        return -p.real * np.sin(t) + p.imag * np.cos(t) - slope
+
+    j = int(np.argmax([g_at(t) for t in thetas]))
+    lo, hi = thetas[j] - step, thetas[j] + step
+    slo, shi = g_slope(lo), g_slope(hi)
+    if slo >= 0.0 >= shi:
+        for _ in range(80):
+            mid = (lo + hi) / 2.0
+            if g_slope(mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-15:
+                break
+        t = (lo + hi) / 2.0
+    elif max(abs(slo), abs(shi)) <= 1e-11 * scale * (1.0 + abs(p)):
+        t = thetas[j]
+    else:
+        t = ex._golden_min(lambda th: -g_at(th), lo - step, hi + step)
+    return t % (2.0 * np.pi), g_at(t)
+
+
+def supporting_angle_cases():
+    """Boundary, interior and exterior points of the fixtures and of seeded
+    unit-Frobenius Ginibre matrices, d = 3, 8 and 32."""
+    rng = np.random.default_rng(11)
+    cases = [
+        ("circle_point", CIRCLE_POINT),
+        ("disk_eig_boundary", DISK_EIG_BOUNDARY),
+        ("disk", DISK),
+        ("triangle", TRIANGLE),
+        ("segment", SEGMENT),
+        ("jordan", JORDAN3),
+    ]
+    for d in (3, 8, 32):
+        for k in range(2):
+            G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            cases.append((f"ginibre{d}_{k}", G / np.linalg.norm(G)))
+    out = []
+    for name, A in cases:
+        R, S = mc.re_part(A), mc.im_part(A)
+        centroid = complex(np.trace(A)) / A.shape[0]
+        for k, t in enumerate(rng.uniform(0.0, 2.0 * np.pi, 3)):
+            x = np.linalg.eigh(np.cos(t) * R + np.sin(t) * S)[1][:, -1]
+            edge = complex(x.conj() @ A @ x)
+            out += [
+                pytest.param(A, edge, id=f"{name}-boundary{k}"),
+                pytest.param(A, (edge + centroid) / 2.0, id=f"{name}-interior{k}"),
+                pytest.param(A, edge + 0.3 * np.exp(1j * t), id=f"{name}-exterior{k}"),
+            ]
+    return out
+
+
+@pytest.mark.parametrize(("A", "p"), supporting_angle_cases())
+def test_supporting_angle_matches_bisection_reference(A, p):
+    scale = 1.0 + mc.fro(A)
+    t, g = ex.supporting_angle(A, p)
+    t_ref, g_ref = reference_supporting_angle(A, p)
+    assert abs(g - g_ref) <= 1e-12 * scale * (1.0 + abs(p))
+    # the maximizer is unique where g has a strict quadratic top: the top
+    # eigenvalue is simple there and g'' < 0 (not on a plateau of g)
+    R, S = mc.re_part(A), mc.im_part(A)
+    w, V = np.linalg.eigh(np.cos(t_ref) * R + np.sin(t_ref) * S)
+    y = V.conj().T @ (np.cos(t_ref) * S - np.sin(t_ref) * R) @ V[:, -1]
+    gaps = w[-1] - w[:-1]
+    simple = gaps.size == 0 or gaps.min() > mc.CLUSTER_RTOL * scale
+    h2 = -w[-1] + 2.0 * np.sum(np.abs(y[:-1]) ** 2 / gaps) if simple else np.nan
+    d2 = -(p * np.exp(-1j * t_ref)).real - h2
+    if d2 < -1e-6 * scale * (1.0 + abs(p)):
+        assert abs(np.angle(np.exp(1j * (t - t_ref)))) <= 1e-10

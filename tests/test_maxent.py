@@ -163,6 +163,12 @@ def test_maxent_boundary_fixture_multiply_generated():
     assert res.dual_point is None
 
 
+def test_maxent_boundary_tangent_point_residual():
+    # the supporting angle at the tangentially multiply generated point 1
+    # is pinned, so the constraint holds to rounding
+    assert me.maxent_boundary(DISK_EIG_BOUNDARY, 1.0 + 0j).residual <= 1e-12
+
+
 def test_maxent_boundary_pure_state():
     res = me.maxent_boundary(DISK, 0.0 + 1.0j)
     assert res.entropy == pytest.approx(0.0, abs=1e-10)
