@@ -321,13 +321,14 @@ def run(args) -> int:
     raise MatrixFileError(f"unknown command {cmd!r}")  # unreachable
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """Join ``--point``/``--eps`` to a following value that starts with a
-    minus sign (``--point -1,0`` -> ``--point=-1,0``): argparse would read
-    that value as an option and report a missing argument."""
+def _join_negative_point(argv: list[str]) -> list[str]:
+    """Join ``--point`` to a following value that starts with a minus sign
+    (``--point -1,0`` -> ``--point=-1,0``): argparse reads a negative
+    number as a value, but not one with a comma, which it takes for an
+    option and reports a missing argument."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--point", "--eps") and re.match(r"-[\d.]", arg):
+        if out and out[-1] == "--point" and re.match(r"-[\d.]", arg):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -337,7 +338,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(_join_negative_point(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

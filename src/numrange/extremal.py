@@ -34,6 +34,8 @@ ARC_SINGLE_ANGLE = 1e-6
 POINT_MATCH_RTOL = 1e-8
 # Crossing refinement target for the top eigenvalue gap.
 GAP_REFINE_RTOL = 1e-12
+# Scalarity defect of the compressed derivative above rounding (relative).
+SCALAR_DEFECT_RTOL = 1e-12
 # Machine-level degeneracy threshold for face membership probes.  The
 # reported faces and pre-images group eigenvalues at CLUSTER_RTOL, but
 # deciding whether a *probe angle* carries a genuine segment must not:
@@ -642,19 +644,23 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     return t % (2.0 * np.pi), g_at(t)
 
 
-def pinned_face(A, theta: float, tol: float) -> FaceDescriptor:
+def _pinned_face(pencil: mc.Pencil, p: complex, theta: float) -> FaceDescriptor:
     """Face at theta, with the angle pinned at a tangentially multiply
-    generated point.
+    generated point p.
 
-    When the face is a singleton (length <= ``tol``) with a top cluster
-    of dimension two or more, the top eigenvalues tie over a band of
-    angles, so support values fix the angle only to sqrt(eps).  The
-    scalarity defect of the derivative A'(theta) compressed onto the top
-    cluster is linear in the angle error, so its golden-section minimizer
-    pins the angle to machine precision; the face there is returned when
-    it is again such a singleton.  Other faces are returned as they are.
+    When the face is a singleton with a top cluster of dimension two or
+    more, the top eigenvalues tie over a band of angles, so support
+    values fix the angle only to sqrt(eps).  The scalarity defect of the
+    derivative A'(theta) compressed onto the top cluster is linear in the
+    angle error, so its golden-section minimizer pins the angle to
+    machine precision.  The angle is refined only when the defect at
+    theta is above rounding: where the top eigenvalue is multiple at
+    every angle (A = B + B as a direct sum) the defect is rounding noise
+    everywhere and its minimizer is arbitrary.  The face at the refined
+    angle is returned when it is again such a singleton at p; other
+    faces are returned as they are.
     """
-    pencil = mc.as_pencil(A)
+    tol = POINT_MATCH_RTOL * (1.0 + pencil.norm)
     fd = face(pencil, theta)
     if fd.length > tol or fd.basis_m.shape[1] < 2:
         return fd
@@ -667,10 +673,13 @@ def pinned_face(A, theta: float, tol: float) -> FaceDescriptor:
         C = mc.compress(pencil.prime(th), Q)
         return float(np.linalg.norm(C - (np.trace(C).real / k) * np.eye(k)))
 
+    defect = scalar_defect(theta)
+    if defect <= SCALAR_DEFECT_RTOL * (1.0 + pencil.norm):
+        return fd
     refined = _golden_min(scalar_defect, theta - 1e-4, theta + 1e-4)
-    if scalar_defect(refined) <= scalar_defect(theta):
+    if scalar_defect(refined) < defect:
         pinned = face(pencil, refined)
-        if pinned.length <= tol and pinned.basis_m.shape[1] >= 2:
+        if pinned.length <= tol and pinned.basis_m.shape[1] >= 2 and pinned.distance(p) <= tol:
             return pinned
     return fd
 
@@ -701,7 +710,7 @@ def _preimage(pencil: mc.Pencil, p: complex, theta: float, gval: float) -> tuple
             f"point {p} is not an extreme point of W(A): lies outside the range "
             f"(distance {gval:.3e})"
         )
-    fd = pinned_face(pencil, theta, tol)
+    fd = _pinned_face(pencil, p, theta)
     if fd.length <= tol:
         return fd, fd.basis_m
     if abs(p - fd.p_plus) <= tol:

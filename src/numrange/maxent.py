@@ -288,7 +288,7 @@ def maxent_boundary(A, alpha, grid: int = 1024) -> InferenceResult:
     supporting angle, where it becomes a single-observable family in the
     compressed derivative part; endpoint targets recurse once more onto
     its extreme eigenspaces.  At a tangentially multiply generated point
-    the angle is pinned first (:func:`~numrange.extremal.pinned_face`).
+    the angle is pinned first.
     """
     pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
@@ -301,7 +301,7 @@ def maxent_boundary(A, alpha, grid: int = 1024) -> InferenceResult:
             f"alpha = {alpha} is an interior point (depth {-gval:.3e}); "
             "use maxent_interior"
         )
-    return _boundary_state(pencil, alpha, extremal.pinned_face(pencil, theta, tol))
+    return _boundary_state(pencil, alpha, extremal._pinned_face(pencil, alpha, theta))
 
 
 def _boundary_state(pencil: mc.Pencil, alpha: complex, fd: extremal.FaceDescriptor) -> InferenceResult:

@@ -11,6 +11,9 @@ CIRCLE_POINT = np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]], dtype=complex)
 DISK_EIG_BOUNDARY = np.array([[0, 2, 0], [0, 0, 0], [0, 0, 1]], dtype=complex)
 # plain unit disk
 DISK = np.array([[0, 2], [0, 0]], dtype=complex)
+# direct sum of two unit disks (top eigenvalue of A(theta) double at every
+# angle, so every boundary point is multiply generated)
+DISK2 = np.kron(np.eye(2), DISK)
 # normal matrix with triangular range
 TRIANGLE = np.diag([0.0, 1.0, 1.0j])
 # real diagonal: the segment [0, 1]

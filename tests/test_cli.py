@@ -122,6 +122,7 @@ def test_extremes_and_preimage_commands(capsys, matrix_file):
 
 def test_negative_option_values(capsys, matrix_file):
     # a value starting with '-' after --point/--eps is a value, not an option
+    # (argparse reads '-0.1' as a value by itself, but not '-1,0')
     path = matrix_file("disk", [[0, 2], [0, 0]])
     code, out, err = run_cli(capsys, "preimage", path, "--point", "-1,0")
     assert code == 0, err

@@ -7,6 +7,7 @@ from numrange.errors import PreconditionError
 from conftest import (
     CIRCLE_POINT,
     DISK,
+    DISK2,
     DISK_EIG_BOUNDARY,
     JORDAN3,
     SEGMENT,
@@ -346,6 +347,12 @@ def test_extreme_points_match_per_angle_reference(name):
 DEB_PROJECTOR = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
 
 
+def disk2_projector(theta):
+    """Exact pre-image projector of the point e^{i theta} of DISK2."""
+    v = np.array([1.0, np.exp(1j * theta)]) / np.sqrt(2.0)
+    return np.kron(np.eye(2), np.outer(v, v.conj()))
+
+
 @pytest.mark.parametrize(
     ("A", "p", "P"),
     [
@@ -353,6 +360,8 @@ DEB_PROJECTOR = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
         (CIRCLE_POINT, 2.0, None),
         (DISK, 1j, None),
         (TRIANGLE, 1.0, None),
+        (DISK2, 1.0, disk2_projector(0.0)),
+        (DISK2, np.exp(0.7j), disk2_projector(0.7)),
     ],
 )
 def test_preimage_unitary_invariance(A, p, P):

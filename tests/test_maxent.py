@@ -7,6 +7,7 @@ from numrange.errors import PreconditionError
 from conftest import (
     CIRCLE_POINT,
     DISK,
+    DISK2,
     DISK_EIG_BOUNDARY,
     TRIANGLE,
     random_matrix,
@@ -163,10 +164,16 @@ def test_maxent_boundary_fixture_multiply_generated():
     assert res.dual_point is None
 
 
-def test_maxent_boundary_tangent_point_residual():
+@pytest.mark.parametrize(
+    ("A", "alpha"),
+    [(DISK_EIG_BOUNDARY, 1.0 + 0j), (DISK2, 1.0 + 0j), (DISK2, np.exp(0.7j))],
+)
+def test_maxent_boundary_tangent_point_residual(A, alpha):
     # the supporting angle at the tangentially multiply generated point 1
-    # is pinned, so the constraint holds to rounding
-    assert me.maxent_boundary(DISK_EIG_BOUNDARY, 1.0 + 0j).residual <= 1e-12
+    # of DISK_EIG_BOUNDARY is pinned, and on DISK2, whose top eigenvalue is
+    # double at every angle, it is left as it is: the constraint holds to
+    # rounding in both
+    assert me.maxent_boundary(A, alpha).residual <= 1e-12
 
 
 def test_maxent_boundary_pure_state():
