@@ -199,14 +199,20 @@ def _false_position(f, a, fa, b, fb, tol) -> np.ndarray:
     f at the angles ``t`` of the brackets ``idx`` (one stacked solve).
     An end kept by two false-position steps in a row has its value
     halved (Illinois), a bracket whose last step did not halve it bisects
-    next, so jumps of f cost at most one step per halving, and no point
-    lands within tol/2 of an end.  Stops when a bracket is at most
+    next, and no point lands within tol/2 of an end.  An outside
+    bisection point with more than 3/4 of the value at the outside end it
+    replaces shows a jump of f (a convex f, or a nearly linear concave
+    one, gives at most about 1/2); there the secant point keeps landing
+    next to the inside end, so the bracket bisects until an outside
+    bisection point shows no jump.  Stops when a bracket is at most
     max(tol, 4 ulp) wide; returns the inside ends.
     """
     a, fa, b, fb = (np.array(x, dtype=float) for x in (a, fa, b, fb))
     tol = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
     kept = np.zeros(a.size, dtype=int)  # end kept by the last false-position step: +1 a, -1 b
     halve = np.zeros(a.size, dtype=bool)
+    jump = np.zeros(a.size, dtype=bool)
+    f_out = fb.copy()  # f at the outside end, without the Illinois halvings
     live = np.nonzero(np.abs(b - a) > tol)[0]
     while live.size:
         al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
@@ -219,7 +225,7 @@ def _false_position(f, a, fa, b, fb, tol) -> np.ndarray:
         t = np.where(np.abs(t - al) < np.abs(half_tol), al + half_tol, t)
         t = np.where(np.abs(t - bl) < np.abs(half_tol), bl - half_tol, t)
         # bisect where asked to, or where the secant point is not strictly inside
-        bis = halve[live] | ~((t - al) * (t - bl) < 0.0)
+        bis = halve[live] | jump[live] | ~((t - al) * (t - bl) < 0.0)
         t[bis] = (al[bis] + bl[bis]) / 2.0
         ft = f(t, live)
         inside = ft <= 0.0
@@ -230,7 +236,9 @@ def _false_position(f, a, fa, b, fb, tol) -> np.ndarray:
         fa[i_out[kept[i_out] == 1]] /= 2.0
         kept[i_in], kept[i_out] = -1, 1
         a[live[inside]], fa[live[inside]] = t[inside], ft[inside]
-        b[live[~inside]], fb[live[~inside]] = t[~inside], ft[~inside]
+        out_bis = bis & ~inside
+        jump[live[out_bis]] = ft[out_bis] > 0.75 * f_out[live[out_bis]]
+        b[live[~inside]], fb[live[~inside]], f_out[live[~inside]] = t[~inside], ft[~inside], ft[~inside]
         width = np.abs(b[live] - a[live])
         halve[live] = ~bis & (width > np.abs(bl - al) / 2.0)
         live = live[width > tol[live]]

@@ -4,7 +4,10 @@ Seeded sampling of the quadratic-form map gives an inner approximation
 of W(A); its convex hull against the outer support polygon bounds the
 discretization error of everything else.  The sampler is counter-based
 (splitmix64), so any chunking of the draw reproduces the sequential
-stream bit for bit.
+stream bit for bit.  :func:`sample_range` uses this: it draws the
+vectors and evaluates x*Ax in row blocks of at most SAMPLE_BLOCK complex
+entries, written into one preallocated array, so memory stays bounded
+and the points are the same for every block size.
 """
 
 from __future__ import annotations
@@ -20,10 +23,17 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+# Complex entries of the sample vectors drawn and evaluated per block.
+SAMPLE_BLOCK = 2**15
+# Angle bins whose farthest points give the hull prefilter its polygon.
+PREFILTER_BINS = 1024
+
 
 def _splitmix64(counters: np.ndarray) -> np.ndarray:
-    """splitmix64 output for an array of uint64 counters."""
-    z = (counters + np.uint64(1)) * _GOLDEN
+    """splitmix64 output for an array of uint64 counters, computed in place."""
+    z = counters
+    z += np.uint64(1)
+    z *= _GOLDEN
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
@@ -34,9 +44,14 @@ def _splitmix64(counters: np.ndarray) -> np.ndarray:
 
 def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform doubles in (0, 1) at counter positions start..start+count."""
-    counters = np.uint64(seed) + np.arange(start, start + count, dtype=np.uint64)
+    counters = np.arange(start, start + count, dtype=np.uint64)
+    counters += np.uint64(seed)
     bits = _splitmix64(counters)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def _gaussians(seed: int, start: int, count: int) -> np.ndarray:
@@ -62,18 +77,16 @@ def structured_vectors(d: int) -> np.ndarray:
     """Standard basis vectors plus pairwise superpositions with 8 phases.
 
     These hit eigenvector-exposed points of normal matrices exactly, so
-    vertex checks can be exact instead of statistical.
+    vertex checks can be exact instead of statistical.  Rows: e_0 ..
+    e_{d-1}, then (e_i + w e_j)/sqrt(2) for i < j in row-major order and
+    w over the 8th roots of unity.
     """
-    vecs = [np.eye(d, dtype=complex)[k] for k in range(d)]
-    phases = np.exp(2j * np.pi * np.arange(8) / 8.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for ph in phases:
-                v = np.zeros(d, dtype=complex)
-                v[i] = 1.0
-                v[j] = ph
-                vecs.append(v / np.sqrt(2.0))
-    return np.array(vecs)
+    i, j = np.triu_indices(d, 1)
+    pairs = np.zeros((len(i), 8, d), dtype=complex)
+    rows = np.arange(len(i))
+    pairs[rows, :, i] = 1.0
+    pairs[rows, :, j] = np.exp(2j * np.pi * np.arange(8) / 8.0)
+    return np.concatenate([np.eye(d, dtype=complex), pairs.reshape(-1, d) / np.sqrt(2.0)])
 
 
 @dataclass(frozen=True)
@@ -88,48 +101,88 @@ class SampleCloud:
 def sample_range(A, n: int, seed: int = 0) -> SampleCloud:
     """n values x*Ax: structured vectors first, then seeded Gaussians.
 
-    Deterministic given (n, seed); the Gaussian tail is drawn from a
-    counter-based stream so chunked evaluation matches sequential.
+    Deterministic given (n, seed).  Gaussian vector r takes the normals at
+    counters 2rd .. 2(r+1)d - 1 as (re, im) pairs, normalized to unit
+    length.  The rows are drawn and evaluated in blocks of SAMPLE_BLOCK
+    complex entries; every block starts at an even counter, so the points
+    match a one-shot draw bit for bit.
     """
     A = mc.as_matrix(A)
     if n < 1:
         raise PreconditionError("sample_range requires n >= 1")
     d = A.shape[0]
-    xs = structured_vectors(d)
-    if n <= len(xs):
-        xs = xs[:n]
-    else:
-        m = n - len(xs)
-        g = _gaussians(seed, 0, 2 * m * d)
-        z = (g[0::2] + 1j * g[1::2]).reshape(m, d)
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        xs = np.vstack([xs, z])
-    pts = np.sum(xs.conj() * (xs @ A.T), axis=1)
+    head = structured_vectors(d)[:n]
+    k = len(head)
+    AT = A.T
+    pts = np.empty(n, dtype=complex)
+    rows = max(SAMPLE_BLOCK // d, 2)
+    start = 0
+    while start < n:
+        stop = min(start + rows, n)
+        if n - stop == 1:
+            # numpy evaluates a one-row product by gemv, which rounds
+            # differently from the gemm of a taller block
+            stop = n
+        xs = np.empty((stop - start, d), dtype=complex)
+        n_head = max(min(k - start, stop - start), 0)
+        xs[:n_head] = head[start : start + n_head]
+        if n_head < stop - start:
+            g0 = start + n_head - k  # first Gaussian row of the block
+            z = _gaussians(seed, 2 * g0 * d, 2 * (stop - start - n_head) * d).view(complex).reshape(-1, d)
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            xs[n_head:] = z
+        pts[start:stop] = np.sum(xs.conj() * (xs @ AT), axis=1)
+        start = stop
     return SampleCloud(points=pts, seed=seed, count=n)
 
 
-def _prefilter(pts: np.ndarray) -> np.ndarray:
-    """Akl-Toussaint reduction: drop points strictly inside the polygon of
-    8-direction extremes.  Exact: discarded points cannot be hull vertices."""
-    if len(pts) <= 64:
-        return pts
-    angles = np.arange(8) * np.pi / 4.0
-    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    idx = np.unique(np.argmax(pts @ dirs.T, axis=0))
-    if len(idx) < 3:
-        return pts
-    corners = rg.convex_hull(pts[idx])
-    if len(corners) < 3:
-        return pts
-    scale = max(np.abs(pts).max(), 1e-300)
-    margin = 1e-12 * scale
-    inside = np.ones(len(pts), dtype=bool)
-    for k in range(len(corners)):
-        a = corners[k]
-        b = corners[(k + 1) % len(corners)]
-        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-        inside &= cross > margin
-    return pts[~inside]
+def _prefilter(zs: np.ndarray) -> np.ndarray:
+    """Akl-Toussaint reduction: drop points strictly inside a convex
+    polygon of sample points.
+
+    Around the mean c of the cloud, the point farthest from c in each of
+    PREFILTER_BINS equal angle bins is a corner; corners with no left turn
+    are dropped until the polygon is convex.  A point is dropped when it
+    lies more than 1e-12 * max|z| inside the edge of the one wedge
+    (c, corner, next corner) its angle falls in, found from its bin.  The
+    wedge is a triangle in the hull of the cloud, so the filter is exact:
+    discarded points cannot be hull vertices.
+    """
+    if len(zs) <= 64:
+        return zs
+    mean = zs.mean()
+    rel = zs - mean
+    ang = np.angle(rel)
+    r2 = rel.real**2 + rel.imag**2
+    bins = np.minimum(((ang + np.pi) * (PREFILTER_BINS / (2.0 * np.pi))).astype(np.intp), PREFILTER_BINS - 1)
+    far = np.full(PREFILTER_BINS, -1.0)
+    np.maximum.at(far, bins, r2)
+    cand = np.flatnonzero(r2 == far[bins])
+    corners = cand[np.unique(bins[cand], return_index=True)[1]]  # by angle
+    while corners.size:
+        q = rel[corners]
+        left = ((q - np.roll(q, 1)).conj() * (np.roll(q, -1) - q)).imag > 0.0
+        if left.all():
+            break
+        corners = corners[left]
+    if corners.size < 3 or np.diff(ang[corners], append=ang[corners[0]] + 2.0 * np.pi).max() >= np.pi:
+        return zs  # the mean is not inside the polygon: a degenerate cloud
+    a = rel[corners]
+    e = np.roll(a, -1) - a
+    margin = 1e-12 * (np.sqrt(far.max()) + abs(mean)) * np.abs(e)
+    # points inside the circle about c inscribed in the polygon need no wedge
+    inradius = np.min(((e.conj() * -a).imag - margin) / np.abs(e))
+    out = np.flatnonzero(r2 >= inradius**2) if inradius > 0.0 else np.arange(len(zs))
+    # wedge of a point: the last corner at or before its angle (-1: the last)
+    has = np.zeros(PREFILTER_BINS, dtype=bool)
+    has[bins[corners]] = True
+    before = np.cumsum(has) - has - 1
+    corner_ang = np.full(PREFILTER_BINS, np.inf)
+    corner_ang[bins[corners]] = ang[corners]
+    b = bins[out]
+    k = before[b] + (corner_ang[b] <= ang[out])
+    cross = (e.conj()[k] * (rel[out] - a[k])).imag
+    return zs[out[cross <= margin[k]]]
 
 
 def hull(points) -> rg.ConvexPolygon:
@@ -140,8 +193,8 @@ def hull(points) -> rg.ConvexPolygon:
         zs = np.asarray(points, dtype=complex).reshape(-1)
     if zs.size < 1:
         raise PreconditionError("hull requires at least one point")
-    pts = np.column_stack([zs.real, zs.imag])
-    return rg.ConvexPolygon(rg.convex_hull(_prefilter(pts)))
+    kept = _prefilter(zs)
+    return rg.ConvexPolygon(rg.convex_hull(np.column_stack([kept.real, kept.imag])))
 
 
 def oracle_gap(A, n: int, N: int, seed: int = 0) -> float:

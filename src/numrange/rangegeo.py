@@ -3,8 +3,9 @@
 The support function of W(A) in direction ``e^{i theta}`` is the top
 eigenvalue of the rotated part A(theta); everything here is built on
 that identity: boundary polygons from face touch points, membership
-tests by a refined dual inequality, Hausdorff distances as sup-norm
-gaps of support functions, and least-squares ellipse recognition.
+tests by a refined dual inequality, exact Hausdorff distances of convex
+polygons as sup-norm gaps of their piecewise-sinusoidal support
+functions, and least-squares ellipse recognition.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .errors import PreconditionError
 
 # Membership tolerance for `contains`, relative to 1 + ||A||.
 CONTAINS_RTOL = 1e-9
-# Angle grid used by `hausdorff` (matches the documented Lipschitz bound).
-HAUSDORFF_GRID = 4096
 # Default boundary sampling and duplicate-vertex threshold.
 DEFAULT_BOUNDARY_SAMPLES = 1024
 DUPLICATE_VERTEX_RTOL = 1e-10
@@ -187,21 +186,56 @@ def contains(A, p, grid: int = 2048) -> bool:
     return extremal.supporting_angle(pencil, p, grid)[1] <= tol
 
 
-def hausdorff(K: ConvexPolygon, L: ConvexPolygon, grid: int = HAUSDORFF_GRID, upper: bool = False) -> float:
-    """Hausdorff distance of two convex polygons via support functions.
+def _support_pieces(K: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices v of K (repeats dropped) and their outward edge-normal
+    angles c, nondecreasing.
 
-    Computed as the max over a uniform angle grid of |h_K - h_L|, exact
-    up to the grid mesh.  With ``upper=True`` the Lipschitz correction
-    ``(grid step) * max(diam K, diam L) / 2`` is added, giving a certified
-    upper bound.
+    ``c[i]`` is the normal angle of the edge from v[i] to v[i+1], unwrapped
+    from c[0] by the turns between consecutive edges: vertex v[i+1]
+    supports K on [c[i], c[i+1]] and v[0] on [c[-1], c[0] + 2 pi].  A turn
+    below zero (vertices collinear up to rounding) counts as zero and a
+    reversal (a 2-vertex polygon) as pi, so c stays monotone.
+    """
+    v = K.vertices
+    v = v[np.any(v != np.roll(v, -1, axis=0), axis=1)]
+    if len(v) == 0:
+        v = K.vertices[:1]
+    e = np.roll(v, -1, axis=0) - v
+    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    dot = e[:-1, 0] * e[1:, 0] + e[:-1, 1] * e[1:, 1]
+    turn = np.arctan2(cross, dot)
+    turn = np.where(turn < -np.pi / 2.0, turn + 2.0 * np.pi, np.maximum(turn, 0.0))
+    return v, np.arctan2(-e[0, 0], e[0, 1]) + np.concatenate([[0.0], np.cumsum(turn)])
+
+
+def hausdorff(K: ConvexPolygon, L: ConvexPolygon) -> float:
+    """Hausdorff distance of two convex polygons, exact up to rounding.
+
+    It is max over theta of |h_K - h_L|.  Between consecutive angles of
+    the merged outward edge normals of K and L (and the four axis
+    directions, so that no arc exceeds pi/2), each support function is
+    one sinusoid <v, u(theta)>, so on each arc |h_K - h_L| = |<v_K - v_L,
+    u(theta)>| is largest at an arc end or where u(theta) is parallel to
+    +-(v_K - v_L).  Cost O((k + m) log(k + m)); symmetric in K and L bit
+    for bit.
     """
     if not isinstance(K, ConvexPolygon) or not isinstance(L, ConvexPolygon):
         raise PreconditionError("hausdorff expects ConvexPolygon arguments")
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    val = float(np.max(np.abs(K.support(thetas) - L.support(thetas))))
-    if upper:
-        val += (2.0 * np.pi / grid) * max(K.diameter, L.diameter) / 2.0
-    return val
+    two_pi = 2.0 * np.pi
+    pieces = [_support_pieces(K), _support_pieces(L)]
+    cuts = [np.mod(c, two_pi) for _, c in pieces] + [np.arange(4) * (np.pi / 2.0)]
+    ends = np.append(np.sort(np.concatenate(cuts)), two_pi)
+    mid = (ends[:-1] + ends[1:]) / 2.0
+    # supporting vertex of each polygon on each arc
+    vK, vL = (v[np.searchsorted(c, c[0] + np.mod(mid - c[0], two_pi), side="right") % len(v)] for v, c in pieces)
+    w = vK - vL
+    cos, sin = np.cos(ends), np.sin(ends)
+    f = w[:, 0] * cos[:-1] + w[:, 1] * sin[:-1], w[:, 0] * cos[1:] + w[:, 1] * sin[1:]
+    slope = w[:, 1] * cos[:-1] - w[:, 0] * sin[:-1], w[:, 1] * cos[1:] - w[:, 0] * sin[1:]
+    gap = np.maximum(np.abs(f[0]), np.abs(f[1]))
+    peak = slope[0] * slope[1] < 0.0  # |h_K - h_L| peaks inside the arc
+    gap[peak] = np.hypot(w[peak, 0], w[peak, 1])
+    return float(gap.max())
 
 
 @dataclass(frozen=True)

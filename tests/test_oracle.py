@@ -44,6 +44,45 @@ def test_chunked_stream_matches_sequential():
     assert np.array_equal(g1, g3)  # odd split crosses a Box-Muller pair
 
 
+def _loop_structured_vectors(d):
+    vecs = [np.eye(d, dtype=complex)[k] for k in range(d)]
+    phases = np.exp(2j * np.pi * np.arange(8) / 8.0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for ph in phases:
+                v = np.zeros(d, dtype=complex)
+                v[i] = 1.0
+                v[j] = ph
+                vecs.append(v / np.sqrt(2.0))
+    return np.array(vecs)
+
+
+def _one_shot_sample(A, n, seed):
+    """x*Ax for the whole stream in one draw and one product."""
+    d = A.shape[0]
+    xs = _loop_structured_vectors(d)
+    if n <= len(xs):
+        xs = xs[:n]
+    else:
+        m = n - len(xs)
+        g = oracle._gaussians(seed, 0, 2 * m * d)
+        z = (g[0::2] + 1j * g[1::2]).reshape(m, d)
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        xs = np.vstack([xs, z])
+    return np.sum(xs.conj() * (xs @ A.T), axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 32])
+def test_blocked_stream_matches_one_shot(rng, d):
+    A = random_matrix(rng, d)
+    k = len(_loop_structured_vectors(d))
+    assert np.array_equal(oracle.structured_vectors(d), _loop_structured_vectors(d))
+    rows = oracle.SAMPLE_BLOCK // d
+    # 2 * rows + 1 leaves a one-row last block
+    for n in sorted({1, k, k + 1, rows - 1, rows + 1, 2 * rows + 1, 50_000}):
+        assert np.array_equal(oracle.sample_range(A, n, seed=17).points, _one_shot_sample(A, n, 17)), n
+
+
 def test_hull_examples():
     line = oracle.hull(np.array([0.0, 0.5, 1.0], dtype=complex))
     assert line.vertices.shape[0] == 2
@@ -64,6 +103,16 @@ def test_hull_contains_all_samples(rng):
     dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
     hs = (dirs @ pts.T).max(axis=1)
     assert np.all(hs <= hp + 1e-9)
+
+
+def test_hull_prefilter_keeps_every_vertex(rng):
+    # the prefiltered hull equals the monotone chain over the whole cloud
+    for d in (2, 2, 3, 3, 4, 5, 8):
+        A = random_matrix(rng, d)
+        for n in (2000, 20000):
+            cloud = oracle.sample_range(A, n, seed=d)
+            full = rg.convex_hull(np.column_stack([cloud.points.real, cloud.points.imag]))
+            assert np.array_equal(oracle.hull(cloud).vertices, full)
 
 
 def test_oracle_gap_normal_matrix_exact():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from numrange import rangegeo as rg
+from numrange import oracle, rangegeo as rg
 from numrange.errors import PreconditionError
 
 from conftest import (
@@ -122,7 +122,7 @@ def test_hausdorff_matches_point_set_definition(rng):
             max(min(segment_distance(p, *e) for e in _edges(Q)) for p in bp[::37]),
             max(min(segment_distance(q, *e) for e in _edges(P)) for q in bq[::37]),
         )
-        mesh = 2 * np.pi / rg.HAUSDORFF_GRID
+        mesh = 2 * np.pi / 4096
         diam = max(P.diameter, Q.diameter)
         assert abs(rg.hausdorff(P, Q) - dpq) <= 2 * mesh * diam + 0.05 * diam
 
@@ -134,9 +134,60 @@ def _edges(poly):
 
 def test_hausdorff_upper_bound_flag():
     disk = unit_disk_polygon()
-    assert rg.hausdorff(disk, disk, upper=True) > 0.0
     with pytest.raises(PreconditionError):
         rg.hausdorff(disk, "nope")
+
+
+def _distance_to_polygon(points, V):
+    """Distance from each planar point to the convex polygon with
+    counterclockwise vertices V (0 inside)."""
+    a, ab = V, np.roll(V, -1, axis=0) - V
+    ap = points[:, None, :] - a[None]
+    den = np.maximum((ab**2).sum(axis=1), 1e-300)
+    t = np.clip((ap * ab[None]).sum(axis=2) / den, 0.0, 1.0)
+    d = np.linalg.norm(ap - t[..., None] * ab[None], axis=2).min(axis=1)
+    if np.sum(ab[:, 1] * a[:, 0] - ab[:, 0] * a[:, 1]) > 0.0:  # positive area
+        inside = np.all(ab[None, :, 0] * ap[..., 1] - ab[None, :, 1] * ap[..., 0] >= 0.0, axis=1)
+        d[inside] = 0.0
+    return d
+
+
+def _random_polygons(rng):
+    polys = [rg.ConvexPolygon(rng.standard_normal((1, 2)))]
+    polys.append(rg.ConvexPolygon.from_points(rng.standard_normal((2, 2))))
+    for k in (3, 5, 12, 40, 200):
+        polys.append(rg.ConvexPolygon.from_points(rng.uniform(0.2, 3.0) * rng.standard_normal((k, 2)) + rng.standard_normal(2)))
+    # hull vertices collinear up to rounding: the TRIANGLE oracle hull,
+    # edge midpoints included
+    tri = oracle.hull(oracle.sample_range(TRIANGLE, 1000, seed=5))
+    assert len(tri.vertices) > 3
+    polys.append(tri)
+    # a segment given by collinear vertices, traversed both ways
+    seg = rng.standard_normal(2) + np.outer([0.0, 0.4, 1.0], rng.standard_normal(2))
+    polys += [rg.ConvexPolygon(seg), rg.ConvexPolygon(seg[::-1])]
+    # a repeated vertex
+    polys.append(rg.ConvexPolygon(np.vstack([polys[3].vertices[:1], polys[3].vertices])))
+    polys.append(rg.boundary_polygon(random_matrix(rng, 4), 256))
+    return polys
+
+
+def test_hausdorff_exact_on_convex_polygons(rng):
+    """The exact value equals the largest vertex-to-polygon distance, is
+    symmetric bit for bit, and lies between the 4096-angle support-grid
+    value and that value plus the grid's Lipschitz allowance."""
+    mesh = 2 * np.pi / 4096
+    thetas = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    for _ in range(4):
+        polys = _random_polygons(rng)
+        for K in polys:
+            for L in polys:
+                d = rg.hausdorff(K, L)
+                assert d == rg.hausdorff(L, K)
+                ref = max(_distance_to_polygon(K.vertices, L.vertices).max(), _distance_to_polygon(L.vertices, K.vertices).max())
+                diam = max(float(np.hypot(*np.ptp(np.vstack([K.vertices, L.vertices]), axis=0))), 1e-300)
+                assert abs(d - ref) <= 1e-12 * diam
+                on_grid = float(np.max(np.abs(K.support(thetas) - L.support(thetas))))
+                assert on_grid - 1e-12 * diam <= d <= on_grid + mesh * diam / 2 + 1e-12 * diam
 
 
 def test_ellipse_fit_circle():
