@@ -165,11 +165,10 @@ def eigencurve_derivatives(A, theta: float) -> list[tuple[float, float, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _angle_grid(grid: int, what: str) -> np.ndarray:
-    """Uniform grid of ``grid`` angles on [0, 2 pi), at least 64 of them."""
+def _require_grid(grid: int, what: str) -> None:
+    """Scans of the grid functions take at least 64 angles."""
     if grid < 64:
         raise PreconditionError(f"{what} requires grid >= 64")
-    return np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
 
 
 def _bisect(inside, inner, outer) -> np.ndarray:
@@ -390,9 +389,10 @@ def flat_portions(A, grid: int = 512) -> list[FlatPortion]:
     segment.  A degenerate one-dimensional W(A) reports itself under
     both of its normals.
     """
+    _require_grid(grid, "flat_portions")
     pencil = mc.as_pencil(A)
-    thetas = _angle_grid(grid, "flat_portions")
-    return _flat_portions(pencil, _flat_candidates(pencil, thetas, pencil.gap(thetas)))
+    thetas, w, _ = pencil.grid(grid)
+    return _flat_portions(pencil, _flat_candidates(pencil, thetas, pencil.top_gap(w)))
 
 
 @dataclass(frozen=True)
@@ -433,9 +433,9 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     distance minus the membership tolerance, seeded with the grid values,
     to the resolution of 48 halvings of the grid step (or 4 ulp).
     """
+    _require_grid(grid, "extreme_points")
     pencil = mc.as_pencil(A)
     A = pencil.A
-    thetas = _angle_grid(grid, "extreme_points")
     scale = 1.0 + pencil.norm
     dedup_tol = 1e-10 * scale
     member_tol = FACE_MEMBER_RTOL * scale
@@ -454,7 +454,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
             )
         ]
 
-    eig = pencil.eigh(thetas)
+    thetas, *eig = pencil.grid(grid, vectors=True)
     u_grid = np.exp(1j * thetas)
     sup, mu_lo, mu_hi = pencil.faces(thetas, pencil.ctol, eig)
     lo_pts = u_grid * (sup + 1j * mu_lo)
@@ -584,7 +584,7 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     For p on the boundary the maximum is ~0 at a supporting angle; for an
     interior point it is strictly negative (minus the depth), and for an
     exterior point strictly positive (the distance).  The uniform scan of
-    the grid (:meth:`~numrange.matcore.Pencil.scan`, shared through a
+    the grid (:meth:`~numrange.matcore.Pencil.grid`, shared through a
     Pencil) finds the maximizing cell.  Where g' changes sign across the
     cell, safeguarded Newton on g' pins the angle to machine precision
     (golden-section alone would stall at the sqrt(eps) resolution of the
@@ -598,13 +598,14 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     """
     pencil = mc.as_pencil(A)
     p = as_point(p)
-    scan_thetas, sup = pencil.scan(grid)
+    scan_thetas, w_grid, _ = pencil.grid(grid)
+    sup = w_grid[:, -1]
     g = p.real * np.cos(scan_thetas) + p.imag * np.sin(scan_thetas) - sup
     j = int(np.argmax(g))
     step = 2.0 * np.pi / grid
 
     def g_slope(th, V):
-        return -p.real * np.sin(th) + p.imag * np.cos(th) - pencil.slope(th, V)
+        return -p.real * np.sin(th) + p.imag * np.cos(th) - pencil.slope(th, V[..., -1])
 
     cell = np.array([scan_thetas[j] - step, scan_thetas[j], scan_thetas[j] + step])
     w, V = pencil.eigh(cell)

@@ -282,9 +282,10 @@ def classify(A, grid: int = 512) -> KippenhahnClassification:
 
     ed = elliptic_data(A)
     # one gap scan and one candidate search serve both criteria
+    extremal._require_grid(grid, "classify")
     pencil = mc.Pencil(A)
-    thetas = extremal._angle_grid(grid, "classify")
-    candidates = extremal._flat_candidates(pencil, thetas, pencil.gap(thetas))
+    thetas, w, _ = pencil.grid(grid)
+    candidates = extremal._flat_candidates(pencil, thetas, pencil.top_gap(w))
     portions = extremal._flat_portions(pencil, candidates)
     rank_one = _rank_one_angles(pencil, candidates)
     if bool(portions) != bool(rank_one):

@@ -137,11 +137,16 @@ class Pencil:
     scalars or arrays; array angles give stacks solved in one LAPACK
     call, with results indexed by angle along the leading axis.
 
-    The support values on a uniform angle grid are solved once per grid
-    size and kept (:meth:`scan`), so every query that reaches W(A)
-    through a scan of the same grid shares one stacked solve.  Public
-    functions accept a matrix or a Pencil (:func:`as_pencil`); passing
-    one Pencil down a chain of calls shares its scans.
+    Uniform angle grids are built and solved in one place,
+    :meth:`grid`.  It uses the half-turn identity
+    A(theta + pi) = -A(theta): on an even grid only the first half of the
+    angles is solved, and the eigenvalues at theta + pi are the negated
+    eigenvalues at theta in reverse order, with the top eigenvector the
+    bottom one at theta.  Each grid size is solved once per Pencil and
+    kept, so every query that reaches W(A) through a grid of the same size
+    shares one stacked solve.  Public functions accept a matrix or a
+    Pencil (:func:`as_pencil`); passing one Pencil down a chain of calls
+    shares its grids.
     """
 
     def __init__(self, A):
@@ -151,15 +156,40 @@ class Pencil:
         self.S = im_part(self.A)
         self.norm = fro(self.A)
         self.ctol = CLUSTER_RTOL * (1.0 + self.norm)
-        self._scans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
-    def scan(self, grid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform grid of ``grid`` angles on [0, 2 pi) and the support
-        values there, solved on the first call for each grid size."""
-        if grid not in self._scans:
-            thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-            self._scans[grid] = (thetas, self.support(thetas))
-        return self._scans[grid]
+    def grid(self, N: int, vectors: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """A(theta) solved on the uniform grid of N angles on [0, 2 pi).
+
+        Returns ``(thetas, w, x)``: the angles, the ascending eigenvalues w
+        at every angle, shape (N, d), and with ``vectors`` the top
+        eigenvectors x, shape (N, d), else None.  For even N only the
+        first N/2 angles are solved: at theta_k + pi the eigenvalues are
+        ``-w[k, ::-1]`` and the top eigenvector is the bottom one at
+        theta_k, because A(theta + pi) = -A(theta).  Odd N solves every
+        angle.  The result is kept per N, read-only; a grid solved with
+        vectors also serves later eigenvalue-only requests.
+        """
+        kept = self._grids.get(N)
+        if kept is not None and (kept[2] is not None or not vectors):
+            return kept
+        thetas = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+        even = N % 2 == 0
+        solved = thetas[: N // 2] if even else thetas
+        x = None
+        if vectors:
+            w, V = self.eigh(solved)
+            x = np.concatenate([V[..., -1], V[..., 0]] if even else [V[..., -1]])
+        else:
+            w = np.linalg.eigvalsh(self.rotate(solved))
+        if even:
+            w = np.concatenate([w, -w[:, ::-1]])
+        # every caller shares the kept arrays
+        for a in (thetas, w, x):
+            if a is not None:
+                a.flags.writeable = False
+        self._grids[N] = (thetas, w, x)
+        return self._grids[N]
 
     def rotate(self, thetas) -> np.ndarray:
         """A(theta) = cos(theta) R + sin(theta) S."""
@@ -191,15 +221,14 @@ class Pencil:
             return np.full(w.shape[:-1], np.inf)
         return w[..., -1] - w[..., -2]
 
-    def slope(self, thetas, V=None) -> np.ndarray:
+    def slope(self, thetas, x=None) -> np.ndarray:
         """Slope x*A'(theta)x of the top eigenvalue curve, x the top
-        eigenvector (from the eigenvectors ``V`` when given)."""
+        eigenvector (the given top eigenvectors ``x`` when passed)."""
         t = np.asarray(thetas, dtype=float)
-        if V is None:
-            V = self.eigh(t)[1]
-        x = V[..., -1]
-        xr = np.einsum("...i,ij,...j->...", x.conj(), self.R, x).real
-        xs = np.einsum("...i,ij,...j->...", x.conj(), self.S, x).real
+        if x is None:
+            x = self.eigh(t)[1][..., -1]
+        xr = np.sum(x.conj() * (x @ self.R.T), axis=-1).real
+        xs = np.sum(x.conj() * (x @ self.S.T), axis=-1).real
         return -np.sin(t) * xr + np.cos(t) * xs
 
     def curvature(self, thetas, eig) -> np.ndarray:
@@ -243,13 +272,17 @@ class Pencil:
 
         Where the top eigenvalue is simple within ``tol`` the face is one
         touch point and mu_lo = mu_hi is the top-curve slope; clustered
-        angles fall back to :meth:`segment`.  ``eig`` passes the
-        :meth:`eigh` result at the same angles when the caller has it.
+        angles fall back to :meth:`segment`.  ``eig`` passes the ascending
+        eigenvalues and the top eigenvectors at the same angles when the
+        caller has them, as :meth:`grid` gives them.
         """
         t = np.asarray(thetas, dtype=float)
-        w, V = self.eigh(t) if eig is None else eig
+        if eig is None:
+            w, V = self.eigh(t)
+            eig = w, V[..., -1]
+        w, x = eig
         sup = w[:, -1].copy()
-        lo = self.slope(t, V)
+        lo = self.slope(t, x)
         hi = lo.copy()
         for j in np.nonzero(self.top_gap(w) <= tol)[0]:
             sup[j], _, mu, _ = self.segment(t[j], tol)

@@ -111,8 +111,8 @@ def relative_depth(A, p, grid: int = 1024) -> float:
     scale = 1.0 + pencil.norm
     half = grid // 2
     # for an even grid this is the scan of boundary_depth as well
-    thetas, sup = pencil.scan(2 * half)
-    width = sup + np.roll(sup, -half)
+    thetas, w, _ = pencil.grid(2 * half)
+    width = w[:, -1] + np.roll(w[:, -1], -half)
     if width.min() > DEGENERATE_THICKNESS_RTOL * scale:
         return boundary_depth(pencil, p, grid)
 

@@ -121,11 +121,21 @@ class ConvexPolygon:
 
     @property
     def diameter(self) -> float:
-        v = self.vertices
+        """Largest distance between two points of the polygon.
+
+        It is attained at an antipodal vertex pair, which supports the
+        polygon at theta and theta + pi.  Between consecutive angles of the
+        outward edge normals and their opposites the pair is constant, so
+        the diameter is the largest vertex distance over those arcs.
+        """
+        v, c = _support_pieces(self)
         if len(v) == 1:
             return 0.0
-        span = v.max(axis=0) - v.min(axis=0)
-        return float(np.hypot(span[0], span[1]))
+        two_pi = 2.0 * np.pi
+        ends = np.sort(np.mod(np.concatenate([c, c + np.pi]), two_pi))
+        mid = (ends + np.append(ends[1:], ends[0] + two_pi)) / 2.0
+        i, j = (_supporting_vertex(c, t) % len(v) for t in (mid, mid + np.pi))
+        return float(np.max(np.hypot(*(v[i] - v[j]).T)))
 
     def centroid(self) -> complex:
         """Area centroid (vertex mean for degenerate polygons)."""
@@ -158,8 +168,8 @@ def boundary_polygon(A, N: int = DEFAULT_BOUNDARY_SAMPLES) -> ConvexPolygon:
     if pencil.d == 1:
         z = complex(pencil.A[0, 0])
         return ConvexPolygon(np.array([[z.real, z.imag]]))
-    thetas = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
-    sup, lo, hi = pencil.faces(thetas, pencil.ctol)
+    thetas, *eig = pencil.grid(N, vectors=True)
+    sup, lo, hi = pencil.faces(thetas, pencil.ctol, eig)
     u = np.exp(1j * thetas)
     zs = np.concatenate([u * (sup + 1j * lo), u * (sup + 1j * hi)])
     pts = np.column_stack([zs.real, zs.imag])
@@ -208,6 +218,13 @@ def _support_pieces(K: ConvexPolygon) -> tuple[np.ndarray, np.ndarray]:
     return v, np.arctan2(-e[0, 0], e[0, 1]) + np.concatenate([[0.0], np.cumsum(turn)])
 
 
+def _supporting_vertex(c: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Index of the vertex that supports at each angle, from the normal
+    angles c of :func:`_support_pieces` (reduce it modulo the vertex
+    count)."""
+    return np.searchsorted(c, c[0] + np.mod(thetas - c[0], 2.0 * np.pi), side="right")
+
+
 def hausdorff(K: ConvexPolygon, L: ConvexPolygon) -> float:
     """Hausdorff distance of two convex polygons, exact up to rounding.
 
@@ -227,7 +244,7 @@ def hausdorff(K: ConvexPolygon, L: ConvexPolygon) -> float:
     ends = np.append(np.sort(np.concatenate(cuts)), two_pi)
     mid = (ends[:-1] + ends[1:]) / 2.0
     # supporting vertex of each polygon on each arc
-    vK, vL = (v[np.searchsorted(c, c[0] + np.mod(mid - c[0], two_pi), side="right") % len(v)] for v, c in pieces)
+    vK, vL = (v[_supporting_vertex(c, mid) % len(v)] for v, c in pieces)
     w = vK - vL
     cos, sin = np.cos(ends), np.sin(ends)
     f = w[:, 0] * cos[:-1] + w[:, 1] * sin[:-1], w[:, 0] * cos[1:] + w[:, 1] * sin[1:]
@@ -259,21 +276,18 @@ class EllipseParams:
         return float(np.hypot(self.semi_minor, self.focal_half_distance))
 
     def boundary_polygon(self, N: int = DEFAULT_BOUNDARY_SAMPLES) -> ConvexPolygon:
-        """Polygon through the support touch points on a uniform angle grid."""
-        a, b = self.semi_major, self.semi_minor
-        if a <= 0.0:
+        """Polygon through the support touch points on a uniform angle grid:
+        the :func:`boundary_polygon` of the 2x2 matrix [[c - f, 2b], [0,
+        c + f]], whose range is this ellipse (center c, foci c -+ f,
+        semi-minor axis b)."""
+        if self.semi_major <= 0.0:
             z = self.center
             return ConvexPolygon(np.array([[z.real, z.imag]]))
-        if b <= 0.0:
+        if self.semi_minor <= 0.0:
             return ConvexPolygon.from_complex(np.array(self.foci))
-        f = self.foci[1] - self.foci[0]
-        phase = f / abs(f) if abs(f) > 0 else 1.0 + 0j
-        thetas = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
-        u = np.exp(1j * thetas) * np.conj(phase)
-        denom = np.sqrt((a * u.real) ** 2 + (b * u.imag) ** 2)
-        touch = (a * a * u.real + 1j * b * b * u.imag) / denom
-        zs = self.center + phase * touch
-        return ConvexPolygon.from_complex(zs)
+        f = (self.foci[1] - self.foci[0]) / 2.0
+        M = np.array([[self.center - f, 2.0 * self.semi_minor], [0.0, self.center + f]])
+        return boundary_polygon(M, N)
 
 
 def ellipse_fit(K: ConvexPolygon) -> EllipseParams | None:

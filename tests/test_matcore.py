@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from numrange import matcore as mc
+from numrange import matcore as mc, rangegeo as rg
 from numrange.errors import PreconditionError
 
-from conftest import CIRCLE_POINT, DISK, random_hermitian, random_matrix
+from conftest import (
+    CIRCLE_POINT,
+    DISK,
+    DISK_EIG_BOUNDARY,
+    JORDAN3,
+    SEGMENT,
+    TRIANGLE,
+    random_hermitian,
+    random_matrix,
+)
 
 
 def test_re_part_examples():
@@ -205,3 +214,63 @@ def test_cubic_roots_triple_and_double():
     assert np.allclose(mc.cubic_roots(-3, 3, -1), [1, 1, 1])
     r = np.sort_complex(mc.cubic_roots(-2, 1.25, -0.25))
     assert np.allclose(r, [0.5, 0.5, 1.0], atol=1e-14)
+
+
+class FullGridPencil(mc.Pencil):
+    """Pencil whose grids solve A(theta) at every linspace angle."""
+
+    def grid(self, N, vectors=False):
+        thetas = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+        w, V = np.linalg.eigh(self.rotate(thetas))
+        return thetas, w, V[..., -1]
+
+
+def half_turn_cases():
+    """The six fixtures and seeded Ginibre draws, d = 1, 2, 3, 8, 32."""
+    rng = np.random.default_rng(5)
+    mats = [
+        ("circle_point", CIRCLE_POINT),
+        ("disk_eig_boundary", DISK_EIG_BOUNDARY),
+        ("disk", DISK),
+        ("triangle", TRIANGLE),
+        ("segment", SEGMENT),
+        ("jordan", JORDAN3),
+    ]
+    for d in (1, 2, 3, 8, 32):
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mats.append((f"ginibre{d}", G / np.linalg.norm(G)))
+    return [pytest.param(A, N, id=f"{name}-{N}") for name, A in mats for N in (64, 65, 512, 1024)]
+
+
+@pytest.mark.parametrize(("A", "N"), half_turn_cases())
+def test_grid_half_turn_matches_full_solve(A, N):
+    tol = 1e-12 * (1.0 + mc.fro(A))
+    thetas = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+    pencil = mc.Pencil(A)
+    want = np.linalg.eigvalsh(pencil.rotate(thetas))
+    got_t, w, x = pencil.grid(N)
+    assert np.array_equal(got_t, thetas) and x is None
+    assert np.max(np.abs(w - want)) <= tol
+    got_t, w, x = mc.Pencil(A).grid(N, vectors=True)
+    assert np.array_equal(got_t, thetas)
+    assert np.max(np.abs(w - want)) <= tol
+    # x is a unit top eigenvector of A(theta) at the linspace angle
+    res = np.einsum("nij,nj->ni", pencil.rotate(thetas), x) - w[:, -1:] * x
+    assert np.max(np.linalg.norm(res, axis=1)) <= tol
+    assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-12
+    poly = rg.boundary_polygon(A, N)
+    ref = rg.boundary_polygon(FullGridPencil(A), N)
+    assert rg.hausdorff(poly, ref) <= tol
+
+
+def test_grid_clustered_face_in_second_half():
+    # TRIANGLE at 3 pi / 2 (grid index 768 of 1024) has the face [0, 1]:
+    # A(3 pi / 2) = diag(0, 0, -1), read from the bottom of A(pi / 2)
+    pencil = mc.Pencil(TRIANGLE)
+    thetas, *eig = pencil.grid(1024, vectors=True)
+    assert thetas[768] == 1.5 * np.pi
+    sup, lo, hi = pencil.faces(thetas, pencil.ctol, eig)
+    assert abs(sup[768]) <= 1e-15 and abs(lo[768]) <= 1e-15 and abs(hi[768] - 1.0) <= 1e-15
+    poly = rg.boundary_polygon(TRIANGLE, 1024)
+    assert rg.hausdorff(poly, rg.boundary_polygon(FullGridPencil(TRIANGLE), 1024)) <= 2e-12
+    assert rg.hausdorff(poly, rg.ConvexPolygon.from_complex([0.0, 1.0, 1.0j])) <= 1e-15

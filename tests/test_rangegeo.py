@@ -190,6 +190,19 @@ def test_hausdorff_exact_on_convex_polygons(rng):
                 assert on_grid - 1e-12 * diam <= d <= on_grid + mesh * diam / 2 + 1e-12 * diam
 
 
+def test_polygon_diameter_exact(rng):
+    """The diameter is the largest pairwise vertex distance (brute force);
+    the unit 4096-gon reads 2, a point 0 and a segment its length."""
+    for _ in range(4):
+        for K in _random_polygons(rng):
+            v = K.vertices
+            brute = float(np.max(np.hypot(*(v[:, None, :] - v[None, :, :]).transpose(2, 0, 1))))
+            assert abs(K.diameter - brute) <= 1e-12 * max(brute, 1.0)
+    assert abs(unit_disk_polygon().diameter - 2.0) <= 1e-12
+    assert rg.ConvexPolygon(np.array([[0.3, -1.0]])).diameter == 0.0
+    assert rg.ConvexPolygon(np.array([[1.0, 1.0], [4.0, 5.0]])).diameter == 5.0
+
+
 def test_ellipse_fit_circle():
     fit = rg.ellipse_fit(unit_disk_polygon(512))
     assert fit is not None
