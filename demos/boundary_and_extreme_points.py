@@ -57,10 +57,10 @@ basis = nr.preimage(A, 2 + 0j)
 print("\npre-image basis at the vertex (2, 0):")
 print(np.round(basis, 6))
 
-# inner sampled hull vs the outer support polygon
+# inner sampled hull vs W(A), read from the support function
 cloud = nr.sample_range(A, 50_000, seed=0)
-gap = nr.hausdorff(nr.hull(cloud), nr.boundary_polygon(A, 1024))
-print(f"\nsampling oracle: Hausdorff gap of 5e4 samples to the boundary polygon = {gap:.2e}")
+gap = nr.range_gap(A, nr.hull(cloud))
+print(f"\nsampling oracle: Hausdorff gap of 5e4 samples to W(A) = {gap:.2e}")
 
 poly = nr.boundary_polygon(A, 512)
 out = sys.argv[1] if len(sys.argv) > 1 else os.path.join(tempfile.gettempdir(), "circle_point_boundary.csv")

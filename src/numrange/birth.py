@@ -26,6 +26,13 @@ def default_H(Q) -> np.ndarray:
 
     Its restriction to span(Q) has eigenvalues {1, 0, ...}: never a
     scalar, with the simplest possible spectrum for endpoint formulas.
+
+    H depends on the basis Q, not only on span(Q): replacing Q by QU for
+    a unitary U changes q1, so H and the ``member`` matrices of a
+    :class:`BirthFamily` built with it change too.  The projector P, the
+    one-sided slopes mu+ and mu- (1 and 0), the flat lengths and the
+    endpoint laws do not.  :func:`birth_family` takes Q from the
+    eigensolver, so pass ``H`` to fix the members across bases.
     """
     Q = np.asarray(Q, dtype=complex)
     if Q.ndim != 2 or Q.shape[1] < 2:

@@ -140,12 +140,12 @@ def _build_parser() -> _Parser:
     add("closure3", "closure membership for E3/F3, with witness matrices", eps=True)
     add("maxent", "maximum-entropy inference at a point", point=True)
     add("probe", "inference discontinuity probe at a point", point=True)
-    add("oracle", "sampled inner hull and its gap to the support polygon", n=True)
+    add("oracle", "sampled inner hull and its Hausdorff gap to W(A), from the support function", n=True)
 
-    sp = sub.add_parser("hausdorff", help="Hausdorff distance of two numerical ranges")
+    sp = sub.add_parser("hausdorff", help="Hausdorff distance of two numerical ranges, from their support functions")
     sp.add_argument("matrix", help="first matrix file")
     sp.add_argument("matrix_b", help="second matrix file")
-    sp.add_argument("--samples", type=int, default=1024)
+    sp.add_argument("--samples", type=int, default=1024, help="angle scan size")
     return p
 
 
@@ -273,7 +273,7 @@ def run(args) -> int:
 
     if cmd == "hausdorff":
         B = parse_matrix(args.matrix_b)
-        d = rg.hausdorff(rg.boundary_polygon(A, args.samples), rg.boundary_polygon(B, args.samples))
+        d = rg.range_distance(A, B, args.samples)
         _emit({"hausdorff": d})
         return 0
 
@@ -307,7 +307,7 @@ def run(args) -> int:
     if cmd == "oracle":
         cloud = oracle.sample_range(A, args.n, args.seed)
         inner = oracle.hull(cloud)
-        gap = rg.hausdorff(inner, rg.boundary_polygon(A, args.samples))
+        gap = rg.range_gap(A, inner, args.samples)
         _emit(
             {
                 "n": args.n,
@@ -335,10 +335,16 @@ def _join_negative_point(argv: list[str]) -> list[str]:
     return out
 
 
+_PARSER: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        # built once per process: in-process callers reuse it
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(_join_negative_point(sys.argv[1:] if argv is None else list(argv)))
+        args = _PARSER.parse_args(_join_negative_point(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -265,6 +265,43 @@ def _golden_min(f, lo: float, hi: float, iters: int = 90) -> float:
     return (a + b) / 2.0
 
 
+def _newton_max(solve, derivs, lo: float, t: float, hi: float, state):
+    """Safeguarded Newton for the maximum of g on a bracket lo <= t <= hi
+    with g'(lo) >= 0 >= g'(hi).
+
+    ``state`` holds the eigendecompositions at t that ``solve(t)`` returns,
+    and ``derivs(t, state)`` gives (g, g', g'') there, with g'' nan where
+    it is undefined (a clustered top eigenvalue).  Each step moves one
+    bracket end to t by the sign of g', then takes the Newton step
+    t - g'/g'' when g'' < 0 and the step stays inside the bracket, and
+    bisects otherwise; bisection also carries it through kinks and
+    cluster bands.  It stops at g' = 0, a Newton step or a bracket below
+    1e-15, or after 80 steps.  Returns the final angle and g at the last
+    angle solved.
+    """
+    for _ in range(80):
+        g, d1, d2 = derivs(t, state)
+        if d1 == 0.0:
+            break
+        if d1 > 0.0:
+            lo = t
+        else:
+            hi = t
+        nt = t - d1 / d2 if d2 < 0.0 else np.nan
+        if abs(nt - t) < 1e-15:
+            t = nt
+            break
+        if not lo < nt < hi:
+            nt = (lo + hi) / 2.0
+        if hi - lo < 1e-15:
+            break
+        t = nt
+        state = solve(t)
+    else:
+        g = derivs(t, state)[0]
+    return t, g
+
+
 def _circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of True in a circular boolean array, as (start, stop)."""
     n = mask.size
@@ -573,9 +610,27 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
                 normal_arc=arc,
             )
         )
-    center = pts.mean()
-    reports.sort(key=lambda r: (np.angle(r.point - center) if n > 1 else 0.0))
-    return reports
+    return [reports[i] for i in _circular_order(pts)]
+
+
+def _circular_order(pts: np.ndarray) -> np.ndarray:
+    """Indices of planar points in counterclockwise order about their mean,
+    starting after the largest angular gap between them.
+
+    The cut falls inside that gap, away from every point, so a
+    rounding-level change of one point does not move it from last to
+    first (a sort by angle in (-pi, pi] cuts at pi).  Gaps within 1e-9
+    rad of the largest tie (mirror-symmetric ranges have equal gaps); of
+    those the one starting at the smallest angle is cut.
+    """
+    if len(pts) < 2:
+        return np.arange(len(pts))
+    ang = np.angle(pts - pts.mean())
+    order = np.argsort(ang, kind="stable")
+    s = ang[order]
+    gaps = np.append(np.diff(s), s[0] + 2.0 * np.pi - s[-1])
+    cut = int(np.argmax(gaps >= gaps.max() - 1e-9))
+    return np.roll(order, -(cut + 1))
 
 
 def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
@@ -612,36 +667,15 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     slo, _, shi = g_slope(cell, V)
     plateau_tol = 1e-11 * (1.0 + pencil.norm) * (1.0 + abs(p))
     if slo >= 0.0 >= shi:
-        lo, t, hi = cell
-        eig = w[1], V[1]
-        for _ in range(80):
+
+        def derivs(t, eig):
+            # g'' = -<p, e^{i t}> - h'' where the top eigenvalue is simple
+            # (h'' is undefined in a cluster)
             pu = _inner(p, np.exp(1j * t))
-            gt = pu - eig[0][-1]
-            d1 = float(g_slope(t, eig[1]))
-            if d1 == 0.0:
-                break
-            if d1 > 0.0:
-                lo = t
-            else:
-                hi = t
-            # Newton on g'' = -<p, e^{i t}> - h'' where the top eigenvalue is
-            # simple (h'' is undefined in a cluster)
-            nt = np.nan
-            if pencil.top_gap(eig[0]) > pencil.ctol:
-                d2 = -pu - float(pencil.curvature(t, eig))
-                if d2 < 0.0:
-                    nt = t - d1 / d2
-            if abs(nt - t) < 1e-15:
-                t = nt
-                break
-            if not lo < nt < hi:
-                nt = (lo + hi) / 2.0
-            if hi - lo < 1e-15:
-                break
-            t = nt
-            eig = pencil.eigh(t)
-        else:
-            gt = _inner(p, np.exp(1j * t)) - eig[0][-1]
+            d2 = -pu - float(pencil.curvature(t, eig)) if pencil.top_gap(eig[0]) > pencil.ctol else np.nan
+            return pu - eig[0][-1], float(g_slope(t, eig[1])), d2
+
+        t, gt = _newton_max(pencil.eigh, derivs, cell[0], cell[1], cell[2], (w[1], V[1]))
         return t % (2.0 * np.pi), float(gt)
     if abs(slo) <= plateau_tol and abs(shi) <= plateau_tol:
         return scan_thetas[j], float(g[j])

@@ -1,10 +1,10 @@
 """Brute-force ground truth for the numerical range.
 
 Seeded sampling of the quadratic-form map gives an inner approximation
-of W(A); its convex hull against the outer support polygon bounds the
-discretization error of everything else.  The sampler is counter-based
-(splitmix64), so any chunking of the draw reproduces the sequential
-stream bit for bit.  :func:`sample_range` uses this: it draws the
+of W(A); the gap between its convex hull and W(A), read from the support
+function of W(A), bounds the discretization error of everything else.
+The sampler is counter-based (splitmix64), so any chunking of the draw
+reproduces the sequential stream bit for bit.  :func:`sample_range` uses this: it draws the
 vectors and evaluates x*Ax in row blocks of at most SAMPLE_BLOCK complex
 entries, written into one preallocated array, so memory stays bounded
 and the points are the same for every block size.
@@ -198,9 +198,9 @@ def hull(points) -> rg.ConvexPolygon:
 
 
 def oracle_gap(A, n: int, N: int, seed: int = 0) -> float:
-    """Hausdorff gap between the sampled inner hull and the support polygon."""
+    """Hausdorff gap between the hull of n sampled points and W(A):
+    :func:`~numrange.rangegeo.range_gap`, max over theta of h_A minus the
+    hull's support function, read from an N-angle scan of h_A."""
     if n < 64 or N < 64:
         raise PreconditionError("oracle_gap requires n, N >= 64")
-    inner = hull(sample_range(A, n, seed))
-    outer = rg.boundary_polygon(A, N)
-    return rg.hausdorff(inner, outer)
+    return rg.range_gap(A, hull(sample_range(A, n, seed)), N)

@@ -124,3 +124,24 @@ def test_necessity_probe_no_flat_near_simply_generated(rng):
         for fp in ex.flat_portions(B, 128):
             d_to_alpha = max(abs(fp.endpoints[0] - alpha), abs(fp.endpoints[1] - alpha))
             assert d_to_alpha >= threshold
+
+
+def test_birth_laws_do_not_depend_on_preimage_basis(rng):
+    # default_H takes the first basis column, so H and the members follow
+    # the basis; P, the flat lengths and the endpoint laws must not
+    eps = [0.2, 0.05, 0.01]
+    for A, alpha in ((DISK_EIG_BOUNDARY, 1 + 0j), (np.kron(np.eye(2), DISK), 1j)):
+        fam = birth.birth_family(A, alpha)
+        Q = fam.basis
+        rows = birth.verify_birth(fam, eps)
+        for _ in range(3):
+            U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            QU = Q @ U
+            other = birth.birth_family(A, alpha, H=birth.default_H(QU))
+            assert np.abs(QU @ QU.conj().T - fam.P).max() <= 1e-14
+            assert np.array_equal(other.P, fam.P)
+            assert (other.mu_minus, other.mu_plus) == pytest.approx((fam.mu_minus, fam.mu_plus), abs=1e-14)
+            for r, s in zip(rows, birth.verify_birth(other, eps), strict=True):
+                assert s.flat_length == pytest.approx(r.flat_length, abs=1e-12)
+                assert s.endpoint_error <= 1e-12 and r.endpoint_error <= 1e-12
+            assert not np.allclose(other.H, fam.H)  # H depends on the basis

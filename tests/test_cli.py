@@ -228,3 +228,27 @@ def test_matrix_dict_roundtrip_through_json():
     doc = json.loads(json.dumps(cli.matrix_dict(A)))
     B = np.asarray(doc["re"]) + 1j * np.asarray(doc["im"])
     assert np.array_equal(A, B)
+
+
+def test_parser_built_once_per_process(capsys, matrix_file, monkeypatch):
+    disk = matrix_file("disk", [[0, 2], [0, 0]])
+    tri = matrix_file("tri", np.diag([0.0, 1.0, 1.0j]))
+    calls = [
+        ("boundary", disk, "--bogus"),  # usage error first
+        ("hausdorff", disk, tri, "--samples", "256"),
+        ("classify3", tri),
+    ]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    cached = [run_cli(capsys, *argv) for argv in calls]
+    parser = cli._PARSER
+    assert parser is not None
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run_cli(capsys, *argv))
+    assert [c[0] for c in cached] == [1, 0, 0]
+    assert [(c[0], c[1]) for c in cached] == [(f[0], f[1]) for f in fresh]
+    assert cached[0][2] == fresh[0][2]  # the same usage message
+    monkeypatch.setattr(cli, "_PARSER", parser)
+    run_cli(capsys, *calls[2])
+    assert cli._PARSER is parser  # reused, not rebuilt

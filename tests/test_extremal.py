@@ -166,6 +166,23 @@ def test_extreme_points_circle_point():
     assert not any(r.multiply_generated for r in reps)
 
 
+def test_extreme_points_order_stable_at_pi():
+    # the report at -1 sits at angle pi about the mean of the reports; a
+    # rounding-level move of its y must not carry it from last to first
+    reps = ex.extreme_points(CIRCLE_POINT, 512)
+    pts = np.array([r.point for r in reps])
+    i = int(np.argmin(np.abs(pts + 1.0)))
+    assert abs(pts[i] + 1.0) < 1e-12
+    assert np.array_equal(ex._circular_order(pts), np.arange(len(pts)))
+    for dy in (1e-16, -1e-16):
+        moved = pts.copy()
+        moved[i] += 1j * dy
+        assert np.array_equal(ex._circular_order(moved), np.arange(len(pts)))
+    # counterclockwise about the mean, cut inside the largest gap
+    ang = np.unwrap(np.angle(pts - pts.mean()))
+    assert np.all(np.diff(ang) > 0.0) and ang[-1] - ang[0] < 2.0 * np.pi
+
+
 def test_extreme_points_multiply_generated():
     reps = ex.extreme_points(DISK_EIG_BOUNDARY, 256)
     best = min(reps, key=lambda r: abs(r.point - 1.0))

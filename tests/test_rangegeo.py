@@ -275,3 +275,117 @@ def test_range_converges_perturbation(rng):
     assert dists[-1] <= dists[0] + 1e-12
     with pytest.raises(PreconditionError):
         rg.range_converges([np.eye(2)], A)
+
+
+def dense_support(A, thetas):
+    """Support function of W(A) at the given angles, from plain eigvalsh."""
+    R, S = (A + A.conj().T) / 2.0, (A - A.conj().T) / 2.0j
+    t = np.asarray(thetas, dtype=float)[:, None, None]
+    return np.concatenate([np.linalg.eigvalsh(np.cos(c) * R + np.sin(c) * S)[:, -1] for c in np.array_split(t, 16)])
+
+
+def dense_distance(A, B, M=65536, coarse=1024):
+    """max |h_A - h_B| over the M-angle uniform scan, and the vertex of
+    the parabola through its best sample and the two neighbours (the scan
+    alone reads up to |g''| (pi/M)^2 / 2 low).
+
+    Only the cells of a coarse scan that can hold a value above the
+    coarse maximum are sampled at full density: |h_A - h_B| is Lipschitz
+    with constant ||A||_2 + ||B||_2, so the result equals the full scan.
+    """
+    r = M // coarse
+    step = 2.0 * np.pi / M
+    lip = np.linalg.norm(A, 2) + np.linalg.norm(B, 2)
+
+    def g(idx):
+        return np.abs(dense_support(A, idx * step) - dense_support(B, idx * step))
+
+    gc = g(np.arange(coarse) * r)
+    bound = (gc + np.roll(gc, -1)) / 2.0 + lip * r * step / 2.0
+    cells = np.nonzero(bound >= gc.max())[0]
+    idx = np.unique((cells[:, None] * r + np.arange(r + 1)) % M)
+    vals = g(idx)
+    j = idx[np.argmax(vals)]
+    lo, mid, hi = g(np.array([j - 1, j, j + 1]) % M)
+    return float(vals.max()), float(mid + (hi - lo) ** 2 / (8.0 * (2.0 * mid - lo - hi)))
+
+
+@pytest.mark.parametrize("d, pairs", [(2, 4), (3, 4), (8, 3), (32, 2)])
+def test_range_distance_matches_dense_scan(rng, d, pairs):
+    for _ in range(pairs):
+        A, B = random_matrix(rng, d), random_matrix(rng, d)
+        scan, ref = dense_distance(A, B)
+        d_AB = rg.range_distance(A, B, 1024)
+        tol = 1e-9 * (1.0 + max(np.linalg.norm(A), np.linalg.norm(B)))
+        # every scanned value is attained, so the distance is not below the scan
+        assert scan - 1e-13 <= d_AB
+        assert abs(d_AB - ref) <= tol
+
+
+def test_range_distance_kinked_fixtures():
+    # the triangle with vertices 0, 1, i against the segment [0, 1] and the unit disk
+    assert rg.range_distance(TRIANGLE, SEGMENT) == pytest.approx(1.0, abs=1e-12)
+    assert rg.range_distance(TRIANGLE, DISK) == pytest.approx(1.0, abs=1e-12)
+    # unit disk about (1 + i)/2: h_disk - h_triangle peaks at the kink of
+    # h_triangle at pi/4 (its top eigenvalue is double there); the rotation
+    # moves that kink off the grid
+    u = np.exp(0.1234j)
+    shifted = DISK + (0.5 + 0.5j) * np.eye(2)
+    d_TB = rg.range_distance(u * TRIANGLE, u * shifted, 1024)
+    assert d_TB == pytest.approx(1.0, abs=1e-12)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    h_T = rg.ConvexPolygon.from_complex(u * np.array([0, 1, 1j])).support(thetas)
+    h_B = 1.0 + ((0.5 + 0.5j) * u * np.exp(-1j * thetas)).real
+    assert np.max(np.abs(h_T - h_B)) < 1.0 - 1e-4  # the grid alone misses the kink
+
+
+def test_range_gap_edge_normal_maximum():
+    # the unit disk against an inscribed equilateral triangle: the gap is
+    # the distance 1 - 1/2 from the circle to each edge, at the edge normals
+    u = np.exp(0.1234j)
+    K = rg.ConvexPolygon.from_complex(u * np.exp(2j * np.pi * np.arange(3) / 3))
+    assert rg.range_gap(DISK, K, 1024) == pytest.approx(0.5, abs=1e-12)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    assert np.max(1.0 - K.support(thetas)) < 0.5 - 1e-6  # the grid alone reads low
+    # an exact triangle against its own range
+    assert rg.range_gap(TRIANGLE, rg.ConvexPolygon.from_complex([0.0, 1.0, 1.0j])) <= 1e-12
+
+
+def test_range_gap_matches_dense_scan(rng):
+    for d in (3, 8):
+        A = random_matrix(rng, d)
+        K = oracle.hull(oracle.sample_range(A, 4000, seed=d))
+        # h_A - h_K peaks on a smooth piece or at an edge normal of K
+        thetas = np.linspace(0.0, 2.0 * np.pi, 65536, endpoint=False)
+        normals = np.mod(rg._support_pieces(K)[1], 2.0 * np.pi)
+        ref = max(np.max(dense_support(A, t) - K.support(t)) for t in (thetas, normals))
+        gap = rg.range_gap(A, K, 1024)
+        assert ref - 1e-13 <= gap <= ref + 1e-9 * (1.0 + np.linalg.norm(A))
+
+
+def test_range_distances_invariances(rng):
+    for d in (2, 3, 5):
+        A, B = random_matrix(rng, d), random_matrix(rng, d)
+        d_AB = rg.range_distance(A, B)
+        tol = 1e-12 * (1.0 + np.linalg.norm(A) + np.linalg.norm(B))
+        assert rg.range_distance(B, A) == d_AB
+        U = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        assert abs(rg.range_distance(U.conj().T @ A @ U, U.conj().T @ B @ U) - d_AB) <= tol
+        c = 0.7 - 0.4j
+        shift = c * np.eye(d)
+        assert abs(rg.range_distance(A + shift, B + shift) - d_AB) <= tol
+        K = oracle.hull(oracle.sample_range(A, 2000, seed=1))
+        gap = rg.range_gap(A, K)
+        assert abs(rg.range_gap(U.conj().T @ A @ U, K) - gap) <= tol
+        Kc = rg.ConvexPolygon.from_complex(K.as_complex() + c)
+        assert abs(rg.range_gap(A + shift, Kc) - gap) <= tol
+
+
+def test_range_distance_preconditions():
+    with pytest.raises(PreconditionError):
+        rg.range_distance(DISK, TRIANGLE, 4)
+    with pytest.raises(PreconditionError):
+        rg.range_gap(DISK, rg.ConvexPolygon.from_complex([0.0, 1.0]), 4)
+    with pytest.raises(PreconditionError):
+        rg.range_gap(DISK, np.array([[0.0, 0.0]]))
+    assert rg.range_distance(DISK, DISK) == 0.0
