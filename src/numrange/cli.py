@@ -8,9 +8,9 @@ parsing them back reproduces the doubles bit for bit.
 
 Exit codes: 0 success, 1 usage error, 2 malformed matrix file,
 3 precondition violation, 4 numerical failure (a computation did not
-reach its tolerance, e.g. a Schur triangularization, the dual Newton
-solve, or two classifier criteria that disagree).  For codes 3 and 4 the
-library diagnostic is printed verbatim on stderr.
+reach its tolerance, e.g. a Schur triangularization or the dual Newton
+solve).  For codes 3 and 4 the library diagnostic is printed verbatim on
+stderr.
 """
 
 from __future__ import annotations
@@ -117,10 +117,10 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="numrange", description="Numerical range analysis of complex matrices.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, point=False, eps=False, n=False):
+    def add(name, help_, point=False, eps=False, n=False, samples="angle grid size"):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("matrix", help="matrix file (JSON with d, re, im)")
-        sp.add_argument("--samples", type=int, default=1024, help="angle grid size")
+        sp.add_argument("--samples", type=int, default=1024, help=samples)
         sp.add_argument("--seed", type=int, default=0, help="sampling seed")
         if point:
             sp.add_argument("--point", required=True, help="planar point 'x,y'")
@@ -135,9 +135,10 @@ def _build_parser() -> _Parser:
     add("preimage", "pre-image basis of an extreme point", point=True)
     add("flat", "flat boundary portions as JSON")
     add("birth", "flat-portion birth family verification", point=True, eps=True)
-    add("classify3", "shape class of a 3x3 matrix")
-    add("canonical3", "canonical reducible form with witnesses")
-    add("closure3", "closure membership for E3/F3, with witness matrices", eps=True)
+    no_grid = "accepted and unused: the 3x3 classifier scans no angle grid"
+    add("classify3", "shape class of a 3x3 matrix", samples=no_grid)
+    add("canonical3", "canonical reducible form with witnesses", samples=no_grid)
+    add("closure3", "closure membership for E3/F3, with witness matrices", eps=True, samples=no_grid)
     add("maxent", "maximum-entropy inference at a point", point=True)
     add("probe", "inference discontinuity probe at a point", point=True)
     add("oracle", "sampled inner hull and its Hausdorff gap to W(A), from the support function", n=True)
@@ -225,7 +226,7 @@ def run(args) -> int:
         return 0
 
     if cmd == "classify3":
-        cls = kipp3.classify(A, grid=min(args.samples, 1024))
+        cls = kipp3.classify(A)
         _emit(
             {
                 "class": cls.class_tag,
@@ -259,13 +260,24 @@ def run(args) -> int:
         return 0
 
     if cmd == "closure3":
-        in_e3 = kipp3.in_closure_E3(A)
-        in_f3 = kipp3.in_closure_F3(A)
-        out = {"in_closure_E3": in_e3, "in_closure_F3": in_f3, "e3_witness": None, "f3_witness": None}
+        # one classification and at most one canonical form serve every
+        # predicate and witness; each witness is still classified itself
+        cls = kipp3.classify(A)
+        cf = kipp3._canonical_if_reducible(A, cls)
+        out = {
+            "in_closure_E3": kipp3._in_closure_E3(cls),
+            "in_closure_F3": kipp3._in_closure_F3(A, cls),
+            "e3_witness": None,
+            "f3_witness": None,
+        }
         eps = _parse_eps(args.eps)
-        for key, fn in (("e3_witness", kipp3.e3_witness), ("f3_witness", kipp3.f3_witness)):
+        witnesses = {
+            "e3_witness": lambda e: kipp3._e3_witness(cls, cf, e),
+            "f3_witness": lambda e: kipp3._f3_witness(A, cls, cf, e),
+        }
+        for key, fn in witnesses.items():
             try:
-                out[key] = [matrix_dict(fn(A, e)) for e in eps]
+                out[key] = [matrix_dict(fn(e)) for e in eps]
             except PreconditionError:
                 out[key] = None
         _emit(out)

@@ -31,6 +31,20 @@ COLLINEAR_TOL = 1e-9
 # Strictness margin for "normal eigenvalue in the interior of the ellipse",
 # measured on the focal-sum excess (about twice the boundary distance).
 INTERIOR_MARGIN_RTOL = 1e-8
+# Stationary points of the discriminant whose pair gap (relative) is
+# larger than this cannot be double eigenvalues and are not polished.
+DOUBLE_SCREEN_RTOL = 1e-3
+
+# The discriminant of A(theta) is a homogeneous sextic in (cos, sin):
+# harmonics 0, 2, 4 and 6 only, fixed by seven angles on [0, pi).  The
+# samples times _DISCRIMINANT_DFT are 7 times the coefficients of
+# e^{2 i k theta}, k = 1, 2, 3 (those of -k are their conjugates).
+_DISCRIMINANT_ANGLES = np.arange(7) * np.pi / 7.0
+_DISCRIMINANT_DFT = np.exp(-2j * np.outer(_DISCRIMINANT_ANGLES, np.arange(1, 4)))
+# Newton steps per double-eigenvalue angle; a tangential zero (gap
+# quadratic in the angle) converges linearly: 12 steps on the disk with
+# its eigenvalue on the boundary, [[0, 2, 0], [0, 0, 0], [0, 0, 1]].
+_DOUBLE_NEWTON_STEPS = 24
 
 CLASS_R3 = "R3"
 CLASS_E3 = "E3"
@@ -79,12 +93,15 @@ def normal_eigenvalues(A) -> list[complex]:
     if np.max(np.abs(eigs - np.mean(eigs))) <= cluster_radius:
         candidates.append(complex(np.mean(eigs)))
 
-    passing: list[tuple[complex, float]] = []
-    for alpha in candidates:
-        stacked = np.vstack([A - alpha * np.eye(d), A.conj().T - np.conj(alpha) * np.eye(d)])
-        smin = np.linalg.svd(stacked, compute_uv=False)[-1]
-        if smin <= NORMAL_EIG_RTOL * scale:
-            passing.append((complex(alpha), float(smin)))
+    alphas = np.array(candidates, dtype=complex)[:, None, None]
+    eye = np.eye(d)
+    stacked = np.concatenate([A - alphas * eye, A.conj().T - alphas.conj() * eye], axis=1)
+    smins = np.linalg.svd(stacked, compute_uv=False)[:, -1]
+    passing = [
+        (complex(alpha), float(smin))
+        for alpha, smin in zip(candidates, smins, strict=True)
+        if smin <= NORMAL_EIG_RTOL * scale
+    ]
     passing.sort(key=lambda t: t[1])
     out: list[complex] = []
     for alpha, _ in passing:
@@ -229,28 +246,95 @@ def _is_normal_matrix(A: np.ndarray) -> bool:
     return mc.fro(comm) <= 1e-10 * (1.0 + mc.fro(A) ** 2)
 
 
-def _rank_one_angles(pencil: mc.Pencil, candidates: list[float]) -> list[float]:
-    """Candidate angles where support(theta) I - A(theta) has rank exactly one.
+def _bloch_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Inner product of the Bloch vectors of stacked Hermitian 2x2 matrices."""
+    off = (X[..., 0, 1] * Y[..., 0, 1].conj()).real
+    return off + (X[..., 0, 0] - X[..., 1, 1]).real * (Y[..., 0, 0] - Y[..., 1, 1]).real / 4.0
 
-    Equivalent to the top eigenvalue of A(theta) being doubly degenerate
-    with the third eigenvalue strictly below; scanning theta over the
-    full circle also covers degeneracies of the minimal eigenvalue
-    (A(theta + pi) = -A(theta)).
+
+def _double_eigenvalue_angles(pencil: mc.Pencil) -> list[float]:
+    """Angles in [0, 2 pi) where the top eigenvalue of a 3x3 A(theta) is double.
+
+    A double eigenvalue of a 3x3 A(theta) is the top or the bottom one,
+    so these angles are the real zeros of the discriminant
+    Delta(theta) = prod_{i<j} (lambda_i - lambda_j)^2 (Kippenhahn 1951;
+    Keeler, Rodman & Spitkovsky 1997), each taken at theta or at
+    theta + pi (A(theta + pi) = -A(theta)).  Delta >= 0 is a
+    trigonometric polynomial in 2 theta of degree 3, so its zeros are
+    among its stationary points: the roots of a degree-6 polynomial in
+    z = e^{2 i theta}, whose coefficients come from seven eigenvalue
+    samples.  The root angles whose top (theta) or bottom (theta + pi)
+    pair gap passes ``DOUBLE_SCREEN_RTOL`` are polished by Newton on the
+    two top eigenvalues: the step zeroes the traceless part of the
+    compression of A(theta) + delta A'(theta) onto their eigenspace, which
+    stays accurate where the two eigenvectors themselves do not.  A
+    polished angle is kept when its top gap is within ``GAP_REFINE_RTOL``;
+    kept angles closer than ``ARC_SINGLE_ANGLE`` are one angle, the one of
+    least gap.
     """
-    w = np.linalg.eigvalsh(pencil.rotate(np.array(candidates, dtype=float)))
-    gap_tol = 10 * extremal.GAP_REFINE_RTOL * (1.0 + pencil.norm)
-    keep = (w[:, -1] - w[:, -2] <= gap_tol) & (w[:, -1] - w[:, 0] > pencil.ctol)
-    return [t for t, k in zip(candidates, keep, strict=True) if k]
+    scale = 1.0 + pencil.norm
+    w = np.linalg.eigvalsh(pencil.rotate(_DISCRIMINANT_ANGLES)) / scale
+    disc = ((w[:, 1] - w[:, 0]) * (w[:, 2] - w[:, 0]) * (w[:, 2] - w[:, 1])) ** 2
+    c1, c2, c3 = disc @ _DISCRIMINANT_DFT
+    # 7 z^3 Delta'/i as a polynomial in z, highest power first
+    deriv = [3 * c3, 2 * c2, c1, 0.0, -c1.conj(), -2 * c2.conj(), -3 * c3.conj()]
+    roots = np.angle(np.roots(deriv)) / 2.0 % np.pi
+    w = np.linalg.eigvalsh(pencil.rotate(roots))
+    screen = DOUBLE_SCREEN_RTOL * scale
+    t = np.concatenate([roots[w[:, 2] - w[:, 1] <= screen], roots[w[:, 1] - w[:, 0] <= screen] + np.pi])
+
+    # Newton, keeping the angle of least top gap; an angle stops at the
+    # rounding floor of the gap, on a vanishing step, or after two steps
+    # that did not lower its gap (a near miss of two eigenvalues)
+    floor = 4.0 * np.finfo(float).eps * scale
+    best_t, best_gap = t.copy(), np.full(t.size, np.inf)
+    stalled = np.zeros(t.size, dtype=int)
+    live = np.arange(t.size)
+    for _ in range(_DOUBLE_NEWTON_STEPS):
+        if not live.size:
+            break
+        tl = t[live]
+        At = pencil.rotate(tl)
+        wl, V = np.linalg.eigh(At)
+        Q = V[..., 1:]
+        Qh = Q.conj().swapaxes(-1, -2)
+        gap = wl[:, 2] - wl[:, 1]
+        better = gap < best_gap[live]
+        best_t[live[better]], best_gap[live[better]] = tl[better], gap[better]
+        stalled[live] = np.where(better, 0, stalled[live] + 1)
+        C = Qh @ pencil.prime(tl) @ Q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = _bloch_dot(Qh @ At @ Q, C) / _bloch_dot(C, C)
+        done = (gap <= floor) | ~np.isfinite(step) | (np.abs(step) <= 1e-15) | (stalled[live] >= 2)
+        t[live[~done]] -= step[~done]
+        live = live[~done]
+
+    keep = best_gap <= extremal.GAP_REFINE_RTOL * scale
+    groups: list[list[tuple[float, float]]] = []  # (angle, gap), chained within ARC_SINGLE_ANGLE
+    for angle, gap in sorted(zip(best_t[keep] % (2.0 * np.pi), best_gap[keep])):
+        if groups and angle - groups[-1][-1][0] <= extremal.ARC_SINGLE_ANGLE:
+            groups[-1].append((angle, gap))
+        else:
+            groups.append([(angle, gap)])
+    if len(groups) > 1 and groups[0][0][0] + 2.0 * np.pi - groups[-1][-1][0] <= extremal.ARC_SINGLE_ANGLE:
+        groups[0] += groups.pop()
+    return sorted(float(min(g, key=lambda p: p[1])[0]) for g in groups)
 
 
 def classify(A, grid: int = 512) -> KippenhahnClassification:
     """Assign the unique class R3/E3/F3/O3 and a shape descriptor.
 
     R3 shapes follow the normal-eigenvalue geometry (point, segment,
-    triangle, ellipse, or ellipse plus an outside point).  Irreducible
-    matrices are E3 when the elliptical criterion fires, F3 when a flat
-    portion exists (the geometric scan and the rank-one criterion are
-    both evaluated and must agree), and O3 otherwise.
+    triangle, ellipse, or ellipse plus an outside point).  An irreducible
+    matrix is F3 when the face of W(A) at one of the angles where the top
+    eigenvalue of A(theta) is double (the real zeros of the discriminant
+    of A(theta), :func:`_double_eigenvalue_angles`) is a segment longer
+    than ``FLAT_LENGTH_RTOL``; there the top eigenvalue is double with the
+    third one below, so support(theta) I - A(theta) has rank one.  A zero
+    whose face is a single point is a tangentially multiply generated
+    boundary point, not a flat portion.  Otherwise it is E3 when the
+    elliptical criterion fires, and O3 when it does not.  ``grid`` is
+    accepted for compatibility and unused: no angle grid is scanned.
     """
     A = _require_3x3(A)
     scale = 1.0 + mc.fro(A)
@@ -280,19 +364,8 @@ def classify(A, grid: int = 512) -> KippenhahnClassification:
         )
         return KippenhahnClassification(CLASS_R3, shape, ne, ed, [])
 
-    ed = elliptic_data(A)
-    # one gap scan and one candidate search serve both criteria
-    extremal._require_grid(grid, "classify")
     pencil = mc.Pencil(A)
-    thetas, w, _ = pencil.grid(grid)
-    candidates = extremal._flat_candidates(pencil, thetas, pencil.top_gap(w))
-    portions = extremal._flat_portions(pencil, candidates)
-    rank_one = _rank_one_angles(pencil, candidates)
-    if bool(portions) != bool(rank_one):
-        raise NumericalError(
-            "flat-portion scan and rank-one criterion disagree; the matrix "
-            "sits numerically on a class boundary"
-        )
+    portions = extremal._flat_portions(pencil, _double_eigenvalue_angles(pencil))
     if portions:
         # a genuine flat portion rules out an elliptical range; near the
         # common closure boundary the algebraic elliptic match can fire
@@ -300,6 +373,7 @@ def classify(A, grid: int = 512) -> KippenhahnClassification:
         return KippenhahnClassification(
             CLASS_F3, "flat_portion_shape", [], None, [fp.theta for fp in portions]
         )
+    ed = elliptic_data(A)
     if ed is not None:
         return KippenhahnClassification(CLASS_E3, "ellipse_irreducible", [], ed, [])
     return KippenhahnClassification(CLASS_O3, "ovular", [], None, [])
@@ -520,9 +594,14 @@ def in_closure_E3(A, grid: int = 512) -> bool:
     """Norm-closure membership for the elliptical class.
 
     True iff A is itself E3, or is reducible with numerical range an
-    ellipse, a segment, or a point.
+    ellipse, a segment, or a point.  ``grid`` is unused, as in
+    :func:`classify`.
     """
-    cls = classify(_require_3x3(A), grid)
+    return _in_closure_E3(classify(_require_3x3(A)))
+
+
+def _in_closure_E3(cls: KippenhahnClassification) -> bool:
+    """:func:`in_closure_E3` from the classification of A."""
     if cls.class_tag == CLASS_E3:
         return True
     return cls.class_tag == CLASS_R3 and cls.shape in ("ellipse", "segment", "point")
@@ -533,10 +612,15 @@ def in_closure_F3(A, grid: int = 512) -> bool:
 
     True iff A is itself F3, or is reducible and W(A) is not an ellipse
     with the normal eigenvalue strictly in the interior (strictness
-    margin relative to 1 + ||A||).
+    margin relative to 1 + ||A||).  ``grid`` is unused, as in
+    :func:`classify`.
     """
     A = _require_3x3(A)
-    cls = classify(A, grid)
+    return _in_closure_F3(A, classify(A))
+
+
+def _in_closure_F3(A: np.ndarray, cls: KippenhahnClassification) -> bool:
+    """:func:`in_closure_F3` from the classification ``cls`` of A."""
     if cls.class_tag == CLASS_F3:
         return True
     if cls.class_tag != CLASS_R3:
@@ -545,6 +629,11 @@ def in_closure_F3(A, grid: int = 512) -> bool:
         return True
     excess = cls.elliptic.focal_excess(cls.elliptic.lam)
     return excess >= -2.0 * INTERIOR_MARGIN_RTOL * (1.0 + mc.fro(A))
+
+
+def _canonical_if_reducible(A, cls: KippenhahnClassification) -> CanonicalForm3 | None:
+    """Canonical form of A when its classification ``cls`` is R3, else None."""
+    return canonical_reducible_form(A) if cls.class_tag == CLASS_R3 else None
 
 
 def m_alpha_beta(alpha: float, beta: float) -> np.ndarray:
@@ -613,14 +702,19 @@ def e3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
     re-classified and must come out E3.
     """
     A = _require_3x3(A)
+    cls = classify(A)
+    return _e3_witness(cls, _canonical_if_reducible(A, cls), eps)
+
+
+def _e3_witness(cls: KippenhahnClassification, cf: CanonicalForm3 | None, eps: float) -> np.ndarray:
+    """:func:`e3_witness` from the classification ``cls`` of A and, when A
+    is reducible, its canonical form ``cf`` (:func:`_canonical_if_reducible`)."""
     if eps <= 0:
         raise PreconditionError("e3_witness requires eps > 0")
-    cls = classify(A, grid)
     if cls.class_tag == CLASS_E3:
         raise PreconditionError("matrix is already in E3")
-    if not in_closure_E3(A, grid):
+    if not _in_closure_E3(cls):
         raise PreconditionError("matrix is not in the closure of E3")
-    cf = canonical_reducible_form(A, grid)
 
     if cf.form == "zero":
         B = eps * _segment_e3_member(0.5, 1.0)
@@ -635,7 +729,7 @@ def e3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
     else:
         raise PreconditionError("matrix is not in the closure of E3")
 
-    check = classify(B, grid)
+    check = classify(B)
     if check.class_tag != CLASS_E3:
         raise NumericalError(f"witness failed to classify as E3 (got {check.class_tag})")
     return B
@@ -652,14 +746,21 @@ def f3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
     re-classified and must come out F3.
     """
     A = _require_3x3(A)
+    cls = classify(A)
+    return _f3_witness(A, cls, _canonical_if_reducible(A, cls), eps)
+
+
+def _f3_witness(
+    A: np.ndarray, cls: KippenhahnClassification, cf: CanonicalForm3 | None, eps: float
+) -> np.ndarray:
+    """:func:`f3_witness` from the classification ``cls`` of A and, when A
+    is reducible, its canonical form ``cf`` (:func:`_canonical_if_reducible`)."""
     if eps <= 0:
         raise PreconditionError("f3_witness requires eps > 0")
-    cls = classify(A, grid)
     if cls.class_tag == CLASS_F3:
         raise PreconditionError("matrix is already in F3")
-    if not in_closure_F3(A, grid):
+    if not _in_closure_F3(A, cls):
         raise PreconditionError("matrix is not in the closure of F3")
-    cf = canonical_reducible_form(A, grid)
     ones = np.ones((3, 3), dtype=complex)
 
     if cf.form == "zero":
@@ -679,7 +780,7 @@ def f3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
             # double eigenvalue, so the entrywise i*eps perturbation is
             # already irreducible with the rank-one criterion intact
             B = np.array([[0, 2, 0], [0, 0, 0], [0, 0, 1]], dtype=complex) + 1j * eps * ones
-            check = classify(B, grid)
+            check = classify(B)
             if check.class_tag != CLASS_F3:
                 raise NumericalError(
                     f"witness failed to classify as F3 (got {check.class_tag})"
@@ -709,7 +810,7 @@ def f3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
         T0_inv = np.array([[1.0, -r], [0.0, 1.0]])
         B = affine_transform(u @ D_eps @ u.conj().T, T0_inv)
 
-    check = classify(B, grid)
+    check = classify(B)
     if check.class_tag != CLASS_F3:
         raise NumericalError(f"witness failed to classify as F3 (got {check.class_tag})")
     return B

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from numrange import cli, kipp3
-from numrange.errors import NumericalError
+from numrange.errors import NumericalError, PreconditionError
 
 
 @pytest.fixture
@@ -157,6 +157,49 @@ def test_closure3_command(capsys, matrix_file):
     doc = json.loads(out)
     assert doc["in_closure_E3"] and not doc["in_closure_F3"]
     assert doc["f3_witness"] is None
+
+
+def test_closure3_classifies_the_matrix_once(capsys, matrix_file, monkeypatch):
+    eps = [0.01, 0.001]
+    for a in (0.5, 1.0, 2.0):
+        A = np.array([[0, 2, 0], [0, 0, 0], [0, 0, a]], dtype=complex)
+        path = matrix_file(f"a{a}", A)
+        with monkeypatch.context() as m:
+            classified, canonical = [], []
+            classify, canonical_form = kipp3.classify, kipp3.canonical_reducible_form
+
+            def counting_classify(B, *args, **kwargs):
+                classified.append(np.array_equal(B, A))
+                return classify(B, *args, **kwargs)
+
+            def counting_canonical(B, *args, **kwargs):
+                canonical.append(np.array_equal(B, A))
+                return canonical_form(B, *args, **kwargs)
+
+            m.setattr(kipp3, "classify", counting_classify)
+            m.setattr(kipp3, "canonical_reducible_form", counting_canonical)
+            code, out, _ = run_cli(capsys, "closure3", path, "--eps", "0.01,0.001")
+        assert code == 0
+        doc = json.loads(out)
+        witnesses = sum(doc[key] is not None for key in ("e3_witness", "f3_witness")) * len(eps)
+        # A once; every witness matrix once more
+        assert classified.count(True) == 1
+        assert classified.count(False) == witnesses
+        assert canonical == [True]
+
+        def public(fn):
+            try:
+                return [cli.matrix_dict(fn(A, e)) for e in eps]
+            except PreconditionError:
+                return None
+
+        want = {
+            "in_closure_E3": kipp3.in_closure_E3(A),
+            "in_closure_F3": kipp3.in_closure_F3(A),
+            "e3_witness": public(kipp3.e3_witness),
+            "f3_witness": public(kipp3.f3_witness),
+        }
+        assert out == json.dumps(want, indent=2) + "\n"
 
 
 def test_canonical3_command(capsys, matrix_file):

@@ -4,7 +4,7 @@ import pytest
 from numrange import extremal as ex, kipp3, matcore as mc, rangegeo as rg
 from numrange.errors import PreconditionError
 
-from conftest import JORDAN3, TRIANGLE, random_matrix
+from conftest import DISK_EIG_BOUNDARY, JORDAN3, TRIANGLE, random_matrix
 
 
 def cp(a):
@@ -109,6 +109,60 @@ def test_classify_agreement_with_flat_scan(rng):
         assert (cls.class_tag == "F3") == (
             has_flat and not kipp3.normal_eigenvalues(A)
         )
+
+
+def flat_display(a=2.0, eps=0.1):
+    return np.diag([a, a, -a]).astype(complex) + (1j / a) * np.array(
+        [[0, 0, eps], [0, np.sqrt(a * a - 1), 1j], [eps, -1j, -np.sqrt(a * a - 1)]]
+    )
+
+
+def circular_gap(s, t):
+    d = abs(s - t) % (2 * np.pi)
+    return min(d, 2 * np.pi - d)
+
+
+def test_double_eigenvalue_angles_match_dense_scan(rng):
+    # reference: a 4096-angle gap scan refined by golden-section search
+    def dense_portions(A):
+        pencil = mc.Pencil(A)
+        thetas, w, _ = pencil.grid(4096)
+        return ex._flat_portions(pencil, ex._flat_candidates(pencil, thetas, pencil.top_gap(w)))
+
+    cases = [random_matrix(rng, 3) for _ in range(500)]
+    for a in (0.0, 0.5, 1.0, 1.25, 2.0):
+        for eps in (1e-2, 1e-3):
+            for witness in (kipp3.e3_witness, kipp3.f3_witness):
+                try:
+                    cases.append(witness(cp(a), eps))
+                except PreconditionError:
+                    pass
+    for _ in range(20):
+        Q = random_unitary3(rng)
+        T, s = random_affine(rng)
+        cases.append(kipp3.affine_transform(Q.conj().T @ flat_display() @ Q, T, s))
+    flat_cases = 0
+    for A in cases:
+        pencil = mc.Pencil(A)
+        got = ex._flat_portions(pencil, kipp3._double_eigenvalue_angles(pencil))
+        want = dense_portions(A)
+        assert bool(got) == bool(want)
+        assert len(got) == len(want)
+        for fp in want:
+            assert min(circular_gap(fp.theta, g.theta) for g in got) <= 1e-9
+        flat_cases += bool(got)
+    assert flat_cases >= 20 + 6  # the display copies and every F3 witness
+
+
+def test_double_eigenvalue_angle_at_tangential_point():
+    # the top eigenvalue of A(0) is double, but the face there is the single
+    # point 1: a tangentially multiply generated point, not a flat portion
+    pencil = mc.Pencil(DISK_EIG_BOUNDARY)
+    angles = kipp3._double_eigenvalue_angles(pencil)
+    assert len(angles) == 1
+    assert circular_gap(angles[0], 0.0) <= 1e-6
+    assert abs(ex.face(pencil, angles[0]).p_plus - 1.0) <= 1e-6
+    assert ex._flat_portions(pencil, angles) == []
 
 
 def test_partition_is_total_and_o3_dominates(rng):
