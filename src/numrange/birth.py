@@ -92,7 +92,7 @@ def birth_family(A, alpha, H=None, grid: int = 512) -> BirthFamily:
     scale = 1.0 + pencil.norm
     tol = extremal.POINT_MATCH_RTOL * scale
 
-    # the pre-image face, with the angle of a tangentially supported point pinned
+    # the pre-image face at the supporting angle
     fd, basis = extremal._preimage(pencil, alpha, *extremal.supporting_angle(pencil, alpha, grid))
     theta = fd.theta
     if fd.length <= tol:

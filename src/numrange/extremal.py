@@ -34,8 +34,6 @@ ARC_SINGLE_ANGLE = 1e-6
 POINT_MATCH_RTOL = 1e-8
 # Crossing refinement target for the top eigenvalue gap.
 GAP_REFINE_RTOL = 1e-12
-# Scalarity defect of the compressed derivative above rounding (relative).
-SCALAR_DEFECT_RTOL = 1e-12
 # Machine-level degeneracy threshold for face membership probes.  The
 # reported faces and pre-images group eigenvalues at CLUSTER_RTOL, but
 # deciding whether a *probe angle* carries a genuine segment must not:
@@ -45,6 +43,10 @@ SCALAR_DEFECT_RTOL = 1e-12
 STRICT_GAP_RTOL = 1e-14
 
 _BISECT_STEPS = 48
+# Parts a bracket is cut into by one section step of _false_position.
+_SECTIONS = 8
+# Rounding level of the arc-edge distance and of slopes (relative).
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def cluster_tolerance(A) -> float:
@@ -190,57 +192,108 @@ def _bisect(inside, inner, outer) -> np.ndarray:
     return inner
 
 
-def _false_position(f, a, fa, b, fb, tol) -> np.ndarray:
-    """Batched Illinois false position on the sign changes of f.
+def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
+    """Batched safeguarded root search on the sign changes of f.
 
     Bracket i has its inside end ``a[i]`` (f <= 0) and its outside end
     ``b[i]`` (f > 0), with values ``fa``/``fb``; ``f(t, idx)`` evaluates
-    f at the angles ``t`` of the brackets ``idx`` (one stacked solve).
-    An end kept by two false-position steps in a row has its value
-    halved (Illinois), a bracket whose last step did not halve it bisects
-    next, and no point lands within tol/2 of an end.  An outside
-    bisection point with more than 3/4 of the value at the outside end it
-    replaces shows a jump of f (a convex f, or a nearly linear concave
-    one, gives at most about 1/2); there the secant point keeps landing
-    next to the inside end, so the bracket bisects until an outside
-    bisection point shows no jump.  Stops when a bracket is at most
-    max(tol, 4 ulp) wide; returns the inside ends.
+    f at the angles ``t`` of the brackets ``idx`` (one stacked solve; a
+    bracket may appear more than once) and returns ``(values,
+    proposals)``: the angle a local model of the bracket predicts for its
+    root, nan where it has none.  ``seed`` holds the proposals for the
+    first step and the angles they were made at.
+
+    Each step takes one of three moves per bracket:
+
+    - a proposal, when it lies in the bracket and, as in rtsafe
+      (Numerical Recipes), its step is at most half the step before
+      when that was a proposal step too;
+    - else Illinois false position: an end kept by two false-position
+      steps in a row has its value halved;
+    - a section step where asked to: the bracket is cut into
+      ``_SECTIONS`` equal parts, evaluated in the same stacked solve,
+      and the part where f first turns positive from the inside end is
+      kept.  A bracket sections after a false-position step that did not
+      halve it, where the secant point is not strictly inside, and while
+      f shows a jump: the first positive cut with more than 3/4 of the
+      value at the next point out (a convex f, or a nearly linear concave
+      one, gives at most about 1/2).  At a jump the secant point keeps
+      landing next to the inside end.
+
+    No point lands within tol/2 of an end (Brent's minimum step), so one
+    step past a converged end closes the bracket.  A point with
+    |f| <= ``floor``, the rounding level of f, is a root: its bracket
+    closes there.  Stops when a bracket is at most max(tol, 4 ulp) wide;
+    returns the inside ends.
     """
     a, fa, b, fb = (np.array(x, dtype=float) for x in (a, fa, b, fb))
     tol = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    prop, at = (np.array(x, dtype=float) for x in seed)  # each bracket's proposal, and where it was made
+    last = np.full(a.size, np.inf)  # the last proposal step, inf after any other step
     kept = np.zeros(a.size, dtype=int)  # end kept by the last false-position step: +1 a, -1 b
-    halve = np.zeros(a.size, dtype=bool)
-    jump = np.zeros(a.size, dtype=bool)
+    section = np.zeros(a.size, dtype=bool)
     f_out = fb.copy()  # f at the outside end, without the Illinois halvings
+    cuts = np.arange(1, _SECTIONS) / _SECTIONS
     live = np.nonzero(np.abs(b - a) > tol)[0]
     while live.size:
         al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = al - fal * (bl - al) / (fbl - fal)
-        # a secant point within tol/2 of an end moves to tol/2 from it
-        # (Brent's minimum step): one step past a converged end closes the
-        # bracket
+        pl = prop[live]
+        take = ~section[live] & ((pl - al) * (pl - bl) <= 0.0) & (np.abs(pl - at[live]) <= last[live] / 2.0)
+        t[take] = pl[take]
         half_tol = np.copysign(tol[live] / 2.0, bl - al)
         t = np.where(np.abs(t - al) < np.abs(half_tol), al + half_tol, t)
         t = np.where(np.abs(t - bl) < np.abs(half_tol), bl - half_tol, t)
-        # bisect where asked to, or where the secant point is not strictly inside
-        bis = halve[live] | jump[live] | ~((t - al) * (t - bl) < 0.0)
-        t[bis] = (al[bis] + bl[bis]) / 2.0
-        ft = f(t, live)
-        inside = ft <= 0.0
-        # Illinois over the false-position steps (bisections do not count):
-        # an end kept by two of them in a row has its value halved
-        i_in, i_out = live[inside & ~bis], live[~inside & ~bis]
+        sec = ~take & (section[live] | ~((t - al) * (t - bl) < 0.0))
+        one, many = live[~sec], live[sec]
+        tk = al[sec, None] + (bl - al)[sec, None] * cuts
+        fs, ps = f(np.concatenate([t[~sec], tk.ravel()]), np.concatenate([one, np.repeat(many, cuts.size)]))
+
+        # one point: it replaces the end on its side
+        t1, f1, p1 = t[~sec], fs[: one.size], ps[: one.size]
+        inside = f1 <= 0.0
+        # Illinois over the false-position steps: an end kept by two of
+        # them in a row has its value halved
+        fp = ~take[~sec]
+        i_in, i_out = one[inside & fp], one[~inside & fp]
         fb[i_in[kept[i_in] == -1]] /= 2.0
         fa[i_out[kept[i_out] == 1]] /= 2.0
         kept[i_in], kept[i_out] = -1, 1
-        a[live[inside]], fa[live[inside]] = t[inside], ft[inside]
-        out_bis = bis & ~inside
-        jump[live[out_bis]] = ft[out_bis] > 0.75 * f_out[live[out_bis]]
-        b[live[~inside]], fb[live[~inside]], f_out[live[~inside]] = t[~inside], ft[~inside], ft[~inside]
-        width = np.abs(b[live] - a[live])
-        halve[live] = ~bis & (width > np.abs(bl - al) / 2.0)
-        live = live[width > tol[live]]
+        a[one[inside]], fa[one[inside]] = t1[inside], f1[inside]
+        b[one[~inside]], fb[one[~inside]], f_out[one[~inside]] = t1[~inside], f1[~inside], f1[~inside]
+        last[one] = np.where(take[~sec], np.abs(t1 - at[one]), np.inf)
+        prop[one], at[one] = p1, t1
+        section[one] = fp & (np.abs(b[one] - a[one]) > np.abs(bl - al)[~sec] / 2.0)
+
+        # sectioned: keep the part where f first turns positive
+        if many.size:
+            # the cuts between the two ends, with their values and proposals
+            tk = np.concatenate([al[sec, None], tk, bl[sec, None]], axis=1)
+            fk = np.concatenate([fal[sec, None], fs[one.size :].reshape(-1, cuts.size), f_out[many, None]], axis=1)
+            pk = np.concatenate([prop[many, None], ps[one.size :].reshape(-1, cuts.size), prop[many, None]], axis=1)
+            r = np.arange(many.size)
+            j = np.argmax(fk[:, 1:] > 0.0, axis=1) + 1  # first positive point (the old outside end at worst)
+            nxt = np.minimum(j + 1, cuts.size + 1)
+            section[many] = fk[r, j] > 0.75 * fk[r, nxt]
+            a[many], fa[many] = tk[r, j - 1], fk[r, j - 1]
+            b[many], fb[many], f_out[many] = tk[r, j], fk[r, j], fk[r, j]
+            # the proposal of the new inside end where it lies in the part,
+            # else that of the new outside end
+            pa, pb = pk[r, j - 1], pk[r, j]
+            use_a = (pa - a[many]) * (pa - b[many]) < 0.0
+            prop[many] = np.where(use_a, pa, pb)
+            at[many] = np.where(use_a, a[many], b[many])
+            last[many] = np.inf
+            kept[many] = 0
+            t1 = np.concatenate([t1, tk[:, 1:-1].ravel()])
+            f1 = np.concatenate([f1, fk[:, 1:-1].ravel()])
+            one = np.concatenate([one, np.repeat(many, cuts.size)])
+
+        # a root to rounding closes its bracket
+        root = np.abs(f1) <= floor
+        a[one[root]] = b[one[root]] = t1[root]
+        live = live[np.abs(b[live] - a[live]) > tol[live]]
     return a
 
 
@@ -270,14 +323,16 @@ def _newton_max(solve, derivs, lo: float, t: float, hi: float, state):
     with g'(lo) >= 0 >= g'(hi).
 
     ``state`` holds the eigendecompositions at t that ``solve(t)`` returns,
-    and ``derivs(t, state)`` gives (g, g', g'') there, with g'' nan where
-    it is undefined (a clustered top eigenvalue).  Each step moves one
-    bracket end to t by the sign of g', then takes the Newton step
-    t - g'/g'' when g'' < 0 and the step stays inside the bracket, and
-    bisects otherwise; bisection also carries it through kinks and
-    cluster bands.  It stops at g' = 0, a Newton step or a bracket below
-    1e-15, or after 80 steps.  Returns the final angle and g at the last
-    angle solved.
+    and ``derivs(t, state)`` gives (g, g', g'') there.  Where g has no
+    second derivative (a clustered top eigenvalue) g'' is nan, or the mean
+    of g'' between t and the maximizer of a local model (see
+    :func:`_reduced_argmax`), so that the Newton step lands on that
+    maximizer; g' = 0 reports t as a maximum (a kink test that passed).
+    Each step moves one bracket end to t by the sign of g', then takes the
+    Newton step t - g'/g'' when g'' < 0 and the step stays inside the
+    bracket, and bisects otherwise.  It stops at g' = 0, a Newton step or
+    a bracket below 1e-15, or after 80 steps.  Returns the final angle and
+    g at the last angle solved.
     """
     for _ in range(80):
         g, d1, d2 = derivs(t, state)
@@ -300,6 +355,103 @@ def _newton_max(solve, derivs, lo: float, t: float, hi: float, state):
     else:
         g = derivs(t, state)[0]
     return t, g
+
+
+def _reduced_argmax(pencil: mc.Pencil, p: complex, t: float, eig, lo: float, hi: float) -> tuple[float, float]:
+    """Maximizer of g(theta) = <p, e^{i theta}> - h(theta) on [lo, hi] from
+    the reduced pencil of the top eigenvalue cluster of A(t).
+
+    ``eig`` is the :meth:`~numrange.matcore.Pencil.eigh` result at t,
+    whose top eigenvalue is clustered within ``ctol``.  The top eigenvalue
+    of the k x k pencil M(delta) of :meth:`~numrange.matcore.Pencil.reduced`
+    follows h(t + delta) through the band, so the maximum is sought on it
+    with k x k solves only.  The one-sided derivatives of g at delta come
+    from the extreme eigenvalues of M'(delta) compressed onto the model's
+    top eigenspace at rounding level (one value where it is simple).  The
+    kink test ends the search at g'(delta-) > 0 > g'(delta+), where both
+    are zero to rounding, or where one side is zero and g is strictly
+    concave along that side's branch (the tangent point of a flat
+    portion), the slopes being clearly split so that the branches are
+    told apart.  The rounding of the input turns an exact crossing into
+    an avoided one, whose smooth maximum can sit about 1e-11 rad away; the
+    kink test keeps the crossing.  At a tangentially multiply generated
+    point g is zero all along the point's own branch, which touches the
+    top one; such a one-sided zero is no maximum.  In a cluster the
+    eigenvectors mix, and the mean of the one-sided slopes, which has the
+    sign of the side to move to, drives the step.  The step goes to the
+    nearer of the top branch's
+    Newton maximizer and its crossing with the next model eigenvalue,
+    where the top branch changes; without either (a top cluster of all
+    k), to the secant of g' at the bracket ends.  A step that ends within
+    1e-15 rad beyond the bracket end it heads for ends the search at that
+    end, and bisection keeps it in the bracket.  Returns
+    (delta, g'(0) on the side of delta), 0.0 for the slope when
+    delta = 0.
+    """
+    M0, M1, M2 = pencil.reduced(t, eig, int(np.sum(eig[0] >= eig[0][-1] - pencil.ctol)))
+    eig_tol = _ROUNDING * (1.0 + pencil.norm)
+    slope_tol = 8.0 * _ROUNDING * (1.0 + pencil.norm + abs(p))
+    clear = 1e-8 * (1.0 + pencil.norm + abs(p))  # well above rounding
+    a, b = lo - t, hi - t
+    ga = gb = np.nan  # g' at a (> 0) and at b (< 0)
+    d, slope0 = 0.0, None
+    for _ in range(80):
+        Mp = M1 + d * M2
+        mu, Y = np.linalg.eigh(M0 + d * M1 + (d * d / 2.0) * M2)
+        top = mu >= mu[-1] - eig_tol
+        Yt = Y[:, top]
+        s, Z = np.linalg.eigh(Yt.conj().T @ Mp @ Yt)
+        u = np.exp(1j * (t + d))
+        pu, eta = _inner(p, u), _inner(p, 1j * u)
+
+        def g2_along(v):
+            # g'' along the model branch of the top-cluster vector v
+            c = Y[:, ~top].conj().T @ Mp @ v
+            return -pu - (v.conj() @ M2 @ v).real - 2.0 * np.sum(np.abs(c) ** 2 / (mu[-1] - mu[~top]))
+
+        right, left = eta - s[-1], eta - s[0]
+        flat_r, flat_l = abs(right) <= slope_tol, abs(left) <= slope_tol
+        if (flat_l and flat_r) or (left > slope_tol and right < -slope_tol):
+            break
+        # a kink with one side flat, between clearly split slopes: a
+        # maximum where g is strictly concave along the flat side's branch
+        if flat_r != flat_l and left > -slope_tol and right < slope_tol and s[-1] - s[0] > clear:
+            if g2_along(Yt @ Z[:, -1 if flat_r else 0]) < -clear:
+                break
+        # in a cluster the eigenvectors mix; the mean slope has the sign of
+        # the side to move to
+        g1 = right if top.sum() == 1 else eta - np.mean(s)
+        sgn = 1.0 if g1 > 0.0 else -1.0
+        if sgn > 0.0:
+            a, ga, st = d, g1, s[-1]
+        else:
+            b, gb, st = d, g1, s[0]
+        if slope0 is None:
+            slope0 = g1
+        steps = []
+        if top.sum() == 1:
+            g2 = g2_along(Y[:, -1])
+            if g2 < 0.0:
+                steps.append(-g1 / g2)
+        if not top.all():
+            j = np.nonzero(~top)[0][-1]
+            closing = sgn * (st - (Y[:, j].conj() @ Mp @ Y[:, j]).real)
+            if closing < 0.0:
+                steps.append(sgn * (mu[-1] - mu[j]) / -closing)
+        nd = d + min(steps, key=abs) if steps else (a * gb - b * ga) / (gb - ga)
+        end = a if sgn < 0.0 else b
+        if 0.0 <= sgn * (nd - end) <= 1e-15:
+            d = end
+            break
+        if not a < nd < b:
+            nd = (a + b) / 2.0
+        if abs(nd - d) < 1e-16 or b - a < 1e-16:
+            d = nd
+            break
+        d = nd
+    if slope0 is None:
+        return 0.0, 0.0
+    return d, slope0
 
 
 def _circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -459,6 +611,57 @@ def _segment_distance(p, theta, support, mu_lo, mu_hi):
     return np.hypot(radial, off)
 
 
+def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol: float):
+    """Arc-edge function f = (distance of q to the face) - member_tol at
+    the angles t, and the edge each local model predicts.
+
+    ``q`` holds the points of the brackets and ``outward`` the sign of the
+    direction from their inside ends to their outside ends.  Faces group
+    eigenvalues within ``strict_tol``.  One stacked eigendecomposition at
+    the distinct angles gives every quantity:
+
+    - Where the face is a touch point x(t) = e^{i t}(h + i h'), the curve
+      moves at x' = i e^{i t} rho with rho = h + h'' (h'' from
+      :meth:`~numrange.matcore.Pencil.curvature`).  The model
+      x(t + delta) = x(t) + delta x' meets the circle of radius
+      member_tol about q at the edge: seen from the point itself
+      (x(t) = q) that is delta = outward member_tol / rho, and elsewhere
+      where the tangent line crosses that circle (in effect a Newton
+      step of the distance).
+    - Where the face is a touch point outside the tolerance, the edge may
+      instead be the angle where the top two eigenvalues come within
+      ``strict_tol`` and the face jumps to a segment that holds q.  The
+      quadratic Taylor model of the top gap (slopes and curvatures of
+      both curves) gives that angle, inward from t.
+
+    The proposal is the nearer of the two, moving toward the edge; nan
+    where neither model applies, as at a corner (rho = 0) or inside a
+    cluster band.
+    """
+    ts, inv = np.unique(t, return_inverse=True)
+    w, V = pencil.eigh(ts)
+    sup, lo, hi = pencil.faces(ts, strict_tol, (w, V))
+    gap = pencil.top_gap(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # curvatures are defined where the face is a touch point
+        h2 = np.where(gap > strict_tol, pencil.curvature(ts, (w, V)), np.nan)
+        rho = (sup + h2)[inv]
+        m, m1 = gap[inv] - strict_tol, (lo - pencil.slope(ts, V[..., -2]))[inv]
+        m2 = (h2 - pencil.curvature(ts, (w, V), -2))[inv]
+        val = _segment_distance(q, t, sup[inv], lo[inv], hi[inv]) - member_tol
+        # x(t) - q in the frame of the normal: radial + i tangential offset
+        u = np.exp(1j * t)
+        c = (u * (sup[inv] + 1j * lo[inv]) - q) * np.conj(u)
+        ball = (-c.imag + outward * np.sqrt(member_tol**2 - c.real**2)) / np.where(rho > 0.0, rho, np.nan)
+        # roots of m + m1 d + (m2 / 2) d^2 toward the inside end, seen from outside
+        qq = -0.5 * (m1 + np.copysign(np.sqrt(m1 * m1 - 2.0 * m2 * m), m1))
+        band = np.stack([2.0 * qq / m2, m / qq])
+        band[~(band * outward < 0.0) | ~(val > 0.0)] = np.nan
+        steps = np.concatenate([ball[None], band])
+        near = np.argmin(np.where(np.isnan(steps), np.inf, np.abs(steps)), axis=0)
+    return val, t + steps[near, np.arange(t.size)]
+
+
 def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     """Classify all face endpoints of W(A) sampled on an angle grid.
 
@@ -466,9 +669,15 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     every flat portion.  Each deduplicated point gets its supporting-angle
     arc, an exposed/non-exposed verdict, and its pre-image basis.  The arc
     runs of every point come from the distances of the grid faces to the
-    point; their edges are refined by batched false position on that
-    distance minus the membership tolerance, seeded with the grid values,
-    to the resolution of 48 halvings of the grid step (or 4 ulp).
+    point.  Their edges are the roots of f = distance - member tolerance,
+    refined together by :func:`_false_position` on the models of
+    :func:`_edge_model`: a smooth point seeds each edge at
+    member_tol / rho from itself (rho = h + h'', the speed of the boundary
+    curve) and usually closes it with one Newton step at the rounding
+    floor of f; an edge where the face jumps to a segment follows the
+    Taylor model of the top gap.  Corners and clustered ends fall back to
+    false position and section steps.  Each edge ends at a root to
+    rounding, or at a bracket of 2^-48 grid steps (or 4 ulp).
     """
     _require_grid(grid, "extreme_points")
     pencil = mc.as_pencil(A)
@@ -563,15 +772,23 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     if owner:
         edge_pts = pts[owner]
         inner, outer, f_in, f_out = map(np.array, (inner, outer, f_in, f_out))
+        outward = np.sign(outer - inner)
+        floor = _ROUNDING * scale
 
         def f(t, idx):
-            return _segment_distance(edge_pts[idx], t, *pencil.faces(t, strict_tol)) - member_tol
+            return _edge_model(pencil, t, edge_pts[idx], outward[idx], strict_tol, member_tol)
 
-        off = np.nonzero(np.isnan(f_in))[0]
-        if off.size:
-            vals = f(np.concatenate([inner[off], outer[off]]), np.concatenate([off, off]))
-            f_in[off], f_out[off] = vals[: off.size], vals[off.size :]
-        edges = _false_position(f, inner, f_in, outer, f_out, step * 2.0**-_BISECT_STEPS)
+        # both ends of every bracket in one solve: a proposal from the
+        # inside end (a smooth point seeds its edge there) where it lies in
+        # the bracket, else from the outside end
+        m = inner.size
+        vals, props = f(np.concatenate([inner, outer]), np.concatenate([np.arange(m)] * 2))
+        off = np.isnan(f_in)
+        f_in[off], f_out[off] = vals[:m][off], vals[m:][off]
+        p_in = props[:m]
+        use_in = (p_in - inner) * (p_in - outer) < 0.0
+        seed = np.where(use_in, p_in, props[m:]), np.where(use_in, inner, outer)
+        edges = _false_position(f, inner, f_in, outer, f_out, step * 2.0**-_BISECT_STEPS, floor, seed)
         lo_edge[owner[0::2]] = edges[0::2]
         hi_edge[owner[1::2]] = edges[1::2]
 
@@ -645,11 +862,14 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     (golden-section alone would stall at the sqrt(eps) resolution of the
     flat quadratic top): each step takes h, h' and h'' of the support
     curve h from one eigendecomposition, and the step is taken when
-    g'' < 0 and it stays inside the bracket g'(lo) >= 0 >= g'(hi);
-    otherwise, and where the top eigenvalue is clustered (h'' undefined),
-    the bracket is bisected on the slope of the top eigenvector.  It
-    stops at g' = 0, a Newton step or a bracket below 1e-15.  On plateaus
-    (fat normal cones) any maximizing angle is returned.
+    g'' < 0 and it stays inside the bracket g'(lo) >= 0 >= g'(hi), else
+    the bracket is bisected.  Where the top eigenvalue is clustered
+    within ``ctol`` (h'' undefined), the step goes to the maximizer of g
+    on the reduced pencil of the cluster (:func:`_reduced_argmax`), and
+    the kink test g'(theta-) >= 0 >= g'(theta+) on its one-sided slopes
+    ends the search at a kink.  It stops at g' = 0, a Newton step or a
+    bracket below 1e-15.  On plateaus (fat normal cones) any maximizing
+    angle is returned.
     """
     pencil = mc.as_pencil(A)
     p = as_point(p)
@@ -669,11 +889,14 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     if slo >= 0.0 >= shi:
 
         def derivs(t, eig):
-            # g'' = -<p, e^{i t}> - h'' where the top eigenvalue is simple
-            # (h'' is undefined in a cluster)
+            # g'' = -<p, e^{i t}> - h'' where the top eigenvalue is simple;
+            # in a cluster (h'' undefined) the reduced pencil gives the step
             pu = _inner(p, np.exp(1j * t))
-            d2 = -pu - float(pencil.curvature(t, eig)) if pencil.top_gap(eig[0]) > pencil.ctol else np.nan
-            return pu - eig[0][-1], float(g_slope(t, eig[1])), d2
+            g = pu - eig[0][-1]
+            if pencil.top_gap(eig[0]) > pencil.ctol:
+                return g, float(g_slope(t, eig[1])), -pu - float(pencil.curvature(t, eig))
+            delta, d1 = _reduced_argmax(pencil, p, t, eig, cell[0], cell[2])
+            return g, d1, -d1 / delta if delta else np.nan
 
         t, gt = _newton_max(pencil.eigh, derivs, cell[0], cell[1], cell[2], (w[1], V[1]))
         return t % (2.0 * np.pi), float(gt)
@@ -685,46 +908,6 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
 
     t = _golden_min(lambda th: -g_at(th), cell[0] - step, cell[2] + step)
     return t % (2.0 * np.pi), g_at(t)
-
-
-def _pinned_face(pencil: mc.Pencil, p: complex, theta: float) -> FaceDescriptor:
-    """Face at theta, with the angle pinned at a tangentially multiply
-    generated point p.
-
-    When the face is a singleton with a top cluster of dimension two or
-    more, the top eigenvalues tie over a band of angles, so support
-    values fix the angle only to sqrt(eps).  The scalarity defect of the
-    derivative A'(theta) compressed onto the top cluster is linear in the
-    angle error, so its golden-section minimizer pins the angle to
-    machine precision.  The angle is refined only when the defect at
-    theta is above rounding: where the top eigenvalue is multiple at
-    every angle (A = B + B as a direct sum) the defect is rounding noise
-    everywhere and its minimizer is arbitrary.  The face at the refined
-    angle is returned when it is again such a singleton at p; other
-    faces are returned as they are.
-    """
-    tol = POINT_MATCH_RTOL * (1.0 + pencil.norm)
-    fd = face(pencil, theta)
-    if fd.length > tol or fd.basis_m.shape[1] < 2:
-        return fd
-
-    def scalar_defect(th):
-        Q = pencil.top_cluster(th, pencil.ctol)[1]
-        k = Q.shape[1]
-        if k < 2:
-            return 1e300
-        C = mc.compress(pencil.prime(th), Q)
-        return float(np.linalg.norm(C - (np.trace(C).real / k) * np.eye(k)))
-
-    defect = scalar_defect(theta)
-    if defect <= SCALAR_DEFECT_RTOL * (1.0 + pencil.norm):
-        return fd
-    refined = _golden_min(scalar_defect, theta - 1e-4, theta + 1e-4)
-    if scalar_defect(refined) < defect:
-        pinned = face(pencil, refined)
-        if pinned.length <= tol and pinned.basis_m.shape[1] >= 2 and pinned.distance(p) <= tol:
-            return pinned
-    return fd
 
 
 def preimage(A, p, grid: int = 512) -> np.ndarray:
@@ -741,7 +924,7 @@ def preimage(A, p, grid: int = 512) -> np.ndarray:
 
 def _preimage(pencil: mc.Pencil, p: complex, theta: float, gval: float) -> tuple[FaceDescriptor, np.ndarray]:
     """:func:`preimage` at a supporting angle theta with g value gval:
-    the (pinned) face there and the pre-image basis of p."""
+    the face there and the pre-image basis of p."""
     tol = POINT_MATCH_RTOL * (1.0 + pencil.norm)
     if gval < -tol:
         raise PreconditionError(
@@ -753,7 +936,7 @@ def _preimage(pencil: mc.Pencil, p: complex, theta: float, gval: float) -> tuple
             f"point {p} is not an extreme point of W(A): lies outside the range "
             f"(distance {gval:.3e})"
         )
-    fd = _pinned_face(pencil, p, theta)
+    fd = face(pencil, theta)
     if fd.length <= tol:
         return fd, fd.basis_m
     if abs(p - fd.p_plus) <= tol:

@@ -231,21 +231,49 @@ class Pencil:
         xs = np.sum(x.conj() * (x @ self.S.T), axis=-1).real
         return -np.sin(t) * xr + np.cos(t) * xs
 
-    def curvature(self, thetas, eig) -> np.ndarray:
-        """Second derivative of the top eigenvalue curve from the
-        :meth:`eigh` result ``eig`` at the same angles:
+    def curvature(self, thetas, eig, k: int = -1) -> np.ndarray:
+        """Second derivative of the eigenvalue curve of index k (the top
+        one by default) from the :meth:`eigh` result ``eig`` at the same
+        angles:
 
-            h'' = -h + 2 sum_k |v_k* A'(theta) x|^2 / (h - lambda_k)
+            lambda_k'' = -lambda_k + 2 sum_{j != k} |v_j* A'(theta) v_k|^2 / (lambda_k - lambda_j)
 
         (A''(theta) = -A(theta), plus second-order perturbation over the
-        other eigenpairs).  Defined only where the top eigenvalue is simple;
-        callers check :meth:`top_gap` against ``ctol`` first.
+        other eigenpairs).  Defined only where lambda_k is simple; callers
+        check its gaps against ``ctol`` first.
         """
         w, V = eig
-        x = V[..., -1:]
-        y = V.conj().swapaxes(-1, -2) @ (self.prime(thetas) @ x)
-        c = np.abs(y[..., :-1, 0]) ** 2
-        return -w[..., -1] + 2.0 * np.sum(c / (w[..., -1:] - w[..., :-1]), axis=-1)
+        k %= w.shape[-1]
+        y = V.conj().swapaxes(-1, -2) @ (self.prime(thetas) @ V[..., k : k + 1])
+        others = np.arange(w.shape[-1]) != k
+        c = np.abs(y[..., others, 0]) ** 2
+        return -w[..., k] + 2.0 * np.sum(c / (w[..., k : k + 1] - w[..., others]), axis=-1)
+
+    def reduced(self, theta: float, eig, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reduced pencil of the top k eigenvalues of A(theta) at one angle.
+
+        Returns (M0, M1, M2), k x k Hermitian, such that the eigenvalues of
+
+            M(delta) = M0 + delta M1 + (delta^2 / 2) M2
+
+        follow the top k eigenvalue curves of A(theta + delta) through
+        crossings among them (Kato, *Perturbation Theory for Linear
+        Operators*, ch. II).  With Q the top k eigenvectors of the
+        :meth:`eigh` result ``eig``, lambda their mean eigenvalue and R the
+        inverse of lambda - A(theta) on the other eigenvectors:
+        M0 = Q*A Q, M1 = Q*A'Q and M2 = -M0 + 2 Q*A' R A'Q.  The error is
+        O(delta^3) plus O(delta^2 s / g^2), with s the spread of the top k
+        eigenvalues and g their gap to the rest, so the model is meant for
+        a cluster (s much below g).
+        """
+        w, V = eig
+        Q, P = V[:, -k:], V[:, :-k]
+        B = self.prime(theta) @ Q
+        M0 = np.diag(w[-k:]).astype(complex)
+        M1 = Q.conj().T @ B
+        C = P.conj().T @ B
+        M2 = -M0 + 2.0 * C.conj().T @ (C / (np.mean(w[-k:]) - w[:-k])[:, None])
+        return M0, (M1 + M1.conj().T) / 2.0, (M2 + M2.conj().T) / 2.0
 
     def top_cluster(self, theta: float, tol: float) -> tuple[float, np.ndarray]:
         """Top eigenvalue of A(theta) and an orthonormal basis of the
@@ -271,21 +299,28 @@ class Pencil:
         """Face segments at an angle array: (support, mu_lo, mu_hi).
 
         Where the top eigenvalue is simple within ``tol`` the face is one
-        touch point and mu_lo = mu_hi is the top-curve slope; clustered
-        angles fall back to :meth:`segment`.  ``eig`` passes the ascending
-        eigenvalues and the top eigenvectors at the same angles when the
-        caller has them, as :meth:`grid` gives them.
+        touch point and mu_lo = mu_hi is the top-curve slope.  ``eig``
+        passes the ascending eigenvalues and the top eigenvectors at the
+        same angles when the caller has them, as :meth:`grid` gives them;
+        clustered angles then fall back to :meth:`segment`.  With all the
+        eigenvectors, as :meth:`eigh` gives them, a clustered face is
+        read from them without another solve.
         """
         t = np.asarray(thetas, dtype=float)
         if eig is None:
-            w, V = self.eigh(t)
-            eig = w, V[..., -1]
+            eig = self.eigh(t)
         w, x = eig
+        V = x if x.ndim == w.ndim + 1 else None
         sup = w[:, -1].copy()
-        lo = self.slope(t, x)
+        lo = self.slope(t, x if V is None else V[..., -1])
         hi = lo.copy()
         for j in np.nonzero(self.top_gap(w) <= tol)[0]:
-            sup[j], _, mu, _ = self.segment(t[j], tol)
+            if V is None:
+                sup[j], _, mu, _ = self.segment(t[j], tol)
+            else:
+                Q = V[j][:, w[j] >= w[j, -1] - tol]
+                C = Q.conj().T @ self.prime(t[j]) @ Q
+                mu = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
             lo[j], hi[j] = mu[0], mu[-1]
         return sup, lo, hi
 
@@ -413,13 +448,24 @@ def eigvals3(A) -> np.ndarray:
     return z[order]
 
 
+_CROSS_I = np.array([1, 2, 0])
+_CROSS_J = np.array([2, 0, 1])
+
+
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product a x b of two 3-vectors, written out: ``np.cross``
+    normalizes its axes on every call.  The same array products as
+    ``np.cross``, so the result is bit-identical to it."""
+    return a[_CROSS_I] * b[_CROSS_J] - a[_CROSS_J] * b[_CROSS_I]
+
+
 def _null3(M: np.ndarray) -> np.ndarray:
     """Unit vector v with M v ~ 0 for a (near-)singular 3x3 matrix."""
     rows = [M[i, :] for i in range(3)]
     best, best_norm = None, -1.0
     for i in range(3):
         for j in range(i + 1, 3):
-            c = np.cross(rows[i], rows[j])
+            c = _cross3(rows[i], rows[j])
             n = np.linalg.norm(c)
             if n > best_norm:
                 best, best_norm = c, n
@@ -432,7 +478,7 @@ def _null3(M: np.ndarray) -> np.ndarray:
     if norms[i] <= 1e-300:
         return np.array([1.0, 0.0, 0.0], dtype=np.complex128)
     k = int(np.argmin(np.abs(rows[i])))
-    c = np.cross(rows[i], np.eye(3)[k])
+    c = _cross3(rows[i], np.eye(3)[k])
     return c / np.linalg.norm(c)
 
 

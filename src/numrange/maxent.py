@@ -288,7 +288,8 @@ def maxent_boundary(A, alpha, grid: int = 1024) -> InferenceResult:
     supporting angle, where it becomes a single-observable family in the
     compressed derivative part; endpoint targets recurse once more onto
     its extreme eigenspaces.  At a tangentially multiply generated point
-    the angle is pinned first.
+    :func:`~numrange.extremal.supporting_angle` finds the angle to
+    rounding, on the reduced pencil of the top cluster.
     """
     pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
@@ -301,7 +302,7 @@ def maxent_boundary(A, alpha, grid: int = 1024) -> InferenceResult:
             f"alpha = {alpha} is an interior point (depth {-gval:.3e}); "
             "use maxent_interior"
         )
-    return _boundary_state(pencil, alpha, extremal._pinned_face(pencil, alpha, theta))
+    return _boundary_state(pencil, alpha, extremal.face(pencil, theta))
 
 
 def _boundary_state(pencil: mc.Pencil, alpha: complex, fd: extremal.FaceDescriptor) -> InferenceResult:

@@ -481,3 +481,108 @@ def test_supporting_angle_matches_bisection_reference(A, p):
     d2 = -(p * np.exp(-1j * t_ref)).real - h2
     if d2 < -1e-6 * scale * (1.0 + abs(p)):
         assert abs(np.angle(np.exp(1j * (t - t_ref)))) <= 1e-10
+
+
+def count_eigh(monkeypatch):
+    """Count the calls of Pencil.eigh; a call solves one angle or one stack."""
+    calls = []
+    orig = mc.Pencil.eigh
+
+    def eigh(self, thetas):
+        calls.append(np.size(thetas))
+        return orig(self, thetas)
+
+    monkeypatch.setattr(mc.Pencil, "eigh", eigh)
+    return calls
+
+
+def band_cases():
+    """Points whose supporting angle lies in the band where the top
+    eigenvalue of DISK_EIG_BOUNDARY is double within ctol (|theta| < ~2.5e-4)."""
+    rng = np.random.default_rng(5)
+    Q, R = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    out = [pytest.param(DISK_EIG_BOUNDARY, p, id=f"fixture-{p}") for p in (0.5, 0.9, 0.99 + 1e-17j, 1.0)]
+    out += [pytest.param(U.conj().T @ DISK_EIG_BOUNDARY @ U, p, id=f"unitary-{p}") for p in (0.5, 0.999, 1.0)]
+    return out
+
+
+@pytest.mark.parametrize(("A", "p"), band_cases())
+def test_supporting_angle_in_band_solves_at_most_8(A, p, monkeypatch):
+    calls = count_eigh(monkeypatch)
+    t, g = ex.supporting_angle(A, p, 1024)
+    assert len(calls) <= 8
+    # the maximizer is theta = 0, where g = Re p - 1
+    assert abs(np.angle(np.exp(1j * t))) <= 1e-12
+    assert g == pytest.approx(p.real - 1.0, abs=1e-14)
+
+
+def arc_edge_cases():
+    rng = np.random.default_rng(0)
+    g3 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    rng = np.random.default_rng(0)
+    g8 = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    return [
+        pytest.param(g3, 256, 6, id="ginibre3-256"),
+        pytest.param(g8, 512, 6, id="ginibre8-512"),
+        pytest.param(DISK_EIG_BOUNDARY, 256, 25, id="disk_eig_boundary-256"),
+    ]
+
+
+@pytest.mark.parametrize(("A", "grid", "cap"), arc_edge_cases())
+def test_arc_edges_take_few_stacked_solves(A, grid, cap, monkeypatch):
+    calls = count_eigh(monkeypatch)
+    reps = ex.extreme_points(A, grid)
+    # one solve is the grid's and one the pre-images' at the arc midpoints;
+    # every other refines arc edges
+    assert len(calls) - 2 <= cap
+    assert len(reps) >= 3
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_preimage_at_tangent_point_is_unitarily_invariant(seed):
+    # the non-exposed tangent point of CIRCLE_POINT: its supporting angle
+    # pi/3 lies in a cluster band, where the two top eigenvalues cross
+    p = 0.5 + 0.5j * SQ3
+    v = np.array([1.0, np.exp(1j * np.pi / 3), 0.0]) / np.sqrt(2.0)
+    P = np.outer(v, v.conj())
+    B = ex.preimage(CIRCLE_POINT, p)
+    assert np.max(np.abs(B @ B.conj().T - P)) <= 1e-14
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        Q, R = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        U = Q * (np.diag(R) / np.abs(np.diag(R)))
+        C = ex.preimage(U.conj().T @ CIRCLE_POINT @ U, p)
+        assert np.max(np.abs(C @ C.conj().T - U.conj().T @ P @ U)) <= 1e-14
+
+
+def affine_copy(rng, A):
+    """a U*AU + b I for a Haar unitary U, |a| in [1e-2, 1e2] and a random
+    shift b: W moves by the similarity z -> a z + b of the plane."""
+    Q, R = np.linalg.qr(rng.standard_normal(A.shape) + 1j * rng.standard_normal(A.shape))
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))
+    a = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    b = 3.0 * complex(*rng.standard_normal(2))
+    return U, a, b, a * (U.conj().T @ A @ U) + b * np.eye(A.shape[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_preimages_at_multiply_generated_points_in_affine_copies(seed):
+    # a tangentially multiply generated point (the eigenvalue e^{i phi} on
+    # the boundary of the unit disk), whose own eigenvalue curve touches
+    # the top one, and the non-exposed tangent point of CIRCLE_POINT,
+    # where the two top eigenvalue curves cross; both supporting angles lie
+    # in cluster bands
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        v = np.array([1.0, np.exp(1j * phi), 0.0]) / np.sqrt(2.0)
+        touch = (np.array([[0, 2, 0], [0, 0, 0], [0, 0, np.exp(1j * phi)]]), np.exp(1j * phi), np.outer(v, v.conj()) + np.diag([0.0, 0.0, 1.0]), 1e-10)
+        w = np.array([1.0, np.exp(1j * np.pi / 3), 0.0]) / np.sqrt(2.0)
+        cross = (CIRCLE_POINT, 0.5 + 0.5j * SQ3, np.outer(w, w.conj()), 1e-12)
+        for A, z, P, tol in (touch, cross):
+            U, a, b, C = affine_copy(rng, np.asarray(A, dtype=complex))
+            t, g = ex.supporting_angle(C, a * z + b)
+            assert abs(np.angle(np.exp(1j * (t - np.angle(z) - np.angle(a))))) <= 1e-10
+            B = ex.preimage(C, a * z + b)
+            assert np.max(np.abs(B @ B.conj().T - U.conj().T @ P @ U)) <= tol

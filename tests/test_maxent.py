@@ -170,8 +170,8 @@ def test_maxent_boundary_fixture_multiply_generated():
 )
 def test_maxent_boundary_tangent_point_residual(A, alpha):
     # the supporting angle at the tangentially multiply generated point 1
-    # of DISK_EIG_BOUNDARY is pinned, and on DISK2, whose top eigenvalue is
-    # double at every angle, it is left as it is: the constraint holds to
+    # of DISK_EIG_BOUNDARY is found to rounding, and on DISK2 the top
+    # eigenvalue is double at every angle: the constraint holds to
     # rounding in both
     assert me.maxent_boundary(A, alpha).residual <= 1e-12
 
