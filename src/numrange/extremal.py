@@ -42,7 +42,12 @@ GAP_REFINE_RTOL = 1e-12
 # ~1e-4 rad, turning round boundary points into fake corners.
 STRICT_GAP_RTOL = 1e-14
 
-_BISECT_STEPS = 48
+# Arc edges are refined to brackets of 2^-48 grid steps.
+_EDGE_HALVINGS = 48
+# Newton steps per seed of _polish; a tangential meeting (spread quadratic
+# in the angle) converges linearly: 12 steps on the disk with its
+# eigenvalue on the boundary, [[0, 2, 0], [0, 0, 0], [0, 0, 1]].
+_POLISH_STEPS = 24
 # Parts a bracket is cut into by one section step of _false_position.
 _SECTIONS = 8
 # Rounding level of the arc-edge distance and of slopes (relative).
@@ -171,25 +176,6 @@ def _require_grid(grid: int, what: str) -> None:
     """Scans of the grid functions take at least 64 angles."""
     if grid < 64:
         raise PreconditionError(f"{what} requires grid >= 64")
-
-
-def _bisect(inside, inner, outer) -> np.ndarray:
-    """Batched bisection of the edges of angle sets, in 48 halvings.
-
-    ``inside(angles)`` returns a boolean array; each ``inner[i]`` is
-    inside and ``outer[i]`` outside.  Returns the refined inner angles.
-    Used where the predicate is a step function with no usable values
-    (the degenerate-band edges of :func:`_flat_candidates`); edges of a
-    continuous distance use :func:`_false_position`.
-    """
-    inner = np.array(inner, dtype=float)
-    outer = np.array(outer, dtype=float)
-    for _ in range(_BISECT_STEPS):
-        mid = (inner + outer) / 2.0
-        member = inside(mid)
-        inner[member] = mid[member]
-        outer[~member] = mid[~member]
-    return inner
 
 
 def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
@@ -454,28 +440,6 @@ def _reduced_argmax(pencil: mc.Pencil, p: complex, t: float, eig, lo: float, hi:
     return d, slope0
 
 
-def _circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True in a circular boolean array, as (start, stop)."""
-    n = mask.size
-    if mask.all():
-        return [(0, n)]
-    if not mask.any():
-        return []
-    ext = np.concatenate([mask, mask])
-    runs = []
-    j = 0
-    while j < n:
-        if ext[j] and not ext[j - 1 if j > 0 else n - 1]:
-            k = j
-            while ext[k]:
-                k += 1
-            runs.append((j, k))
-            j = k
-        else:
-            j += 1
-    return runs
-
-
 @dataclass(frozen=True)
 class FlatPortion:
     """Maximal segment in the boundary, with its outward normal angle.
@@ -489,99 +453,164 @@ class FlatPortion:
     length: float
 
 
-def _flat_candidates(pencil: mc.Pencil, thetas: np.ndarray, gap: np.ndarray) -> list[float]:
-    """Refined angles where the top eigenvalue of A(theta) is degenerate.
+def _flat_candidates(pencil: mc.Pencil, thetas: np.ndarray, w: np.ndarray) -> list[float]:
+    """Angles where the top eigenvalue cluster of A(theta) meets the next
+    eigenvalue, from the ascending eigenvalues ``w`` on the grid ``thetas``.
 
-    ``gap`` is the top eigenvalue gap on the uniform grid ``thetas``.  Two
-    regimes per candidate run of the gap scan: a transversal crossing
-    (the gap dips to zero at one interior angle, located by golden-section
-    minimization) and a degenerate band (the gap is already zero across
-    grid points, e.g. repeated diagonal entries; the faces of interest sit
-    at the two transition edges, located by bisection).
+    The top cluster at a grid angle is the k eigenvalues within ``ctol``
+    of the top one; its gap is the distance from the top one to the next
+    eigenvalue (inf where all of them cluster).  Eigenvalue curves are
+    Lipschitz with constant at most ||A||_F, so every meeting lies within
+    a grid step of a local minimum of the gap below 2 step ||A||_F +
+    10 ctol.  Each minimum seeds :func:`_polish` with m = k + 1 at the
+    :func:`_model_minima` of the top m eigenvalues and of all n within
+    that bound: the meeting may lie a cell away, nearly parallel curves
+    can meet twice near one minimum, and a curve passing between the two
+    that meet can make them the top and the third at the grid angles.
+    Angles polished to within the O(||A||_F reach^3) remainder of the
+    model at the grid angle, or within ``ctol``, are expanded and
+    polished once more from there, where the model is accurate: two
+    meetings can lie 1e-6 rad apart.
     """
-    grid = thetas.size
-    step = 2.0 * np.pi / grid
-    scale = pencil.norm
-    # eigenvalue curves of A(theta) are Lipschitz with constant <= ||A||_F
-    thresh = 2.0 * step * scale + 10.0 * pencil.ctol
-    mask = gap <= thresh
-    gap_tol = GAP_REFINE_RTOL * (1.0 + scale)
-    found: list[float] = []
-    edge_in: list[float] = []
-    edge_out: list[float] = []
-    for start, stop in _circular_runs(mask):
-        idx = np.arange(start, stop) % grid
-        band = gap[idx] <= gap_tol
-        lo = thetas[start % grid] - step
-        hi = lo + (stop - start + 1) * step
-        if band.sum() >= 2 and stop - start < grid:
-            band_idx = idx[band]
-            found.append(float(thetas[band_idx[len(band_idx) // 2]]))
-            edge_in += [thetas[band_idx[0]], thetas[band_idx[0]] + (band_idx.size - 1) * step]
-            edge_out += [lo, hi]
-        elif stop - start >= grid:
-            # degenerate at every angle: the range is a point or the matrix
-            # is a scalar shift of a degenerate family; one probe suffices
-            found.append(0.0)
+    grid, d = w.shape
+    reach = 4.0 * np.pi / grid  # two grid steps
+    k = np.sum(w >= w[:, -1:] - pencil.ctol, axis=1)
+    gap = np.where(k < d, w[:, -1] - w[np.arange(grid), np.maximum(d - k - 1, 0)], np.inf)
+    thresh = reach * pencil.norm + 10.0 * pencil.ctol
+    low = (gap <= thresh) & (gap <= np.roll(gap, 1)) & (gap <= np.roll(gap, -1))
+    if not low.any():
+        return []
+    # the curves within thresh of the top, all of which can reach it
+    window = np.sum(w >= w[:, -1:] - thresh, axis=1)
+    found, spreads = [], []
+    for m, n in sorted(set(zip(k[low] + 1, window[low]))):
+        t = thetas[low & (k + 1 == m) & (window == n)]
+        t, s = _polish(pencil, np.concatenate([_model_minima(pencil, t, size, reach) for size in sorted({m, n})]), m)
+        near = t[s <= reach**3 * pencil.norm + pencil.ctol]
+        t2, s2 = _polish(pencil, _model_minima(pencil, near, m, reach), m)
+        found += [t, t2]
+        spreads += [s, s2]
+    return _crossings(pencil, np.concatenate(found), np.concatenate(spreads))
+
+
+def _model_minima(pencil: mc.Pencil, t: np.ndarray, m: int, reach: float) -> np.ndarray:
+    """Seeds for :func:`_polish` near the angles ``t``: the local minima
+    within ``reach`` of |traceless M(delta)|_F^2, a quartic in delta,
+    where M is the second-order model of the top m eigenvalues at t
+    (:meth:`~numrange.matcore.Pencil.reduced`), or t itself where there
+    is none."""
+    # the model needs the top m apart from the rest; where they touch (a
+    # meeting of more than m) it is not finite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        N0, N1, N2 = (_traceless(M) for M in pencil.reduced(t, pencil.eigh(t), m))
+    n22, n12, n02, n11, n01 = (_dot(X, Y) for X, Y in ((N2, N2), (N1, N2), (N0, N2), (N1, N1), (N0, N1)))
+    # 2 d/d delta |N0 + delta N1 + delta^2 N2 / 2|^2 in x = delta / reach, highest power first
+    cubic = np.stack([n22 * reach**3, 3.0 * n12 * reach**2, 2.0 * (n02 + n11) * reach, 2.0 * n01], axis=-1)
+    x = np.full((t.size, 3), np.nan)
+    ok = np.isfinite(cubic).all(axis=1) & (np.abs(cubic).max(axis=1) > 0.0)
+    c = cubic[ok] / np.abs(cubic[ok]).max(axis=1, keepdims=True)
+    # roots of the companion matrices; a leading coefficient at rounding
+    # level is raised to 1e-12, which adds one root far outside the reach
+    lead = np.where(np.abs(c[:, 0]) > 1e-12, c[:, 0], 1e-12)
+    companion = np.zeros((c.shape[0], 3, 3))
+    companion[:, 0] = -c[:, 1:] / lead[:, None]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    r = np.linalg.eigvals(companion)
+    # real minima (the cubic rising through zero) within the reach
+    slope = (3.0 * c[:, :1] * r.real + 2.0 * c[:, 1:2]) * r.real + c[:, 2:3]
+    x[ok] = np.where((np.abs(r.imag) <= 1e-6) & (np.abs(r.real) <= 1.0) & (slope > 0.0), r.real, np.nan)
+    x[np.isnan(x).all(axis=1), 0] = 0.0  # no minimum: t itself
+    return (t[:, None] + reach * x)[~np.isnan(x)]
+
+
+def _traceless(X: np.ndarray) -> np.ndarray:
+    """Traceless part of a stack of square matrices."""
+    k = X.shape[-1]
+    return X - (X.trace(axis1=-2, axis2=-1) / k)[..., None, None] * np.eye(k)
+
+
+def _dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Frobenius inner product Re tr(X Y*) of stacked matrices."""
+    return (X * Y.conj()).real.sum(axis=(-2, -1))
+
+
+def _polish(pencil: mc.Pencil, seeds, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton from the ``seeds`` toward angles where the top ``m``
+    eigenvalues of A(theta) meet; returns the angles and their spreads.
+
+    The one polish of such angles: :func:`_flat_candidates` seeds it from
+    the grid, :func:`numrange.kipp3.classify` from the discriminant.  With
+    X0, C0 the traceless parts of Q*A(t)Q and Q*A'(t)Q, Q the top m
+    eigenvectors, the step t -> t - <X0, C0>_F / <C0, C0>_F zeroes the
+    traceless part of the compression of A(t) + delta A'(t) in least
+    squares, which stays accurate where the eigenvectors do not.  Each
+    seed keeps its angle of least spread (top eigenvalue minus the m-th)
+    and stops at the rounding floor of the spread, on a vanishing step,
+    or after two steps that did not lower it (a near miss).
+    """
+    t = np.array(seeds, dtype=float)
+    floor = 4.0 * np.finfo(float).eps * (1.0 + pencil.norm)
+    best_t, best_gap = t.copy(), np.full(t.size, np.inf)
+    stalled = np.zeros(t.size, dtype=int)
+    live = np.arange(t.size)
+    for _ in range(_POLISH_STEPS):
+        if not live.size:
+            break
+        tl = t[live]
+        At = pencil.rotate(tl)
+        w, V = np.linalg.eigh(At)
+        gap = w[:, -1] - w[:, -m]
+        better = gap < best_gap[live]
+        best_t[live[better]], best_gap[live[better]] = tl[better], gap[better]
+        stalled[live] = np.where(better, 0, stalled[live] + 1)
+        Q = V[..., -m:]
+        X0, C0 = _traceless(Q.conj().swapaxes(-1, -2) @ np.stack([At, pencil.prime(tl)]) @ Q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = _dot(X0, C0) / _dot(C0, C0)
+        done = (gap <= floor) | ~np.isfinite(step) | (np.abs(step) <= 1e-15) | (stalled[live] >= 2)
+        t[live[~done]] -= step[~done]
+        live = live[~done]
+    return best_t, best_gap
+
+
+def _crossings(pencil: mc.Pencil, angles: np.ndarray, spreads: np.ndarray) -> list[float]:
+    """The polished ``angles`` of :func:`_polish` whose spread is within
+    ``GAP_REFINE_RTOL``, in [0, 2 pi); angles closer than
+    ``ARC_SINGLE_ANGLE`` are one angle, the one of least spread."""
+    keep = spreads <= GAP_REFINE_RTOL * (1.0 + pencil.norm)
+    angles = angles[keep] % (2.0 * np.pi)
+    angles[angles == 2.0 * np.pi] = 0.0  # the remainder of a tiny negative angle rounds up
+    groups: list[list[tuple[float, float]]] = []  # (angle, spread), chained within ARC_SINGLE_ANGLE
+    for angle, gap in sorted(zip(angles, spreads[keep])):
+        if groups and angle - groups[-1][-1][0] <= ARC_SINGLE_ANGLE:
+            groups[-1].append((angle, gap))
         else:
-            # refine every local minimum of the sampled gap inside the run:
-            # nearly parallel eigenvalue curves can keep a whole arc below
-            # the scan threshold, and a single wide bracket would not be
-            # unimodal
-            g = gap[idx]
-            left = np.concatenate([[gap[(start - 1) % grid]], g[:-1]])
-            right = np.concatenate([g[1:], [gap[stop % grid]]])
-            local_min = np.nonzero((g <= left) & (g <= right))[0]
-            for m in local_min[:64]:
-                t0 = thetas[start % grid] + m * step
-                t = _golden_min(lambda th: float(pencil.gap(th)), t0 - step, t0 + step)
-                if pencil.gap(t) <= gap_tol:
-                    found.append(t % (2.0 * np.pi))
-    if edge_in:
-        # both edges of every band, bisected together
-        edges = _bisect(lambda t: pencil.gap(t) <= gap_tol, edge_in, edge_out)
-        found += [float(t) for t in edges % (2.0 * np.pi)]
-    found.sort()
-    out: list[float] = []
-    for t in found:
-        if all(min(abs(t - s), 2.0 * np.pi - abs(t - s)) > 1e-9 for s in out):
-            out.append(t)
-    return out
+            groups.append([(angle, gap)])
+    if len(groups) > 1 and groups[0][0][0] + 2.0 * np.pi - groups[-1][-1][0] <= ARC_SINGLE_ANGLE:
+        groups[0] += groups.pop()
+    return sorted(float(min(g, key=lambda p: p[1])[0]) for g in groups)
 
 
 def _flat_portions(pencil: mc.Pencil, candidates: list[float]) -> list[FlatPortion]:
-    """Flat portions at the candidate angles of :func:`_flat_candidates`."""
+    """Flat portions at the sorted candidate angles of :func:`_crossings`."""
     length_tol = FLAT_LENGTH_RTOL * (1.0 + pencil.norm)
-    portions = []
-    for t in candidates:
-        fd = face(pencil, t)
-        if fd.length > length_tol:
-            portions.append(FlatPortion(theta=t, endpoints=(fd.p_minus, fd.p_plus), length=fd.length))
-    portions.sort(key=lambda fp: fp.theta)
-    dedup: list[FlatPortion] = []
-    for fp in portions:
-        if not dedup or min(abs(fp.theta - dedup[-1].theta), 2 * np.pi - abs(fp.theta - dedup[-1].theta)) > 1e-8:
-            dedup.append(fp)
-    if len(dedup) > 1:
-        gap_angle = dedup[0].theta + 2 * np.pi - dedup[-1].theta
-        if gap_angle <= 1e-8:
-            dedup.pop()
-    return dedup
+    faces = [(t, face(pencil, t)) for t in candidates]
+    return [FlatPortion(t, (fd.p_minus, fd.p_plus), fd.length) for t, fd in faces if fd.length > length_tol]
 
 
 def flat_portions(A, grid: int = 512) -> list[FlatPortion]:
     """All flat boundary portions of W(A), located by a gap scan.
 
-    The grid is scanned for angles where the two largest eigenvalues of
-    A(theta) nearly cross; each candidate is refined by golden-section
-    minimization of the gap, and kept when the face there is a genuine
-    segment.  A degenerate one-dimensional W(A) reports itself under
-    both of its normals.
+    The grid is scanned for angles where the top eigenvalue cluster of
+    A(theta) nearly meets the next eigenvalue; each candidate is polished
+    by Newton (:func:`_flat_candidates`, :func:`_polish`), and kept
+    when the face there is a genuine segment.  A degenerate
+    one-dimensional W(A) reports itself under both of its normals.
     """
     _require_grid(grid, "flat_portions")
     pencil = mc.as_pencil(A)
     thetas, w, _ = pencil.grid(grid)
-    return _flat_portions(pencil, _flat_candidates(pencil, thetas, pencil.top_gap(w)))
+    return _flat_portions(pencil, _flat_candidates(pencil, thetas, w))
 
 
 @dataclass(frozen=True)
@@ -705,7 +734,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     sup, mu_lo, mu_hi = pencil.faces(thetas, pencil.ctol, eig)
     lo_pts = u_grid * (sup + 1j * mu_lo)
     hi_pts = u_grid * (sup + 1j * mu_hi)
-    portions = _flat_portions(pencil, _flat_candidates(pencil, thetas, pencil.top_gap(eig[0])))
+    portions = _flat_portions(pencil, _flat_candidates(pencil, thetas, eig[0]))
 
     # (angle, point) candidates, sorted by angle then point for stable dedup
     cand: list[tuple[float, complex]] = []
@@ -788,7 +817,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
         p_in = props[:m]
         use_in = (p_in - inner) * (p_in - outer) < 0.0
         seed = np.where(use_in, p_in, props[m:]), np.where(use_in, inner, outer)
-        edges = _false_position(f, inner, f_in, outer, f_out, step * 2.0**-_BISECT_STEPS, floor, seed)
+        edges = _false_position(f, inner, f_in, outer, f_out, step * 2.0**-_EDGE_HALVINGS, floor, seed)
         lo_edge[owner[0::2]] = edges[0::2]
         hi_edge[owner[1::2]] = edges[1::2]
 

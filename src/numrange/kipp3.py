@@ -41,10 +41,6 @@ DOUBLE_SCREEN_RTOL = 1e-3
 # e^{2 i k theta}, k = 1, 2, 3 (those of -k are their conjugates).
 _DISCRIMINANT_ANGLES = np.arange(7) * np.pi / 7.0
 _DISCRIMINANT_DFT = np.exp(-2j * np.outer(_DISCRIMINANT_ANGLES, np.arange(1, 4)))
-# Newton steps per double-eigenvalue angle; a tangential zero (gap
-# quadratic in the angle) converges linearly: 12 steps on the disk with
-# its eigenvalue on the boundary, [[0, 2, 0], [0, 0, 0], [0, 0, 1]].
-_DOUBLE_NEWTON_STEPS = 24
 
 CLASS_R3 = "R3"
 CLASS_E3 = "E3"
@@ -246,12 +242,6 @@ def _is_normal_matrix(A: np.ndarray) -> bool:
     return mc.fro(comm) <= 1e-10 * (1.0 + mc.fro(A) ** 2)
 
 
-def _bloch_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Inner product of the Bloch vectors of stacked Hermitian 2x2 matrices."""
-    off = (X[..., 0, 1] * Y[..., 0, 1].conj()).real
-    return off + (X[..., 0, 0] - X[..., 1, 1]).real * (Y[..., 0, 0] - Y[..., 1, 1]).real / 4.0
-
-
 def _double_eigenvalue_angles(pencil: mc.Pencil) -> list[float]:
     """Angles in [0, 2 pi) where the top eigenvalue of a 3x3 A(theta) is double.
 
@@ -264,13 +254,12 @@ def _double_eigenvalue_angles(pencil: mc.Pencil) -> list[float]:
     among its stationary points: the roots of a degree-6 polynomial in
     z = e^{2 i theta}, whose coefficients come from seven eigenvalue
     samples.  The root angles whose top (theta) or bottom (theta + pi)
-    pair gap passes ``DOUBLE_SCREEN_RTOL`` are polished by Newton on the
-    two top eigenvalues: the step zeroes the traceless part of the
-    compression of A(theta) + delta A'(theta) onto their eigenspace, which
-    stays accurate where the two eigenvectors themselves do not.  A
-    polished angle is kept when its top gap is within ``GAP_REFINE_RTOL``;
-    kept angles closer than ``ARC_SINGLE_ANGLE`` are one angle, the one of
-    least gap.
+    pair gap passes ``DOUBLE_SCREEN_RTOL`` seed the Newton polish that
+    :func:`numrange.extremal.flat_portions` shares
+    (:func:`numrange.extremal._polish`, on the two top eigenvalues); an
+    angle is kept when its top gap is within ``GAP_REFINE_RTOL``, and
+    kept angles closer than ``ARC_SINGLE_ANGLE`` are one angle
+    (:func:`numrange.extremal._crossings`).
     """
     scale = 1.0 + pencil.norm
     w = np.linalg.eigvalsh(pencil.rotate(_DISCRIMINANT_ANGLES)) / scale
@@ -282,43 +271,7 @@ def _double_eigenvalue_angles(pencil: mc.Pencil) -> list[float]:
     w = np.linalg.eigvalsh(pencil.rotate(roots))
     screen = DOUBLE_SCREEN_RTOL * scale
     t = np.concatenate([roots[w[:, 2] - w[:, 1] <= screen], roots[w[:, 1] - w[:, 0] <= screen] + np.pi])
-
-    # Newton, keeping the angle of least top gap; an angle stops at the
-    # rounding floor of the gap, on a vanishing step, or after two steps
-    # that did not lower its gap (a near miss of two eigenvalues)
-    floor = 4.0 * np.finfo(float).eps * scale
-    best_t, best_gap = t.copy(), np.full(t.size, np.inf)
-    stalled = np.zeros(t.size, dtype=int)
-    live = np.arange(t.size)
-    for _ in range(_DOUBLE_NEWTON_STEPS):
-        if not live.size:
-            break
-        tl = t[live]
-        At = pencil.rotate(tl)
-        wl, V = np.linalg.eigh(At)
-        Q = V[..., 1:]
-        Qh = Q.conj().swapaxes(-1, -2)
-        gap = wl[:, 2] - wl[:, 1]
-        better = gap < best_gap[live]
-        best_t[live[better]], best_gap[live[better]] = tl[better], gap[better]
-        stalled[live] = np.where(better, 0, stalled[live] + 1)
-        C = Qh @ pencil.prime(tl) @ Q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = _bloch_dot(Qh @ At @ Q, C) / _bloch_dot(C, C)
-        done = (gap <= floor) | ~np.isfinite(step) | (np.abs(step) <= 1e-15) | (stalled[live] >= 2)
-        t[live[~done]] -= step[~done]
-        live = live[~done]
-
-    keep = best_gap <= extremal.GAP_REFINE_RTOL * scale
-    groups: list[list[tuple[float, float]]] = []  # (angle, gap), chained within ARC_SINGLE_ANGLE
-    for angle, gap in sorted(zip(best_t[keep] % (2.0 * np.pi), best_gap[keep])):
-        if groups and angle - groups[-1][-1][0] <= extremal.ARC_SINGLE_ANGLE:
-            groups[-1].append((angle, gap))
-        else:
-            groups.append([(angle, gap)])
-    if len(groups) > 1 and groups[0][0][0] + 2.0 * np.pi - groups[-1][-1][0] <= extremal.ARC_SINGLE_ANGLE:
-        groups[0] += groups.pop()
-    return sorted(float(min(g, key=lambda p: p[1])[0]) for g in groups)
+    return extremal._crossings(pencil, *extremal._polish(pencil, t, 2))
 
 
 def classify(A, grid: int = 512) -> KippenhahnClassification:

@@ -109,11 +109,14 @@ class SpectralDecomposition:
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Make the largest-modulus component of each column real positive.
+    """Make the largest-modulus component of each column real positive;
+    moduli within a relative 1e-12 of the largest tie, and the first wins.
 
     Works on a single matrix or on a stack of them (last two axes).
     """
-    idx = np.argmax(np.abs(V), axis=-2)[..., None, :]
+    mod = np.abs(V)
+    tied = mod >= (1.0 - 1e-12) * np.max(mod, axis=-2, keepdims=True)
+    idx = np.argmax(tied, axis=-2)[..., None, :]
     piv = np.take_along_axis(V, idx, axis=-2)
     a = np.abs(piv)
     return V * np.divide(piv.conj(), a, out=np.ones_like(piv), where=a > 0.0)
@@ -209,10 +212,6 @@ class Pencil:
         """Support function of W(A): the top eigenvalue of A(theta)."""
         return np.linalg.eigvalsh(self.rotate(thetas))[..., -1]
 
-    def gap(self, thetas) -> np.ndarray:
-        """Gap between the two largest eigenvalues of A(theta)."""
-        return self.top_gap(np.linalg.eigvalsh(self.rotate(thetas)))
-
     @staticmethod
     def top_gap(w: np.ndarray) -> np.ndarray:
         """Gap between the two largest of ascending eigenvalues (last axis);
@@ -249,10 +248,11 @@ class Pencil:
         c = np.abs(y[..., others, 0]) ** 2
         return -w[..., k] + 2.0 * np.sum(c / (w[..., k : k + 1] - w[..., others]), axis=-1)
 
-    def reduced(self, theta: float, eig, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reduced pencil of the top k eigenvalues of A(theta) at one angle.
+    def reduced(self, thetas, eig, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reduced pencil of the top k eigenvalues of A(theta).
 
-        Returns (M0, M1, M2), k x k Hermitian, such that the eigenvalues of
+        Returns (M0, M1, M2), k x k Hermitian (stacked along the leading
+        axis for an angle array), such that the eigenvalues of
 
             M(delta) = M0 + delta M1 + (delta^2 / 2) M2
 
@@ -267,13 +267,14 @@ class Pencil:
         a cluster (s much below g).
         """
         w, V = eig
-        Q, P = V[:, -k:], V[:, :-k]
-        B = self.prime(theta) @ Q
-        M0 = np.diag(w[-k:]).astype(complex)
-        M1 = Q.conj().T @ B
-        C = P.conj().T @ B
-        M2 = -M0 + 2.0 * C.conj().T @ (C / (np.mean(w[-k:]) - w[:-k])[:, None])
-        return M0, (M1 + M1.conj().T) / 2.0, (M2 + M2.conj().T) / 2.0
+        Q, P = V[..., -k:], V[..., :-k]
+        B = self.prime(thetas) @ Q
+        M0 = w[..., -k:, None] * np.eye(k, dtype=complex)
+        M1 = Q.conj().swapaxes(-1, -2) @ B
+        C = P.conj().swapaxes(-1, -2) @ B
+        gaps = np.mean(w[..., -k:], axis=-1, keepdims=True) - w[..., :-k]
+        M2 = -M0 + 2.0 * C.conj().swapaxes(-1, -2) @ (C / gaps[..., None])
+        return M0, (M1 + M1.conj().swapaxes(-1, -2)) / 2.0, (M2 + M2.conj().swapaxes(-1, -2)) / 2.0
 
     def top_cluster(self, theta: float, tol: float) -> tuple[float, np.ndarray]:
         """Top eigenvalue of A(theta) and an orthonormal basis of the

@@ -144,6 +144,40 @@ def test_flat_portions_disk_and_triangle():
         ex.flat_portions(DISK, 32)
 
 
+@pytest.mark.parametrize("grid", [256, 512, 1024])
+def test_flat_portions_doubled_triangle(grid):
+    # every eigenvalue of A(theta) is double, so the top gap is zero at
+    # every angle; the edges are where the top pair meets the next one
+    fps = ex.flat_portions(np.kron(np.eye(2), TRIANGLE), grid)
+    assert [fp.theta for fp in fps] == pytest.approx([np.pi / 4, np.pi, 3 * np.pi / 2], abs=1e-12)
+    assert [fp.length for fp in fps] == pytest.approx([np.sqrt(2.0), 1.0, 1.0], abs=1e-12)
+
+
+def test_flat_portions_square_normals_in_range():
+    # the normal 0 comes out of the polish as a tiny negative angle, whose
+    # remainder modulo 2 pi must not round up to 2 pi
+    fps = ex.flat_portions(np.diag([0.0, 1.0, 1.0j, 1.0 + 1.0j]), 512)
+    assert [fp.theta for fp in fps] == pytest.approx([0.0, np.pi / 2, np.pi, 3 * np.pi / 2], abs=1e-12)
+    assert all(0.0 <= fp.theta < 2 * np.pi for fp in fps)
+
+
+@pytest.mark.parametrize("grid", [256, 512, 1024])
+def test_flat_portions_disk_pair_plus_point(grid):
+    # two unit disks and the point 2: the top eigenvalue is double on the
+    # arc |theta| > pi/3 and meets 2 cos(theta) at its ends; in a unitary
+    # frame and under z -> a z + b the portions turn by arg a
+    rng = np.random.default_rng(7)
+    B = np.zeros((5, 5), dtype=complex)
+    B[:2, :2] = B[2:4, 2:4] = DISK
+    B[4, 4] = 2.0
+    U, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    a, b = 0.7 * np.exp(0.4j), 0.3 - 0.2j
+    fps = ex.flat_portions(a * U.conj().T @ B @ U + b * np.eye(5), grid)
+    want = sorted((s * np.pi / 3 + np.angle(a)) % (2 * np.pi) for s in (1, -1))
+    assert [fp.theta for fp in fps] == pytest.approx(want, abs=1e-9)
+    assert [fp.length for fp in fps] == pytest.approx([abs(a) * SQ3] * 2, abs=1e-9)
+
+
 def test_extreme_points_circle_point():
     reps = ex.extreme_points(CIRCLE_POINT, 512)
     for sign in (1, -1):

@@ -122,12 +122,116 @@ def circular_gap(s, t):
     return min(d, 2 * np.pi - d)
 
 
+def golden_min(f, lo, hi, iters=90):
+    """Golden-section minimizer returning the best abscissa."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        if b - a < 1e-13:
+            break
+    return (a + b) / 2.0
+
+
+def bisect_edges(inside, inner, outer):
+    """Batched bisection of the edges of angle sets, in 48 halvings."""
+    inner = np.array(inner, dtype=float)
+    outer = np.array(outer, dtype=float)
+    for _ in range(48):
+        mid = (inner + outer) / 2.0
+        member = inside(mid)
+        inner[member] = mid[member]
+        outer[~member] = mid[~member]
+    return inner
+
+
+def circular_runs(mask):
+    """Maximal runs of True in a circular boolean array, as (start, stop)."""
+    n = mask.size
+    if mask.all():
+        return [(0, n)]
+    if not mask.any():
+        return []
+    ext = np.concatenate([mask, mask])
+    runs = []
+    j = 0
+    while j < n:
+        if ext[j] and not ext[j - 1 if j > 0 else n - 1]:
+            k = j
+            while ext[k]:
+                k += 1
+            runs.append((j, k))
+            j = k
+        else:
+            j += 1
+    return runs
+
+
+def scan_candidates(pencil, thetas, gap):
+    """Angles where the top eigenvalue of A(theta) is degenerate, from the
+    top gap on a uniform grid: golden-section search at every local
+    minimum of a run of the gap below the Lipschitz bound, and bisected
+    edges of runs that stay degenerate across grid points."""
+
+    def top_gap(t):
+        return pencil.top_gap(np.linalg.eigvalsh(pencil.rotate(t)))
+
+    grid = thetas.size
+    step = 2.0 * np.pi / grid
+    scale = pencil.norm
+    thresh = 2.0 * step * scale + 10.0 * pencil.ctol
+    mask = gap <= thresh
+    gap_tol = ex.GAP_REFINE_RTOL * (1.0 + scale)
+    found, edge_in, edge_out = [], [], []
+    for start, stop in circular_runs(mask):
+        idx = np.arange(start, stop) % grid
+        band = gap[idx] <= gap_tol
+        lo = thetas[start % grid] - step
+        hi = lo + (stop - start + 1) * step
+        if band.sum() >= 2 and stop - start < grid:
+            band_idx = idx[band]
+            found.append(float(thetas[band_idx[len(band_idx) // 2]]))
+            edge_in += [thetas[band_idx[0]], thetas[band_idx[0]] + (band_idx.size - 1) * step]
+            edge_out += [lo, hi]
+        elif stop - start >= grid:
+            found.append(0.0)
+        else:
+            g = gap[idx]
+            left = np.concatenate([[gap[(start - 1) % grid]], g[:-1]])
+            right = np.concatenate([g[1:], [gap[stop % grid]]])
+            local_min = np.nonzero((g <= left) & (g <= right))[0]
+            for m in local_min[:64]:
+                t0 = thetas[start % grid] + m * step
+                t = golden_min(lambda th: float(top_gap(th)), t0 - step, t0 + step)
+                if top_gap(t) <= gap_tol:
+                    found.append(t % (2.0 * np.pi))
+    if edge_in:
+        edges = bisect_edges(lambda t: top_gap(t) <= gap_tol, edge_in, edge_out)
+        found += [float(t) for t in edges % (2.0 * np.pi)]
+    found.sort()
+    out = []
+    for t in found:
+        if all(circular_gap(t, s) > 1e-9 for s in out):
+            out.append(t)
+    return out
+
+
 def test_double_eigenvalue_angles_match_dense_scan(rng):
     # reference: a 4096-angle gap scan refined by golden-section search
     def dense_portions(A):
         pencil = mc.Pencil(A)
         thetas, w, _ = pencil.grid(4096)
-        return ex._flat_portions(pencil, ex._flat_candidates(pencil, thetas, pencil.top_gap(w)))
+        return ex._flat_portions(pencil, scan_candidates(pencil, thetas, pencil.top_gap(w)))
 
     cases = [random_matrix(rng, 3) for _ in range(500)]
     for a in (0.0, 0.5, 1.0, 1.25, 2.0):
@@ -152,6 +256,45 @@ def test_double_eigenvalue_angles_match_dense_scan(rng):
             assert min(circular_gap(fp.theta, g.theta) for g in got) <= 1e-9
         flat_cases += bool(got)
     assert flat_cases >= 20 + 6  # the display copies and every F3 witness
+
+
+def haar_unitary(rng, d):
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def flat_family(rng):
+    """Irreducible 3x3 matrices whose range has a flat portion of relative
+    length 1e-6 to 1 at a random normal angle: s U*(e^{i theta}
+    (diag(1, 1, x) + i H)) U, where the compression of H to span(e1, e2)
+    has eigenvalue spread L."""
+    while True:
+        L = 10.0 ** rng.uniform(-6.0, 0.0)
+        x = rng.uniform(-3.0, 0.9)
+        s = rng.uniform(0.5, 5.0)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        H = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        H = (H + H.conj().T) / 2.0
+        top = H[:2, :2] - np.trace(H[:2, :2]).real / 2.0 * np.eye(2)
+        H[:2, :2] += top * (L / (2.0 * np.linalg.norm(top) / np.sqrt(2.0)) - 1.0)
+        U = haar_unitary(rng, 3)
+        A = s * U.conj().T @ (np.exp(1j * theta) * (np.diag([1.0, 1.0, x]) + 1j * H)) @ U
+        if not kipp3.normal_eigenvalues(A):
+            yield A
+
+
+def test_grid_scan_finds_every_double_eigenvalue_portion():
+    # the grid scan and the discriminant seed the same Newton polish; on
+    # flat portions down to 1e-6 long, the scan must miss none of them
+    draws = flat_family(np.random.default_rng(1))
+    for _ in range(300):
+        A = next(draws)
+        pencil = mc.Pencil(A)
+        want = ex._flat_portions(pencil, kipp3._double_eigenvalue_angles(pencil))
+        got = ex.flat_portions(pencil, 4096)
+        assert len(got) == len(want)
+        for fp in want:
+            assert min(circular_gap(fp.theta, g.theta) for g in got) <= 1e-9
 
 
 def test_double_eigenvalue_angle_at_tangential_point():

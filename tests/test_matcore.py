@@ -137,6 +137,21 @@ def test_eig_hermitian_deterministic_and_phase_fixed(rng):
         assert piv.real > 0
 
 
+def test_fix_phases_keeps_the_first_of_tied_pivots():
+    # a circle pre-image (1, e^{i theta}) / sqrt 2: its two moduli tie, and
+    # a rounding-level change must not move the pivot to the second one
+    theta = 1.1
+    v = np.array([[1.0], [np.exp(1j * theta)]]) / np.sqrt(2.0)
+    bumped = v * np.array([[1.0], [1.0 + 4.0 * np.finfo(float).eps]]) * np.exp(0.7j)
+    assert np.abs(bumped[1, 0]) > np.abs(bumped[0, 0])  # argmax picks the second
+    fixed, fixed_bumped = mc._fix_phases(v), mc._fix_phases(bumped)
+    assert fixed[0, 0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+    assert np.max(np.abs(fixed - fixed_bumped)) <= 1e-15
+    # the stacked form pivots each column on its own
+    stack = mc._fix_phases(np.stack([bumped, v * 1j]))
+    assert np.max(np.abs(stack - fixed)) <= 1e-15
+
+
 def test_eig_hermitian_rejects_nonhermitian():
     with pytest.raises(PreconditionError):
         mc.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
