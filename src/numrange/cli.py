@@ -2,9 +2,11 @@
 
 Matrices are read from JSON files of the form
 ``{"d": n, "re": [[...]], "im": [[...]]}`` (row-major real and imaginary
-parts).  Structured results are emitted as JSON on stdout, polygons and
-paths as CSV with an ``x,y`` header; numbers are serialized so that
-parsing them back reproduces the doubles bit for bit.
+parts).  A structured result goes to stdout as exactly
+``json.dumps(doc, indent=2)`` plus a newline, where complex numbers are
+``[re, im]`` pairs; polygons go out as CSV with an ``x,y`` header and
+one ``repr(x),repr(y)`` line per vertex.  Either is one write, and
+parsing it back reproduces the doubles bit for bit.
 
 Exit codes: 0 success, 1 usage error, 2 malformed matrix file,
 3 precondition violation, 4 numerical failure (a computation did not
@@ -16,9 +18,11 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -47,8 +51,7 @@ def parse_matrix(path: str) -> np.ndarray:
     d = doc["d"]
     if not isinstance(d, int) or d < 1:
         raise MatrixFileError(f"{path}: field 'd' must be a positive integer")
-    out = np.empty((d, d), dtype=complex)
-    for field, part in (("re", 1.0), ("im", 1.0j)):
+    for field in ("re", "im"):
         arr = doc[field]
         if not isinstance(arr, list) or len(arr) != d or any(
             not isinstance(row, list) or len(row) != d for row in arr
@@ -58,8 +61,7 @@ def parse_matrix(path: str) -> np.ndarray:
     im = np.asarray(doc["im"], dtype=float)
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise MatrixFileError(f"{path}: entries must be finite numbers")
-    out = re + 1j * im
-    return out
+    return re + 1j * im
 
 
 def matrix_dict(A: np.ndarray) -> dict:
@@ -69,14 +71,6 @@ def matrix_dict(A: np.ndarray) -> dict:
         "re": [[float(x) for x in row] for row in A.real],
         "im": [[float(x) for x in row] for row in A.imag],
     }
-
-
-def _cpx(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _basis_list(B: np.ndarray) -> list[list[list[float]]]:
-    return [[_cpx(B[i, k]) for i in range(B.shape[0])] for k in range(B.shape[1])]
 
 
 def _parse_point(text: str) -> complex:
@@ -99,9 +93,137 @@ def _parse_eps(text: str) -> list[float]:
     return vals
 
 
+# JSON writer.  ``json.dump`` with an indent runs the pure-Python encoder,
+# one generator step per token; this writer builds the same text with the
+# numbers of each numpy array formatted in one pass and filled into a
+# cached layout by one ``%``.
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _Slots:
+    """Template leaf: a ``%s`` for each number of an array of ``shape``."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, *shape: int):
+        self.shape = shape
+
+
+def _float(x: float) -> str:
+    s = float.__repr__(x)
+    return _NONFINITE.get(s, s)
+
+
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """A complex array as its (re, im) pairs: shape ``a.shape + (2,)``."""
+    return np.stack((a.real, a.imag), axis=-1)
+
+
+def _reprs(a: np.ndarray) -> tuple[str, ...]:
+    """JSON text of each number of the float array ``a``, in C order."""
+    out = tuple(map(float.__repr__, a.ravel().tolist()))
+    if not np.isfinite(a).all():
+        out = tuple(_NONFINITE.get(s, s) for s in out)
+    return out
+
+
+def _block(open_: str, items: list[str], close: str, level: int) -> str:
+    """A list or dict of encoded items whose bracket sits at indent ``level``."""
+    if not items:
+        return open_ + close
+    ind = "\n" + "  " * (level + 1)
+    return open_ + ind + ("," + ind).join(items) + ind[:-2] + close
+
+
+@functools.lru_cache(maxsize=256)
+def _template(shape: tuple[int, ...], level: int) -> str:
+    """Layout of a nested list of ``shape`` at indent ``level``, with a
+    ``%s`` for each number."""
+    if not shape:
+        return "%s"
+    return _block("[", [_template(shape[1:], level + 1)] * shape[0], "]", level)
+
+
+def _dumps(o, level: int = 0) -> str:
+    """``json.dumps(o, indent=2)``, for ``o`` nested at indent ``level``.
+
+    Besides JSON values, ``o`` may hold numpy float arrays, encoded as
+    nested lists, and complex numbers and arrays, each number encoded as
+    its pair [re, im].
+    """
+    # the most frequent types first; bool must come before int
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        return _block("[", [_dumps(v, level + 1) for v in o], "]", level)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, dict):
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, level + 1) for k, v in o.items()]
+        return _block("{", items, "}", level)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, complex):
+        return _template((2,), level) % (_float(o.real), _float(o.imag))
+    if isinstance(o, np.ndarray):
+        if o.dtype.kind == "c":
+            o = _pairs(o)
+        return _template(o.shape, level) % _reprs(o)
+    if isinstance(o, _Slots):
+        return _template(o.shape, level)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+@functools.lru_cache(maxsize=64)
+def _report_template(d: int, k: int) -> str:
+    """One ``extremes`` report with a d x k pre-image basis, with slots for
+    its numbers, its kind and its multiply_generated flag."""
+    report = {
+        "point": _Slots(2),
+        "kind": _Slots(),
+        "multiply_generated": _Slots(),
+        "preimage_dimension": k,
+        "preimage": _Slots(k, d, 2),
+        "normal_arc": _Slots(2),
+    }
+    return _dumps(report, 1)
+
+
+def _reports_json(reports) -> str:
+    """The ``extremes`` document, built from columns: points and normal arcs
+    in one array, the pre-image bases stacked per shape, and one ``%`` on
+    the shape's report template per report."""
+    heads = _reprs(np.array([(r.point.real, r.point.imag, *r.normal_arc) for r in reports]).reshape(-1, 4))
+    rows_of: dict[tuple[int, int], list[int]] = {}
+    for i, r in enumerate(reports):
+        rows_of.setdefault(r.preimage.shape, []).append(i)
+    records = [""] * len(reports)
+    for (d, k), rows in rows_of.items():
+        # basis columns first: the document lists each column's entries
+        nums = _reprs(_pairs(np.array([reports[i].preimage.T for i in rows])))
+        template, size = _report_template(d, k), 2 * d * k
+        for j, i in enumerate(rows):
+            r = reports[i]
+            records[i] = template % (
+                *heads[4 * i : 4 * i + 2],
+                encode_basestring_ascii(r.kind),
+                _dumps(r.multiply_generated),
+                *nums[size * j : size * (j + 1)],
+                *heads[4 * i + 2 : 4 * i + 4],
+            )
+    return _block("[", records, "]", 0)
+
+
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Write ``json.dumps(doc, indent=2)`` and a newline, in one write."""
+    sys.stdout.write(_dumps(doc) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,32 +277,19 @@ def run(args) -> int:
     A = parse_matrix(args.matrix)
 
     if cmd == "boundary":
-        poly = rg.boundary_polygon(A, args.samples)
-        sys.stdout.write("x,y\n")
-        for x, y in poly.vertices:
-            sys.stdout.write(f"{float(x)!r},{float(y)!r}\n")
+        v = rg.boundary_polygon(A, args.samples).vertices
+        sys.stdout.write("x,y\n" + ("%r,%r\n" * len(v)) % tuple(v.ravel().tolist()))
         return 0
 
     if cmd == "extremes":
         reports = extremal.extreme_points(A, min(args.samples, 1024))
-        _emit(
-            [
-                {
-                    "point": _cpx(r.point),
-                    "kind": r.kind,
-                    "multiply_generated": r.multiply_generated,
-                    "preimage_dimension": int(r.preimage.shape[1]),
-                    "preimage": _basis_list(r.preimage),
-                    "normal_arc": [r.normal_arc[0], r.normal_arc[1]],
-                }
-                for r in reports
-            ]
-        )
+        sys.stdout.write(_reports_json(reports) + "\n")
         return 0
 
     if cmd == "preimage":
-        B = extremal.preimage(A, _parse_point(args.point))
-        _emit({"point": _cpx(_parse_point(args.point)), "dimension": int(B.shape[1]), "basis": _basis_list(B)})
+        p = _parse_point(args.point)
+        B = extremal.preimage(A, p)
+        _emit({"point": p, "dimension": int(B.shape[1]), "basis": B.T})
         return 0
 
     if cmd == "flat":
@@ -189,7 +298,7 @@ def run(args) -> int:
             [
                 {
                     "theta": fp.theta,
-                    "endpoints": [_cpx(fp.endpoints[0]), _cpx(fp.endpoints[1])],
+                    "endpoints": fp.endpoints,
                     "length": fp.length,
                 }
                 for fp in portions
@@ -204,7 +313,7 @@ def run(args) -> int:
         rows = birth.verify_birth(fam, eps)
         _emit(
             {
-                "alpha": _cpx(fam.alpha),
+                "alpha": fam.alpha,
                 "theta": fam.theta,
                 "support": fam.support,
                 "lambda": fam.lam,
@@ -231,15 +340,15 @@ def run(args) -> int:
             {
                 "class": cls.class_tag,
                 "shape": cls.shape,
-                "normal_eigenvalues": [_cpx(z) for z in cls.normal_eigenvalues],
+                "normal_eigenvalues": cls.normal_eigenvalues,
                 "elliptic": None
                 if cls.elliptic is None
                 else {
-                    "lambda": _cpx(cls.elliptic.lam),
-                    "foci": [_cpx(cls.elliptic.foci[0]), _cpx(cls.elliptic.foci[1])],
+                    "lambda": cls.elliptic.lam,
+                    "foci": cls.elliptic.foci,
                     "minor_axis": cls.elliptic.minor_axis,
                 },
-                "flat_angles": list(cls.flat_angles),
+                "flat_angles": cls.flat_angles,
             }
         )
         return 0
@@ -252,8 +361,8 @@ def run(args) -> int:
                 "lambda": cf.lam,
                 "a": cf.a,
                 "unitary": matrix_dict(cf.unitary),
-                "affine_T": [[float(x) for x in row] for row in cf.affine_T],
-                "affine_shift": [float(x) for x in cf.affine_shift],
+                "affine_T": cf.affine_T,
+                "affine_shift": cf.affine_shift,
                 "canonical": matrix_dict(cf.canonical),
             }
         )
@@ -295,7 +404,7 @@ def run(args) -> int:
             {
                 "rho": matrix_dict(res.rho),
                 "entropy": res.entropy,
-                "dual_point": None if res.dual_point is None else list(res.dual_point),
+                "dual_point": res.dual_point,
                 "residual": res.residual,
             }
         )
@@ -305,10 +414,10 @@ def run(args) -> int:
         rep = maxent.discontinuity_probe(A, _parse_point(args.point))
         _emit(
             {
-                "alpha": _cpx(rep.alpha),
+                "alpha": rep.alpha,
                 "value_entropy": rep.value_entropy,
-                "radial_entropies": [float(x) for x in rep.radial_entropies],
-                "boundary_entropies": [float(x) for x in rep.boundary_entropies],
+                "radial_entropies": rep.radial_entropies,
+                "boundary_entropies": rep.boundary_entropies,
                 "radial_limit": rep.radial_limit,
                 "boundary_limit": rep.boundary_limit,
                 "discontinuous": rep.discontinuous,
@@ -325,7 +434,7 @@ def run(args) -> int:
                 "n": args.n,
                 "seed": args.seed,
                 "gap": gap,
-                "hull": [[float(x), float(y)] for x, y in inner.vertices],
+                "hull": inner.vertices,
             }
         )
         return 0

@@ -71,8 +71,12 @@ def convex_hull(points: np.ndarray, collinear_tol: float = 0.0) -> np.ndarray:
     if n == 2:
         return pts
 
+    # the chain runs on Python floats: indexing numpy rows costs several
+    # times more, and the arithmetic is the same IEEE double arithmetic
+    rows = pts.tolist()
+
     def half(iterable):
-        chain: list[np.ndarray] = []
+        chain: list[list[float]] = []
         for p in iterable:
             while len(chain) >= 2:
                 o, a = chain[-2], chain[-1]
@@ -83,8 +87,8 @@ def convex_hull(points: np.ndarray, collinear_tol: float = 0.0) -> np.ndarray:
             chain.append(p)
         return chain
 
-    lower = half(pts)
-    upper = half(pts[::-1])
+    lower = half(rows)
+    upper = half(reversed(rows))
     hull = np.array(lower[:-1] + upper[:-1])
     if len(hull) == 2 and np.allclose(hull[0], hull[1]):
         hull = hull[:1]

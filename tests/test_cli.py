@@ -1,10 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from numrange import cli, kipp3
+from numrange import cli, extremal, kipp3, rangegeo as rg
 from numrange.errors import NumericalError, PreconditionError
+
+from conftest import CIRCLE_POINT, DISK, DISK2, DISK_EIG_BOUNDARY, JORDAN3, SEGMENT, TRIANGLE
 
 
 @pytest.fixture
@@ -295,3 +300,140 @@ def test_parser_built_once_per_process(capsys, matrix_file, monkeypatch):
     monkeypatch.setattr(cli, "_PARSER", parser)
     run_cli(capsys, *calls[2])
     assert cli._PARSER is parser  # reused, not rebuilt
+
+
+def plain(o):
+    """The JSON value the CLI writer encodes: arrays as nested lists and
+    complex numbers as [re, im] pairs."""
+    if isinstance(o, np.ndarray):
+        return (np.stack((o.real, o.imag), axis=-1) if o.dtype.kind == "c" else o).tolist()
+    if isinstance(o, complex):
+        return [o.real, o.imag]
+    if isinstance(o, dict):
+        return {k: plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [plain(v) for v in o]
+    return o
+
+
+_floats = st.floats() | st.sampled_from([1e-05, 1e16, 1.5e-310, 5e-324, -0.0, math.nan, math.inf, -math.inf])
+_shapes = (
+    st.sampled_from([(0,), (2,)])
+    | st.integers(0, 6).map(lambda n: (n, 2))
+    | st.tuples(st.integers(1, 3), st.integers(1, 4)).map(lambda kd: (*kd, 2))
+)
+_arrays = st.one_of(
+    _shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=_floats)),
+    _shapes.flatmap(lambda shape: hnp.arrays(np.complex128, shape[:-1] or shape, elements=st.complex_numbers())),
+)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**100), 2**100),
+    _floats,
+    _floats.map(np.float64),
+    st.complex_numbers(),
+    st.text(),
+    _arrays,
+)
+_docs = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None, database=None)
+@given(_docs)
+def test_writer_matches_json_dumps(doc):
+    assert cli._dumps(doc) == json.dumps(plain(doc), indent=2)
+
+
+def old_extremes_doc(reports):
+    """The extremes document as the CLI built it for json.dump."""
+    return [
+        {
+            "point": [r.point.real, r.point.imag],
+            "kind": r.kind,
+            "multiply_generated": r.multiply_generated,
+            "preimage_dimension": r.preimage.shape[1],
+            "preimage": [[[z.real, z.imag] for z in column] for column in r.preimage.T.tolist()],
+            "normal_arc": [r.normal_arc[0], r.normal_arc[1]],
+        }
+        for r in reports
+    ]
+
+
+ONE_BY_ONE = np.array([[0.5 - 0.25j]])
+
+
+@pytest.mark.parametrize(
+    "name, A, samples",
+    [
+        ("deb", DISK_EIG_BOUNDARY, 256),  # pre-images of dimension 1 and 2
+        ("disk2", DISK2, 128),  # every pre-image of dimension 2
+        ("cp", CIRCLE_POINT, 256),
+        ("one", ONE_BY_ONE, 64),
+    ],
+)
+def test_extremes_output_is_the_json_of_the_reports(capsys, matrix_file, name, A, samples):
+    path = matrix_file(name, A)
+    code, out, _ = run_cli(capsys, "extremes", path, "--samples", str(samples))
+    assert code == 0
+    reports = extremal.extreme_points(A, samples)
+    assert out == json.dumps(old_extremes_doc(reports), indent=2) + "\n"
+    if name == "deb":
+        assert {r.preimage.shape[1] for r in reports} == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # extremes: test_extremes_output_is_the_json_of_the_reports
+        ("preimage", "deb", "--point", "1,0"),
+        ("preimage", "one", "--point", "0.5,-0.25"),
+        ("flat", "cp"),
+        ("flat", "triangle"),
+        ("flat", "disk"),  # prints []
+        ("birth", "deb", "--point", "1,0", "--eps", "0.1,0.01"),
+        ("classify3", "cp"),
+        ("classify3", "jordan3"),
+        ("classify3", "triangle"),
+        ("canonical3", "segment"),
+        ("canonical3", "cp"),
+        ("closure3", "deb", "--eps", "0.01,0.001"),
+        ("hausdorff", "disk", "disk2", "--samples", "256"),
+        ("maxent", "deb", "--point", "0,0"),
+        ("maxent", "deb", "--point", "1,0"),
+        ("probe", "deb", "--point", "1,0"),
+        ("oracle", "cp", "--n", "5000", "--seed", "3"),
+    ],
+)
+def test_json_output_is_canonical(capsys, matrix_file, argv):
+    fixtures = {
+        "deb": DISK_EIG_BOUNDARY,
+        "disk2": DISK2,
+        "one": ONE_BY_ONE,
+        "cp": CIRCLE_POINT,
+        "triangle": TRIANGLE,
+        "disk": DISK,
+        "jordan3": JORDAN3,
+        "segment": SEGMENT,
+    }
+    code, out, err = run_cli(capsys, *(matrix_file(a, fixtures[a]) if a in fixtures else a for a in argv))
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if argv == ("flat", "disk"):
+        assert out == "[]\n"
+
+
+@pytest.mark.parametrize("A, samples", [(CIRCLE_POINT, 4096), (DISK2, 256), (ONE_BY_ONE, 64)])
+def test_boundary_output_is_the_per_vertex_rendering(capsys, matrix_file, A, samples):
+    path = matrix_file("m", A)
+    code, out, _ = run_cli(capsys, "boundary", path, "--samples", str(samples))
+    assert code == 0
+    want = "x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in rg.boundary_polygon(A, samples).vertices)
+    assert out == want

@@ -71,6 +71,56 @@ def test_boundary_polygon_vertices_contained(rng):
         assert rg.contains(A, z)
 
 
+def numpy_row_hull(points, collinear_tol=0.0):
+    """Reference: the monotone chain on numpy rows, as convex_hull ran it
+    before it ran on Python floats."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = np.any(np.diff(pts, axis=0) != 0.0, axis=1)
+    pts = pts[keep]
+    if len(pts) <= 2:
+        return pts
+
+    def half(iterable):
+        chain = []
+        for p in iterable:
+            while len(chain) >= 2:
+                o, a = chain[-2], chain[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= collinear_tol:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        return chain
+
+    hull = np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+    if len(hull) == 2 and np.allclose(hull[0], hull[1]):
+        hull = hull[:1]
+    return hull
+
+
+def test_convex_hull_matches_numpy_row_chain(rng, monkeypatch):
+    # the touch-point sets that boundary_polygon hands to the hull
+    inputs = []
+    hull = rg.convex_hull
+
+    def recording_hull(points, collinear_tol=0.0):
+        inputs.append((points, collinear_tol))
+        return hull(points, collinear_tol)
+
+    monkeypatch.setattr(rg, "convex_hull", recording_hull)
+    for d, count in ((2, 5), (3, 5), (8, 5), (32, 1)):  # d = 32 takes 1 s at N = 4096
+        for _ in range(count):
+            rg.boundary_polygon(random_matrix(rng, d), 4096)
+    assert len(inputs) == 16
+    # random clouds, and integer lattices full of exactly collinear triples
+    inputs += [(rng.standard_normal((5000, 2)), 0.0) for _ in range(20)]
+    inputs += [(rng.integers(0, 20, (2000, 2)).astype(float), tol) for tol in (0.0, 1.0)]
+    for points, tol in inputs:
+        assert np.array_equal(hull(points, tol), numpy_row_hull(points, tol))
+
+
 def test_contains_examples():
     assert rg.contains(DISK, 0.0)
     assert not rg.contains(DISK, 1.01 + 0j)
