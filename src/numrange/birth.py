@@ -21,23 +21,40 @@ from .errors import PreconditionError
 ALPHA_RECHECK_RTOL = 1e-9
 
 
-def default_H(Q) -> np.ndarray:
-    """Rank-one Hermitian matrix q1 q1* on the first basis column.
+def default_H(Q, A=None, theta: float | None = None) -> np.ndarray:
+    """Rank-one Hermitian matrix q1 q1* on a unit vector q1 of span(Q).
 
     Its restriction to span(Q) has eigenvalues {1, 0, ...}: never a
     scalar, with the simplest possible spectrum for endpoint formulas.
 
-    H depends on the basis Q, not only on span(Q): replacing Q by QU for
-    a unitary U changes q1, so H and the ``member`` matrices of a
-    :class:`BirthFamily` built with it change too.  The projector P, the
-    one-sided slopes mu+ and mu- (1 and 0), the flat lengths and the
-    endpoint laws do not.  :func:`birth_family` takes Q from the
-    eigensolver, so pass ``H`` to fix the members across bases.
+    With the matrix ``A`` (or its Pencil) and the supporting angle
+    ``theta`` of the pre-image Q, q1 = Q z depends on span(Q) only: z is
+    the top eigenvector of Q*TQ, where T = Q_c M2 Q_c* carries the
+    second-order term M2 of the reduced pencil
+    (:meth:`~numrange.matcore.Pencil.reduced`) of the top eigenvalue
+    cluster Q_c of A(theta), when that eigenvalue is simple (gap above
+    ``ctol``).  Replacing Q by QU for a unitary U then leaves H and the
+    ``member`` matrices of a :class:`BirthFamily` unchanged.
+
+    Otherwise (no ``A``, a top cluster that fills the space, or a
+    repeated top eigenvalue of Q*TQ) q1 is the first column of Q, so H
+    follows the basis; the projector P, the one-sided slopes mu+ and mu-
+    (1 and 0), the flat lengths and the endpoint laws do not.
     """
     Q = np.asarray(Q, dtype=complex)
     if Q.ndim != 2 or Q.shape[1] < 2:
         raise PreconditionError("default_H requires a basis with at least 2 columns")
     q1 = Q[:, 0]
+    if A is not None:
+        pencil = mc.as_pencil(A)
+        eig = pencil.eigh(theta)
+        k = int(np.sum(eig[0] >= eig[0][-1] - pencil.ctol))
+        if k < pencil.d:
+            B = Q.conj().T @ eig[1][:, -k:]
+            T = B @ pencil.reduced(theta, eig, k)[2] @ B.conj().T
+            mu, Z = np.linalg.eigh((T + T.conj().T) / 2.0)
+            if mu[-1] - mu[-2] > pencil.ctol:
+                q1 = Q @ Z[:, -1]
     return np.outer(q1, q1.conj())
 
 
@@ -122,7 +139,7 @@ def birth_family(A, alpha, H=None, grid: int = 512) -> BirthFamily:
         )
 
     if H is None:
-        H = default_H(basis)
+        H = default_H(basis, pencil, theta)
     else:
         H = mc.check_hermitian(H)
         if H.shape != A.shape:

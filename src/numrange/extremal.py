@@ -15,6 +15,7 @@ is ``<a, b> = Re(a * conj(b))``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +108,16 @@ def face(A, theta: float) -> FaceDescriptor:
     """Compute the exposed face of W(A) with outward normal ``e^{i theta}``.
 
     ``A`` is a matrix or a :class:`~numrange.matcore.Pencil`, as for every
-    function of this module that takes one.
+    function of this module that takes one.  The basis blocks leave the
+    package: the cluster basis comes with its phases fixed from
+    :meth:`~numrange.matcore.Pencil.segment`, and the eigenvectors of the
+    compressed derivative part that combine it into the endpoint blocks
+    are fixed here (:func:`~numrange.matcore._fix_phases`).
     """
     pencil = mc.as_pencil(A)
     ctol = pencil.ctol
     support, Qm, mu, W = pencil.segment(theta, ctol)
+    W = mc._fix_phases(W)
     lo, hi = float(mu[0]), float(mu[-1])
     basis_plus = Qm @ W[:, mu >= hi - ctol]
     basis_minus = Qm @ W[:, mu <= lo + ctol]
@@ -304,43 +310,63 @@ def _golden_min(f, lo: float, hi: float, iters: int = 90) -> float:
     return (a + b) / 2.0
 
 
-def _newton_max(solve, derivs, lo: float, t: float, hi: float, state):
-    """Safeguarded Newton for the maximum of g on a bracket lo <= t <= hi
-    with g'(lo) >= 0 >= g'(hi).
+def _newton_max(solve, derivs, lo, t, hi) -> tuple[list[float], list[float]]:
+    """Safeguarded Newton for the maxima of functions g_i in lockstep, each
+    on its bracket lo_i <= t_i <= hi_i with g_i'(lo_i) >= 0 >= g_i'(hi_i)
+    (1-D float arrays).
 
-    ``state`` holds the eigendecompositions at t that ``solve(t)`` returns,
-    and ``derivs(t, state)`` gives (g, g', g'') there.  Where g has no
-    second derivative (a clustered top eigenvalue) g'' is nan, or the mean
-    of g'' between t and the maximizer of a local model (see
-    :func:`_reduced_argmax`), so that the Newton step lands on that
-    maximizer; g' = 0 reports t as a maximum (a kink test that passed).
-    Each step moves one bracket end to t by the sign of g', then takes the
-    Newton step t - g'/g'' when g'' < 0 and the step stays inside the
-    bracket, and bisects otherwise.  It stops at g' = 0, a Newton step or
-    a bracket below 1e-15, or after 80 steps.  Returns the final angle and
-    g at the last angle solved.
+    The caller keeps the eigendecompositions of the latest solve: before
+    the call those at the angles t, and after ``solve(t)`` those at the
+    new angles t of the rows still searching (one stacked call for all of
+    them).  ``derivs(t, rows)`` gives the sequences
+    (g, g', g'') at the angles t of the rows ``rows``, from the latest
+    solve, which was for the same rows.  Where g has no second derivative
+    (a clustered top eigenvalue) g'' is nan, or the mean of g'' between t
+    and the maximizer of a local model (see :func:`_reduced_argmax`), so
+    that the Newton step lands on that maximizer; g' = 0 reports t as a
+    maximum (a kink test that passed).  Each step moves one bracket end
+    to t by the sign of g', then takes the Newton step t - g'/g'' when
+    g'' < 0 and the step stays inside the bracket, and bisects otherwise.
+    A row stops at g' = 0, a Newton step or a bracket below 1e-15, or
+    after 80 steps.  The bracket logic runs per row on Python floats:
+    for the few rows of a lockstep search that is cheaper than array
+    operations.  Returns the final angles and g at the last angle each
+    row solved.
     """
+    t_rows, lo, t, hi = t, lo.tolist(), t.tolist(), hi.tolist()
+    g_out = [np.nan] * len(t)
+    rows, rows_a = list(range(len(t))), np.arange(len(t))
     for _ in range(80):
-        g, d1, d2 = derivs(t, state)
-        if d1 == 0.0:
-            break
-        if d1 > 0.0:
-            lo = t
-        else:
-            hi = t
-        nt = t - d1 / d2 if d2 < 0.0 else np.nan
-        if abs(nt - t) < 1e-15:
-            t = nt
-            break
-        if not lo < nt < hi:
-            nt = (lo + hi) / 2.0
-        if hi - lo < 1e-15:
-            break
-        t = nt
-        state = solve(t)
+        g, d1, d2 = derivs(t_rows, rows_a)
+        going = []
+        for i, gi, s1, s2 in zip(rows, g, d1, d2):
+            g_out[i] = gi
+            if s1 == 0.0:
+                continue
+            if s1 > 0.0:
+                lo[i] = t[i]
+            else:
+                hi[i] = t[i]
+            nt = t[i] - s1 / s2 if s2 < 0.0 else np.nan
+            if abs(nt - t[i]) < 1e-15:
+                t[i] = nt
+                continue
+            if not lo[i] < nt < hi[i]:
+                nt = (lo[i] + hi[i]) / 2.0
+            if hi[i] - lo[i] < 1e-15:
+                continue
+            t[i] = nt
+            going.append(i)
+        if len(going) < len(rows):
+            rows, rows_a = going, np.array(going, dtype=int)
+            if not rows:
+                break
+        t_rows = np.array([t[i] for i in rows])
+        solve(t_rows)
     else:
-        g = derivs(t, state)[0]
-    return t, g
+        for i, gi in zip(rows, derivs(t_rows, rows_a)[0]):
+            g_out[i] = gi
+    return t, g_out
 
 
 def _reduced_argmax(pencil: mc.Pencil, p: complex, t: float, eig, lo: float, hi: float) -> tuple[float, float]:
@@ -899,44 +925,100 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     ends the search at a kink.  It stops at g' = 0, a Newton step or a
     bracket below 1e-15.  On plateaus (fat normal cones) any maximizing
     angle is returned.
+
+    This is :func:`_supporting_angles` with one point; that function runs
+    the same search for an array of points in lockstep.
     """
     pencil = mc.as_pencil(A)
-    p = as_point(p)
+    t, g = _supporting_angles(pencil, np.array([as_point(p)]), grid)
+    return float(t[0]), float(g[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_directions(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the angles of ``Pencil.grid(N)``, kept per N (read-only)."""
+    t = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+    out = np.cos(t), np.sin(t)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _supporting_angles(pencil: mc.Pencil, points, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`supporting_angle` at every point of a complex array, in
+    lockstep.  The points share one grid scan and one stacked solve of
+    their cells, and each Newton step solves the new angles of all the
+    points still searching in one stacked ``Pencil.eigh``.  A point whose
+    top eigenvalue is clustered at its current angle takes its step from
+    :func:`_reduced_argmax`, on its own.  Returns the angles, in
+    [0, 2 pi), and the values of g.
+    """
+    p = np.asarray(points, dtype=complex).reshape(-1)
     scan_thetas, w_grid, _ = pencil.grid(grid)
-    sup = w_grid[:, -1]
-    g = p.real * np.cos(scan_thetas) + p.imag * np.sin(scan_thetas) - sup
-    j = int(np.argmax(g))
+    grid_cos, grid_sin = _grid_directions(grid)
+    g_grid = p.real[:, None] * grid_cos + p.imag[:, None] * grid_sin - w_grid[:, -1]
+    j = np.argmax(g_grid, axis=1)
     step = 2.0 * np.pi / grid
 
-    def g_slope(th, V):
-        return -p.real * np.sin(th) + p.imag * np.cos(th) - pencil.slope(th, V[..., -1])
-
-    cell = np.array([scan_thetas[j] - step, scan_thetas[j], scan_thetas[j] + step])
+    # each point's cell: its best grid angle and the two neighbours, with
+    # g' there; each point's cell is its own stacked item
+    cell = scan_thetas[j][:, None] + np.array([-step, 0.0, step])
     w, V = pencil.eigh(cell)
-    slo, _, shi = g_slope(cell, V)
-    plateau_tol = 1e-11 * (1.0 + pencil.norm) * (1.0 + abs(p))
-    if slo >= 0.0 >= shi:
+    slopes = -p.real[:, None] * np.sin(cell) + p.imag[:, None] * np.cos(cell) - pencil.slope(cell, V[..., -1])
+    slo, shi = slopes[:, 0], slopes[:, 2]
+    theta, gval = np.empty(p.size), np.empty(p.size)
+    newton = (slo >= 0.0) & (0.0 >= shi)
+    ix = slice(None)  # the points that take Newton steps: all of them, as a rule
+    if not newton.all():
+        ix = np.nonzero(newton)[0]
+        plateau_tol = 1e-11 * (1.0 + pencil.norm) * (1.0 + np.abs(p))
+        plateau = ~newton & (np.abs(slo) <= plateau_tol) & (np.abs(shi) <= plateau_tol)
+        theta[plateau], gval[plateau] = scan_thetas[j[plateau]], g_grid[plateau, j[plateau]]
+        for i in np.nonzero(~newton & ~plateau)[0]:
 
-        def derivs(t, eig):
+            def g_at(th, q=p[i]):
+                return q.real * np.cos(th) + q.imag * np.sin(th) - float(pencil.support(th))
+
+            t = _golden_min(lambda th: -g_at(th), cell[i, 0] - step, cell[i, 2] + step)
+            theta[i], gval[i] = t, g_at(t)
+
+    if newton.any():
+        q, c = p[ix].tolist(), cell[ix]
+        latest = [w[ix, 1], V[ix, 1]]
+
+        def solve(t):
+            latest[:] = pencil.eigh(t)
+
+        def derivs(t, rows):
             # g'' = -<p, e^{i t}> - h'' where the top eigenvalue is simple;
-            # in a cluster (h'' undefined) the reduced pencil gives the step
-            pu = _inner(p, np.exp(1j * t))
-            g = pu - eig[0][-1]
-            if pencil.top_gap(eig[0]) > pencil.ctol:
-                return g, float(g_slope(t, eig[1])), -pu - float(pencil.curvature(t, eig))
-            delta, d1 = _reduced_argmax(pencil, p, t, eig, cell[0], cell[2])
-            return g, d1, -d1 / delta if delta else np.nan
+            # in a cluster (h'' undefined) the reduced pencil gives the step.
+            # The kernels run on the stack, each row its own item (h' from
+            # (1, d) rows); the few operations per row run on Python floats,
+            # which round as the scalars of one point do
+            w, V = latest
+            simple = pencil.top_gap(w) > pencil.ctol
+            if simple.all():
+                h2 = pencil.curvature(t, (w, V))
+            else:
+                h2 = np.full(t.size, np.nan)
+                h2[simple] = pencil.curvature(t[simple], (w[simple], V[simple]))
+            h1 = pencil.slope(t[:, None], V[:, None, :, -1])[:, 0]
+            cols = (rows, np.exp(1j * t), np.sin(t), np.cos(t), w[:, -1], h1, h2, simple)
+            g, d1, d2 = [], [], []
+            for k, (i, u, sn, cs, top, s1, s2, smooth) in enumerate(zip(*(x.tolist() for x in cols))):
+                pu = q[i].real * u.real + q[i].imag * u.imag
+                g.append(pu - top)
+                if smooth:
+                    d1.append(-q[i].real * sn + q[i].imag * cs - s1)
+                    d2.append(-pu - s2)
+                else:
+                    delta, slope0 = _reduced_argmax(pencil, q[i], t[k], (w[k], V[k]), c[i, 0], c[i, 2])
+                    d1.append(slope0)
+                    d2.append(-slope0 / delta if delta else np.nan)
+            return g, d1, d2
 
-        t, gt = _newton_max(pencil.eigh, derivs, cell[0], cell[1], cell[2], (w[1], V[1]))
-        return t % (2.0 * np.pi), float(gt)
-    if abs(slo) <= plateau_tol and abs(shi) <= plateau_tol:
-        return scan_thetas[j], float(g[j])
-
-    def g_at(th):
-        return p.real * np.cos(th) + p.imag * np.sin(th) - float(pencil.support(th))
-
-    t = _golden_min(lambda th: -g_at(th), cell[0] - step, cell[2] + step)
-    return t % (2.0 * np.pi), g_at(t)
+        theta[ix], gval[ix] = _newton_max(solve, derivs, c[:, 0], c[:, 1], c[:, 2])
+    return theta % (2.0 * np.pi), gval
 
 
 def preimage(A, p, grid: int = 512) -> np.ndarray:

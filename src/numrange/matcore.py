@@ -127,6 +127,11 @@ def eig_hermitian(H) -> SpectralDecomposition:
 
     Deterministic: eigenvalues ascending, and eigenvector phases fixed by
     making the largest-modulus component of each column real positive.
+    This is the validated entry point for matrices from outside.  The
+    package fixes phases on the vectors it returns only (pre-image bases,
+    face basis blocks, ``extreme_points`` reports); its internal solves
+    of matrices that are Hermitian by construction call LAPACK directly
+    and use the vectors as LAPACK gives them.
     """
     w, V = np.linalg.eigh(check_hermitian(H))
     return SpectralDecomposition(w, _fix_phases(V))
@@ -150,13 +155,23 @@ class Pencil:
     shares one stacked solve.  Public functions accept a matrix or a
     Pencil (:func:`as_pencil`); passing one Pencil down a chain of calls
     shares its grids.
+
+    R, S and every cos(theta) R + sin(theta) S are Hermitian by
+    construction: their (i, j) and (j, i) entries are conjugate in
+    floating point, so :func:`check_hermitian` and its symmetrization
+    would change no value.  The solves here therefore call LAPACK
+    directly.  Their eigenvectors carry the phases LAPACK gives them:
+    phases are fixed (:func:`_fix_phases`) on returned vectors only, such
+    as the basis blocks of :func:`~numrange.extremal.face`.
     """
 
     def __init__(self, A):
         self.A = as_matrix(A)
         self.d = self.A.shape[0]
-        self.R = re_part(self.A)
-        self.S = im_part(self.A)
+        # re_part and im_part, without validating A again
+        Ah = self.A.conj().T
+        self.R = (self.A + Ah) / 2.0
+        self.S = (self.A - Ah) / 2.0j
         self.norm = fro(self.A)
         self.ctol = CLUSTER_RTOL * (1.0 + self.norm)
         self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
@@ -226,8 +241,9 @@ class Pencil:
         t = np.asarray(thetas, dtype=float)
         if x is None:
             x = self.eigh(t)[1][..., -1]
-        xr = np.sum(x.conj() * (x @ self.R.T), axis=-1).real
-        xs = np.sum(x.conj() * (x @ self.S.T), axis=-1).real
+        xc = x.conj()
+        xr = (xc * (x @ self.R.T)).sum(axis=-1).real
+        xs = (xc * (x @ self.S.T)).sum(axis=-1).real
         return -np.sin(t) * xr + np.cos(t) * xs
 
     def curvature(self, thetas, eig, k: int = -1) -> np.ndarray:
@@ -246,7 +262,7 @@ class Pencil:
         y = V.conj().swapaxes(-1, -2) @ (self.prime(thetas) @ V[..., k : k + 1])
         others = np.arange(w.shape[-1]) != k
         c = np.abs(y[..., others, 0]) ** 2
-        return -w[..., k] + 2.0 * np.sum(c / (w[..., k : k + 1] - w[..., others]), axis=-1)
+        return -w[..., k] + 2.0 * (c / (w[..., k : k + 1] - w[..., others])).sum(axis=-1)
 
     def reduced(self, thetas, eig, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Reduced pencil of the top k eigenvalues of A(theta).
@@ -278,10 +294,10 @@ class Pencil:
 
     def top_cluster(self, theta: float, tol: float) -> tuple[float, np.ndarray]:
         """Top eigenvalue of A(theta) and an orthonormal basis of the
-        eigenvectors whose eigenvalues lie within ``tol`` of it."""
-        dec = eig_hermitian(self.rotate(theta))
-        w = dec.eigenvalues
-        return float(w[-1]), dec.eigenvectors[:, w >= w[-1] - tol]
+        eigenvectors whose eigenvalues lie within ``tol`` of it (phases as
+        LAPACK gives them)."""
+        w, V = np.linalg.eigh(self.rotate(theta))
+        return float(w[-1]), V[:, w >= w[-1] - tol]
 
     def segment(self, theta: float, tol: float):
         """Face of W(A) at one angle, grouping eigenvalues within ``tol``.
@@ -289,12 +305,16 @@ class Pencil:
         Returns ``(support, Qm, mu, W)``: the top eigenvalue, the basis Qm
         of its cluster (:meth:`top_cluster`), and the ascending eigenvalues
         mu and eigenvectors W of A'(theta) compressed onto Qm.  The face
-        is the segment e^{i theta}(support + i [mu[0], mu[-1]]).
+        is the segment e^{i theta}(support + i [mu[0], mu[-1]]).  Qm is
+        returned, so its phases are fixed (:func:`_fix_phases`), which also
+        fixes the frame of the compression; W carries the phases LAPACK
+        gives it.
         """
         support, Qm = self.top_cluster(theta, tol)
+        Qm = _fix_phases(Qm)
         C = Qm.conj().T @ self.prime(theta) @ Qm
-        cdec = eig_hermitian((C + C.conj().T) / 2.0)
-        return support, Qm, cdec.eigenvalues, cdec.eigenvectors
+        mu, W = np.linalg.eigh((C + C.conj().T) / 2.0)
+        return support, Qm, mu, W
 
     def faces(self, thetas, tol: float, eig=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Face segments at an angle array: (support, mu_lo, mu_hi).

@@ -34,23 +34,42 @@ ENTROPY_CLAMP = 1e-15
 
 def check_density(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD, unit trace."""
-    rho = mc.as_matrix(rho)
-    if mc.fro(rho - rho.conj().T) > 2 * DENSITY_TOL * max(mc.fro(rho), 1.0):
+    return _density_spectra(mc.as_matrix(rho)[None])[0][0]
+
+
+def _density_spectra(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`check_density` on a stack of matrices: returns the
+    symmetrized matrices and their ascending eigenvalues, from which the
+    PSD and trace checks are read."""
+    rhos_h = rhos.conj().swapaxes(-1, -2)
+    if np.any(_fro(rhos - rhos_h) > 2 * DENSITY_TOL * np.maximum(_fro(rhos), 1.0)):
         raise PreconditionError("density matrix must be Hermitian")
-    rho = (rho + rho.conj().T) / 2.0
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -DENSITY_TOL:
-        raise PreconditionError(f"density matrix must be PSD (min eigenvalue {w[0]:.2e})")
-    if abs(np.sum(w) - 1.0) > DENSITY_TOL * 10:
-        raise PreconditionError(f"density matrix must have unit trace (got {np.sum(w)!r})")
-    return rho
+    rhos = (rhos + rhos_h) / 2.0
+    w = np.linalg.eigvalsh(rhos)
+    low = w[:, 0] < -DENSITY_TOL
+    if low.any():
+        raise PreconditionError(f"density matrix must be PSD (min eigenvalue {w[low][0, 0]:.2e})")
+    trace = w.sum(axis=-1)
+    off = np.abs(trace - 1.0) > DENSITY_TOL * 10
+    if off.any():
+        raise PreconditionError(f"density matrix must have unit trace (got {float(trace[off][0])!r})")
+    return rhos, w
+
+
+def _fro(X: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack of complex matrices."""
+    return np.sqrt((np.abs(X) ** 2).sum(axis=(-2, -1)))
 
 
 def entropy(rho) -> float:
     """Von Neumann entropy -tr(rho log rho), in nats."""
-    rho = check_density(rho)
-    w = np.clip(np.linalg.eigvalsh(rho), ENTROPY_CLAMP, None)
-    return float(-np.sum(w * np.log(w)))
+    return float(_entropies(mc.as_matrix(rho)[None])[0])
+
+
+def _entropies(rhos: np.ndarray) -> np.ndarray:
+    """:func:`entropy` of each matrix of a stack, validated together."""
+    w = np.clip(_density_spectra(rhos)[1], ENTROPY_CLAMP, None)
+    return -(w * np.log(w)).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -67,19 +86,18 @@ class InferenceResult:
     residual: float
 
 
-def _gibbs_parts(K: np.ndarray):
-    """Eigenpairs (w, V) of Hermitian K, the shifted weights e = exp(w - max w),
-    their sum Z and log tr exp(K), overflow-safe."""
+def _gibbs(K: np.ndarray) -> tuple[np.ndarray, float]:
+    """(exp(K)/tr exp(K), log tr exp(K)) for Hermitian K, overflow-safe."""
     w, V = np.linalg.eigh((K + K.conj().T) / 2.0)
     e = np.exp(w - w[-1])
     Z = float(np.sum(e))
-    return w, V, e, Z, float(w[-1] + np.log(Z))
+    return (V * (e / Z)) @ V.conj().T, float(w[-1] + np.log(Z))
 
 
-def _gibbs(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """(exp(K)/tr exp(K), log tr exp(K)) for Hermitian K, overflow-safe."""
-    _, V, e, Z, logZ = _gibbs_parts(K)
-    return (V * (e / Z)) @ V.conj().T, logZ
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, k) arrays; each row is its own
+    product, with the bits of the 1-D ``a[i] @ b[i]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def boundary_depth(A, p, grid: int = 1024) -> float:
@@ -155,68 +173,146 @@ def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
 
 def _interior_state(pencil: mc.Pencil, alpha: complex) -> InferenceResult:
     """The dual Newton solve of :func:`maxent_interior`, for an alpha
-    already known to be interior."""
-    R, S = pencil.R, pencil.S
-    target = np.array([alpha.real, alpha.imag])
+    already known to be interior: :func:`_interior_states` with one point."""
+    return _interior_states(pencil, [alpha])[0]
 
-    def state(uv):
-        """Dual value, Gibbs state, gradient and Hessian from one eigh of K(uv)."""
-        w, V, e, Z, logZ = _gibbs_parts(uv[0] * R + uv[1] * S)
-        rho = (V * (e / Z)) @ V.conj().T
-        value = logZ - uv @ target
-        means = np.array([np.trace(rho @ R).real, np.trace(rho @ S).real])
-        grad = means - target
+
+def _interior_states(pencil: mc.Pencil, alphas) -> list[InferenceResult]:
+    """The dual Newton solve of :func:`maxent_interior` at an array of
+    interior points, in lockstep.
+
+    Every Newton step, and every round of Armijo backtracking, evaluates
+    the points still active in one stacked ``eigh`` of K(u) = u_1 Re A +
+    u_2 Im A; a point leaves the stack when it converges.  Each point
+    keeps its own step length, acceptance and convergence test, and every
+    stacked item is its own product, so each point follows the path it
+    would follow alone, to the bit.
+    """
+    R, S = pencil.R, pencil.S
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+
+    def state(uv, target):
+        """Dual values, Gibbs states, gradients and Hessians at the dual
+        points uv, from one stacked eigh of K(uv), which is Hermitian by
+        construction."""
+        w, V = np.linalg.eigh(uv[:, 0, None, None] * R + uv[:, 1, None, None] * S)
+        e = np.exp(w - w[:, -1:])
+        Z = e.sum(axis=-1)
+        Vh = V.conj().swapaxes(-1, -2)
+        rho = (V * (e / Z[:, None])[:, None, :]) @ Vh
+        value = w[:, -1] + np.log(Z) - _dots(uv, target)
+        means = np.empty((uv.shape[0], 2))
+        means[:, 0] = (rho @ R).trace(axis1=1, axis2=2).real
+        means[:, 1] = (rho @ S).trace(axis1=1, axis2=2).real
         # divided-difference kernel of the exponential in the eigenbasis
-        dw = w[:, None] - w[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ker = np.where(np.abs(dw) > 1e-12, (e[:, None] - e[None, :]) / dw, e[:, None])
-        Rb = V.conj().T @ R @ V
-        Sb = V.conj().T @ S @ V
-        obs = (Rb, Sb)
-        H = np.empty((2, 2))
+        dw = w[:, :, None] - w[:, None, :]
+        apart = np.abs(dw) > 1e-12
+        ker = np.where(apart, (e[:, :, None] - e[:, None, :]) / np.where(apart, dw, 1.0), e[:, :, None])
+        obs = (Vh @ R @ V, Vh @ S @ V)
+        H = np.empty((uv.shape[0], 2, 2))
         for i in range(2):
             for j in range(i, 2):
-                val = np.sum(ker * obs[i] * obs[j].conj()).real / Z
-                H[i, j] = H[j, i] = val - means[i] * means[j]
-        return value, rho, grad, H
+                val = (ker * obs[i] * obs[j].conj()).sum(axis=(1, 2)).real / Z
+                H[:, i, j] = H[:, j, i] = val - means[:, i] * means[:, j]
+        return [value, rho, means - target, H]
 
-    u = np.zeros(2)
-    f0, rho, grad, H = state(u)
+    # the arrays below hold the points still iterating, whose indices are rows
+    rows = np.arange(alphas.size)
+    target = np.ascontiguousarray(alphas).view(float).reshape(-1, 2)
+    u = np.zeros((rows.size, 2))
+    f0, rho, grad, H = state(u, target)
+    u_out, rho_out = np.empty_like(u), np.empty_like(rho)
     for _ in range(DUAL_MAX_ITER):
-        gn = np.linalg.norm(grad)
-        if gn <= DUAL_GRAD_TOL:
+        gn = np.sqrt(_dots(grad, grad))
+        done = gn <= DUAL_GRAD_TOL
+        if done.all():
+            u_out[rows], rho_out[rows] = u, rho
             break
-        try:
-            step = np.linalg.solve(H + 1e-14 * np.eye(2), -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        if step @ grad > 0:
-            step = -grad
-        t = 1.0
-        while t > 1e-14:
-            trial = state(u + t * step)
-            f1 = trial[0]
-            if f1 <= f0 + 1e-4 * t * (grad @ step):
-                break
-            # near the optimum the decrease sinks below the rounding of the
-            # dual value, where the Armijo test rejects every step: accept
-            # one that lowers the gradient norm instead
-            if abs(f1 - f0) <= DUAL_ROUNDING * (1.0 + abs(f0)):
-                if np.linalg.norm(trial[2]) < gn:
+        if done.any():
+            u_out[rows[done]], rho_out[rows[done]] = u[done], rho[done]
+            rows, target, u, f0, rho, grad, H, gn = (x[~done] for x in (rows, target, u, f0, rho, grad, H, gn))
+        step = _newton_steps(H, grad)
+        slope = _dots(grad, step)
+        # every row tries the full step first; the rows it fails halve theirs
+        trial = state(u + step, target)
+        accepted = _armijo(trial, f0, slope, gn)
+        if accepted.all():
+            u = u + step
+        else:
+            t = np.ones(rows.size)
+            pending = np.nonzero(~accepted)[0]
+            while pending.size:
+                t[pending] /= 2.0
+                pending = pending[t[pending] > 1e-14]
+                if not pending.size:
                     break
-            t /= 2.0
-        u = u + t * step
-        # the accepted trial is the new iterate; a search that ran out
-        # without accepting moves to an untried point
-        f0, rho, grad, H = trial if t > 1e-14 else state(u)
+                tr = state(u[pending] + t[pending, None] * step[pending], target[pending])
+                ok = _armijo(tr, f0[pending], t[pending] * slope[pending], gn[pending])
+                for x, y in zip(trial, tr):
+                    x[pending[ok]] = y[ok]
+                accepted[pending[ok]] = True
+                pending = pending[~ok]
+            u = u + t[:, None] * step
+            # a search that ran out without accepting moves to an untried point
+            spent = ~accepted
+            if spent.any():
+                for x, y in zip(trial, state(u[spent], target[spent])):
+                    x[spent] = y
+        # the accepted trial is the new iterate
+        f0, rho, grad, H = trial
     else:
         raise NumericalError("dual Newton did not converge within the iteration cap")
 
-    value = complex(np.trace(rho @ pencil.A))
-    residual = abs(value - alpha)
-    return InferenceResult(
-        rho=rho, entropy=entropy(rho), dual_point=(float(u[0]), float(u[1])), residual=residual
-    )
+    out = []
+    for k, (alpha, ent) in enumerate(zip(alphas.tolist(), _entropies(rho_out).tolist())):
+        value = complex(np.trace(rho_out[k] @ pencil.A))
+        out.append(
+            InferenceResult(
+                rho=rho_out[k],
+                entropy=ent,
+                dual_point=(float(u_out[k, 0]), float(u_out[k, 1])),
+                residual=abs(value - alpha),
+            )
+        )
+    return out
+
+
+_RIDGE = 1e-14 * np.eye(2)
+
+
+def _newton_steps(H: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Newton steps -(H + 1e-14 I)^{-1} grad of the stacked 2x2 systems,
+    each turned to -grad where it is singular or not a descent direction."""
+    reg = H + _RIDGE
+    try:
+        step = np.linalg.solve(reg, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.empty_like(grad)
+        for k in range(grad.shape[0]):
+            try:
+                step[k] = np.linalg.solve(reg[k], -grad[k])
+            except np.linalg.LinAlgError:
+                step[k] = -grad[k]
+    ascent = _dots(step, grad) > 0.0
+    if ascent.any():
+        step[ascent] = -grad[ascent]
+    return step
+
+
+def _armijo(trial, f0: np.ndarray, decrease: np.ndarray, gn: np.ndarray) -> np.ndarray:
+    """Which trial states of the dual Newton are accepted: the Armijo test
+    f1 <= f0 + 1e-4 t grad.step, with ``decrease`` = t grad.step, and
+    where the dual values differ by no more than their rounding, a lower
+    gradient norm than ``gn``."""
+    f1, grad1 = trial[0], trial[2]
+    ok = f1 <= f0 + 1e-4 * decrease
+    if not ok.all():
+        # near the optimum the decrease sinks below the rounding of the
+        # dual value, where the Armijo test rejects every step: accept one
+        # that lowers the gradient norm instead
+        flat = ~ok & (np.abs(f1 - f0) <= DUAL_ROUNDING * (1.0 + np.abs(f0)))
+        ok[flat] = np.sqrt(_dots(grad1[flat], grad1[flat])) < gn[flat]
+    return ok
 
 
 def _solve_single_observable(C: np.ndarray, eta: float, ctol: float) -> np.ndarray:
@@ -228,8 +324,8 @@ def _solve_single_observable(C: np.ndarray, eta: float, ctol: float) -> np.ndarr
     is maximally mixed.
     """
     k = C.shape[0]
-    dec = mc.eig_hermitian(C)
-    w = dec.eigenvalues
+    # a 1x1 C is its own eigendecomposition
+    w, V = (C.real[0], np.ones((1, 1), dtype=complex)) if k == 1 else np.linalg.eigh(C)
     spread = w[-1] - w[0]
     if spread <= ctol:
         if abs(eta - np.mean(w)) > 100 * max(ctol, 1e-12):
@@ -237,10 +333,10 @@ def _solve_single_observable(C: np.ndarray, eta: float, ctol: float) -> np.ndarr
         return np.eye(k, dtype=complex) / k
     snap = 1e-9 * (1.0 + spread)
     if eta >= w[-1] - snap:
-        Q = dec.eigenvectors[:, w >= w[-1] - ctol]
+        Q = V[:, w >= w[-1] - ctol]
         return Q @ Q.conj().T / Q.shape[1]
     if eta <= w[0] + snap:
-        Q = dec.eigenvectors[:, w <= w[0] + ctol]
+        Q = V[:, w <= w[0] + ctol]
         return Q @ Q.conj().T / Q.shape[1]
     if not (w[0] < eta < w[-1]):
         raise PreconditionError("target mean is outside the observable range")
@@ -276,7 +372,6 @@ def _solve_single_observable(C: np.ndarray, eta: float, ctol: float) -> np.ndarr
     shifted = t * w
     ex = np.exp(shifted - np.max(shifted))
     probs = ex / np.sum(ex)
-    V = dec.eigenvectors
     return (V * probs) @ V.conj().T
 
 
@@ -291,33 +386,54 @@ def maxent_boundary(A, alpha, grid: int = 1024) -> InferenceResult:
     :func:`~numrange.extremal.supporting_angle` finds the angle to
     rounding, on the reduced pencil of the top cluster.
     """
-    pencil = mc.as_pencil(A)
-    alpha = extremal.as_point(alpha)
+    return _boundary_states(mc.as_pencil(A), [extremal.as_point(alpha)], grid)[0]
+
+
+def _boundary_states(pencil: mc.Pencil, alphas, grid: int) -> list[InferenceResult]:
+    """:func:`maxent_boundary` at an array of points together: their
+    supporting angles come from one lockstep search
+    (:func:`~numrange.extremal._supporting_angles`), every point is checked
+    as :func:`maxent_boundary` checks it, and the top clusters at all the
+    angles come from one stacked solve."""
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     tol = extremal.POINT_MATCH_RTOL * (1.0 + pencil.norm)
-    theta, gval = extremal.supporting_angle(pencil, alpha, grid)
-    if gval > tol:
-        raise PreconditionError(f"alpha = {alpha} lies outside W(A) (distance {gval:.3e})")
-    if gval < -100 * tol:
-        raise PreconditionError(
-            f"alpha = {alpha} is an interior point (depth {-gval:.3e}); "
-            "use maxent_interior"
-        )
-    return _boundary_state(pencil, alpha, extremal.face(pencil, theta))
+    thetas, gvals = extremal._supporting_angles(pencil, alphas, grid)
+    for alpha, gval in zip(alphas, gvals):
+        if gval > tol:
+            raise PreconditionError(f"alpha = {alpha} lies outside W(A) (distance {gval:.3e})")
+        if gval < -100 * tol:
+            raise PreconditionError(
+                f"alpha = {alpha} is an interior point (depth {-gval:.3e}); "
+                "use maxent_interior"
+            )
+    return _face_states(pencil, alphas, thetas)
 
 
-def _boundary_state(pencil: mc.Pencil, alpha: complex, fd: extremal.FaceDescriptor) -> InferenceResult:
-    """The compressed solve of :func:`maxent_boundary` on the face fd."""
-    Qm = fd.basis_m
-    C = mc.compress(pencil.prime(fd.theta), Qm)
-    C = (C + C.conj().T) / 2.0
-    u = np.exp(1j * fd.theta)
-    eta = (alpha * np.conj(1j * u)).real
-    rho_c = _solve_single_observable(C, eta, pencil.ctol)
-    rho = Qm @ rho_c @ Qm.conj().T
-    value = complex(np.trace(rho @ pencil.A))
-    return InferenceResult(
-        rho=rho, entropy=entropy(rho), dual_point=None, residual=abs(value - alpha)
-    )
+def _face_states(pencil: mc.Pencil, alphas: np.ndarray, thetas: np.ndarray) -> list[InferenceResult]:
+    """The compressed solves of :func:`maxent_boundary` at the boundary
+    points alphas, with supporting angles thetas.
+
+    Each state lives on the top eigenvalue cluster of A(theta), where the
+    problem is a single-observable family in the compressed derivative
+    part.  The clusters at all the angles come from one stacked solve,
+    their phases fixed as :func:`~numrange.extremal.face` fixes them, and
+    the entropies are validated together.
+    """
+    w, V = pencil.eigh(thetas)
+    V = mc._fix_phases(V)
+    rhos, residuals = [], []
+    for k, (alpha, theta) in enumerate(zip(alphas.tolist(), thetas.tolist())):
+        Qm = V[k][:, w[k] >= w[k, -1] - pencil.ctol]
+        C = Qm.conj().T @ pencil.prime(theta) @ Qm
+        C = (C + C.conj().T) / 2.0
+        eta = (alpha * np.conj(1j * np.exp(1j * theta))).real
+        rho = Qm @ _solve_single_observable(C, eta, pencil.ctol) @ Qm.conj().T
+        rhos.append(rho)
+        residuals.append(abs(complex(np.trace(rho @ pencil.A)) - alpha))
+    return [
+        InferenceResult(rho=rho, entropy=ent, dual_point=None, residual=res)
+        for rho, ent, res in zip(rhos, _entropies(np.array(rhos)).tolist(), residuals)
+    ]
 
 
 def infer(A, alpha, grid: int = 1024) -> InferenceResult:
@@ -393,6 +509,9 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
             f"alpha = {alpha} lies on a flat boundary portion; the probe "
             "requires a round boundary point"
         )
+    # the polygon first: its grid of 512 angles, solved with vectors,
+    # serves the flat-portion scan as well
+    centroid = rg.boundary_polygon(pencil, 512).centroid()
     portions = extremal.flat_portions(pencil, min(grid, 512))
     ends = np.array([e for fp in portions for e in fp.endpoints], dtype=complex)
     if ends.size and np.min(np.abs(ends - alpha)) <= 10 * tol:
@@ -401,30 +520,24 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
             "not a round boundary point"
         )
 
-    value = _boundary_state(pencil, alpha, fd)
+    value = _face_states(pencil, np.array([alpha]), np.array([fd.theta]))[0]
 
-    centroid = rg.boundary_polygon(pencil, 512).centroid()
-    radial_pts, radial_ent = [], []
-    for k in range(n_steps):
-        t = 1.0 - 0.5 ** (k + 1)
-        p = centroid + t * (alpha - centroid)
-        if boundary_depth(pencil, p, grid) < 10 * INTERIOR_MARGIN_RTOL * scale:
-            break
-        res = _interior_state(pencil, p)
-        radial_pts.append(p)
-        radial_ent.append(res.entropy)
+    # radial path: the depths of all its points together, and the path
+    # up to the first point shallower than the interior margin
+    radial_pts = centroid + (1.0 - 0.5 ** np.arange(1, n_steps + 1)) * (alpha - centroid)
+    depth = -extremal._supporting_angles(pencil, radial_pts, grid)[1]
+    shallow = np.nonzero(depth < 10 * INTERIOR_MARGIN_RTOL * scale)[0]
+    radial_pts = radial_pts[: shallow[0] if shallow.size else n_steps]
+    radial_ent = [res.entropy for res in _interior_states(pencil, radial_pts)]
 
-    boundary_pts, boundary_ent = [], []
-    for k in range(n_steps):
-        dth = 0.2 * 0.5**k
-        for sgn in (-1.0, 1.0):
-            fd_side = extremal.face(pencil, fd.theta + sgn * dth)
-            p = fd_side.p_plus if sgn < 0 else fd_side.p_minus
-            if abs(p - alpha) <= tol:
-                continue
-            res = maxent_boundary(pencil, p, grid)
-            boundary_pts.append(p)
-            boundary_ent.append(res.entropy)
+    # boundary paths: at fd.theta - dth and fd.theta + dth, the face
+    # endpoint nearer alpha
+    sgn = np.tile([-1.0, 1.0], n_steps)
+    sides = fd.theta + sgn * np.repeat(0.2 * 0.5 ** np.arange(n_steps), 2)
+    sup, lo, hi = pencil.faces(sides, pencil.ctol)
+    ends = np.exp(1j * sides) * (sup + 1j * np.where(sgn < 0.0, hi, lo))
+    boundary_pts = ends[np.abs(ends - alpha) > tol]
+    boundary_ent = [res.entropy for res in _boundary_states(pencil, boundary_pts, grid)]
 
     radial_limit = radial_ent[-1] if radial_ent else value.entropy
     boundary_limit = boundary_ent[-1] if boundary_ent else value.entropy
@@ -436,9 +549,9 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
     return ProbeReport(
         alpha=alpha,
         value_entropy=value.entropy,
-        radial_points=np.array(radial_pts),
+        radial_points=radial_pts,
         radial_entropies=np.array(radial_ent),
-        boundary_points=np.array(boundary_pts),
+        boundary_points=boundary_pts,
         boundary_entropies=np.array(boundary_ent),
         radial_limit=float(radial_limit),
         boundary_limit=float(boundary_limit),

@@ -404,10 +404,6 @@ def _polished_max(pencils, x: np.ndarray, g: np.ndarray, kink: np.ndarray, deriv
         return best
     cells = np.array(brackets)
     stacked = [p.eigh(cells) for p in pencils]
-
-    def solve(t):
-        return [p.eigh(t) for p in pencils]
-
     for k, (lo, t0, hi) in enumerate(cells):
         i = owner[k]
         if ub[i] <= best:
@@ -420,7 +416,16 @@ def _polished_max(pencils, x: np.ndarray, g: np.ndarray, kink: np.ndarray, deriv
 
         ends = [[(w[k, e], V[k, e]) for w, V in stacked] for e in range(3)]
         if signed(lo, ends[0])[1] >= 0.0 >= signed(hi, ends[2])[1]:
-            best = max(best, float(extremal._newton_max(solve, signed, lo, t0, hi, ends[1])[1]))
+            # one row of the lockstep Newton, its latest decompositions kept here
+            latest = [ends[1]]
+
+            def solve(t):
+                latest[0] = [p.eigh(t[0]) for p in pencils]
+
+            def row_derivs(t, rows):
+                return [[y] for y in signed(t[0], latest[0])]
+
+            best = max(best, float(extremal._newton_max(solve, row_derivs, *cells[k : k + 1].T)[1][0]))
     return best
 
 

@@ -145,3 +145,23 @@ def test_birth_laws_do_not_depend_on_preimage_basis(rng):
                 assert s.flat_length == pytest.approx(r.flat_length, abs=1e-12)
                 assert s.endpoint_error <= 1e-12 and r.endpoint_error <= 1e-12
             assert not np.allclose(other.H, fam.H)  # H depends on the basis
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_H_is_basis_invariant(seed):
+    # with the matrix and the supporting angle, q1 comes from the reduced
+    # pencil on span(Q): the members built from Q and from QU agree
+    rng = np.random.default_rng(seed)
+    W = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    for F in (np.eye(3), W):
+        A = F.conj().T @ DISK_EIG_BOUNDARY @ F
+        fam = birth.birth_family(A, 1 + 0j)
+        for _ in range(3):
+            U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            H = birth.default_H(fam.basis @ U, A, fam.theta)
+            other = birth.birth_family(A, 1 + 0j, H=H)
+            for eps in (0.1, 0.01, 0.0):
+                assert np.abs(other.member(eps) - fam.member(eps)).max() <= 1e-12
+        # q1 spans the pre-image of 1 in the disk block, (1, 1, 0) / sqrt 2
+        v = F.conj().T @ np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        assert np.abs(fam.H - np.outer(v, v.conj())).max() <= 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from numrange import extremal as ex, matcore as mc, rangegeo as rg
+from numrange import extremal as ex, matcore as mc, maxent as me, rangegeo as rg
 from numrange.errors import PreconditionError
 
 from conftest import (
@@ -549,6 +549,44 @@ def test_supporting_angle_in_band_solves_at_most_8(A, p, monkeypatch):
     # the maximizer is theta = 0, where g = Re p - 1
     assert abs(np.angle(np.exp(1j * t))) <= 1e-12
     assert g == pytest.approx(p.real - 1.0, abs=1e-14)
+
+
+def lockstep_cases():
+    """Matrices with point sets for the lockstep supporting-angle search:
+    the band points, boundary, interior and exterior points of fixtures
+    and Ginibre matrices up to d = 8, corners (plateaus of g), and the 16
+    boundary points of the discontinuity probe."""
+    rng = np.random.default_rng(12)
+    out = []
+    for param in band_cases():
+        out.append(pytest.param(*param.values, id=f"band-{param.id}"))
+    probe = me.discontinuity_probe(DISK_EIG_BOUNDARY, 1.0)
+    out.append(pytest.param(DISK_EIG_BOUNDARY, probe.boundary_points, id="probe-boundary"))
+    mats = [("disk_eig_boundary", DISK_EIG_BOUNDARY), ("circle_point", CIRCLE_POINT), ("triangle", TRIANGLE)]
+    for d in (3, 8):
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mats.append((f"ginibre{d}", G / np.linalg.norm(G)))
+    for name, A in mats:
+        R, S = mc.re_part(A), mc.im_part(A)
+        centroid = complex(np.trace(A)) / A.shape[0]
+        pts = list(np.linalg.eigvals(A))
+        for t in rng.uniform(0.0, 2.0 * np.pi, 6):
+            x = np.linalg.eigh(np.cos(t) * R + np.sin(t) * S)[1][:, -1]
+            edge = complex(x.conj() @ A @ x)
+            pts += [edge, (edge + centroid) / 2.0, edge + 0.3 * np.exp(1j * t)]
+        out.append(pytest.param(A, np.array(pts), id=name))
+    return out
+
+
+@pytest.mark.parametrize(("A", "points"), lockstep_cases())
+def test_supporting_angles_lockstep_matches_scalar(A, points):
+    scale = 1.0 + mc.fro(A)
+    points = np.atleast_1d(points).astype(complex)
+    thetas, gs = ex._supporting_angles(mc.Pencil(A), points, 1024)
+    for p, t, g in zip(points, thetas, gs):
+        t1, g1 = ex.supporting_angle(A, p, 1024)
+        assert abs(np.angle(np.exp(1j * (t - t1)))) <= 1e-15
+        assert abs(g - g1) <= 1e-15 * scale
 
 
 def arc_edge_cases():

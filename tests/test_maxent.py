@@ -238,6 +238,34 @@ def test_discontinuity_probe_fixture():
     assert np.all(rep.boundary_entropies <= 1e-6)
 
 
+def test_discontinuity_probe_solves_at_most_100(monkeypatch):
+    # the boundary and radial points are resolved in lockstep, one stacked
+    # solve per step for all of them
+    calls = []
+    orig = np.linalg.eigh
+
+    def eigh(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    rep = me.discontinuity_probe(DISK_EIG_BOUNDARY, 1.0 + 0j)
+    assert rep.discontinuous
+    assert len(calls) <= 100
+
+
+def test_interior_states_lockstep_matches_scalar():
+    pencil = mc.Pencil(DISK_EIG_BOUNDARY)
+    radial = me.discontinuity_probe(pencil, 1.0 + 0j).radial_points
+    assert radial.size == 8
+    together = me._interior_states(pencil, radial)
+    for p, res in zip(radial, together):
+        alone = me._interior_state(pencil, complex(p))
+        assert abs(res.entropy - alone.entropy) <= 1e-12
+        assert np.abs(np.subtract(res.dual_point, alone.dual_point)).max() <= 1e-12
+        assert np.abs(res.rho - alone.rho).max() <= 1e-12
+
+
 def ginibre(rng, d):
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return A / np.linalg.norm(A)
