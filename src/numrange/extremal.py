@@ -572,10 +572,17 @@ def _polish(pencil: mc.Pencil, seeds, m: int) -> tuple[np.ndarray, np.ndarray]:
     squares, which stays accurate where the eigenvectors do not.  Each
     seed keeps its angle of least spread (top eigenvalue minus the m-th)
     and stops at the rounding floor of the spread, on a vanishing step,
-    or after two steps that did not lower it (a near miss).
+    or after two stalled steps in a row (a near miss).  A transversal
+    meeting converges quadratically and a tangential one quarters the
+    spread at each step, while a near miss converges linearly to a spread
+    that is not zero.  So while the best spread is above
+    sqrt(``GAP_REFINE_RTOL``) (1 + |A|), a step that does not halve it is
+    stalled; below that level, where the linear rate of a tangential
+    meeting's last steps can show, one that does not lower it.
     """
     t = np.array(seeds, dtype=float)
     floor = 4.0 * np.finfo(float).eps * (1.0 + pencil.norm)
+    coarse = np.sqrt(GAP_REFINE_RTOL) * (1.0 + pencil.norm)
     best_t, best_gap = t.copy(), np.full(t.size, np.inf)
     stalled = np.zeros(t.size, dtype=int)
     live = np.arange(t.size)
@@ -586,9 +593,11 @@ def _polish(pencil: mc.Pencil, seeds, m: int) -> tuple[np.ndarray, np.ndarray]:
         At = pencil.rotate(tl)
         w, V = np.linalg.eigh(At)
         gap = w[:, -1] - w[:, -m]
-        better = gap < best_gap[live]
+        best = best_gap[live]
+        better = gap < best
+        progress = gap < np.where(best > coarse, best / 2.0, best)
         best_t[live[better]], best_gap[live[better]] = tl[better], gap[better]
-        stalled[live] = np.where(better, 0, stalled[live] + 1)
+        stalled[live] = np.where(progress, 0, stalled[live] + 1)
         Q = V[..., -m:]
         X0, C0 = _traceless(Q.conj().swapaxes(-1, -2) @ np.stack([At, pencil.prime(tl)]) @ Q)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -722,9 +731,22 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
 
     Covers every endpoint seen on the grid plus the refined endpoints of
     every flat portion.  Each deduplicated point gets its supporting-angle
-    arc, an exposed/non-exposed verdict, and its pre-image basis.  The arc
-    runs of every point come from the distances of the grid faces to the
-    point.  Their edges are the roots of f = distance - member tolerance,
+    arc, an exposed/non-exposed verdict, and its pre-image basis.  The
+    candidates are sorted by (angle, point) and deduplicated greedily
+    (:func:`_greedy_dedup`): a point is dropped when an earlier kept one
+    lies within the dedup tolerance.
+
+    The arc runs of every point come from the distances of the grid faces
+    to the point, taken in a window of five grid angles about the angle
+    the point was seen at.  A run that ends inside the window is read from
+    it.  A run that reaches the edge of the window (a wide corner, or the
+    whole circle of a scalar matrix) is read from the distances at every
+    grid angle instead, and a point that is no member of the face at its
+    own grid angle (a flat-portion end off the grid) is bracketed by the
+    grid steps about its angle.  The distance is elementwise, so the
+    window holds the values the full row would.
+
+    Their edges are the roots of f = distance - member tolerance,
     refined together by :func:`_false_position` on the models of
     :func:`_edge_model`: a smooth point seeds each edge at
     member_tol / rho from itself (rho = h + h'', the speed of the boundary
@@ -761,72 +783,60 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     lo_pts = u_grid * (sup + 1j * mu_lo)
     hi_pts = u_grid * (sup + 1j * mu_hi)
     portions = _flat_portions(pencil, _flat_candidates(pencil, thetas, eig[0]))
+    flat_ends = np.array([e for fp in portions for e in fp.endpoints], dtype=complex)
 
     # (angle, point) candidates, sorted by angle then point for stable dedup
-    cand: list[tuple[float, complex]] = []
-    for j, t in enumerate(thetas):
-        cand.append((float(t), complex(lo_pts[j])))
-        if abs(hi_pts[j] - lo_pts[j]) > dedup_tol:
-            cand.append((float(t), complex(hi_pts[j])))
-    for fp in portions:
-        cand.append((fp.theta, fp.endpoints[0]))
-        cand.append((fp.theta, fp.endpoints[1]))
-    cand.sort(key=lambda c: (c[0], c[1].real, c[1].imag))
+    seg = np.abs(hi_pts - lo_pts) > dedup_tol
+    cand_t = np.concatenate([thetas, thetas[seg], np.repeat([fp.theta for fp in portions], 2)])
+    cand_p = np.concatenate([lo_pts, hi_pts[seg], flat_ends])
+    order = np.lexsort((cand_p.imag, cand_p.real, cand_t))
+    cand_t, cand_p = cand_t[order], cand_p[order]
+    keep = _greedy_dedup(cand_p, dedup_tol)
+    pts, th0 = cand_p[keep], cand_t[keep]
+    n = pts.size
 
-    uniq_pts: list[complex] = []
-    uniq_theta: list[float] = []
-    arr = np.array([c[1] for c in cand])
-    taken = np.zeros(len(cand), dtype=bool)
-    for i in range(len(cand)):
-        if taken[i]:
-            continue
-        same = np.abs(arr - arr[i]) <= dedup_tol
-        taken |= same
-        uniq_pts.append(cand[i][1])
-        uniq_theta.append(cand[i][0])
-
-    pts = np.array(uniq_pts)
-    th0 = np.array(uniq_theta)
-    n = len(pts)
-
-    # distance of every (point, grid angle) pair to the face there: its
-    # runs give the arcs, its values seed the arc-edge refinement
+    # distance of every point to the faces at the grid angles about its
+    # own: its runs give the arcs, its values seed the arc-edge refinement
     step = 2.0 * np.pi / grid
-    f_grid = _segment_distance(pts[:, None], thetas, *pencil.faces(thetas, strict_tol, eig)) - member_tol
-    member = f_grid <= 0.0
+    strict_faces = pencil.faces(thetas, strict_tol, eig)
+    j0 = np.rint((th0 % (2 * np.pi)) / step).astype(int) % grid
+    half = 2  # the window's half-width in grid steps
+    cols = (j0[:, None] + np.arange(-half, half + 1)) % grid
+    f_win = _segment_distance(pts[:, None], thetas[cols], *(x[cols] for x in strict_faces)) - member_tol
+    # run lengths to the left and right of j0 (half where the run reaches the edge)
+    left, right = f_win[:, half - 1 :: -1] > 0.0, f_win[:, half + 1 :] > 0.0
+    run_l = np.where(left.any(axis=1), np.argmax(left, axis=1), half)
+    run_r = np.where(right.any(axis=1), np.argmax(right, axis=1), half)
+    on_grid = f_win[:, half] <= 0.0
+    # f at the inside ends of the runs and at the grid angles just outside
+    rows, past = np.arange(n)[:, None], np.array([-1, 1])
+    ends = np.stack([half - run_l, half + run_r], axis=1)
+    f_in, f_out = f_win[rows, ends], f_win[rows, np.clip(ends + past, 0, 2 * half)]
+    whole = np.zeros(n, dtype=bool)
+    wide = np.nonzero(on_grid & ((run_l == half) | (run_r == half)))[0]
+    if wide.size:
+        # runs past the window: the distances at every grid angle
+        f_row = _segment_distance(pts[wide, None], thetas, *strict_faces) - member_tol
+        whole[wide] = (f_row <= 0.0).all(axis=1)
+        k, r = np.arange(1, grid), rows[: wide.size]
+        run_l[wide] = np.argmax(f_row[r, (j0[wide, None] - k) % grid] > 0.0, axis=1)
+        run_r[wide] = np.argmax(f_row[r, (j0[wide, None] + k) % grid] > 0.0, axis=1)
+        ends = j0[wide, None] + np.stack([-run_l[wide], run_r[wide]], axis=1)
+        f_in[wide], f_out[wide] = f_row[r, ends % grid], f_row[r, (ends + past) % grid]
+    j_in = j0[:, None] + np.stack([-run_l, run_r], axis=1)
+    inner, outer = j_in * step, (j_in + past) * step
+    # a seed angle that came from a refined portion angle off the grid
+    inner[~on_grid] = th0[~on_grid, None]
+    outer[~on_grid] = th0[~on_grid, None] + past * step
+    f_in[~on_grid] = f_out[~on_grid] = np.nan
 
     lo_edge = np.zeros(n)
     hi_edge = np.full(n, 2.0 * np.pi)
-    owner, inner, outer, f_in, f_out = [], [], [], [], []
-    for i in range(n):
-        row = member[i]
-        if row.all():
-            continue
-        j0 = int(round((th0[i] % (2 * np.pi)) / step)) % grid
-        owner += [i, i]
-        if not row[j0]:
-            # seed angle came from a refined portion angle off the grid
-            inner += [th0[i], th0[i]]
-            outer += [th0[i] - step, th0[i] + step]
-            f_in += [np.nan, np.nan]
-            f_out += [np.nan, np.nan]
-            continue
-        jl = j0
-        while row[(jl - 1) % grid]:
-            jl -= 1
-        jr = j0
-        while row[(jr + 1) % grid]:
-            jr += 1
-        for j_in, j_out in ((jl, jl - 1), (jr, jr + 1)):
-            inner.append(j_in * step)
-            outer.append(j_out * step)
-            f_in.append(f_grid[i, j_in % grid])
-            f_out.append(f_grid[i, j_out % grid])
-
     # left and right arc edges of every point, refined together
-    if owner:
-        edge_pts = pts[owner]
-        inner, outer, f_in, f_out = map(np.array, (inner, outer, f_in, f_out))
+    owner = np.nonzero(~whole)[0]
+    if owner.size:
+        edge_pts = np.repeat(pts[owner], 2)
+        inner, outer, f_in, f_out = (x[owner].ravel() for x in (inner, outer, f_in, f_out))
         outward = np.sign(outer - inner)
         floor = _ROUNDING * scale
 
@@ -844,45 +854,61 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
         use_in = (p_in - inner) * (p_in - outer) < 0.0
         seed = np.where(use_in, p_in, props[m:]), np.where(use_in, inner, outer)
         edges = _false_position(f, inner, f_in, outer, f_out, step * 2.0**-_EDGE_HALVINGS, floor, seed)
-        lo_edge[owner[0::2]] = edges[0::2]
-        hi_edge[owner[1::2]] = edges[1::2]
-
-    flat_ends = np.array(
-        [e for fp in portions for e in fp.endpoints], dtype=complex
-    ) if portions else np.empty(0, dtype=complex)
+        lo_edge[owner], hi_edge[owner] = edges[0::2], edges[1::2]
 
     # pre-images at the arc midpoints: one stacked solve; angles whose top
     # eigenvalue is clustered need the full face
     theta_rep = (lo_edge + hi_edge) / 2.0
     w_rep, V_rep = pencil.eigh(theta_rep)
-    clustered = pencil.top_gap(w_rep) <= pencil.ctol
-    tops = mc._fix_phases(V_rep[:, :, -1:])
-    reports = []
-    for i in range(n):
-        arc = (float(lo_edge[i]), float(hi_edge[i]))
-        is_flat_end = bool(flat_ends.size) and bool(
-            np.min(np.abs(flat_ends - pts[i])) <= 10 * match_tol
+    bases = list(mc._fix_phases(V_rep[:, :, -1:]))
+    for i in np.nonzero(pencil.top_gap(w_rep) <= pencil.ctol)[0]:
+        fd = face(pencil, theta_rep[i])
+        if fd.length <= match_tol:
+            bases[i] = fd.basis_m
+        elif abs(pts[i] - fd.p_plus) <= abs(pts[i] - fd.p_minus):
+            bases[i] = fd.basis_plus
+        else:
+            bases[i] = fd.basis_minus
+    is_flat_end = np.min(np.abs(flat_ends - pts[:, None]), axis=1, initial=np.inf) <= 10 * match_tol
+    non_exposed = (hi_edge - lo_edge <= ARC_SINGLE_ANGLE) & is_flat_end
+    cols = pts.tolist(), non_exposed.tolist(), lo_edge.tolist(), hi_edge.tolist()
+    reports = [
+        ExtremePointReport(
+            point=p,
+            kind="non-exposed" if ne else "exposed",
+            preimage=bases[i],
+            multiply_generated=bases[i].shape[1] >= 2,
+            normal_arc=(lo, hi),
         )
-        kind = "non-exposed" if arc[1] - arc[0] <= ARC_SINGLE_ANGLE and is_flat_end else "exposed"
-        basis = tops[i]
-        if clustered[i]:
-            fd = face(pencil, theta_rep[i])
-            if fd.length <= match_tol:
-                basis = fd.basis_m
-            elif abs(pts[i] - fd.p_plus) <= abs(pts[i] - fd.p_minus):
-                basis = fd.basis_plus
-            else:
-                basis = fd.basis_minus
-        reports.append(
-            ExtremePointReport(
-                point=complex(pts[i]),
-                kind=kind,
-                preimage=basis,
-                multiply_generated=basis.shape[1] >= 2,
-                normal_arc=arc,
-            )
-        )
+        for i, (p, ne, lo, hi) in enumerate(zip(*cols))
+    ]
     return [reports[i] for i in _circular_order(pts)]
+
+
+def _greedy_dedup(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the points kept by a greedy pass in their order: a point is
+    kept unless an earlier kept one lies within ``tol``.
+
+    Only a point with another within ``tol`` in both coordinates can be
+    dropped, and only those go through the loop.  They are found without
+    one: in the chains of real parts closer than ``tol``, the points next
+    to one closer than ``tol`` in the imaginary part.  (Mirror points of
+    a range symmetric about the real axis share their real parts.)
+    """
+    by_re = np.argsort(pts.real, kind="stable")
+    chain = np.empty(pts.size, dtype=int)
+    chain[by_re] = np.concatenate([[0], np.cumsum(np.diff(pts.real[by_re]) > tol)])
+    by_im = np.lexsort((pts.imag, chain))
+    close = (np.diff(chain[by_im]) == 0) & (np.diff(pts.imag[by_im]) <= tol)
+    near = np.zeros(pts.size, dtype=bool)
+    near[by_im[1:][close]] = near[by_im[:-1][close]] = True
+    keep = ~near
+    todo = np.nonzero(near)[0]
+    while todo.size:
+        keep[todo[0]] = True
+        rest = todo[1:]
+        todo = rest[~(np.abs(pts[rest] - pts[todo[0]]) <= tol)]
+    return keep
 
 
 def _circular_order(pts: np.ndarray) -> np.ndarray:

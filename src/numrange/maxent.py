@@ -28,7 +28,7 @@ DUAL_MAX_ITER = 200
 DUAL_ROUNDING = 64 * np.finfo(float).eps
 # Density matrix validation tolerances.
 DENSITY_TOL = 1e-12
-# Eigenvalue clamp inside entropy (0 log 0 = 0 convention).
+# Floor of the eigenvalues inside the logarithm of entropy (0 log 0 = 0).
 ENTROPY_CLAMP = 1e-15
 
 
@@ -68,8 +68,9 @@ def entropy(rho) -> float:
 
 def _entropies(rhos: np.ndarray) -> np.ndarray:
     """:func:`entropy` of each matrix of a stack, validated together."""
-    w = np.clip(_density_spectra(rhos)[1], ENTROPY_CLAMP, None)
-    return -(w * np.log(w)).sum(axis=-1)
+    w = np.clip(_density_spectra(rhos)[1], 0.0, None)
+    # 0 log 0 = 0; 0.0 - s, not -s, so that a pure state reads 0.0, not -0.0
+    return 0.0 - (w * np.log(np.maximum(w, ENTROPY_CLAMP))).sum(axis=-1)
 
 
 @dataclass(frozen=True)

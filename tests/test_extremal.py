@@ -365,7 +365,11 @@ def reference_extreme_points(A, grid):
 
 
 @pytest.mark.parametrize(
-    "name", ["circle_point", "disk_eig_boundary", "disk", "triangle", "segment", "jordan", "g3a", "g3b", "g8"]
+    "name",
+    ["circle_point", "disk_eig_boundary", "disk", "triangle", "segment", "jordan", "g3a", "g3b", "g8"]
+    # one point whose arc is the whole circle; duplicate candidates and
+    # pre-images of dimension 2; a finer grid
+    + ["scalar", "doubled_triangle", "g3a_256"],
 )
 def test_extreme_points_match_per_angle_reference(name):
     rng = np.random.default_rng(7)
@@ -380,10 +384,14 @@ def test_extreme_points_match_per_angle_reference(name):
         "g3a": ginibre[3] / np.linalg.norm(ginibre[3]),
         "g3b": random_matrix(rng, 3),
         "g8": ginibre[8] / np.linalg.norm(ginibre[8]),
+        "scalar": (0.5 - 2.0j) * np.eye(3, dtype=complex),
+        "doubled_triangle": np.kron(np.eye(2), TRIANGLE),
+        "g3a_256": ginibre[3] / np.linalg.norm(ginibre[3]),
     }[name]
+    grid = 256 if name == "g3a_256" else 64
     tol = 1e-12 * (1.0 + mc.fro(A))
-    got = ex.extreme_points(A, 64)
-    want = reference_extreme_points(A, 64)
+    got = ex.extreme_points(A, grid)
+    want = reference_extreme_points(A, grid)
     assert len(got) == len(want)
     for p, kind, arc, basis in want:
         r = min(got, key=lambda r: abs(r.point - p))
@@ -609,6 +617,77 @@ def test_arc_edges_take_few_stacked_solves(A, grid, cap, monkeypatch):
     # every other refines arc edges
     assert len(calls) - 2 <= cap
     assert len(reps) >= 3
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_greedy_dedup_matches_the_loop(seed):
+    # clusters at and around the tolerance, exact duplicates, and mirror
+    # images that share their real parts
+    rng = np.random.default_rng(seed)
+    tol = 1e-10
+    k = rng.integers(1, 40)
+    centers = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    pts = np.repeat(centers, rng.integers(1, 6, centers.size))
+    r = np.where(rng.random(pts.size) < 0.3, 0.0, rng.uniform(0.2, 1.5, pts.size))
+    pts = pts + tol * r * np.exp(2j * np.pi * rng.random(pts.size))
+    pts = np.concatenate([pts, pts.conj(), pts[: pts.size // 3]])
+    pts = pts[rng.permutation(pts.size)]
+    want = np.zeros(pts.size, dtype=bool)
+    taken = np.zeros(pts.size, dtype=bool)
+    for i in range(pts.size):
+        if not taken[i]:
+            want[i] = True
+            taken |= np.abs(pts - pts[i]) <= tol
+    assert np.array_equal(ex._greedy_dedup(pts, tol), want)
+
+
+def unit_ginibre(d):
+    """The unit-Frobenius Ginibre d x d draw of default_rng([20240817, d, 0])."""
+    rng = np.random.default_rng([20240817, d, 0])
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return A / np.linalg.norm(A)
+
+
+def test_extreme_points_distance_entries_stay_linear_in_grid(monkeypatch):
+    # the arc runs are read from a window of grid angles about each point,
+    # not from every (point, grid angle) pair: about 1000 points at 1024
+    # angles would be a million distances
+    entries = []
+    orig = ex._segment_distance
+
+    def segment_distance(*args):
+        out = orig(*args)
+        entries.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(ex, "_segment_distance", segment_distance)
+    reps = ex.extreme_points(unit_ginibre(3), 1024)
+    assert len(reps) >= 1000
+    assert sum(entries) <= 16 * 1024
+
+
+def test_polish_drops_near_misses_early(monkeypatch):
+    # most gap minima of a d = 8 Ginibre scan are near misses; each must
+    # stop after a few solves instead of converging linearly to its spread
+    solves, inside = [], []
+    orig_polish, orig_eigh = ex._polish, np.linalg.eigh
+
+    def polish(*args):
+        inside.append(True)
+        try:
+            return orig_polish(*args)
+        finally:
+            inside.pop()
+
+    def eigh(*args, **kwargs):
+        if inside:
+            solves.append(1)
+        return orig_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "_polish", polish)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    ex.flat_portions(unit_ginibre(8), 64)
+    assert len(solves) <= 12
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])

@@ -41,6 +41,14 @@ def test_entropy_examples():
         me.entropy(np.diag([1.5, -0.5]))
 
 
+def test_entropy_of_a_pure_state_is_exactly_zero():
+    # 0 log 0 = 0: the floor inside the logarithm adds nothing to the sum,
+    # and the zero is +0.0, not -0.0
+    e = me.entropy(np.diag([1.0, 0.0, 0.0]))
+    assert e == 0.0
+    assert np.copysign(1.0, e) == 1.0
+
+
 def test_maxent_interior_disk_center():
     res = me.maxent_interior(DISK, 0.0 + 0.0j)
     assert np.allclose(res.rho, np.eye(2) / 2, atol=1e-10)
