@@ -83,8 +83,8 @@ class BirthFamily:
     def member(self, eps: float) -> np.ndarray:
         if eps < 0:
             raise PreconditionError("member requires eps >= 0")
-        At = mc.rotate(self.base, self.theta)
-        Ap = mc.rotate_prime(self.base, self.theta)
+        pencil = mc.Pencil(self.base)
+        At, Ap = pencil.rotate(self.theta), pencil.prime(self.theta)
         u = np.exp(1j * self.theta)
         return u * (At + eps * self.P + 1j * (Ap + eps * self.H))
 
@@ -106,7 +106,7 @@ def birth_family(A, alpha, H=None, grid: int = 512) -> BirthFamily:
     pencil = mc.as_pencil(A)
     A = pencil.A
     alpha = extremal.as_point(alpha)
-    scale = 1.0 + pencil.norm
+    scale = pencil.scale
     tol = extremal.POINT_MATCH_RTOL * scale
 
     # the pre-image face at the supporting angle
@@ -145,7 +145,7 @@ def birth_family(A, alpha, H=None, grid: int = 512) -> BirthFamily:
         if H.shape != A.shape:
             raise PreconditionError("H must match the dimension of A")
     K = mc.compress(H, basis)
-    mu = mc.eig_hermitian((K + K.conj().T) / 2.0).eigenvalues
+    mu = np.linalg.eigh((K + K.conj().T) / 2.0)[0]
     mu_minus, mu_plus = float(mu[0]), float(mu[-1])
     if mu_plus - mu_minus <= 1e-12 * (1.0 + np.linalg.norm(H)):
         raise PreconditionError(

@@ -239,31 +239,31 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="numrange", description="Numerical range analysis of complex matrices.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, point=False, eps=False, n=False, samples="angle grid size"):
+    def add(name, help_, samples=False, point=False, eps=False, n=False):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("matrix", help="matrix file (JSON with d, re, im)")
-        sp.add_argument("--samples", type=int, default=1024, help=samples)
-        sp.add_argument("--seed", type=int, default=0, help="sampling seed")
+        if samples:
+            sp.add_argument("--samples", type=int, default=1024, help="angle grid size")
         if point:
             sp.add_argument("--point", required=True, help="planar point 'x,y'")
         if eps:
             sp.add_argument("--eps", default="0.1", help="comma-separated positive values")
         if n:
+            sp.add_argument("--seed", type=int, default=0, help="sampling seed")
             sp.add_argument("--n", type=int, default=100000, help="sample count")
         return sp
 
-    add("boundary", "boundary polygon as CSV (x,y per vertex, counterclockwise)")
-    add("extremes", "extreme point reports as JSON")
+    add("boundary", "boundary polygon as CSV (x,y per vertex, counterclockwise)", samples=True)
+    add("extremes", "extreme point reports as JSON", samples=True)
     add("preimage", "pre-image basis of an extreme point", point=True)
-    add("flat", "flat boundary portions as JSON")
+    add("flat", "flat boundary portions as JSON", samples=True)
     add("birth", "flat-portion birth family verification", point=True, eps=True)
-    no_grid = "accepted and unused: the 3x3 classifier scans no angle grid"
-    add("classify3", "shape class of a 3x3 matrix", samples=no_grid)
-    add("canonical3", "canonical reducible form with witnesses", samples=no_grid)
-    add("closure3", "closure membership for E3/F3, with witness matrices", eps=True, samples=no_grid)
+    add("classify3", "shape class of a 3x3 matrix")
+    add("canonical3", "canonical reducible form with witnesses")
+    add("closure3", "closure membership for E3/F3, with witness matrices", eps=True)
     add("maxent", "maximum-entropy inference at a point", point=True)
     add("probe", "inference discontinuity probe at a point", point=True)
-    add("oracle", "sampled inner hull and its Hausdorff gap to W(A), from the support function", n=True)
+    add("oracle", "sampled inner hull and its Hausdorff gap to W(A), from the support function", samples=True, n=True)
 
     sp = sub.add_parser("hausdorff", help="Hausdorff distance of two numerical ranges, from their support functions")
     sp.add_argument("matrix", help="first matrix file")

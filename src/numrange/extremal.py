@@ -23,8 +23,6 @@ import numpy as np
 from . import matcore as mc
 from .errors import PreconditionError
 
-# Relative width of an eigenvalue cluster (defined with the pencil).
-CLUSTER_RTOL = mc.CLUSTER_RTOL
 # Faces longer than this (relative) count as flat boundary portions.
 FLAT_LENGTH_RTOL = 1e-7
 # Distance at which a point counts as a member of a face.
@@ -36,7 +34,7 @@ POINT_MATCH_RTOL = 1e-8
 # Crossing refinement target for the top eigenvalue gap.
 GAP_REFINE_RTOL = 1e-12
 # Machine-level degeneracy threshold for face membership probes.  The
-# reported faces and pre-images group eigenvalues at CLUSTER_RTOL, but
+# reported faces and pre-images group eigenvalues at mc.CLUSTER_RTOL, but
 # deciding whether a *probe angle* carries a genuine segment must not:
 # near a transversal crossing the top gap is quadratic in the angle, and
 # the 1e-8 grouping would smear the normal arc of the crossing point by
@@ -56,8 +54,9 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def cluster_tolerance(A) -> float:
-    """Absolute eigenvalue-grouping tolerance for the matrix A."""
-    return CLUSTER_RTOL * (1.0 + mc.fro(A))
+    """Absolute eigenvalue-grouping tolerance for the matrix A (its
+    :attr:`~numrange.matcore.Pencil.ctol`)."""
+    return mc.as_pencil(A).ctol
 
 
 def as_point(p) -> complex:
@@ -150,26 +149,21 @@ def eigencurve_derivatives(A, theta: float) -> list[tuple[float, float, int]]:
     """Eigenvalue curves of A(theta) with one-sided derivatives at theta.
 
     Returns one ``(value, derivative, multiplicity)`` triple per curve,
-    ascending.  Simple eigenvalues get the quadratic form of A'(theta) on
-    their eigenvector; a cluster gets the eigenvalues of the compression
-    of A'(theta) onto its eigenspace, matched in ascending order.
+    ascending.  Each cluster of eigenvalues (a simple eigenvalue is a
+    cluster of one) gets the eigenvalues of the compression of A'(theta)
+    onto its eigenspace, matched in ascending order; for a simple
+    eigenvalue that is the quadratic form of A'(theta) on its eigenvector.
     """
     pencil = mc.as_pencil(A)
-    dec = mc.eig_hermitian(pencil.rotate(theta))
-    w, V = dec.eigenvalues, dec.eigenvectors
+    w, V = pencil.eigh(theta)
     Ap = pencil.prime(theta)
     out: list[tuple[float, float, int]] = []
     for cl in _clusters(w, pencil.ctol):
+        Q = V[:, cl]
+        C = Q.conj().T @ Ap @ Q
+        slopes = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
         size = cl.stop - cl.start
-        if size == 1:
-            v = V[:, cl.start]
-            out.append((float(w[cl.start]), float((v.conj() @ Ap @ v).real), 1))
-        else:
-            Q = V[:, cl]
-            C = mc.compress(Ap, Q)
-            slopes = mc.eig_hermitian((C + C.conj().T) / 2.0).eigenvalues
-            for j in range(size):
-                out.append((float(w[cl.start + j]), float(slopes[j]), size))
+        out += [(float(v), float(s), size) for v, s in zip(w[cl], slopes)]
     return out
 
 
@@ -401,9 +395,9 @@ def _reduced_argmax(pencil: mc.Pencil, p: complex, t: float, eig, lo: float, hi:
     delta = 0.
     """
     M0, M1, M2 = pencil.reduced(t, eig, int(np.sum(eig[0] >= eig[0][-1] - pencil.ctol)))
-    eig_tol = _ROUNDING * (1.0 + pencil.norm)
-    slope_tol = 8.0 * _ROUNDING * (1.0 + pencil.norm + abs(p))
-    clear = 1e-8 * (1.0 + pencil.norm + abs(p))  # well above rounding
+    eig_tol = _ROUNDING * pencil.scale
+    slope_tol = 8.0 * _ROUNDING * (pencil.scale + abs(p))
+    clear = 1e-8 * (pencil.scale + abs(p))  # well above rounding
     a, b = lo - t, hi - t
     ga = gb = np.nan  # g' at a (> 0) and at b (< 0)
     d, slope0 = 0.0, None
@@ -581,8 +575,8 @@ def _polish(pencil: mc.Pencil, seeds, m: int) -> tuple[np.ndarray, np.ndarray]:
     meeting's last steps can show, one that does not lower it.
     """
     t = np.array(seeds, dtype=float)
-    floor = 4.0 * np.finfo(float).eps * (1.0 + pencil.norm)
-    coarse = np.sqrt(GAP_REFINE_RTOL) * (1.0 + pencil.norm)
+    floor = 4.0 * np.finfo(float).eps * pencil.scale
+    coarse = np.sqrt(GAP_REFINE_RTOL) * pencil.scale
     best_t, best_gap = t.copy(), np.full(t.size, np.inf)
     stalled = np.zeros(t.size, dtype=int)
     live = np.arange(t.size)
@@ -612,7 +606,7 @@ def _crossings(pencil: mc.Pencil, angles: np.ndarray, spreads: np.ndarray) -> li
     """The polished ``angles`` of :func:`_polish` whose spread is within
     ``GAP_REFINE_RTOL``, in [0, 2 pi); angles closer than
     ``ARC_SINGLE_ANGLE`` are one angle, the one of least spread."""
-    keep = spreads <= GAP_REFINE_RTOL * (1.0 + pencil.norm)
+    keep = spreads <= GAP_REFINE_RTOL * pencil.scale
     angles = angles[keep] % (2.0 * np.pi)
     angles[angles == 2.0 * np.pi] = 0.0  # the remainder of a tiny negative angle rounds up
     groups: list[list[tuple[float, float]]] = []  # (angle, spread), chained within ARC_SINGLE_ANGLE
@@ -628,7 +622,7 @@ def _crossings(pencil: mc.Pencil, angles: np.ndarray, spreads: np.ndarray) -> li
 
 def _flat_portions(pencil: mc.Pencil, candidates: list[float]) -> list[FlatPortion]:
     """Flat portions at the sorted candidate angles of :func:`_crossings`."""
-    length_tol = FLAT_LENGTH_RTOL * (1.0 + pencil.norm)
+    length_tol = FLAT_LENGTH_RTOL * pencil.scale
     faces = [(t, face(pencil, t)) for t in candidates]
     return [FlatPortion(t, (fd.p_minus, fd.p_plus), fd.length) for t, fd in faces if fd.length > length_tol]
 
@@ -759,7 +753,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     _require_grid(grid, "extreme_points")
     pencil = mc.as_pencil(A)
     A = pencil.A
-    scale = 1.0 + pencil.norm
+    scale = pencil.scale
     dedup_tol = 1e-10 * scale
     member_tol = FACE_MEMBER_RTOL * scale
     match_tol = POINT_MATCH_RTOL * scale
@@ -997,7 +991,7 @@ def _supporting_angles(pencil: mc.Pencil, points, grid: int) -> tuple[np.ndarray
     ix = slice(None)  # the points that take Newton steps: all of them, as a rule
     if not newton.all():
         ix = np.nonzero(newton)[0]
-        plateau_tol = 1e-11 * (1.0 + pencil.norm) * (1.0 + np.abs(p))
+        plateau_tol = 1e-11 * pencil.scale * (1.0 + np.abs(p))
         plateau = ~newton & (np.abs(slo) <= plateau_tol) & (np.abs(shi) <= plateau_tol)
         theta[plateau], gval[plateau] = scan_thetas[j[plateau]], g_grid[plateau, j[plateau]]
         for i in np.nonzero(~newton & ~plateau)[0]:
@@ -1062,7 +1056,7 @@ def preimage(A, p, grid: int = 512) -> np.ndarray:
 def _preimage(pencil: mc.Pencil, p: complex, theta: float, gval: float) -> tuple[FaceDescriptor, np.ndarray]:
     """:func:`preimage` at a supporting angle theta with g value gval:
     the face there and the pre-image basis of p."""
-    tol = POINT_MATCH_RTOL * (1.0 + pencil.norm)
+    tol = POINT_MATCH_RTOL * pencil.scale
     if gval < -tol:
         raise PreconditionError(
             f"point {p} is not an extreme point of W(A): interior point "

@@ -9,6 +9,10 @@ characteristic polynomial of the Hermitian pencil, canonical forms of
 reducible matrices modulo unitary similarity and invertible affine
 reparametrization of the plane, membership in the closures of E3 and
 F3, and explicit witness sequences converging to those closures.
+
+A function that takes a matrix A also takes its
+:class:`~numrange.matcore.Pencil`, which holds Re(A), Im(A), |A|_F and
+the tolerance scale ``1 + |A|_F``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ ELLIPTIC_MATCH_RTOL = 1e-8
 COLLINEAR_TOL = 1e-9
 # Strictness margin for "normal eigenvalue in the interior of the ellipse",
 # measured on the focal-sum excess (about twice the boundary distance).
-INTERIOR_MARGIN_RTOL = 1e-8
+FOCAL_MARGIN_RTOL = 1e-8
 # Stationary points of the discriminant whose pair gap (relative) is
 # larger than this cannot be double eigenvalues and are not polished.
 DOUBLE_SCREEN_RTOL = 1e-3
@@ -48,11 +52,12 @@ CLASS_F3 = "F3"
 CLASS_O3 = "O3"
 
 
-def _require_3x3(A) -> np.ndarray:
-    A = mc.as_matrix(A)
-    if A.shape[0] != 3:
+def _require_3x3(A) -> mc.Pencil:
+    """The Pencil of a 3x3 matrix (a Pencil is returned as it is)."""
+    pencil = mc.as_pencil(A)
+    if pencil.d != 3:
         raise PreconditionError("this operation is defined for 3x3 matrices")
-    return A
+    return pencil
 
 
 def _distinct(values, tol: float) -> list[complex]:
@@ -73,9 +78,8 @@ def normal_eigenvalues(A) -> list[complex]:
     eigenvalue clusters (which recover a k-fold root to full precision)
     are tested as well.
     """
-    A = mc.as_matrix(A)
-    d = A.shape[0]
-    scale = 1.0 + mc.fro(A)
+    pencil = mc.as_pencil(A)
+    A, d, scale = pencil.A, pencil.d, pencil.scale
     if d == 3:
         eigs = mc.eigvals3(A)
     else:
@@ -109,20 +113,18 @@ def normal_eigenvalues(A) -> list[complex]:
 
 def joint_eigenvector(A, alpha) -> np.ndarray:
     """Unit vector v with A v = alpha v and A* v = conj(alpha) v."""
-    A = mc.as_matrix(A)
-    d = A.shape[0]
+    pencil = mc.as_pencil(A)
+    A, d = pencil.A, pencil.d
     stacked = np.vstack([A - alpha * np.eye(d), A.conj().T - np.conj(alpha) * np.eye(d)])
     _, s, vt = np.linalg.svd(stacked)
-    scale = 1.0 + mc.fro(A)
-    if s[-1] > NORMAL_EIG_RTOL * scale * 10:
+    if s[-1] > NORMAL_EIG_RTOL * pencil.scale * 10:
         raise PreconditionError(f"{alpha} is not a normal eigenvalue")
     return vt[-1].conj()
 
 
 def is_reducible3(A) -> bool:
     """A 3x3 matrix is unitarily reducible iff it has a normal eigenvalue."""
-    A = _require_3x3(A)
-    return len(normal_eigenvalues(A)) > 0
+    return len(normal_eigenvalues(_require_3x3(A))) > 0
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,13 @@ def kippenhahn_polynomial(A) -> KippenhahnPolynomial:
 
     Determined by interpolation: the determinant of the Hermitian pencil
     is evaluated on an integer node grid and the homogeneous coefficients
-    are recovered by least squares (exact up to rounding).
+    are recovered by least squares (exact up to rounding).  The design on
+    the 124 nodes has full rank up to d = 7 only; larger d is refused.
     """
-    A = mc.as_matrix(A)
-    d = A.shape[0]
-    R, S = mc.re_part(A), mc.im_part(A)
+    pencil = mc.as_pencil(A)
+    d, R, S = pencil.d, pencil.R, pencil.S
+    if d > 7:
+        raise PreconditionError(f"kippenhahn_polynomial is limited to d <= 7 (got d = {d})")
     eye = np.eye(d)
     monomials = [
         (i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)
@@ -209,9 +213,9 @@ def elliptic_data(A) -> EllipticData | None:
     None for normal input (no off-diagonal mass) or when lam misses the
     spectrum.
     """
-    A = _require_3x3(A)
-    scale = 1.0 + mc.fro(A)
-    _, T = mc.schur3(A)
+    pencil = _require_3x3(A)
+    scale = pencil.scale
+    _, T = mc.schur3(pencil.A)
     a, b, c = T[0, 0], T[1, 1], T[2, 2]
     x, y, z = T[0, 1], T[0, 2], T[1, 2]
     dd = abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2
@@ -237,9 +241,10 @@ class KippenhahnClassification:
     flat_angles: list[float]
 
 
-def _is_normal_matrix(A: np.ndarray) -> bool:
-    comm = A @ A.conj().T - A.conj().T @ A
-    return mc.fro(comm) <= 1e-10 * (1.0 + mc.fro(A) ** 2)
+def _is_normal_matrix(pencil: mc.Pencil) -> bool:
+    A, Ah = pencil.A, pencil.A.conj().T
+    comm = A @ Ah - Ah @ A
+    return mc.fro(comm) <= 1e-10 * (1.0 + pencil.norm ** 2)
 
 
 def _double_eigenvalue_angles(pencil: mc.Pencil) -> list[float]:
@@ -261,7 +266,7 @@ def _double_eigenvalue_angles(pencil: mc.Pencil) -> list[float]:
     kept angles closer than ``ARC_SINGLE_ANGLE`` are one angle
     (:func:`numrange.extremal._crossings`).
     """
-    scale = 1.0 + pencil.norm
+    scale = pencil.scale
     w = np.linalg.eigvalsh(pencil.rotate(_DISCRIMINANT_ANGLES)) / scale
     disc = ((w[:, 1] - w[:, 0]) * (w[:, 2] - w[:, 0]) * (w[:, 2] - w[:, 1])) ** 2
     c1, c2, c3 = disc @ _DISCRIMINANT_DFT
@@ -274,7 +279,7 @@ def _double_eigenvalue_angles(pencil: mc.Pencil) -> list[float]:
     return extremal._crossings(pencil, *extremal._polish(pencil, t, 2))
 
 
-def classify(A, grid: int = 512) -> KippenhahnClassification:
+def classify(A) -> KippenhahnClassification:
     """Assign the unique class R3/E3/F3/O3 and a shape descriptor.
 
     R3 shapes follow the normal-eigenvalue geometry (point, segment,
@@ -286,15 +291,15 @@ def classify(A, grid: int = 512) -> KippenhahnClassification:
     third one below, so support(theta) I - A(theta) has rank one.  A zero
     whose face is a single point is a tangentially multiply generated
     boundary point, not a flat portion.  Otherwise it is E3 when the
-    elliptical criterion fires, and O3 when it does not.  ``grid`` is
-    accepted for compatibility and unused: no angle grid is scanned.
+    elliptical criterion fires, and O3 when it does not.  No angle grid is
+    scanned.
     """
-    A = _require_3x3(A)
-    scale = 1.0 + mc.fro(A)
-    ne = normal_eigenvalues(A)
+    pencil = _require_3x3(A)
+    scale = pencil.scale
+    ne = normal_eigenvalues(pencil)
     if ne:
-        if _is_normal_matrix(A):
-            pts = _distinct(mc.eigvals3(A), 1e-9 * scale)
+        if _is_normal_matrix(pencil):
+            pts = _distinct(mc.eigvals3(pencil.A), 1e-9 * scale)
             if len(pts) == 1:
                 shape = "point"
             elif len(pts) == 2:
@@ -303,7 +308,7 @@ def classify(A, grid: int = 512) -> KippenhahnClassification:
                 cross = ((pts[1] - pts[0]) * np.conj(pts[2] - pts[0])).imag
                 shape = "segment" if abs(cross) <= COLLINEAR_TOL * scale**2 else "triangle"
             return KippenhahnClassification(CLASS_R3, shape, ne, None, [])
-        ed = elliptic_data(A)
+        ed = elliptic_data(pencil)
         if ed is None:
             raise NumericalError(
                 "inconsistent classification: reducible non-normal matrix "
@@ -312,12 +317,11 @@ def classify(A, grid: int = 512) -> KippenhahnClassification:
         excess = ed.focal_excess(ed.lam)
         shape = (
             "ellipse_plus_outside_point"
-            if excess > 2.0 * INTERIOR_MARGIN_RTOL * scale
+            if excess > 2.0 * FOCAL_MARGIN_RTOL * scale
             else "ellipse"
         )
         return KippenhahnClassification(CLASS_R3, shape, ne, ed, [])
 
-    pencil = mc.Pencil(A)
     portions = extremal._flat_portions(pencil, _double_eigenvalue_angles(pencil))
     if portions:
         # a genuine flat portion rules out an elliptical range; near the
@@ -326,7 +330,7 @@ def classify(A, grid: int = 512) -> KippenhahnClassification:
         return KippenhahnClassification(
             CLASS_F3, "flat_portion_shape", [], None, [fp.theta for fp in portions]
         )
-    ed = elliptic_data(A)
+    ed = elliptic_data(pencil)
     if ed is not None:
         return KippenhahnClassification(CLASS_E3, "ellipse_irreducible", [], ed, [])
     return KippenhahnClassification(CLASS_O3, "ovular", [], None, [])
@@ -338,13 +342,13 @@ def affine_transform(A, T, s=(0.0, 0.0)) -> np.ndarray:
     W(affine_transform(A, T, s)) = T(W(A)) + s as convex bodies;
     invertible T required.
     """
-    A = mc.as_matrix(A)
+    pencil = mc.as_pencil(A)
     T = np.asarray(T, dtype=float).reshape(2, 2)
     s = np.asarray(s, dtype=float).reshape(2)
     if abs(np.linalg.det(T)) <= 1e-14 * max(np.linalg.norm(T) ** 2, 1e-300):
         raise PreconditionError("affine_transform requires invertible T")
-    R, S = mc.re_part(A), mc.im_part(A)
-    eye = np.eye(A.shape[0])
+    R, S = pencil.R, pencil.S
+    eye = np.eye(pencil.d)
     Rn = T[0, 0] * R + T[0, 1] * S + s[0] * eye
     Sn = T[1, 0] * R + T[1, 1] * S + s[1] * eye
     return Rn + 1j * Sn
@@ -391,20 +395,21 @@ def _joint_eigenbasis(R: np.ndarray, S: np.ndarray, ctol: float) -> tuple[np.nda
     """Simultaneous eigenbasis of commuting Hermitian R, S.
 
     Returns (V, w) with V unitary and w complex: R + iS = V diag(w) V*.
+    V leaves the package, so its phases are fixed
+    (:func:`~numrange.matcore._fix_phases`).
     """
-    dec = mc.eig_hermitian(R)
-    V = dec.eigenvectors.copy()
-    r = dec.eigenvalues
+    r, V = np.linalg.eigh(R)
+    V = mc._fix_phases(V)
     svals = np.empty_like(r)
     for cl in extremal._clusters(r, ctol):
         Q = V[:, cl]
-        sub = mc.eig_hermitian(mc.compress(S, Q))
-        V[:, cl] = Q @ sub.eigenvectors
-        svals[cl] = sub.eigenvalues
+        C = Q.conj().T @ S @ Q
+        svals[cl], W = np.linalg.eigh((C + C.conj().T) / 2.0)
+        V[:, cl] = Q @ mc._fix_phases(W)
     return V, r + 1j * svals
 
 
-def canonical_reducible_form(A, grid: int = 512) -> CanonicalForm3:
+def canonical_reducible_form(A) -> CanonicalForm3:
     """Canonical form of a reducible 3x3 matrix modulo unitary similarity
     and invertible affine reparametrization of the plane.
 
@@ -415,23 +420,23 @@ def canonical_reducible_form(A, grid: int = 512) -> CanonicalForm3:
     normal eigenvalue, trace/shear normalizations of the 2x2 blocks, and
     an SU(2) rotation aligning the Bloch frame.
     """
-    A = _require_3x3(A)
-    scale = 1.0 + mc.fro(A)
-    if not is_reducible3(A):
+    pencil = _require_3x3(A)
+    scale = pencil.scale
+    ne = normal_eigenvalues(pencil)
+    if not ne:
         raise PreconditionError("canonical_reducible_form requires a reducible matrix")
-    R, S = mc.re_part(A), mc.im_part(A)
-    ctol = extremal.cluster_tolerance(A)
+    R, S = pencil.R, pencil.S
     comm = mc.fro(R @ S - S @ R)
 
-    if comm <= 1e-10 * (1.0 + mc.fro(A) ** 2):
-        V, w = _joint_eigenbasis(R, S, ctol)
+    if comm <= 1e-10 * (1.0 + pencil.norm ** 2):
+        V, w = _joint_eigenbasis(R, S, pencil.ctol)
         pts = _distinct(w, 1e-8 * scale)
         if len(pts) == 1:
             canonical = np.zeros((3, 3), dtype=complex)
             T = np.eye(2)
             shift = np.array([-pts[0].real, -pts[0].imag])
             cf = CanonicalForm3("zero", None, None, V, T, shift, canonical)
-            _check_canonical(cf, A, scale)
+            _check_canonical(cf, pencil)
             return cf
         cross = 0.0
         if len(pts) == 3:
@@ -459,7 +464,7 @@ def canonical_reducible_form(A, grid: int = 512) -> CanonicalForm3:
             V = V[:, order]
             canonical = np.diag([0.0, lam, 1.0]).astype(complex)
             cf = CanonicalForm3("diag_0_lambda_1", lam, None, V, T, shift, canonical)
-            _check_canonical(cf, A, scale)
+            _check_canonical(cf, pencil)
             return cf
         # triangle
         pts.sort(key=lambda z: (z.real, z.imag))
@@ -475,17 +480,16 @@ def canonical_reducible_form(A, grid: int = 512) -> CanonicalForm3:
         V = V[:, order]
         canonical = np.diag([0.0, 1.0, 1.0j])
         cf = CanonicalForm3("diag_0_1_i", None, None, V, T, shift, canonical)
-        _check_canonical(cf, A, scale)
+        _check_canonical(cf, pencil)
         return cf
 
     # non-commuting reducible: split off the normal eigenvalue
-    alpha = normal_eigenvalues(A)[0]
-    v = joint_eigenvector(A, alpha)
+    v = joint_eigenvector(pencil, ne[0])
     H = mc._householder_to_e1(v)
     U1 = H[:, [1, 2, 0]]  # columns (h2, h3, h1): v spans the last column
-    B3 = U1.conj().T @ A @ U1
-    X = mc.re_part(B3[:2, :2])
-    Y = mc.im_part(B3[:2, :2])
+    B3 = U1.conj().T @ pencil.A @ U1
+    block = mc.Pencil(B3[:2, :2])
+    X, Y = block.R, block.S
     aval = B3[2, 2].real
     bval = B3[2, 2].imag
 
@@ -516,10 +520,11 @@ def canonical_reducible_form(A, grid: int = 512) -> CanonicalForm3:
     push(np.array([[1.0, t_orth], [0.0, 1.0]]))
     push(np.diag([np.sqrt(2.0) / mc.fro(X), np.sqrt(2.0) / mc.fro(Y)]))
 
-    # SU(2) rotation carrying the Bloch frame of (X, Y) to (sigma_x, sigma_y)
-    decx = mc.eig_hermitian(X)
+    # SU(2) rotation carrying the Bloch frame of (X, Y) to (sigma_x, sigma_y);
+    # X is Hermitian by construction (real combinations of Hermitian parts)
+    Vx = mc._fix_phases(np.linalg.eigh(X)[1])
     Wx = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    u0 = decx.eigenvectors[:, ::-1] @ Wx.conj().T  # +1 eigencolumn first
+    u0 = Vx[:, ::-1] @ Wx.conj().T  # +1 eigencolumn first
     Yb = _bloch(u0.conj().T @ Y @ u0)
     psi = np.arctan2(Yb[2], Yb[1])
     for sign in (1.0, -1.0):
@@ -531,26 +536,25 @@ def canonical_reducible_form(A, grid: int = 512) -> CanonicalForm3:
     a_final = float(aval)
     canonical = np.array([[0, 2, 0], [0, 0, 0], [0, 0, a_final]], dtype=complex)
     cf = CanonicalForm3("offdiag_a", None, a_final, U, T, shift, canonical)
-    _check_canonical(cf, A, scale)
+    _check_canonical(cf, pencil)
     return cf
 
 
-def _check_canonical(cf: CanonicalForm3, A: np.ndarray, scale: float) -> None:
-    err = mc.fro(cf.apply(A) - cf.canonical)
-    if err > 1e-8 * scale:
+def _check_canonical(cf: CanonicalForm3, pencil: mc.Pencil) -> None:
+    err = mc.fro(cf.apply(pencil.A) - cf.canonical)
+    if err > 1e-8 * pencil.scale:
         raise NumericalError(
             f"canonical form witnesses drifted: reproduction error {err:.3e}"
         )
 
 
-def in_closure_E3(A, grid: int = 512) -> bool:
+def in_closure_E3(A) -> bool:
     """Norm-closure membership for the elliptical class.
 
     True iff A is itself E3, or is reducible with numerical range an
-    ellipse, a segment, or a point.  ``grid`` is unused, as in
-    :func:`classify`.
+    ellipse, a segment, or a point.
     """
-    return _in_closure_E3(classify(_require_3x3(A)))
+    return _in_closure_E3(classify(A))
 
 
 def _in_closure_E3(cls: KippenhahnClassification) -> bool:
@@ -560,20 +564,20 @@ def _in_closure_E3(cls: KippenhahnClassification) -> bool:
     return cls.class_tag == CLASS_R3 and cls.shape in ("ellipse", "segment", "point")
 
 
-def in_closure_F3(A, grid: int = 512) -> bool:
+def in_closure_F3(A) -> bool:
     """Norm-closure membership for the flat-portion class.
 
     True iff A is itself F3, or is reducible and W(A) is not an ellipse
     with the normal eigenvalue strictly in the interior (strictness
-    margin relative to 1 + ||A||).  ``grid`` is unused, as in
-    :func:`classify`.
+    margin relative to 1 + ||A||).
     """
-    A = _require_3x3(A)
-    return _in_closure_F3(A, classify(A))
+    pencil = _require_3x3(A)
+    return _in_closure_F3(pencil, classify(pencil))
 
 
-def _in_closure_F3(A: np.ndarray, cls: KippenhahnClassification) -> bool:
-    """:func:`in_closure_F3` from the classification ``cls`` of A."""
+def _in_closure_F3(A, cls: KippenhahnClassification) -> bool:
+    """:func:`in_closure_F3` from the classification ``cls`` of A (a
+    matrix or its Pencil)."""
     if cls.class_tag == CLASS_F3:
         return True
     if cls.class_tag != CLASS_R3:
@@ -581,7 +585,7 @@ def _in_closure_F3(A: np.ndarray, cls: KippenhahnClassification) -> bool:
     if cls.shape != "ellipse":
         return True
     excess = cls.elliptic.focal_excess(cls.elliptic.lam)
-    return excess >= -2.0 * INTERIOR_MARGIN_RTOL * (1.0 + mc.fro(A))
+    return excess >= -2.0 * FOCAL_MARGIN_RTOL * mc.as_pencil(A).scale
 
 
 def _canonical_if_reducible(A, cls: KippenhahnClassification) -> CanonicalForm3 | None:
@@ -645,7 +649,7 @@ def _segment_e3_member(lam: float, eps: float) -> np.ndarray:
     )
 
 
-def e3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
+def e3_witness(A, eps: float) -> np.ndarray:
     """A member of E3 within O(eps) of the canonical form of A.
 
     Requires A in the closure of E3 but not in E3 itself.  The witness
@@ -654,9 +658,9 @@ def e3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
     of E3 whose elliptical criterion cancels exactly.  The result is
     re-classified and must come out E3.
     """
-    A = _require_3x3(A)
-    cls = classify(A)
-    return _e3_witness(cls, _canonical_if_reducible(A, cls), eps)
+    pencil = _require_3x3(A)
+    cls = classify(pencil)
+    return _e3_witness(cls, _canonical_if_reducible(pencil, cls), eps)
 
 
 def _e3_witness(cls: KippenhahnClassification, cf: CanonicalForm3 | None, eps: float) -> np.ndarray:
@@ -688,7 +692,7 @@ def _e3_witness(cls: KippenhahnClassification, cf: CanonicalForm3 | None, eps: f
     return B
 
 
-def f3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
+def f3_witness(A, eps: float) -> np.ndarray:
     """A member of F3 within O(eps) of the canonical form of A.
 
     Diagonal canonical forms are perturbed entrywise by i*eps (with a
@@ -698,16 +702,15 @@ def f3_witness(A, eps: float, grid: int = 512) -> np.ndarray:
     back through the recorded transformations.  The result is
     re-classified and must come out F3.
     """
-    A = _require_3x3(A)
-    cls = classify(A)
-    return _f3_witness(A, cls, _canonical_if_reducible(A, cls), eps)
+    pencil = _require_3x3(A)
+    cls = classify(pencil)
+    return _f3_witness(pencil, cls, _canonical_if_reducible(pencil, cls), eps)
 
 
-def _f3_witness(
-    A: np.ndarray, cls: KippenhahnClassification, cf: CanonicalForm3 | None, eps: float
-) -> np.ndarray:
-    """:func:`f3_witness` from the classification ``cls`` of A and, when A
-    is reducible, its canonical form ``cf`` (:func:`_canonical_if_reducible`)."""
+def _f3_witness(A, cls: KippenhahnClassification, cf: CanonicalForm3 | None, eps: float) -> np.ndarray:
+    """:func:`f3_witness` from the classification ``cls`` of A (a matrix or
+    its Pencil) and, when A is reducible, its canonical form ``cf``
+    (:func:`_canonical_if_reducible`)."""
     if eps <= 0:
         raise PreconditionError("f3_witness requires eps > 0")
     if cls.class_tag == CLASS_F3:

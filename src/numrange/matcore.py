@@ -140,10 +140,12 @@ def eig_hermitian(H) -> SpectralDecomposition:
 class Pencil:
     """The Hermitian family A(theta) of one matrix, validated once.
 
-    Caches R = Re(A), S = Im(A), ||A||_F and the cluster tolerance
-    ``ctol = CLUSTER_RTOL * (1 + ||A||_F)``.  Angle arguments may be
-    scalars or arrays; array angles give stacks solved in one LAPACK
-    call, with results indexed by angle along the leading axis.
+    Caches R = Re(A), S = Im(A), ||A||_F, the tolerance scale
+    ``scale = 1 + ||A||_F`` that every relative tolerance of the package
+    multiplies, and the cluster tolerance ``ctol = CLUSTER_RTOL * scale``.
+    Angle arguments may be scalars or arrays; array angles give stacks
+    solved in one LAPACK call, with results indexed by angle along the
+    leading axis.
 
     Uniform angle grids are built and solved in one place,
     :meth:`grid`.  It uses the half-turn identity
@@ -173,7 +175,8 @@ class Pencil:
         self.R = (self.A + Ah) / 2.0
         self.S = (self.A - Ah) / 2.0j
         self.norm = fro(self.A)
-        self.ctol = CLUSTER_RTOL * (1.0 + self.norm)
+        self.scale = 1.0 + self.norm
+        self.ctol = CLUSTER_RTOL * self.scale
         self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
     def grid(self, N: int, vectors: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

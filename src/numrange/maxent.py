@@ -32,15 +32,10 @@ DENSITY_TOL = 1e-12
 ENTROPY_CLAMP = 1e-15
 
 
-def check_density(rho) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD, unit trace."""
-    return _density_spectra(mc.as_matrix(rho)[None])[0][0]
-
-
 def _density_spectra(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`check_density` on a stack of matrices: returns the
-    symmetrized matrices and their ascending eigenvalues, from which the
-    PSD and trace checks are read."""
+    """Validate a stack of density matrices (Hermitian, PSD, unit trace):
+    returns the symmetrized matrices and their ascending eigenvalues, from
+    which the PSD and trace checks are read."""
     rhos_h = rhos.conj().swapaxes(-1, -2)
     if np.any(_fro(rhos - rhos_h) > 2 * DENSITY_TOL * np.maximum(_fro(rhos), 1.0)):
         raise PreconditionError("density matrix must be Hermitian")
@@ -127,7 +122,7 @@ def relative_depth(A, p, grid: int = 1024) -> float:
     """
     pencil = mc.as_pencil(A)
     p = extremal.as_point(p)
-    scale = 1.0 + pencil.norm
+    scale = pencil.scale
     half = grid // 2
     # for an even grid this is the scan of boundary_depth as well
     thetas, w, _ = pencil.grid(2 * half)
@@ -164,7 +159,7 @@ def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
     pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
     depth = relative_depth(pencil, alpha, grid)
-    if depth < INTERIOR_MARGIN_RTOL * (1.0 + pencil.norm):
+    if depth < INTERIOR_MARGIN_RTOL * pencil.scale:
         raise PreconditionError(
             f"alpha = {alpha} is on or outside the boundary of W(A) "
             f"(relative depth {depth:.3e}); use maxent_boundary"
@@ -397,7 +392,7 @@ def _boundary_states(pencil: mc.Pencil, alphas, grid: int) -> list[InferenceResu
     as :func:`maxent_boundary` checks it, and the top clusters at all the
     angles come from one stacked solve."""
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
-    tol = extremal.POINT_MATCH_RTOL * (1.0 + pencil.norm)
+    tol = extremal.POINT_MATCH_RTOL * pencil.scale
     thetas, gvals = extremal._supporting_angles(pencil, alphas, grid)
     for alpha, gval in zip(alphas, gvals):
         if gval > tol:
@@ -442,27 +437,22 @@ def infer(A, alpha, grid: int = 1024) -> InferenceResult:
     pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
     depth = relative_depth(pencil, alpha, grid)
-    if depth >= INTERIOR_MARGIN_RTOL * (1.0 + pencil.norm):
+    if depth >= INTERIOR_MARGIN_RTOL * pencil.scale:
         return _interior_state(pencil, alpha)
     return maxent_boundary(pencil, alpha, grid)
 
 
 def round_boundary_points(A, grid: int = 512) -> list[complex]:
     """Extreme points with a unique supporting line that do not end a
-    flat boundary portion (sampled at the resolution of the grid)."""
-    pencil = mc.as_pencil(A)
-    reports = extremal.extreme_points(pencil, grid)
-    portions = extremal.flat_portions(pencil, grid)
-    ends = np.array([e for fp in portions for e in fp.endpoints], dtype=complex)
-    tol = 10 * extremal.POINT_MATCH_RTOL * (1.0 + pencil.norm)
-    out = []
-    for r in reports:
-        if r.normal_arc[1] - r.normal_arc[0] > extremal.ARC_SINGLE_ANGLE:
-            continue
-        if ends.size and np.min(np.abs(ends - r.point)) <= tol:
-            continue
-        out.append(r.point)
-    return out
+    flat boundary portion (sampled at the resolution of the grid): the
+    reports of :func:`~numrange.extremal.extreme_points` whose normal arc
+    is at most ``ARC_SINGLE_ANGLE`` and whose kind is "exposed" (a
+    non-exposed report is such a point at the end of a flat portion)."""
+    return [
+        r.point
+        for r in extremal.extreme_points(A, grid)
+        if r.kind == "exposed" and r.normal_arc[1] - r.normal_arc[0] <= extremal.ARC_SINGLE_ANGLE
+    ]
 
 
 @dataclass(frozen=True)
@@ -491,7 +481,7 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
     """
     pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
-    scale = 1.0 + pencil.norm
+    scale = pencil.scale
     tol = extremal.POINT_MATCH_RTOL * scale
 
     theta, gval = extremal.supporting_angle(pencil, alpha, grid)

@@ -184,7 +184,7 @@ def boundary_polygon(A, N: int = DEFAULT_BOUNDARY_SAMPLES) -> ConvexPolygon:
     u = np.exp(1j * thetas)
     zs = np.concatenate([u * (sup + 1j * lo), u * (sup + 1j * hi)])
     pts = np.column_stack([zs.real, zs.imag])
-    scale = 1.0 + pencil.norm
+    scale = pencil.scale
     # drop near-duplicates cheaply before the hull pass
     poly = convex_hull(pts, collinear_tol=1e-13 * max(scale, 1.0) ** 2)
     if len(poly) > 1:
@@ -203,7 +203,7 @@ def contains(A, p, grid: int = 2048) -> bool:
     a member when the violation there is within 1e-9 * (1 + ||A||).
     """
     pencil = mc.as_pencil(A)
-    tol = CONTAINS_RTOL * (1.0 + pencil.norm)
+    tol = CONTAINS_RTOL * pencil.scale
     return extremal.supporting_angle(pencil, p, grid)[1] <= tol
 
 

@@ -183,7 +183,7 @@ def test_criterion_6_kippenhahn_classifier():
         per_fixture = 200 // len(fixtures) * len(fixtures)
         count = 0
         for A in fixtures:
-            ref = kipp3.classify(A, grid=256).class_tag
+            ref = kipp3.classify(A).class_tag
             for _ in range(200 // len(fixtures)):
                 Q, _ = np.linalg.qr(
                     rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -194,7 +194,7 @@ def test_criterion_6_kippenhahn_classifier():
                         break
                 s = rng.standard_normal(2) * 0.5
                 B = kipp3.affine_transform(Q.conj().T @ A @ Q, T, s)
-                assert kipp3.classify(B, grid=256).class_tag == ref
+                assert kipp3.classify(B).class_tag == ref
                 count += 1
         assert count == per_fixture
         print(f"   class invariance over {count} random transforms")

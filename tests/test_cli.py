@@ -111,6 +111,39 @@ def test_unknown_flag_exit1(capsys, matrix_file):
     assert "usage" in err.lower()
 
 
+# each subcommand takes only the options it reads: --samples where an angle
+# grid is scanned, --seed where --n points are sampled
+SAMPLES_COMMANDS = ("boundary", "extremes", "flat", "oracle")
+SEED_COMMANDS = ("oracle",)
+POINT_COMMANDS = ("preimage", "birth", "maxent", "probe")
+ONE_MATRIX_COMMANDS = (
+    "boundary", "extremes", "preimage", "flat", "birth", "classify3",
+    "canonical3", "closure3", "maxent", "probe", "oracle",
+)
+REMOVED_OPTIONS = [(c, "--samples") for c in ONE_MATRIX_COMMANDS if c not in SAMPLES_COMMANDS] + [
+    (c, "--seed") for c in ONE_MATRIX_COMMANDS if c not in SEED_COMMANDS
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_OPTIONS)
+def test_removed_options_are_usage_errors(capsys, matrix_file, command, flag):
+    path = matrix_file("deb", DISK_EIG_BOUNDARY)
+    point = ["--point", "1,0"] if command in POINT_COMMANDS else []
+    code, out, err = run_cli(capsys, command, path, *point, flag, "7")
+    assert code == 1
+    assert out == ""
+    assert "usage" in err.lower()
+    assert f"unrecognized arguments: {flag} 7" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, "--samples") for c in SAMPLES_COMMANDS] + [(c, "--seed") for c in SEED_COMMANDS]
+)
+def test_kept_options_parse(command, flag):
+    args = cli._build_parser().parse_args([command, "m.json", flag, "7"])
+    assert getattr(args, flag[2:]) == 7
+
+
 def test_extremes_and_preimage_commands(capsys, matrix_file):
     path = matrix_file("deb", [[0, 2, 0], [0, 0, 0], [0, 0, 1]])
     code, out, _ = run_cli(capsys, "preimage", path, "--point", "1,0")

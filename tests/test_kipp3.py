@@ -50,13 +50,20 @@ def test_kippenhahn_polynomial_examples():
 
 
 def test_kippenhahn_polynomial_traces_boundary(rng):
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 7):
         A = random_matrix(rng, d)
         kp = kipp3.kippenhahn_polynomial(A)
         for theta in np.linspace(0, 2 * np.pi, 9):
             sup = rg.support_value(A, theta).support
             val = kp(-sup, np.cos(theta), np.sin(theta))
             assert abs(val) <= 1e-10 * (1 + mc.fro(A)) ** d
+
+
+def test_kippenhahn_polynomial_refuses_d8():
+    # the interpolation design loses rank at d = 8
+    A = np.random.default_rng(0).standard_normal((8, 8)) + 0j
+    with pytest.raises(PreconditionError, match="d <= 7"):
+        kipp3.kippenhahn_polynomial(A / mc.fro(A))
 
 
 def test_elliptic_data_examples():
@@ -104,7 +111,7 @@ def test_classify_agreement_with_flat_scan(rng):
     fixtures = [kipp3.m_alpha_beta(0.5, 1.0), JORDAN3]
     for k in range(1000):
         A = fixtures[k] if k < len(fixtures) else random_matrix(rng, 3)
-        cls = kipp3.classify(A, grid=256)
+        cls = kipp3.classify(A)
         has_flat = bool(ex.flat_portions(A, 256))
         assert (cls.class_tag == "F3") == (
             has_flat and not kipp3.normal_eigenvalues(A)
@@ -313,7 +320,7 @@ def test_partition_is_total_and_o3_dominates(rng):
     n = 10000
     for _ in range(n):
         A = random_matrix(rng, 3)
-        tag = kipp3.classify(A, grid=256).class_tag
+        tag = kipp3.classify(A).class_tag
         counts[tag] = counts.get(tag, 0) + 1
     assert sum(counts.values()) == n
     assert counts.get("O3", 0) / n >= 0.95
@@ -411,6 +418,27 @@ def test_canonical_form_parameter_recovery(rng):
     cf = kipp3.canonical_reducible_form(B)
     assert cf.form == "diag_0_lambda_1"
     assert cf.lam == pytest.approx(0.35, abs=1e-9)
+
+
+def test_normal_eigenvalues_solved_once_per_call(rng, monkeypatch):
+    Q = random_unitary3(rng)
+    A = Q.conj().T @ cp(0.7) @ Q
+    calls = []
+    solve = kipp3.normal_eigenvalues
+
+    def counting(B):
+        calls.append(1)
+        return solve(B)
+
+    monkeypatch.setattr(kipp3, "normal_eigenvalues", counting)
+    assert kipp3.canonical_reducible_form(A).form == "offdiag_a"
+    assert len(calls) == 1
+    # closure3 of one matrix: its classification and its canonical form
+    # (each witness is classified on its own, and not counted here)
+    calls.clear()
+    cls = kipp3.classify(A)
+    assert kipp3._canonical_if_reducible(A, cls).form == "offdiag_a"
+    assert len(calls) == 2
 
 
 def test_closure_predicates_examples():

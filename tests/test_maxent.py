@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from numrange import matcore as mc, maxent as me
+from numrange import extremal as ex, matcore as mc, maxent as me
 from numrange.errors import PreconditionError
 
 from conftest import (
@@ -236,6 +236,40 @@ def test_round_boundary_points():
     for p in pts:
         assert abs(abs(p) - 1) < 1e-6  # on the circle arc
         assert min(abs(p - t) for t in tangents) > 1e-8  # tangent points excluded
+
+
+def two_scan_round_points(A, grid):
+    """Reference for round_boundary_points: a second scan for the flat
+    portions, whose ends are dropped from the single-angle reports."""
+    pencil = mc.Pencil(A)
+    reports = ex.extreme_points(pencil, grid)
+    ends = np.array([e for fp in ex.flat_portions(pencil, grid) for e in fp.endpoints], dtype=complex)
+    tol = 10 * ex.POINT_MATCH_RTOL * (1.0 + pencil.norm)
+    return [
+        r.point
+        for r in reports
+        if r.normal_arc[1] - r.normal_arc[0] <= ex.ARC_SINGLE_ANGLE
+        and not (ends.size and np.min(np.abs(ends - r.point)) <= tol)
+    ]
+
+
+def test_round_boundary_points_scan_the_grid_once(rng, monkeypatch):
+    mats = [DISK_EIG_BOUNDARY, CIRCLE_POINT, TRIANGLE]
+    mats += [(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 4.0 for _ in range(3)]
+    for A in mats:
+        want = two_scan_round_points(A, 512)
+        calls = []
+        scan = ex._flat_candidates
+
+        def counting(*args):
+            calls.append(1)
+            return scan(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(ex, "_flat_candidates", counting)
+            got = me.round_boundary_points(A, 512)
+        assert got == want
+        assert len(calls) == 1
 
 
 def test_discontinuity_probe_fixture():
