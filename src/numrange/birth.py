@@ -107,15 +107,10 @@ def birth_family(A, alpha, H=None, grid: int = 512) -> BirthFamily:
     A = pencil.A
     alpha = extremal.as_point(alpha)
     scale = pencil.scale
-    tol = extremal.POINT_MATCH_RTOL * scale
 
     # the pre-image face at the supporting angle
-    fd, basis = extremal._preimage(pencil, alpha, *extremal.supporting_angle(pencil, alpha, grid))
+    fd, sigma, basis = extremal._preimage(pencil, alpha, *extremal.supporting_angle(pencil, alpha, grid))
     theta = fd.theta
-    if fd.length <= tol:
-        sigma = "m"
-    else:
-        sigma = "+" if abs(alpha - fd.p_plus) <= tol else "-"
     if basis.shape[1] < 2:
         raise PreconditionError(
             f"point {alpha} is simply generated (pre-image dimension 1): "

@@ -107,32 +107,55 @@ def face(A, theta: float) -> FaceDescriptor:
     """Compute the exposed face of W(A) with outward normal ``e^{i theta}``.
 
     ``A`` is a matrix or a :class:`~numrange.matcore.Pencil`, as for every
-    function of this module that takes one.  The basis blocks leave the
-    package: the cluster basis comes with its phases fixed from
-    :meth:`~numrange.matcore.Pencil.segment`, and the eigenvectors of the
-    compressed derivative part that combine it into the endpoint blocks
-    are fixed here (:func:`~numrange.matcore._fix_phases`).
+    function of this module that takes one.  This is :func:`_faces` at
+    one angle.
     """
-    pencil = mc.as_pencil(A)
-    ctol = pencil.ctol
-    support, Qm, mu, W = pencil.segment(theta, ctol)
-    W = mc._fix_phases(W)
-    lo, hi = float(mu[0]), float(mu[-1])
-    basis_plus = Qm @ W[:, mu >= hi - ctol]
-    basis_minus = Qm @ W[:, mu <= lo + ctol]
+    return _faces(mc.as_pencil(A), [theta])[0]
 
-    u = np.exp(1j * theta)
-    return FaceDescriptor(
-        theta=float(theta),
-        support=support,
-        p_plus=complex(u * (support + 1j * hi)),
-        p_minus=complex(u * (support + 1j * lo)),
-        deriv_plus=hi,
-        deriv_minus=lo,
-        basis_m=Qm,
-        basis_plus=basis_plus,
-        basis_minus=basis_minus,
-    )
+
+def _faces(pencil: mc.Pencil, thetas, eig=None) -> list[FaceDescriptor]:
+    """:func:`face` at every angle of an array, from one
+    :meth:`~numrange.matcore.Pencil.segments` call (given the
+    :meth:`~numrange.matcore.Pencil.eigh` result ``eig`` at the angles).
+    The basis blocks leave the package: the cluster basis and the
+    eigenvectors of the compressed derivative part that combine it into
+    the endpoint blocks come with their phases fixed from ``segments``.
+    """
+    ctol = pencil.ctol
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    sup, *segs = pencil.segments(thetas, ctol, eig)
+    out = []
+    for theta, support, Qm, mu, W in zip(thetas.tolist(), sup.tolist(), *segs):
+        lo, hi = float(mu[0]), float(mu[-1])
+        u = np.exp(1j * theta)
+        out.append(
+            FaceDescriptor(
+                theta=theta,
+                support=support,
+                p_plus=complex(u * (support + 1j * hi)),
+                p_minus=complex(u * (support + 1j * lo)),
+                deriv_plus=hi,
+                deriv_minus=lo,
+                basis_m=Qm,
+                basis_plus=Qm @ W[:, mu >= hi - ctol],
+                basis_minus=Qm @ W[:, mu <= lo + ctol],
+            )
+        )
+    return out
+
+
+def _pick(fd: FaceDescriptor, p: complex, tol: float) -> tuple[str, np.ndarray, float]:
+    """The pre-image basis of the point p on the face fd: ``basis_m``
+    where the face is no longer than ``tol`` (tag 'm'), else the
+    eigenspace of the endpoint nearer p ('+' p_plus, '-' p_minus).
+    Returns the tag, the basis and the distance from p to that endpoint
+    (0.0 for 'm'), at most ``tol`` where p is the extreme point."""
+    if fd.length <= tol:
+        return "m", fd.basis_m, 0.0
+    d_plus, d_minus = abs(p - fd.p_plus), abs(p - fd.p_minus)
+    if d_plus <= d_minus:
+        return "+", fd.basis_plus, d_plus
+    return "-", fd.basis_minus, d_minus
 
 
 def _clusters(w: np.ndarray, ctol: float) -> list[slice]:
@@ -623,7 +646,7 @@ def _crossings(pencil: mc.Pencil, angles: np.ndarray, spreads: np.ndarray) -> li
 def _flat_portions(pencil: mc.Pencil, candidates: list[float]) -> list[FlatPortion]:
     """Flat portions at the sorted candidate angles of :func:`_crossings`."""
     length_tol = FLAT_LENGTH_RTOL * pencil.scale
-    faces = [(t, face(pencil, t)) for t in candidates]
+    faces = zip(candidates, _faces(pencil, candidates) if candidates else [])
     return [FlatPortion(t, (fd.p_minus, fd.p_plus), fd.length) for t, fd in faces if fd.length > length_tol]
 
 
@@ -851,18 +874,13 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
         lo_edge[owner], hi_edge[owner] = edges[0::2], edges[1::2]
 
     # pre-images at the arc midpoints: one stacked solve; angles whose top
-    # eigenvalue is clustered need the full face
+    # eigenvalue is clustered read the full face from its rows
     theta_rep = (lo_edge + hi_edge) / 2.0
     w_rep, V_rep = pencil.eigh(theta_rep)
     bases = list(mc._fix_phases(V_rep[:, :, -1:]))
-    for i in np.nonzero(pencil.top_gap(w_rep) <= pencil.ctol)[0]:
-        fd = face(pencil, theta_rep[i])
-        if fd.length <= match_tol:
-            bases[i] = fd.basis_m
-        elif abs(pts[i] - fd.p_plus) <= abs(pts[i] - fd.p_minus):
-            bases[i] = fd.basis_plus
-        else:
-            bases[i] = fd.basis_minus
+    band = np.nonzero(pencil.top_gap(w_rep) <= pencil.ctol)[0]
+    for i, fd in zip(band.tolist(), _faces(pencil, theta_rep[band], (w_rep[band], V_rep[band]))):
+        bases[i] = _pick(fd, pts[i], match_tol)[1]
     is_flat_end = np.min(np.abs(flat_ends - pts[:, None]), axis=1, initial=np.inf) <= 10 * match_tol
     non_exposed = (hi_edge - lo_edge <= ARC_SINGLE_ANGLE) & is_flat_end
     cols = pts.tolist(), non_exposed.tolist(), lo_edge.tolist(), hi_edge.tolist()
@@ -1050,12 +1068,12 @@ def preimage(A, p, grid: int = 512) -> np.ndarray:
     """
     pencil = mc.as_pencil(A)
     p = as_point(p)
-    return _preimage(pencil, p, *supporting_angle(pencil, p, grid))[1]
+    return _preimage(pencil, p, *supporting_angle(pencil, p, grid))[2]
 
 
-def _preimage(pencil: mc.Pencil, p: complex, theta: float, gval: float) -> tuple[FaceDescriptor, np.ndarray]:
+def _preimage(pencil: mc.Pencil, p: complex, theta: float, gval: float) -> tuple[FaceDescriptor, str, np.ndarray]:
     """:func:`preimage` at a supporting angle theta with g value gval:
-    the face there and the pre-image basis of p."""
+    the face there and the :func:`_pick` tag and pre-image basis of p."""
     tol = POINT_MATCH_RTOL * pencil.scale
     if gval < -tol:
         raise PreconditionError(
@@ -1068,12 +1086,9 @@ def _preimage(pencil: mc.Pencil, p: complex, theta: float, gval: float) -> tuple
             f"(distance {gval:.3e})"
         )
     fd = face(pencil, theta)
-    if fd.length <= tol:
-        return fd, fd.basis_m
-    if abs(p - fd.p_plus) <= tol:
-        return fd, fd.basis_plus
-    if abs(p - fd.p_minus) <= tol:
-        return fd, fd.basis_minus
+    sigma, basis, miss = _pick(fd, p, tol)
+    if miss <= tol:
+        return fd, sigma, basis
     if fd.distance(p) <= tol:
         raise PreconditionError(
             f"point {p} is not an extreme point of W(A): relative interior "

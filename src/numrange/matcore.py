@@ -115,9 +115,11 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     Works on a single matrix or on a stack of them (last two axes).
     """
     mod = np.abs(V)
-    tied = mod >= (1.0 - 1e-12) * np.max(mod, axis=-2, keepdims=True)
-    idx = np.argmax(tied, axis=-2)[..., None, :]
-    piv = np.take_along_axis(V, idx, axis=-2)
+    tied = mod >= (1.0 - 1e-12) * mod.max(axis=-2, keepdims=True)
+    # the pivots from the stack seen as (n, d, k): cheaper than take_along_axis
+    S = V.reshape(-1, *V.shape[-2:])
+    piv = S[np.arange(S.shape[0])[:, None], tied.argmax(axis=-2).reshape(S.shape[0], -1), np.arange(S.shape[-1])]
+    piv = piv.reshape(*V.shape[:-2], 1, V.shape[-1])
     a = np.abs(piv)
     return V * np.divide(piv.conj(), a, out=np.ones_like(piv), where=a > 0.0)
 
@@ -295,29 +297,34 @@ class Pencil:
         M2 = -M0 + 2.0 * C.conj().swapaxes(-1, -2) @ (C / gaps[..., None])
         return M0, (M1 + M1.conj().swapaxes(-1, -2)) / 2.0, (M2 + M2.conj().swapaxes(-1, -2)) / 2.0
 
-    def top_cluster(self, theta: float, tol: float) -> tuple[float, np.ndarray]:
-        """Top eigenvalue of A(theta) and an orthonormal basis of the
-        eigenvectors whose eigenvalues lie within ``tol`` of it (phases as
-        LAPACK gives them)."""
-        w, V = np.linalg.eigh(self.rotate(theta))
-        return float(w[-1]), V[:, w >= w[-1] - tol]
+    def segments(self, thetas, tol: float, eig=None) -> tuple[np.ndarray, list, list, list]:
+        """Faces of W(A) at an angle array, grouping eigenvalues within ``tol``.
 
-    def segment(self, theta: float, tol: float):
-        """Face of W(A) at one angle, grouping eigenvalues within ``tol``.
-
-        Returns ``(support, Qm, mu, W)``: the top eigenvalue, the basis Qm
-        of its cluster (:meth:`top_cluster`), and the ascending eigenvalues
-        mu and eigenvectors W of A'(theta) compressed onto Qm.  The face
-        is the segment e^{i theta}(support + i [mu[0], mu[-1]]).  Qm is
-        returned, so its phases are fixed (:func:`_fix_phases`), which also
-        fixes the frame of the compression; W carries the phases LAPACK
-        gives it.
+        Returns ``(support, Qm, mu, W)``: the top eigenvalues, and per angle
+        the top cluster Qm and the ascending eigenpairs mu, W of A'(theta)
+        compressed onto it; the face is e^{i theta}(support + i [mu[0],
+        mu[-1]]).  The angles are solved in one stacked call, or read from
+        the :meth:`eigh` result ``eig``; clusters of one size are compressed
+        and solved together, a 1-column cluster without a solve.  The
+        phases of Qm (which fix the frame of the compression) and of W are
+        fixed (:func:`_fix_phases`).
         """
-        support, Qm = self.top_cluster(theta, tol)
-        Qm = _fix_phases(Qm)
-        C = Qm.conj().T @ self.prime(theta) @ Qm
-        mu, W = np.linalg.eigh((C + C.conj().T) / 2.0)
-        return support, Qm, mu, W
+        t = np.asarray(thetas, dtype=float).reshape(-1)
+        w, V = self.eigh(t) if eig is None else eig
+        k = np.sum(w >= w[:, -1:] - tol, axis=1)
+        Qm, mu, W = [None] * t.size, [None] * t.size, [None] * t.size
+        for size in sorted(set(k.tolist())):
+            rows = np.nonzero(k == size)[0]
+            Q = _fix_phases(V[rows, :, -size:])
+            C = Q.conj().swapaxes(-1, -2) @ self.prime(t[rows]) @ Q
+            if size == 1:
+                m, Y = C.real[:, 0], np.ones((rows.size, 1, 1), dtype=complex)
+            else:
+                m, Y = np.linalg.eigh((C + C.conj().swapaxes(-1, -2)) / 2.0)
+                Y = _fix_phases(Y)
+            for i, j in enumerate(rows.tolist()):
+                Qm[j], mu[j], W[j] = Q[i], m[i], Y[i]
+        return w[:, -1], Qm, mu, W
 
     def faces(self, thetas, tol: float, eig=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Face segments at an angle array: (support, mu_lo, mu_hi).
@@ -326,26 +333,22 @@ class Pencil:
         touch point and mu_lo = mu_hi is the top-curve slope.  ``eig``
         passes the ascending eigenvalues and the top eigenvectors at the
         same angles when the caller has them, as :meth:`grid` gives them;
-        clustered angles then fall back to :meth:`segment`.  With all the
-        eigenvectors, as :meth:`eigh` gives them, a clustered face is
-        read from them without another solve.
+        the clustered angles are then solved in one stacked call of
+        :meth:`segments`.  With all the eigenvectors, as :meth:`eigh` gives
+        them, a clustered face is read from them without another solve.
         """
         t = np.asarray(thetas, dtype=float)
         if eig is None:
             eig = self.eigh(t)
         w, x = eig
-        V = x if x.ndim == w.ndim + 1 else None
+        full = x.ndim == w.ndim + 1
         sup = w[:, -1].copy()
-        lo = self.slope(t, x if V is None else V[..., -1])
+        lo = self.slope(t, x[..., -1] if full else x)
         hi = lo.copy()
-        for j in np.nonzero(self.top_gap(w) <= tol)[0]:
-            if V is None:
-                sup[j], _, mu, _ = self.segment(t[j], tol)
-            else:
-                Q = V[j][:, w[j] >= w[j, -1] - tol]
-                C = Q.conj().T @ self.prime(t[j]) @ Q
-                mu = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
-            lo[j], hi[j] = mu[0], mu[-1]
+        j = np.nonzero(self.top_gap(w) <= tol)[0]
+        if j.size:
+            sup[j], _, mu, _ = self.segments(t[j], tol, (w[j], x[j]) if full else None)
+            lo[j], hi[j] = [m[0] for m in mu], [m[-1] for m in mu]
         return sup, lo, hi
 
 

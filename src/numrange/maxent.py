@@ -3,11 +3,12 @@
 For an interior point the inference state is the Gibbs member of the
 exponential family generated by Re(A) and Im(A), found by a safeguarded
 Newton method on the dual (log-partition) problem.  On the boundary the
-problem collapses onto the pre-image of the supporting face: compressing
-there reduces it to a single-observable family, whose endpoints recurse
-once more onto eigenspaces where the state is maximally mixed.  The
-discontinuity probe compares the inference entropy along interior and
-boundary paths into a multiply generated round boundary point.
+state is the maximally mixed state P/k on the pre-image of an extreme
+point, and in the relative interior of a flat portion the Gibbs state
+of the single observable that the face's top eigenvalue cluster
+compresses the problem to.  The discontinuity probe compares the
+inference entropy along interior and boundary paths into a multiply
+generated round boundary point.
 """
 
 from __future__ import annotations
@@ -119,33 +120,33 @@ def relative_depth(A, p, grid: int = 1024) -> float:
     degenerate (segment or point) range it is the distance to the nearer
     segment endpoint, provided p sits on the carrying line; off-line
     points report minus their transverse deviation.
+
+    The width h(t) + h(t + pi) is at least |X(t)|_F / sqrt(d), X(t) the
+    Hermitian part of e^{-i t} Z, Z = R0 + i S0 the traceless part of A.
+    At the null direction t of the Gram matrix of R0 and S0 (from
+    tr Z^2), |X(t)|_F^2 > d (``DEGENERATE_THICKNESS_RTOL`` scale)^2 proves
+    a 2-D range without a solve; otherwise the width at t decides.
     """
     pencil = mc.as_pencil(A)
     p = extremal.as_point(p)
     scale = pencil.scale
-    half = grid // 2
-    # for an even grid this is the scan of boundary_depth as well
-    thetas, w, _ = pencil.grid(2 * half)
-    width = w[:, -1] + np.roll(w[:, -1], -half)
-    if width.min() > DEGENERATE_THICKNESS_RTOL * scale:
+    thin = DEGENERATE_THICKNESS_RTOL * scale
+    d = pencil.d
+    Z = pencil.A - np.trace(pencil.A) / d * np.eye(d)
+    t = np.angle(np.sum(Z * Z.T)) / 2.0 + np.pi / 2.0
+    X = np.exp(-1j * t) * Z
+    X = (X + X.conj().T) / 2.0
+    if np.vdot(X, X).real > d * thin**2:
         return boundary_depth(pencil, p, grid)
-
-    def opposite(th):
-        """Support values at th and th + pi."""
-        return pencil.support([th, th + np.pi])
-
-    j = int(np.argmin(width))
-    step = np.pi / half
-    t = extremal._golden_min(lambda th: float(opposite(th).sum()), thetas[j] - step, thetas[j] + step)
-    u = np.exp(1j * t)
-    s_t, s_opp = opposite(t)
-    trans = (p * np.conj(u)).real - (s_t - s_opp) / 2.0
+    phi = t + np.pi / 2.0
+    s_t, s_opp, s_phi, s_phi_opp = pencil.support([t, t + np.pi, phi, phi + np.pi])
+    if s_t + s_opp > thin:
+        return boundary_depth(pencil, p, grid)
+    trans = (p * np.conj(np.exp(1j * t))).real - (s_t - s_opp) / 2.0
     if abs(trans) > 1e-7 * scale:
         return -abs(trans)
-    phi = t + np.pi / 2.0
-    e = np.exp(1j * phi)
-    s_phi, s_opp = opposite(phi)
-    return float(min(s_phi - (p * np.conj(e)).real, s_opp + (p * np.conj(e)).real))
+    along = (p * np.conj(np.exp(1j * phi))).real
+    return float(min(s_phi - along, s_phi_opp + along))
 
 
 def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
@@ -311,32 +312,12 @@ def _armijo(trial, f0: np.ndarray, decrease: np.ndarray, gn: np.ndarray) -> np.n
     return ok
 
 
-def _solve_single_observable(C: np.ndarray, eta: float, ctol: float) -> np.ndarray:
-    """Max-entropy state of one Hermitian observable C at mean value eta.
-
-    Interior means give the Gibbs state exp(tC)/Z with t solved by a
-    safeguarded Newton iteration; means at (or numerically at) an extreme
-    eigenvalue recurse onto the corresponding eigenspace, where the state
-    is maximally mixed.
-    """
-    k = C.shape[0]
-    # a 1x1 C is its own eigendecomposition
-    w, V = (C.real[0], np.ones((1, 1), dtype=complex)) if k == 1 else np.linalg.eigh(C)
+def _solve_single_observable(w: np.ndarray, V: np.ndarray, eta: float) -> np.ndarray:
+    """Max-entropy state of one Hermitian observable C = V diag(w) V* at a
+    mean value eta strictly between its extreme eigenvalues w[0] and
+    w[-1]: the Gibbs state exp(tC)/Z, with t solved by a safeguarded
+    Newton iteration."""
     spread = w[-1] - w[0]
-    if spread <= ctol:
-        if abs(eta - np.mean(w)) > 100 * max(ctol, 1e-12):
-            raise PreconditionError("target mean is outside the observable range")
-        return np.eye(k, dtype=complex) / k
-    snap = 1e-9 * (1.0 + spread)
-    if eta >= w[-1] - snap:
-        Q = V[:, w >= w[-1] - ctol]
-        return Q @ Q.conj().T / Q.shape[1]
-    if eta <= w[0] + snap:
-        Q = V[:, w <= w[0] + ctol]
-        return Q @ Q.conj().T / Q.shape[1]
-    if not (w[0] < eta < w[-1]):
-        raise PreconditionError("target mean is outside the observable range")
-
     t = 0.0
     lo, hi = None, None
     for _ in range(200):
@@ -374,11 +355,11 @@ def _solve_single_observable(C: np.ndarray, eta: float, ctol: float) -> np.ndarr
 def maxent_boundary(A, alpha, grid: int = 1024) -> InferenceResult:
     """Entropy-maximizing state for alpha on the boundary of W(A).
 
-    The state is supported on the pre-image of the supporting face: the
-    problem compresses onto the top eigenvalue cluster of A(theta) at a
-    supporting angle, where it becomes a single-observable family in the
-    compressed derivative part; endpoint targets recurse once more onto
-    its extreme eigenspaces.  At a tangentially multiply generated point
+    The state lives on the face at a supporting angle: at an extreme point
+    it is the maximally mixed state P/k on the pre-image, and in the
+    relative interior of a flat portion the Gibbs state of A'(theta)
+    compressed onto the top eigenvalue cluster of A(theta).  At a
+    tangentially multiply generated point
     :func:`~numrange.extremal.supporting_angle` finds the angle to
     rounding, on the reduced pencil of the top cluster.
     """
@@ -389,8 +370,8 @@ def _boundary_states(pencil: mc.Pencil, alphas, grid: int) -> list[InferenceResu
     """:func:`maxent_boundary` at an array of points together: their
     supporting angles come from one lockstep search
     (:func:`~numrange.extremal._supporting_angles`), every point is checked
-    as :func:`maxent_boundary` checks it, and the top clusters at all the
-    angles come from one stacked solve."""
+    as :func:`maxent_boundary` checks it, and the faces at all the angles
+    come from one stacked solve (:func:`~numrange.extremal._faces`)."""
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     tol = extremal.POINT_MATCH_RTOL * pencil.scale
     thetas, gvals = extremal._supporting_angles(pencil, alphas, grid)
@@ -402,28 +383,29 @@ def _boundary_states(pencil: mc.Pencil, alphas, grid: int) -> list[InferenceResu
                 f"alpha = {alpha} is an interior point (depth {-gval:.3e}); "
                 "use maxent_interior"
             )
-    return _face_states(pencil, alphas, thetas)
+    return _face_states(pencil, alphas, extremal._faces(pencil, thetas))
 
 
-def _face_states(pencil: mc.Pencil, alphas: np.ndarray, thetas: np.ndarray) -> list[InferenceResult]:
-    """The compressed solves of :func:`maxent_boundary` at the boundary
-    points alphas, with supporting angles thetas.
+def _face_states(pencil: mc.Pencil, alphas, faces) -> list[InferenceResult]:
+    """The states of :func:`maxent_boundary` at the boundary points
+    alphas, on the faces at their supporting angles.
 
-    Each state lives on the top eigenvalue cluster of A(theta), where the
-    problem is a single-observable family in the compressed derivative
-    part.  The clusters at all the angles come from one stacked solve,
-    their phases fixed as :func:`~numrange.extremal.face` fixes them, and
-    the entropies are validated together.
+    The pre-image basis of an extreme point is the one
+    :func:`~numrange.extremal._pick` chooses; the Gibbs state of a flat
+    portion's relative interior reads mu and W from
+    :meth:`~numrange.matcore.Pencil.segments` at the face's angle.  The
+    entropies are validated together.
     """
-    w, V = pencil.eigh(thetas)
-    V = mc._fix_phases(V)
+    tol = extremal.POINT_MATCH_RTOL * pencil.scale
     rhos, residuals = [], []
-    for k, (alpha, theta) in enumerate(zip(alphas.tolist(), thetas.tolist())):
-        Qm = V[k][:, w[k] >= w[k, -1] - pencil.ctol]
-        C = Qm.conj().T @ pencil.prime(theta) @ Qm
-        C = (C + C.conj().T) / 2.0
-        eta = (alpha * np.conj(1j * np.exp(1j * theta))).real
-        rho = Qm @ _solve_single_observable(C, eta, pencil.ctol) @ Qm.conj().T
+    for alpha, fd in zip(np.asarray(alphas, dtype=complex).tolist(), faces):
+        _, basis, miss = extremal._pick(fd, alpha, tol)
+        if miss <= tol:
+            rho = basis @ basis.conj().T / basis.shape[1]
+        else:
+            _, (Qm,), (mu,), (W,) = pencil.segments(fd.theta, pencil.ctol)
+            eta = (alpha * np.conj(1j * np.exp(1j * fd.theta))).real
+            rho = Qm @ _solve_single_observable(mu, W, eta) @ Qm.conj().T
         rhos.append(rho)
         residuals.append(abs(complex(np.trace(rho @ pencil.A)) - alpha))
     return [
@@ -489,7 +471,7 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
         raise PreconditionError(
             f"alpha = {alpha} is not a boundary point of W(A) (gap {gval:.3e})"
         )
-    fd, basis = extremal._preimage(pencil, alpha, theta, gval)
+    fd, _, basis = extremal._preimage(pencil, alpha, theta, gval)
     if basis.shape[1] < 2:
         raise PreconditionError(
             f"alpha = {alpha} is simply generated (pre-image dimension 1); "
@@ -511,7 +493,7 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
             "not a round boundary point"
         )
 
-    value = _face_states(pencil, np.array([alpha]), np.array([fd.theta]))[0]
+    value = _face_states(pencil, [alpha], [fd])[0]
 
     # radial path: the depths of all its points together, and the path
     # up to the first point shallower than the interior margin

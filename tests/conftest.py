@@ -66,3 +66,16 @@ def segment_distance(p, a, b):
     t = ((p - a) * np.conj(ab)).real / denom
     t = min(max(t, 0.0), 1.0)
     return abs(p - (a + t * ab))
+
+
+def count_eighs(monkeypatch):
+    """Count the calls of np.linalg.eigh; a call solves one matrix or one stack."""
+    calls = []
+    orig = np.linalg.eigh
+
+    def eigh(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls

@@ -12,6 +12,7 @@ from conftest import (
     JORDAN3,
     SEGMENT,
     TRIANGLE,
+    count_eighs,
     random_matrix,
     segment_distance,
 )
@@ -21,7 +22,7 @@ SQ3 = np.sqrt(3.0)
 
 def top_cluster(A, theta):
     pencil = mc.Pencil(A)
-    return pencil.top_cluster(theta, pencil.ctol)[1]
+    return pencil.segments(theta, pencil.ctol)[1][0]
 
 
 def test_top_cluster_examples():
@@ -617,6 +618,58 @@ def test_arc_edges_take_few_stacked_solves(A, grid, cap, monkeypatch):
     # every other refines arc edges
     assert len(calls) - 2 <= cap
     assert len(reps) >= 3
+
+
+def stacked_face_cases():
+    rng = np.random.default_rng(31)
+    mats = [
+        ("circle_point", CIRCLE_POINT),
+        ("disk_eig_boundary", DISK_EIG_BOUNDARY),
+        ("disk", DISK),
+        ("disk2", DISK2),
+        ("triangle", TRIANGLE),
+        ("segment", SEGMENT),
+        ("jordan3", JORDAN3),
+        ("kron_triangle", np.kron(np.eye(2), TRIANGLE)),
+    ]
+    for d in (3, 8):
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        mats.append((f"ginibre{d}", G / np.linalg.norm(G)))
+    return [pytest.param(A, id=name) for name, A in mats]
+
+
+@pytest.mark.parametrize("A", stacked_face_cases())
+def test_stacked_faces_match_face_bit_for_bit(A):
+    pencil = mc.Pencil(A)
+    rng = np.random.default_rng(32)
+    flat = [fp.theta for fp in ex.flat_portions(pencil, 512)]
+    grid = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    angles = np.concatenate([grid, rng.uniform(0.0, 2.0 * np.pi, 32), flat])
+    fields = ("theta", "support", "p_plus", "p_minus", "deriv_plus", "deriv_minus")
+    fields += ("basis_m", "basis_plus", "basis_minus")
+    for t, fd in zip(angles, ex._faces(pencil, angles)):
+        one = ex.face(pencil, t)
+        for f in fields:
+            a, b = np.asarray(getattr(fd, f)), np.asarray(getattr(one, f))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (t, f)
+
+
+def test_flat_portions_of_triangle_solve_at_most_9(monkeypatch):
+    # the faces at the polished angles come from one stacked solve
+    calls = count_eighs(monkeypatch)
+    assert len(ex.flat_portions(TRIANGLE, 512)) == 3
+    assert len(calls) <= 9
+
+
+def test_extreme_points_in_a_band_everywhere_solve_at_most_64(monkeypatch):
+    # the top eigenvalue of kron(I2, TRIANGLE)(theta) is double at every
+    # angle: clustered faces are solved in stacks, with one compression
+    # solve per cluster size, and the pre-images read the rows of the arc
+    # midpoints' solve
+    calls = count_eighs(monkeypatch)
+    reps = ex.extreme_points(np.kron(np.eye(2), TRIANGLE), 256)
+    assert len(reps) >= 3
+    assert len(calls) <= 64
 
 
 @pytest.mark.parametrize("seed", range(20))

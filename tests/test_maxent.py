@@ -10,6 +10,7 @@ from conftest import (
     DISK2,
     DISK_EIG_BOUNDARY,
     TRIANGLE,
+    count_eighs,
     random_matrix,
 )
 
@@ -206,6 +207,54 @@ def test_maxent_boundary_flat_interior_point():
     assert res.entropy > 0.0
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_maxent_boundary_at_flat_portion_end_is_mixed_on_preimage(sign):
+    # the tangent points 0.5 +- i sqrt(3)/2 of the circle-plus-point range
+    # end its flat portions: the state is P/k on the basis preimage returns
+    p = 0.5 + sign * 0.5j * np.sqrt(3.0)
+    res = me.maxent_boundary(CIRCLE_POINT, p)
+    B = ex.preimage(CIRCLE_POINT, p)
+    assert np.abs(res.rho - B @ B.conj().T / B.shape[1]).max() <= 1e-15
+    assert res.entropy <= 1e-14
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_maxent_boundary_next_to_flat_portion_end_is_gibbs(sign):
+    # 1e-7 along the flat portion from its tangent-point end, beyond the
+    # point-match tolerance: the relative interior, where the state is the
+    # Gibbs state of the compressed derivative part
+    end = 0.5 + sign * 0.5j * np.sqrt(3.0)
+    p = end + 1e-7 * (2.0 - end) / abs(2.0 - end)
+    res = me.maxent_boundary(CIRCLE_POINT, p)
+    assert res.residual <= 1e-12
+    assert 0.0 < res.entropy < 1e-5
+
+
+def segment_range(phi):
+    """(0.3 + 0.2i) I + e^{i phi} H, H the Hermitian part of the 3x3 complex
+    Ginibre draw of default_rng(5): a segment whose normals are phi + pi/2
+    and phi - pi/2, with the point 30% along it from lambda_min(H), at
+    depth 0.3 (lambda_max - lambda_min)."""
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    H = (G + G.conj().T) / 2.0
+    lam = np.linalg.eigvalsh(H)
+    u, c = np.exp(1j * phi), 0.3 + 0.2j
+    return c * np.eye(3) + u * H, c + u * (lam[0] + 0.3 * (lam[-1] - lam[0])), 0.3 * (lam[-1] - lam[0])
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.7, np.pi / 2, 2.1])
+def test_relative_depth_of_segment_with_normals_off_the_grid(phi):
+    # the thinnest width of the range is read from the Gram matrix of the
+    # traceless parts, so normals off the support grid are found as well
+    A, p, want = segment_range(phi)
+    depth = me.relative_depth(A, p)
+    assert depth == pytest.approx(want, abs=1e-12)
+    res = me.maxent_interior(A, p)
+    assert res.residual <= 1e-12
+    assert me.infer(A, p).dual_point is not None
+
+
 def test_interior_to_boundary_consistency():
     # radial interior solutions approach the boundary compression value
     target = 1.0 + 0j
@@ -294,6 +343,14 @@ def test_discontinuity_probe_solves_at_most_100(monkeypatch):
     rep = me.discontinuity_probe(DISK_EIG_BOUNDARY, 1.0 + 0j)
     assert rep.discontinuous
     assert len(calls) <= 100
+
+
+def test_discontinuity_probe_solves_at_most_72(monkeypatch):
+    # the probe value is read from the pre-image it has checked, without
+    # solving its face again
+    calls = count_eighs(monkeypatch)
+    assert me.discontinuity_probe(DISK_EIG_BOUNDARY, 1.0 + 0j).discontinuous
+    assert len(calls) <= 72
 
 
 def test_interior_states_lockstep_matches_scalar():
