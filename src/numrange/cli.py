@@ -380,6 +380,8 @@ def run(args) -> int:
             "f3_witness": None,
         }
         eps = _parse_eps(args.eps)
+        if not all(e > 0.0 for e in eps):
+            raise PreconditionError("closure3 requires positive eps values")
         witnesses = {
             "e3_witness": lambda e: kipp3._e3_witness(cls, cf, e),
             "f3_witness": lambda e: kipp3._f3_witness(A, cls, cf, e),

@@ -15,7 +15,9 @@ is ``<a, b> = Re(a * conj(b))``.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,13 +62,18 @@ def cluster_tolerance(A) -> float:
 
 
 def as_point(p) -> complex:
-    """Coerce a planar point given as complex or an (x, y) pair."""
+    """Coerce a planar point given as complex or an (x, y) pair, with
+    finite coordinates."""
     if isinstance(p, complex | float | int | np.complexfloating | np.floating | np.integer):
-        return complex(p)
-    arr = np.asarray(p, dtype=float).reshape(-1)
-    if arr.shape[0] != 2:
-        raise PreconditionError("planar point must be complex or a pair (x, y)")
-    return complex(arr[0], arr[1])
+        z = complex(p)
+    else:
+        arr = np.asarray(p, dtype=float).reshape(-1)
+        if arr.shape[0] != 2:
+            raise PreconditionError("planar point must be complex or a pair (x, y)")
+        z = complex(arr[0], arr[1])
+    if not cmath.isfinite(z):
+        raise PreconditionError(f"planar point must be finite, got {z}")
+    return z
 
 
 def _inner(a: complex, b: complex) -> float:
@@ -81,6 +88,9 @@ class FaceDescriptor:
     ``deriv_minus`` the one-sided support-curve derivatives (extreme
     eigenvalues of the compressed derivative part), and the basis blocks
     span the pre-images: the top cluster and the endpoint eigenspaces.
+    ``mu`` and ``W`` are the ascending eigenvalues and eigenvectors of
+    A'(theta) compressed onto ``basis_m`` (those of
+    :meth:`~numrange.matcore.Pencil.segments`).
     """
 
     theta: float
@@ -92,6 +102,8 @@ class FaceDescriptor:
     basis_m: np.ndarray
     basis_plus: np.ndarray
     basis_minus: np.ndarray
+    mu: np.ndarray
+    W: np.ndarray
 
     @property
     def length(self) -> float:
@@ -139,6 +151,8 @@ def _faces(pencil: mc.Pencil, thetas, eig=None) -> list[FaceDescriptor]:
                 basis_m=Qm,
                 basis_plus=Qm @ W[:, mu >= hi - ctol],
                 basis_minus=Qm @ W[:, mu <= lo + ctol],
+                mu=mu,
+                W=W,
             )
         )
     return out
@@ -306,55 +320,31 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
     return a
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 90) -> float:
-    """Golden-section minimizer returning the best abscissa."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-13:
-            break
-    return (a + b) / 2.0
-
-
-def _newton_max(solve, derivs, lo, t, hi) -> tuple[list[float], list[float]]:
+def _newton_max(jet, lo, t, hi, first) -> tuple[list[float], list[float]]:
     """Safeguarded Newton for the maxima of functions g_i in lockstep, each
     on its bracket lo_i <= t_i <= hi_i with g_i'(lo_i) >= 0 >= g_i'(hi_i)
     (1-D float arrays).
 
-    The caller keeps the eigendecompositions of the latest solve: before
-    the call those at the angles t, and after ``solve(t)`` those at the
-    new angles t of the rows still searching (one stacked call for all of
-    them).  ``derivs(t, rows)`` gives the sequences
-    (g, g', g'') at the angles t of the rows ``rows``, from the latest
-    solve, which was for the same rows.  Where g has no second derivative
-    (a clustered top eigenvalue) g'' is nan, or the mean of g'' between t
-    and the maximizer of a local model (see :func:`_reduced_argmax`), so
-    that the Newton step lands on that maximizer; g' = 0 reports t as a
-    maximum (a kink test that passed).  Each step moves one bracket end
-    to t by the sign of g', then takes the Newton step t - g'/g'' when
-    g'' < 0 and the step stays inside the bracket, and bisects otherwise.
-    A row stops at g' = 0, a Newton step or a bracket below 1e-15, or
-    after 80 steps.  The bracket logic runs per row on Python floats:
-    for the few rows of a lockstep search that is cheaper than array
-    operations.  Returns the final angles and g at the last angle each
-    row solved.
+    ``jet(t, rows)`` solves the angles t of the rows ``rows`` still
+    searching (one stacked call for all of them) and returns the sequences
+    (g, g', g'') there; ``first`` holds those sequences at the starting
+    angles t of every row.  Where g has no second derivative (a clustered
+    top eigenvalue) g'' is nan, or the mean of g'' between t and the
+    maximizer of a local model (see :func:`_reduced_argmax`), so that the
+    Newton step lands on that maximizer; g' = 0 reports t as a maximum (a
+    kink test that passed).  Each step moves one bracket end to t by the
+    sign of g', then takes the Newton step t - g'/g'' when g'' < 0 and the
+    step stays inside the bracket, and bisects otherwise.  A row stops at
+    g' = 0, a Newton step or a bracket below 1e-15, or after 80 steps.
+    The bracket logic runs per row on Python floats: for the few rows of
+    a lockstep search that is cheaper than array operations.  Returns the
+    final angles and g at the last angle each row solved.
     """
-    t_rows, lo, t, hi = t, lo.tolist(), t.tolist(), hi.tolist()
+    lo, t, hi = lo.tolist(), t.tolist(), hi.tolist()
     g_out = [np.nan] * len(t)
     rows, rows_a = list(range(len(t))), np.arange(len(t))
+    g, d1, d2 = first
     for _ in range(80):
-        g, d1, d2 = derivs(t_rows, rows_a)
         going = []
         for i, gi, s1, s2 in zip(rows, g, d1, d2):
             g_out[i] = gi
@@ -375,13 +365,12 @@ def _newton_max(solve, derivs, lo, t, hi) -> tuple[list[float], list[float]]:
             t[i] = nt
             going.append(i)
         if len(going) < len(rows):
-            rows, rows_a = going, np.array(going, dtype=int)
-            if not rows:
+            if not going:
                 break
-        t_rows = np.array([t[i] for i in rows])
-        solve(t_rows)
+            rows, rows_a = going, np.array(going)
+        g, d1, d2 = jet(np.array([t[i] for i in rows]), rows_a)
     else:
-        for i, gi in zip(rows, derivs(t_rows, rows_a)[0]):
+        for i, gi in zip(rows, g):
             g_out[i] = gi
     return t, g_out
 
@@ -951,18 +940,19 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     exterior point strictly positive (the distance).  The uniform scan of
     the grid (:meth:`~numrange.matcore.Pencil.grid`, shared through a
     Pencil) finds the maximizing cell.  Where g' changes sign across the
-    cell, safeguarded Newton on g' pins the angle to machine precision
-    (golden-section alone would stall at the sqrt(eps) resolution of the
-    flat quadratic top): each step takes h, h' and h'' of the support
-    curve h from one eigendecomposition, and the step is taken when
-    g'' < 0 and it stays inside the bracket g'(lo) >= 0 >= g'(hi), else
-    the bracket is bisected.  Where the top eigenvalue is clustered
-    within ``ctol`` (h'' undefined), the step goes to the maximizer of g
-    on the reduced pencil of the cluster (:func:`_reduced_argmax`), and
-    the kink test g'(theta-) >= 0 >= g'(theta+) on its one-sided slopes
-    ends the search at a kink.  It stops at g' = 0, a Newton step or a
-    bracket below 1e-15.  On plateaus (fat normal cones) any maximizing
-    angle is returned.
+    cell, safeguarded Newton on g' (:func:`_newton_max`) pins the angle to
+    machine precision: each step takes h, h' and h'' of the support curve
+    h from one eigendecomposition (:meth:`~numrange.matcore.Pencil.jet`),
+    and the step is taken when g'' < 0 and it stays inside the bracket
+    g'(lo) >= 0 >= g'(hi), else the bracket is bisected.  Where the top
+    eigenvalue is clustered within ``ctol`` (h'' undefined), the step goes
+    to the maximizer of g on the reduced pencil of the cluster
+    (:func:`_reduced_argmax`), and the kink test g'(theta-) >= 0 >=
+    g'(theta+) on its one-sided slopes ends the search at a kink.  It
+    stops at g' = 0, a Newton step or a bracket below 1e-15.  A cell whose
+    end slopes bracket no maximum (a plateau of g, such as the fat normal
+    cone of a corner, where any maximizing angle serves) returns its best
+    grid angle.
 
     This is :func:`_supporting_angles` with one point; that function runs
     the same search for an array of points in lockstep.
@@ -1003,59 +993,40 @@ def _supporting_angles(pencil: mc.Pencil, points, grid: int) -> tuple[np.ndarray
     cell = scan_thetas[j][:, None] + np.array([-step, 0.0, step])
     w, V = pencil.eigh(cell)
     slopes = -p.real[:, None] * np.sin(cell) + p.imag[:, None] * np.cos(cell) - pencil.slope(cell, V[..., -1])
-    slo, shi = slopes[:, 0], slopes[:, 2]
     theta, gval = np.empty(p.size), np.empty(p.size)
-    newton = (slo >= 0.0) & (0.0 >= shi)
+    newton = (slopes[:, 0] >= 0.0) & (0.0 >= slopes[:, 2])
     ix = slice(None)  # the points that take Newton steps: all of them, as a rule
     if not newton.all():
-        ix = np.nonzero(newton)[0]
-        plateau_tol = 1e-11 * pencil.scale * (1.0 + np.abs(p))
-        plateau = ~newton & (np.abs(slo) <= plateau_tol) & (np.abs(shi) <= plateau_tol)
-        theta[plateau], gval[plateau] = scan_thetas[j[plateau]], g_grid[plateau, j[plateau]]
-        for i in np.nonzero(~newton & ~plateau)[0]:
-
-            def g_at(th, q=p[i]):
-                return q.real * np.cos(th) + q.imag * np.sin(th) - float(pencil.support(th))
-
-            t = _golden_min(lambda th: -g_at(th), cell[i, 0] - step, cell[i, 2] + step)
-            theta[i], gval[i] = t, g_at(t)
-
+        # a cell whose end slopes bracket no maximum keeps its best grid angle
+        ix, flat = np.nonzero(newton)[0], ~newton
+        theta[flat], gval[flat] = scan_thetas[j[flat]], g_grid[flat, j[flat]]
     if newton.any():
         q, c = p[ix].tolist(), cell[ix]
-        latest = [w[ix, 1], V[ix, 1]]
 
-        def solve(t):
-            latest[:] = pencil.eigh(t)
-
-        def derivs(t, rows):
+        def values(t, rows, eig=None):
             # g'' = -<p, e^{i t}> - h'' where the top eigenvalue is simple;
             # in a cluster (h'' undefined) the reduced pencil gives the step.
-            # The kernels run on the stack, each row its own item (h' from
-            # (1, d) rows); the few operations per row run on Python floats,
-            # which round as the scalars of one point do
-            w, V = latest
-            simple = pencil.top_gap(w) > pencil.ctol
-            if simple.all():
-                h2 = pencil.curvature(t, (w, V))
-            else:
-                h2 = np.full(t.size, np.nan)
-                h2[simple] = pencil.curvature(t[simple], (w[simple], V[simple]))
-            h1 = pencil.slope(t[:, None], V[:, None, :, -1])[:, 0]
-            cols = (rows, np.exp(1j * t), np.sin(t), np.cos(t), w[:, -1], h1, h2, simple)
+            # The few operations per row run on Python floats, which round
+            # as the scalars of one point do
+            if eig is None:
+                eig = pencil.eigh(t)
+            h, h1, h2 = pencil.jet(t, eig)
             g, d1, d2 = [], [], []
-            for k, (i, u, sn, cs, top, s1, s2, smooth) in enumerate(zip(*(x.tolist() for x in cols))):
+            cols = (rows, np.exp(1j * t), np.sin(t), np.cos(t), h, h1, h2)
+            for k, (i, u, sn, cs, top, s1, s2) in enumerate(zip(*(x.tolist() for x in cols))):
                 pu = q[i].real * u.real + q[i].imag * u.imag
                 g.append(pu - top)
-                if smooth:
+                if not math.isnan(s2):
                     d1.append(-q[i].real * sn + q[i].imag * cs - s1)
                     d2.append(-pu - s2)
                 else:
-                    delta, slope0 = _reduced_argmax(pencil, q[i], t[k], (w[k], V[k]), c[i, 0], c[i, 2])
+                    delta, slope0 = _reduced_argmax(pencil, q[i], t[k], (eig[0][k], eig[1][k]), c[i, 0], c[i, 2])
                     d1.append(slope0)
                     d2.append(-slope0 / delta if delta else np.nan)
             return g, d1, d2
 
-        theta[ix], gval[ix] = _newton_max(solve, derivs, c[:, 0], c[:, 1], c[:, 2])
+        first = values(c[:, 1], np.arange(len(q)), (w[ix, 1], V[ix, 1]))
+        theta[ix], gval[ix] = _newton_max(values, *c.T, first)
     return theta % (2.0 * np.pi), gval
 
 

@@ -259,8 +259,8 @@ class Pencil:
             lambda_k'' = -lambda_k + 2 sum_{j != k} |v_j* A'(theta) v_k|^2 / (lambda_k - lambda_j)
 
         (A''(theta) = -A(theta), plus second-order perturbation over the
-        other eigenpairs).  Defined only where lambda_k is simple; callers
-        check its gaps against ``ctol`` first.
+        other eigenpairs).  Defined only where lambda_k is simple; :meth:`jet`
+        checks the top gap against ``ctol`` first.
         """
         w, V = eig
         k %= w.shape[-1]
@@ -268,6 +268,26 @@ class Pencil:
         others = np.arange(w.shape[-1]) != k
         c = np.abs(y[..., others, 0]) ** 2
         return -w[..., k] + 2.0 * (c / (w[..., k : k + 1] - w[..., others])).sum(axis=-1)
+
+    def jet(self, thetas, eig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The support curve h and its derivatives h', h'' at an angle array,
+        from the :meth:`eigh` result ``eig`` at the same angles.
+
+        h' is the :meth:`slope` on (1, d) rows, so each angle is its own
+        product, with the bits of a one-angle call; h'' is the
+        :meth:`curvature`, and nan where the top gap is at most ``ctol``
+        (a clustered top eigenvalue has no second derivative).
+        """
+        t = np.asarray(thetas, dtype=float)
+        w, V = eig
+        h1 = self.slope(t[..., None], V[..., None, :, -1])[..., 0]
+        simple = self.top_gap(w) > self.ctol
+        if simple.all():
+            h2 = self.curvature(t, eig)
+        else:
+            h2 = np.full(t.shape, np.nan)
+            h2[simple] = self.curvature(t[simple], (w[simple], V[simple]))
+        return w[..., -1], h1, h2
 
     def reduced(self, thetas, eig, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Reduced pencil of the top k eigenvalues of A(theta).

@@ -315,41 +315,32 @@ def _armijo(trial, f0: np.ndarray, decrease: np.ndarray, gn: np.ndarray) -> np.n
 def _solve_single_observable(w: np.ndarray, V: np.ndarray, eta: float) -> np.ndarray:
     """Max-entropy state of one Hermitian observable C = V diag(w) V* at a
     mean value eta strictly between its extreme eigenvalues w[0] and
-    w[-1]: the Gibbs state exp(tC)/Z, with t solved by a safeguarded
-    Newton iteration."""
-    spread = w[-1] - w[0]
-    t = 0.0
-    lo, hi = None, None
-    for _ in range(200):
-        shifted = t * w
-        m = np.max(shifted)
-        ex = np.exp(shifted - m)
-        Z = np.sum(ex)
-        mean = float(np.sum(ex * w) / Z)
-        var = float(np.sum(ex * w * w) / Z - mean * mean)
-        diff = mean - eta
-        if abs(diff) <= 1e-13 * (1.0 + spread):
-            break
-        if diff > 0:
-            hi = t if hi is None else min(hi, t)
-        else:
-            lo = t if lo is None else max(lo, t)
-        if var > 1e-300:
-            t_new = t - diff / var
-        else:
-            t_new = t - np.sign(diff)
-        # safeguard: stay inside the current bracket
-        if lo is not None and hi is not None and not (lo < t_new < hi):
-            t_new = (lo + hi) / 2.0
-        elif lo is None and t_new > t + 50.0:
-            t_new = t + 50.0
-        elif hi is None and t_new < t - 50.0:
-            t_new = t - 50.0
-        t = t_new
-    shifted = t * w
-    ex = np.exp(shifted - np.max(shifted))
-    probs = ex / np.sum(ex)
-    return (V * probs) @ V.conj().T
+    w[-1]: the Gibbs state exp(tC)/Z, with t the maximizer of the concave
+    dual t eta - log tr exp(tC), whose slope is eta minus the Gibbs mean.
+
+    The mean lies within (k - 1) / (e |t|) of the extreme eigenvalue on
+    the side of t (k = len(w)), so the slope changes sign on the bracket
+    [-k / (eta - w[0]), k / (w[-1] - eta)], where the shared Newton loop
+    (:func:`~numrange.extremal._newton_max`) finds the maximizer from
+    t = 0; the dual's second derivative is minus the Gibbs variance.
+    """
+    def gibbs(t):
+        # the Gibbs weights at t and log tr exp(tC), overflow-safe
+        s = t * w
+        top = np.max(s)
+        ex = np.exp(s - top)
+        z = np.sum(ex)
+        return ex / z, float(top + np.log(z))
+
+    def jet(t, rows):
+        p, log_z = gibbs(t[0])
+        mean = float(p @ w)
+        return [t[0] * eta - log_z], [float(p @ (eta - w))], [-float(p @ (w - mean) ** 2)]
+
+    k, t0 = w.size, np.zeros(1)
+    lo, hi = np.array([-k / (eta - w[0])]), np.array([k / (w[-1] - eta)])
+    t = extremal._newton_max(jet, lo, t0, hi, jet(t0, None))[0][0]
+    return (V * gibbs(t)[0]) @ V.conj().T
 
 
 def maxent_boundary(A, alpha, grid: int = 1024) -> InferenceResult:
@@ -392,20 +383,22 @@ def _face_states(pencil: mc.Pencil, alphas, faces) -> list[InferenceResult]:
 
     The pre-image basis of an extreme point is the one
     :func:`~numrange.extremal._pick` chooses; the Gibbs state of a flat
-    portion's relative interior reads mu and W from
-    :meth:`~numrange.matcore.Pencil.segments` at the face's angle.  The
-    entropies are validated together.
+    portion's relative interior reads the compressed spectrum mu, W that
+    the face carries.  A point within the boundary tolerance of a face
+    whose coordinate eta along it lies at or past an end (no Gibbs state
+    has that mean) takes the state of that end, the limit of the family.
+    The entropies are validated together.
     """
     tol = extremal.POINT_MATCH_RTOL * pencil.scale
     rhos, residuals = [], []
     for alpha, fd in zip(np.asarray(alphas, dtype=complex).tolist(), faces):
         _, basis, miss = extremal._pick(fd, alpha, tol)
-        if miss <= tol:
-            rho = basis @ basis.conj().T / basis.shape[1]
+        # off an extreme point, eta is the coordinate of alpha along the face
+        if miss > tol and fd.mu[0] < (eta := (alpha * np.conj(1j * np.exp(1j * fd.theta))).real) < fd.mu[-1]:
+            Qm = fd.basis_m
+            rho = Qm @ _solve_single_observable(fd.mu, fd.W, eta) @ Qm.conj().T
         else:
-            _, (Qm,), (mu,), (W,) = pencil.segments(fd.theta, pencil.ctol)
-            eta = (alpha * np.conj(1j * np.exp(1j * fd.theta))).real
-            rho = Qm @ _solve_single_observable(mu, W, eta) @ Qm.conj().T
+            rho = basis @ basis.conj().T / basis.shape[1]
         rhos.append(rho)
         residuals.append(abs(complex(np.trace(rho @ pencil.A)) - alpha))
     return [

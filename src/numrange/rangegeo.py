@@ -361,23 +361,25 @@ def ellipse_fit(K: ConvexPolygon) -> EllipseParams | None:
     return EllipseParams(center=cz, foci=(cz - f * direction, cz + f * direction), semi_minor=semi_minor)
 
 
-def _polished_max(pencils, x: np.ndarray, g: np.ndarray, kink: np.ndarray, derivs_at) -> float:
-    """Largest |g| over the circle, from its values g at the sorted angles
-    x in [0, 2 pi) and a local polish.
+def _polished_max(pencil: mc.Pencil, x: np.ndarray, g: np.ndarray, kink: np.ndarray, other) -> float:
+    """Largest |g| over the circle, g = h_A - h_o with h_A the support
+    function of ``pencil``, from its values g at the sorted angles x in
+    [0, 2 pi) and a local polish.
 
     ``kink`` marks the angles where g may have a kink; between
     consecutive angles g is smooth apart from kinks of the support
-    functions of ``pencils``.  A sample that is a local maximum of |g| is
-    polished when the maximum over its two cells could beat the best
-    value so far: on a concave peak that maximum is at most the sample's
-    value plus its rise over a neighbour, scaled by the ratio of the cell
-    widths.  Candidates go in decreasing order of that bound.  A smooth
-    sample brackets its two cells, a kink each cell on its own; where the
-    sign of g' shows a maximum inside the bracket, the shared Newton loop
-    (:func:`~numrange.extremal._newton_max`) refines it.
-    ``derivs_at(t0)`` returns the ``derivs(t, eigs)`` of the piece of g
-    that holds the angle t0, giving (g, g', g'') from the decompositions
-    of every pencil at t, and is only evaluated inside that piece.
+    functions.  A sample that is a local maximum of |g| is polished when
+    the maximum over its two cells could beat the best sample: on a
+    concave peak that maximum is at most the sample's value plus its rise
+    over a neighbour, scaled by the ratio of the cell widths.  A smooth
+    sample brackets its two cells, a kink each cell on its own.  The ends
+    and middles of all the brackets are solved in one stack, and every
+    bracket where the sign of g' shows a maximum inside is refined by one
+    lockstep call of the shared Newton loop
+    (:func:`~numrange.extremal._newton_max`), each step one stacked solve
+    per support function.  ``other(t, t0)`` returns the jet (h_o, h_o',
+    h_o'') at the angles t of the brackets whose middles are t0
+    (broadcast against t), on the piece of h_o that holds t0.
     """
     a = np.abs(g)
     best = float(a.max())
@@ -390,42 +392,31 @@ def _polished_max(pencils, x: np.ndarray, g: np.ndarray, kink: np.ndarray, deriv
         ub = a + np.maximum((a - left) * (dr / dl), (a - right) * (dl / dr))
     ub = np.where(np.isnan(ub), np.inf, ub)
     cand = np.nonzero((a >= left) & (a >= right) & (ub > best))[0]
-    if cand.size == 0:
+    smooth, split = cand[~kink[cand]], cand[kink[cand]]
+    owner = np.concatenate([smooth, split, split])
+    lo = np.concatenate([prev[smooth], prev[split], x[split]])
+    hi = np.concatenate([nxt[smooth], x[split], nxt[split]])
+    keep = hi > lo
+    cells = np.stack([lo, np.where(kink[owner], (lo + hi) / 2.0, x[owner]), hi], axis=1)[keep]
+    sign = np.where(g[owner[keep]] >= 0.0, 1.0, -1.0)
+    if not cells.size:
         return best
-    cand = cand[np.argsort(-ub[cand], kind="stable")]
-    brackets, owner = [], []
-    for i in cand:
-        spans = ((prev[i], x[i]), (x[i], nxt[i])) if kink[i] else ((prev[i], nxt[i]),)
-        for lo, hi in spans:
-            if hi > lo:
-                brackets.append((lo, (lo + hi) / 2.0 if kink[i] else x[i], hi))
-                owner.append(i)
-    if not brackets:
-        return best
-    cells = np.array(brackets)
-    stacked = [p.eigh(cells) for p in pencils]
-    for k, (lo, t0, hi) in enumerate(cells):
-        i = owner[k]
-        if ub[i] <= best:
-            continue
-        s = 1.0 if g[i] >= 0.0 else -1.0
-        derivs = derivs_at(t0)
 
-        def signed(t, eigs):
-            return tuple(s * y for y in derivs(t, eigs))
+    def jet(t, s, t0):
+        # (g, g', g'') of s g at the angles t
+        h, o = pencil.jet(t, pencil.eigh(t)), other(t, t0)
+        return tuple(s * (y - z) for y, z in zip(h, o))
 
-        ends = [[(w[k, e], V[k, e]) for w, V in stacked] for e in range(3)]
-        if signed(lo, ends[0])[1] >= 0.0 >= signed(hi, ends[2])[1]:
-            # one row of the lockstep Newton, its latest decompositions kept here
-            latest = [ends[1]]
+    g0, g1, g2 = jet(cells, sign[:, None], cells[:, 1:2])
+    up = (g1[:, 0] >= 0.0) & (0.0 >= g1[:, 2])
+    if up.any():
+        cells, sign = cells[up], sign[up]
+        first = tuple(y[up, 1].tolist() for y in (g0, g1, g2))
 
-            def solve(t):
-                latest[0] = [p.eigh(t[0]) for p in pencils]
+        def row_jet(t, rows):
+            return tuple(y.tolist() for y in jet(t, sign[rows], cells[rows, 1]))
 
-            def row_derivs(t, rows):
-                return [[y] for y in signed(t[0], latest[0])]
-
-            best = max(best, float(extremal._newton_max(solve, row_derivs, *cells[k : k + 1].T)[1][0]))
+        best = max(best, max(extremal._newton_max(row_jet, *cells.T, first)[1]))
     return best
 
 
@@ -441,27 +432,19 @@ def range_distance(A, B, N: int = DEFAULT_BOUNDARY_SAMPLES) -> float:
     distance of the support functions (Schneider, *Convex Bodies*, Lemma
     1.8.14), so it is read from h_A and h_B directly, with no polygon:
     one eigenvalue-only scan of each on ``Pencil.grid(N)``, then a
-    safeguarded Newton polish of every grid maximum of |h_A - h_B| that
-    could beat the best grid value, with h' and h'' from the
-    eigendecompositions at the iterate.  ``A`` and ``B`` are matrices or
-    Pencils; their dimensions may differ.  Symmetric in A and B bit for
-    bit.
+    safeguarded Newton polish, in lockstep, of every grid maximum of
+    |h_A - h_B| that could beat the best grid value, with h' and h'' from
+    the eigendecompositions at the iterates (:func:`_polished_max`).
+    ``A`` and ``B`` are matrices or Pencils; their dimensions may differ.
+    Symmetric in A and B bit for bit.
     """
     _require_scan(N, "range_distance")
     pa, pb = mc.as_pencil(A), mc.as_pencil(B)
     thetas, wa, _ = pa.grid(N)
     wb = pb.grid(N)[1]
 
-    def derivs(t, eigs):
-        (w1, V1), (w2, V2) = eigs
-        d2 = np.nan
-        if pa.top_gap(w1) > pa.ctol and pb.top_gap(w2) > pb.ctol:
-            d2 = float(pa.curvature(t, (w1, V1))) - float(pb.curvature(t, (w2, V2)))
-        d1 = float(pa.slope(t, V1[..., -1])) - float(pb.slope(t, V2[..., -1]))
-        return w1[-1] - w2[-1], d1, d2
-
     no_kinks = np.zeros(N, dtype=bool)
-    return _polished_max([pa, pb], thetas, wa[:, -1] - wb[:, -1], no_kinks, lambda t0: derivs)
+    return _polished_max(pa, thetas, wa[:, -1] - wb[:, -1], no_kinks, lambda t, t0: pb.jet(t, pb.eigh(t)))
 
 
 def range_gap(A, K: ConvexPolygon, N: int = DEFAULT_BOUNDARY_SAMPLES) -> float:
@@ -492,19 +475,15 @@ def range_gap(A, K: ConvexPolygon, N: int = DEFAULT_BOUNDARY_SAMPLES) -> float:
     vx, vy = v[_supporting_vertex(c, x) % len(v)].T
     g = h - (vx * np.cos(x) + vy * np.sin(x))
 
-    def derivs_at(t0):
-        px, py = v[_supporting_vertex(c, t0) % len(v)]
+    def piece(t, t0):
+        # the sinusoid <v, e^{i t}> of the vertex v that supports K at t0
+        vt = v[_supporting_vertex(c, t0) % len(v)]
+        px, py = vt[..., 0], vt[..., 1]
+        cos, sin = np.cos(t), np.sin(t)
+        hk = px * cos + py * sin
+        return hk, py * cos - px * sin, -hk
 
-        def derivs(t, eigs):
-            wt, Vt = eigs[0]
-            cos, sin = np.cos(t), np.sin(t)
-            hk = px * cos + py * sin
-            d2 = float(pencil.curvature(t, (wt, Vt))) + hk if pencil.top_gap(wt) > pencil.ctol else np.nan
-            return wt[-1] - hk, float(pencil.slope(t, Vt[..., -1])) - (py * cos - px * sin), d2
-
-        return derivs
-
-    return _polished_max([pencil], x, g, kink, derivs_at)
+    return _polished_max(pencil, x, g, kink, piece)
 
 
 def range_converges(sequence, limit, N: int = DEFAULT_BOUNDARY_SAMPLES) -> list[float]:

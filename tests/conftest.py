@@ -68,6 +68,27 @@ def segment_distance(p, a, b):
     return abs(p - (a + t * ab))
 
 
+def golden_min(f, lo, hi, iters=90):
+    """Golden-section minimizer returning the best abscissa."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        if b - a < 1e-13:
+            break
+    return (a + b) / 2.0
+
+
 def count_eighs(monkeypatch):
     """Count the calls of np.linalg.eigh; a call solves one matrix or one stack."""
     calls = []

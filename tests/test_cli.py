@@ -174,6 +174,26 @@ def test_negative_option_values(capsys, matrix_file):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("eps", ["-0.01", "0", "0.01,-1", "nan"])
+def test_closure3_refuses_non_positive_eps(capsys, matrix_file, eps):
+    # refused before any witness is built, not read as "not in the closure"
+    deb = matrix_file("deb", [[0, 2, 0], [0, 0, 0], [0, 0, 1]])
+    code, out, err = run_cli(capsys, "closure3", deb, f"--eps={eps}")
+    assert code == 3, out
+    assert out == ""
+    assert "positive" in err
+
+
+@pytest.mark.parametrize("cmd", ["preimage", "maxent", "probe", "birth"])
+@pytest.mark.parametrize("point", ["nan,0", "0,nan", "inf,0", "0,-inf"])
+def test_non_finite_points_are_refused(capsys, matrix_file, cmd, point):
+    deb = matrix_file("deb", [[0, 2, 0], [0, 0, 0], [0, 0, 1]])
+    code, out, err = run_cli(capsys, cmd, deb, f"--point={point}")
+    assert code == 3, out
+    assert out == ""
+    assert "finite" in err
+
+
 def test_flat_command(capsys, matrix_file):
     path = matrix_file("cp", [[0, 2, 0], [0, 0, 0], [0, 0, 2]])
     code, out, _ = run_cli(capsys, "flat", path)

@@ -13,6 +13,7 @@ from conftest import (
     SEGMENT,
     TRIANGLE,
     count_eighs,
+    golden_min,
     random_matrix,
     segment_distance,
 )
@@ -440,8 +441,10 @@ def test_preimage_unitary_invariance(A, p, P):
 
 def reference_supporting_angle(A, p, grid=512):
     """supporting_angle by grid scan and up to 80 bisection steps on the sign
-    of g', one eigendecomposition per step (plateau and golden-section
-    branches as in supporting_angle)."""
+    of g', one eigendecomposition per step.  A cell whose end slopes do not
+    bracket a maximum keeps its grid angle on a plateau of g and runs a
+    golden-section search otherwise; supporting_angle keeps the grid angle
+    in both cases, whose g agrees to rounding."""
     R, S = mc.re_part(A), mc.im_part(A)
     scale = 1.0 + mc.fro(A)
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
@@ -472,7 +475,7 @@ def reference_supporting_angle(A, p, grid=512):
     elif max(abs(slo), abs(shi)) <= 1e-11 * scale * (1.0 + abs(p)):
         t = thetas[j]
     else:
-        t = ex._golden_min(lambda th: -g_at(th), lo - step, hi + step)
+        t = golden_min(lambda th: -g_at(th), lo - step, hi + step)
     return t % (2.0 * np.pi), g_at(t)
 
 
@@ -790,3 +793,49 @@ def test_preimages_at_multiply_generated_points_in_affine_copies(seed):
             assert abs(np.angle(np.exp(1j * (t - np.angle(z) - np.angle(a))))) <= 1e-10
             B = ex.preimage(C, a * z + b)
             assert np.max(np.abs(B @ B.conj().T - U.conj().T @ P @ U)) <= tol
+
+
+def haar_unitary(rng, d):
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+@pytest.mark.parametrize(
+    ("seed", "p", "grid"),
+    [(s, p, 64) for s in (11, 20, 29) for p in (1.0, 0.0, 1j)] + [(73, 1.0, 512)],
+)
+def test_non_bracketing_cells_keep_the_grid_angle(seed, p, grid, monkeypatch):
+    # the vertices of TRIANGLE in unitary frames: g is flat to rounding over
+    # the normal cone, and a cell whose end slopes do not bracket a maximum
+    # returns its best grid angle, with no single-angle solve
+    U = haar_unitary(np.random.default_rng(seed), 3)
+    A = U.conj().T @ TRIANGLE @ U
+    single = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            single.append(1)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    t, g = ex.supporting_angle(A, p, grid)
+    assert abs(g) <= 1e-15
+    assert not single
+    x = ex.preimage(A, p, grid)[:, 0]
+    assert abs(x.conj() @ A @ x - p) <= 1e-15
+
+
+def test_as_point_refuses_non_finite_points():
+    pencil = mc.Pencil(DISK_EIG_BOUNDARY)
+    for p in (np.nan, complex(0.0, np.nan), np.inf, complex(-np.inf, 1.0), (np.nan, 0.0), [0.0, np.inf]):
+        for call in (
+            ex.as_point,
+            lambda q: ex.supporting_angle(pencil, q),
+            lambda q: ex.preimage(pencil, q),
+            lambda q: me.infer(pencil, q),
+            lambda q: me.maxent_boundary(pencil, q),
+            lambda q: rg.contains(pencil, q),
+        ):
+            with pytest.raises(PreconditionError, match="finite"):
+                call(p)

@@ -4,7 +4,7 @@ import pytest
 from numrange import extremal as ex, kipp3, matcore as mc, rangegeo as rg
 from numrange.errors import PreconditionError
 
-from conftest import DISK_EIG_BOUNDARY, JORDAN3, TRIANGLE, random_matrix
+from conftest import DISK_EIG_BOUNDARY, JORDAN3, TRIANGLE, golden_min, random_matrix
 
 
 def cp(a):
@@ -127,27 +127,6 @@ def flat_display(a=2.0, eps=0.1):
 def circular_gap(s, t):
     d = abs(s - t) % (2 * np.pi)
     return min(d, 2 * np.pi - d)
-
-
-def golden_min(f, lo, hi, iters=90):
-    """Golden-section minimizer returning the best abscissa."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a < 1e-13:
-            break
-    return (a + b) / 2.0
 
 
 def bisect_edges(inside, inner, outer):

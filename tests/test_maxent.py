@@ -230,6 +230,52 @@ def test_maxent_boundary_next_to_flat_portion_end_is_gibbs(sign):
     assert 0.0 < res.entropy < 1e-5
 
 
+@pytest.mark.parametrize("fraction", [1e-7, 1e-5, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-5, 1 - 1e-7])
+def test_flat_portion_gibbs_state_meets_its_constraint(fraction):
+    # the Gibbs dual on its bracket [-k / (eta - w0), k / (w_{k-1} - eta)]
+    # solves to rounding along both flat portions of CIRCLE_POINT, up to
+    # 1e-7 of either end
+    for fp in ex.flat_portions(CIRCLE_POINT):
+        a, b = fp.endpoints
+        res = me.maxent_boundary(CIRCLE_POINT, a + fraction * (b - a))
+        assert res.residual <= 1e-14
+
+
+def test_state_straight_inward_from_a_flat_portion_end_is_the_end_state():
+    # within the interior margin of the tangent point of CIRCLE_POINT,
+    # straight inward from it: the coordinate along the face is the end's,
+    # which no Gibbs state of the face has as its mean; the state is the
+    # pure state on the end's pre-image, the limit of the family
+    fp = ex.flat_portions(CIRCLE_POINT)[0]
+    end = fp.endpoints[1]
+    p = end - 2e-8 * (1.0 + np.linalg.norm(CIRCLE_POINT)) * np.exp(1j * fp.theta)
+    res = me.infer(CIRCLE_POINT, p)
+    x = ex.preimage(CIRCLE_POINT, end)
+    assert np.max(np.abs(res.rho - x @ x.conj().T)) <= 1e-14
+    assert res.entropy <= 1e-14
+
+
+def test_flat_portion_state_reads_the_face_spectrum(monkeypatch):
+    # the face carries mu and W of its compression, so the Gibbs branch
+    # solves no face again: one Pencil.segments call, that of the face
+    calls = []
+    segments = mc.Pencil.segments
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return segments(self, *args, **kwargs)
+
+    monkeypatch.setattr(mc.Pencil, "segments", counted)
+    p = 1.25 + 0.25j * np.sqrt(3.0)
+    res = me.maxent_boundary(CIRCLE_POINT, p)
+    assert len(calls) == 1
+    assert res.residual <= 1e-14
+    pencil = mc.Pencil(CIRCLE_POINT)
+    fd = ex.face(pencil, np.pi / 3)
+    _, (Qm,), (mu,), (W,) = segments(pencil, np.pi / 3, pencil.ctol)
+    assert np.array_equal(fd.mu, mu) and np.array_equal(fd.W, W) and np.array_equal(fd.basis_m, Qm)
+
+
 def segment_range(phi):
     """(0.3 + 0.2i) I + e^{i phi} H, H the Hermitian part of the 3x3 complex
     Ginibre draw of default_rng(5): a segment whose normals are phi + pi/2

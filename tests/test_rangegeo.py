@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from numrange import oracle, rangegeo as rg
+from numrange import matcore as mc, oracle, rangegeo as rg
 from numrange.errors import PreconditionError
 
 from conftest import (
@@ -439,3 +439,24 @@ def test_range_distance_preconditions():
     with pytest.raises(PreconditionError):
         rg.range_gap(DISK, np.array([[0.0, 0.0]]))
     assert rg.range_distance(DISK, DISK) == 0.0
+
+
+def test_range_distance_polishes_in_lockstep(monkeypatch):
+    # every bracket is refined by one lockstep Newton, each step one stacked
+    # solve per pencil (one solve per pencil per bracket and step before:
+    # 182 calls); the distance is sin(0.3), from the vertex e^{0.3i} of the
+    # rotated copy to the edge [0, 1]
+    B = np.exp(0.3j) * TRIANGLE
+    calls = []
+    eigh = mc.Pencil.eigh
+
+    def counted(self, thetas):
+        calls.append(1)
+        return eigh(self, thetas)
+
+    monkeypatch.setattr(mc.Pencil, "eigh", counted)
+    d = rg.range_distance(TRIANGLE, B, 256)
+    assert len(calls) <= 92
+    scan, _ = dense_distance(TRIANGLE, B)
+    assert scan - 1e-15 <= d <= scan + 1e-15
+    assert abs(d - np.sin(0.3)) <= 1e-15
