@@ -26,10 +26,11 @@ A = np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]], dtype=complex)
 print("matrix:")
 print(A)
 
-# support function = top eigenvalue of the rotated Hermitian part
+# support function = top eigenvalue of the rotated Hermitian part; the
+# face's top eigenvalue cluster gives its multiplicity
 for theta in (0.0, np.pi / 3, np.pi / 2):
-    s = nr.support_value(A, theta)
-    print(f"support at theta={theta:.4f}: {s.support:.6f} (multiplicity {s.multiplicity})")
+    fd = nr.face(A, theta)
+    print(f"support at theta={theta:.4f}: {fd.support:.6f} (multiplicity {fd.basis_m.shape[1]})")
 
 # the two flat boundary portions, located by the eigenvalue-crossing scan
 print("\nflat boundary portions:")

@@ -12,8 +12,6 @@ from .extremal import (
     ExtremePointReport,
     FaceDescriptor,
     FlatPortion,
-    cluster_tolerance,
-    eigencurve_derivatives,
     extreme_points,
     face,
     flat_portions,
@@ -38,19 +36,7 @@ from .kipp3 import (
     m_alpha_beta,
     normal_eigenvalues,
 )
-from .matcore import (
-    Pencil,
-    SpectralDecomposition,
-    compress,
-    eig_hermitian,
-    eigvals3,
-    f_eval,
-    im_part,
-    re_part,
-    rotate,
-    rotate_prime,
-    schur3,
-)
+from .matcore import Pencil, compress, eigvals3, f_eval, schur3
 from .maxent import (
     InferenceResult,
     ProbeReport,
@@ -65,15 +51,12 @@ from .oracle import SampleCloud, hull, oracle_gap, sample_range
 from .rangegeo import (
     ConvexPolygon,
     EllipseParams,
-    SupportSample,
     boundary_polygon,
     contains,
-    ellipse_fit,
     hausdorff,
     range_converges,
     range_distance,
     range_gap,
-    support_value,
 )
 
 __version__ = "0.1.0"
@@ -97,24 +80,18 @@ __all__ = [
     "PreconditionError",
     "ProbeReport",
     "SampleCloud",
-    "SpectralDecomposition",
-    "SupportSample",
     "affine_transform",
     "birth_family",
     "boundary_polygon",
     "canonical_reducible_form",
     "classify",
-    "cluster_tolerance",
     "compress",
     "contains",
     "default_H",
     "discontinuity_probe",
     "e3_witness",
-    "eig_hermitian",
-    "eigencurve_derivatives",
     "eigvals3",
     "elliptic_data",
-    "ellipse_fit",
     "entropy",
     "extreme_points",
     "f3_witness",
@@ -123,7 +100,6 @@ __all__ = [
     "flat_portions",
     "hausdorff",
     "hull",
-    "im_part",
     "in_closure_E3",
     "in_closure_F3",
     "is_reducible3",
@@ -138,13 +114,9 @@ __all__ = [
     "range_converges",
     "range_distance",
     "range_gap",
-    "re_part",
-    "rotate",
-    "rotate_prime",
     "round_boundary_points",
     "sample_range",
     "schur3",
-    "support_value",
     "supporting_angle",
     "verify_birth",
 ]

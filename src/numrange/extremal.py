@@ -5,9 +5,9 @@ top eigenvalue cluster of the rotated part ``A(theta)``: the compression
 of ``A'(theta)`` onto that cluster is a Hermitian operator whose extreme
 eigenvalues are the one-sided derivatives of the support curve, and whose
 extreme eigenspaces are exactly the pre-images of the two face endpoints.
-This module computes faces, eigenvalue-curve derivatives, flat boundary
-portions (nondegenerate faces), and classifies boundary points as exposed
-or non-exposed, simply or multiply generated.
+This module computes faces, flat boundary portions (nondegenerate
+faces), and classifies boundary points as exposed or non-exposed, simply
+or multiply generated.
 
 Planar points are represented as complex numbers; the plane inner product
 is ``<a, b> = Re(a * conj(b))``.
@@ -53,12 +53,6 @@ _POLISH_STEPS = 24
 _SECTIONS = 8
 # Rounding level of the arc-edge distance and of slopes (relative).
 _ROUNDING = 8.0 * np.finfo(float).eps
-
-
-def cluster_tolerance(A) -> float:
-    """Absolute eigenvalue-grouping tolerance for the matrix A (its
-    :attr:`~numrange.matcore.Pencil.ctol`)."""
-    return mc.as_pencil(A).ctol
 
 
 def as_point(p) -> complex:
@@ -179,28 +173,6 @@ def _clusters(w: np.ndarray, ctol: float) -> list[slice]:
         if k == len(w) or w[k] - w[k - 1] > ctol:
             out.append(slice(start, k))
             start = k
-    return out
-
-
-def eigencurve_derivatives(A, theta: float) -> list[tuple[float, float, int]]:
-    """Eigenvalue curves of A(theta) with one-sided derivatives at theta.
-
-    Returns one ``(value, derivative, multiplicity)`` triple per curve,
-    ascending.  Each cluster of eigenvalues (a simple eigenvalue is a
-    cluster of one) gets the eigenvalues of the compression of A'(theta)
-    onto its eigenspace, matched in ascending order; for a simple
-    eigenvalue that is the quadratic form of A'(theta) on its eigenvector.
-    """
-    pencil = mc.as_pencil(A)
-    w, V = pencil.eigh(theta)
-    Ap = pencil.prime(theta)
-    out: list[tuple[float, float, int]] = []
-    for cl in _clusters(w, pencil.ctol):
-        Q = V[:, cl]
-        C = Q.conj().T @ Ap @ Q
-        slopes = np.linalg.eigvalsh((C + C.conj().T) / 2.0)
-        size = cl.stop - cl.start
-        out += [(float(v), float(s), size) for v, s in zip(w[cl], slopes)]
     return out
 
 
@@ -335,7 +307,9 @@ def _newton_max(jet, lo, t, hi, first) -> tuple[list[float], list[float]]:
     kink test that passed).  Each step moves one bracket end to t by the
     sign of g', then takes the Newton step t - g'/g'' when g'' < 0 and the
     step stays inside the bracket, and bisects otherwise.  A row stops at
-    g' = 0, a Newton step or a bracket below 1e-15, or after 80 steps.
+    g' = 0, at a Newton step or a bracket below max(1e-15, 2 ulp(t)), or
+    after 80 steps: 1e-15 for angles, and rounding at the larger t of the
+    Gibbs dual on a flat portion, where an ulp exceeds 1e-15.
     The bracket logic runs per row on Python floats: for the few rows of
     a lockstep search that is cheaper than array operations.  Returns the
     final angles and g at the last angle each row solved.
@@ -355,12 +329,14 @@ def _newton_max(jet, lo, t, hi, first) -> tuple[list[float], list[float]]:
             else:
                 hi[i] = t[i]
             nt = t[i] - s1 / s2 if s2 < 0.0 else np.nan
-            if abs(nt - t[i]) < 1e-15:
+            # a step or a bracket below the rounding level of t ends the search
+            tol = max(1e-15, 2.0 * math.ulp(t[i]))
+            if abs(nt - t[i]) < tol:
                 t[i] = nt
                 continue
             if not lo[i] < nt < hi[i]:
                 nt = (lo[i] + hi[i]) / 2.0
-            if hi[i] - lo[i] < 1e-15:
+            if hi[i] - lo[i] < tol:
                 continue
             t[i] = nt
             going.append(i)

@@ -146,33 +146,34 @@ class KippenhahnPolynomial:
 
 
 def kippenhahn_polynomial(A) -> KippenhahnPolynomial:
-    """Coefficient table of det(y0 I + y1 Re(A) + y2 Im(A)).
+    """Coefficient table of det(y0 I + y1 Re(A) + y2 Im(A)), for every d.
 
-    Determined by interpolation: the determinant of the Hermitian pencil
-    is evaluated on an integer node grid and the homogeneous coefficients
-    are recovered by least squares (exact up to rounding).  The design on
-    the 124 nodes has full rank up to d = 7 only; larger d is refused.
+    With (y1, y2) = r (cos theta, sin theta) the determinant is
+    prod_k (y0 + r lambda_k(theta)) = sum_j y0^(d-j) r^j e_j(theta), e_j
+    the j-th elementary symmetric function of the eigenvalues of A(theta)
+    (Kippenhahn 1951).  e_j holds the harmonics e^{i m theta},
+    m = j, j - 2, ..., -j, only, so one eigenvalue stack at d + 1 angles on
+    [0, pi) fixes them all by a DFT, and r^j e^{i m theta} =
+    (y1 + i y2)^a (y1 - i y2)^(j - a), m = 2a - j, expands into the
+    monomials y1^(j-q) y2^q.
     """
     pencil = mc.as_pencil(A)
-    d, R, S = pencil.d, pencil.R, pencil.S
-    if d > 7:
-        raise PreconditionError(f"kippenhahn_polynomial is limited to d <= 7 (got d = {d})")
-    eye = np.eye(d)
-    monomials = [
-        (i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)
-    ]
-    vals = np.arange(-2.0, 3.0)
-    nodes = np.array(
-        [(a, b, c) for a in vals for b in vals for c in vals if (a, b, c) != (0, 0, 0)]
-    )
-    design = np.column_stack(
-        [nodes[:, 0] ** i * nodes[:, 1] ** j * nodes[:, 2] ** k for (i, j, k) in monomials]
-    )
-    rhs = np.array(
-        [np.linalg.det(a * eye + b * R + c * S).real for a, b, c in nodes]
-    )
-    sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    coeffs = {m: float(c) for m, c in zip(monomials, sol, strict=True)}
+    d = pencil.d
+    thetas = np.arange(d + 1) * np.pi / (d + 1)
+    # e[n, j] = e_j(theta_n), the coefficients of prod_k (y0 + lambda_k)
+    e = np.array([np.poly(-w) for w in np.linalg.eigvalsh(pencil.rotate(thetas))])
+    P = np.polynomial.polynomial
+    coeffs = {}
+    for j in range(d + 1):
+        # harmonic a is that of m = 2a - j
+        harmonics = np.exp(-1j * np.outer(2 * np.arange(j + 1) - j, thetas)) @ e[:, j] / (d + 1)
+        # the form in powers of y2, at y1 = 1
+        form = sum(
+            c * P.polymul(P.polypow([1, 1j], a), P.polypow([1, -1j], j - a))
+            for a, c in enumerate(harmonics)
+        )
+        for q in range(j + 1):
+            coeffs[(d - j, j - q, q)] = float(form[q].real)
     return KippenhahnPolynomial(degree=d, coeffs=coeffs)
 
 
@@ -608,15 +609,6 @@ def m_alpha_beta(alpha: float, beta: float) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-# Fixed unitary frame carrying the disk family [[0,2,0],[0,0,0],[0,0,a]]
-# onto the segment forms: the affine map (x, y) -> ((1-x)/2, eps*y) applied
-# to U* A(1-2*lam) U equals [[0,0,-eps],[0,lam,0],[eps,0,1]], which tends to
-# diag[0, lam, 1] as eps -> 0.
-_SEGMENT_FRAME_U = np.array(
-    [[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [0.0, np.sqrt(2.0), 0.0]], dtype=complex
-) / np.sqrt(2.0)
 
 
 def _beta_for(a: float) -> float:

@@ -3,19 +3,17 @@
 Everything downstream is built from the pieces in this module: the
 Hermitian real/imaginary decomposition A = Re(A) + i*Im(A), the rotated
 Hermitian family A(theta) = Re(e^{-i theta} A) and its derivative
-A'(theta) = Im(e^{-i theta} A), the quadratic-form map x -> x*Ax, a
-phase-normalized LAPACK eigensolver for Hermitian matrices, the
-per-matrix :class:`Pencil` that validates A once and solves the family
-A(theta) over angle arrays, subspace compressions Q*BQ, and a 3x3
-complex Schur triangularization.
+A'(theta) = Im(e^{-i theta} A), the quadratic-form map x -> x*Ax, the
+phase normalization of returned eigenvectors, the per-matrix
+:class:`Pencil` that validates A once and solves the family A(theta)
+over angle arrays, subspace compressions Q*BQ, and a 3x3 complex Schur
+triangularization.
 
 All matrices are dense ``numpy`` arrays of ``complex128``.  Tolerances
 are relative to the Frobenius norm unless noted otherwise.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,36 +47,6 @@ def fro(A) -> float:
     return float(np.linalg.norm(np.asarray(A)))
 
 
-def re_part(A) -> np.ndarray:
-    """Hermitian real part (A + A*)/2."""
-    A = as_matrix(A)
-    return (A + A.conj().T) / 2.0
-
-
-def im_part(A) -> np.ndarray:
-    """Hermitian imaginary part (A - A*)/(2i)."""
-    A = as_matrix(A)
-    return (A - A.conj().T) / 2.0j
-
-
-def rotate(A, theta: float) -> np.ndarray:
-    """Rotated Hermitian part cos(theta)*Re(A) + sin(theta)*Im(A)."""
-    return Pencil(A).rotate(theta)
-
-
-def rotate_prime(A, theta: float) -> np.ndarray:
-    """Derivative of ``rotate`` in theta: -sin(theta)*Re(A) + cos(theta)*Im(A)."""
-    return Pencil(A).prime(theta)
-
-
-def rotate_stack(A, thetas) -> np.ndarray:
-    """Stack of rotated parts, shape (len(thetas), d, d).
-
-    Vectorized companion of :func:`rotate` for angle grids.
-    """
-    return Pencil(A).rotate(np.atleast_1d(thetas))
-
-
 def check_hermitian(H, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """Validate Hermitian symmetry, then symmetrize exactly."""
     H = as_matrix(H)
@@ -100,14 +68,6 @@ def f_eval(A, x) -> complex:
     return complex(x.conj() @ A @ x)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigenvalues with matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray  # unitary, column k pairs with eigenvalue k
-
-
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     """Make the largest-modulus component of each column real positive;
     moduli within a relative 1e-12 of the largest tie, and the first wins.
@@ -122,21 +82,6 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     piv = piv.reshape(*V.shape[:-2], 1, V.shape[-1])
     a = np.abs(piv)
     return V * np.divide(piv.conj(), a, out=np.ones_like(piv), where=a > 0.0)
-
-
-def eig_hermitian(H) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
-
-    Deterministic: eigenvalues ascending, and eigenvector phases fixed by
-    making the largest-modulus component of each column real positive.
-    This is the validated entry point for matrices from outside.  The
-    package fixes phases on the vectors it returns only (pre-image bases,
-    face basis blocks, ``extreme_points`` reports); its internal solves
-    of matrices that are Hermitian by construction call LAPACK directly
-    and use the vectors as LAPACK gives them.
-    """
-    w, V = np.linalg.eigh(check_hermitian(H))
-    return SpectralDecomposition(w, _fix_phases(V))
 
 
 class Pencil:
@@ -172,7 +117,7 @@ class Pencil:
     def __init__(self, A):
         self.A = as_matrix(A)
         self.d = self.A.shape[0]
-        # re_part and im_part, without validating A again
+        # the Hermitian parts Re(A) and Im(A)
         Ah = self.A.conj().T
         self.R = (self.A + Ah) / 2.0
         self.S = (self.A - Ah) / 2.0j

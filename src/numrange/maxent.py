@@ -83,30 +83,10 @@ class InferenceResult:
     residual: float
 
 
-def _gibbs(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """(exp(K)/tr exp(K), log tr exp(K)) for Hermitian K, overflow-safe."""
-    w, V = np.linalg.eigh((K + K.conj().T) / 2.0)
-    e = np.exp(w - w[-1])
-    Z = float(np.sum(e))
-    return (V * (e / Z)) @ V.conj().T, float(w[-1] + np.log(Z))
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of two (n, k) arrays; each row is its own
     product, with the bits of the 1-D ``a[i] @ b[i]``."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def boundary_depth(A, p, grid: int = 1024) -> float:
-    """Distance from p to the boundary of W(A): positive inside, negative
-    outside (then it is minus the distance to W(A)).
-
-    ``A`` is a matrix or a :class:`~numrange.matcore.Pencil`, as for every
-    inference function of this module; one Pencil passed down a chain of
-    calls solves its support scan once.
-    """
-    _, g = extremal.supporting_angle(A, p, grid)
-    return -g
 
 
 # Ranges thinner than this (relative) are treated as segments or points.
@@ -116,7 +96,9 @@ DEGENERATE_THICKNESS_RTOL = 1e-9
 def relative_depth(A, p, grid: int = 1024) -> float:
     """Depth of p in the relative interior of W(A).
 
-    For a two-dimensional range this is the planar boundary depth.  For a
+    For a two-dimensional range this is the planar boundary depth, -g at
+    the supporting angle of p (:func:`~numrange.extremal.supporting_angle`):
+    positive inside, minus the distance to W(A) outside.  For a
     degenerate (segment or point) range it is the distance to the nearer
     segment endpoint, provided p sits on the carrying line; off-line
     points report minus their transverse deviation.
@@ -137,11 +119,11 @@ def relative_depth(A, p, grid: int = 1024) -> float:
     X = np.exp(-1j * t) * Z
     X = (X + X.conj().T) / 2.0
     if np.vdot(X, X).real > d * thin**2:
-        return boundary_depth(pencil, p, grid)
+        return -extremal.supporting_angle(pencil, p, grid)[1]
     phi = t + np.pi / 2.0
     s_t, s_opp, s_phi, s_phi_opp = pencil.support([t, t + np.pi, phi, phi + np.pi])
     if s_t + s_opp > thin:
-        return boundary_depth(pencil, p, grid)
+        return -extremal.supporting_angle(pencil, p, grid)[1]
     trans = (p * np.conj(np.exp(1j * t))).real - (s_t - s_opp) / 2.0
     if abs(trans) > 1e-7 * scale:
         return -abs(trans)
@@ -165,12 +147,6 @@ def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
             f"alpha = {alpha} is on or outside the boundary of W(A) "
             f"(relative depth {depth:.3e}); use maxent_boundary"
         )
-    return _interior_state(pencil, alpha)
-
-
-def _interior_state(pencil: mc.Pencil, alpha: complex) -> InferenceResult:
-    """The dual Newton solve of :func:`maxent_interior`, for an alpha
-    already known to be interior: :func:`_interior_states` with one point."""
     return _interior_states(pencil, [alpha])[0]
 
 
@@ -413,7 +389,7 @@ def infer(A, alpha, grid: int = 1024) -> InferenceResult:
     alpha = extremal.as_point(alpha)
     depth = relative_depth(pencil, alpha, grid)
     if depth >= INTERIOR_MARGIN_RTOL * pencil.scale:
-        return _interior_state(pencil, alpha)
+        return _interior_states(pencil, [alpha])[0]
     return maxent_boundary(pencil, alpha, grid)
 
 

@@ -5,7 +5,7 @@ eigenvalue of the rotated part A(theta); everything here is built on
 that identity: boundary polygons from face touch points, membership
 tests by a refined dual inequality, exact Hausdorff distances of convex
 polygons as sup-norm gaps of their piecewise-sinusoidal support
-functions, and least-squares ellipse recognition.
+functions.
 
 Distances between numerical ranges are sup-norm distances of support
 functions as well, read from the eigenvalues directly rather than from
@@ -29,25 +29,6 @@ CONTAINS_RTOL = 1e-9
 # Default boundary sampling and duplicate-vertex threshold.
 DEFAULT_BOUNDARY_SAMPLES = 1024
 DUPLICATE_VERTEX_RTOL = 1e-10
-# Conic-fit residual threshold relative to diam(K)^2.
-ELLIPSE_RESIDUAL_RTOL = 1e-7
-
-
-@dataclass(frozen=True)
-class SupportSample:
-    """Support value of W(A) in one direction, with its multiplicity."""
-
-    theta: float
-    support: float
-    multiplicity: int
-
-
-def support_value(A, theta: float) -> SupportSample:
-    """Top eigenvalue of A(theta) and the size of its eigenvalue cluster."""
-    pencil = mc.Pencil(A)
-    w = np.linalg.eigvalsh(pencil.rotate(theta))
-    mult = int(np.sum(w >= w[-1] - pencil.ctol))
-    return SupportSample(theta=float(theta), support=float(w[-1]), multiplicity=mult)
 
 
 def convex_hull(points: np.ndarray, collinear_tol: float = 0.0) -> np.ndarray:
@@ -299,66 +280,6 @@ class EllipseParams:
         f = (self.foci[1] - self.foci[0]) / 2.0
         M = np.array([[self.center - f, 2.0 * self.semi_minor], [0.0, self.center + f]])
         return boundary_polygon(M, N)
-
-
-def ellipse_fit(K: ConvexPolygon) -> EllipseParams | None:
-    """Recognize a polygon as an ellipse by a least-squares conic fit.
-
-    Fits x^T S x + b^T x + c over the vertices, normalized so that
-    ||S||_F + |b| + |c| = 1; accepts when S is positive definite and the
-    worst vertex residual is below 1e-7 * diam(K)^2.  One- and two-vertex
-    polygons return the degenerate point/segment parameters; 3-5 vertex
-    polygons return None (a conic fit would be underdetermined).
-    """
-    v = K.vertices
-    k = len(v)
-    if k == 1:
-        z = complex(v[0, 0], v[0, 1])
-        return EllipseParams(center=z, foci=(z, z), semi_minor=0.0)
-    if k == 2:
-        z0, z1 = complex(v[0, 0], v[0, 1]), complex(v[1, 0], v[1, 1])
-        return EllipseParams(center=(z0 + z1) / 2.0, foci=(z0, z1), semi_minor=0.0)
-    if k < 6:
-        return None
-
-    diam = K.diameter
-    mid = v.mean(axis=0)
-    rho = max(diam / 2.0, 1e-300)
-    w = (v - mid) / rho
-    x, y = w[:, 0], w[:, 1]
-    design = np.column_stack([x * x, 2.0 * x * y, y * y, x, y, np.ones_like(x)])
-    _, _, vt = np.linalg.svd(design, full_matrices=False)
-    s1, s2, s3, b1, b2, c = vt[-1]
-
-    # back to original coordinates
-    S = np.array([[s1, s2], [s2, s3]]) / rho**2
-    b = np.array([b1, b2]) / rho - 2.0 * S @ mid
-    c = c - np.array([b1, b2]) @ mid / rho + mid @ (S @ mid)
-    norm = np.linalg.norm(S) + np.linalg.norm(b) + abs(c)
-    if norm <= 0.0:
-        return None
-    S, b, c = S / norm, b / norm, c / norm
-    if np.trace(S) < 0:
-        S, b, c = -S, -b, -c
-
-    lam, vecs = np.linalg.eigh(S)
-    if lam[0] <= 1e-9:
-        return None
-    residual = np.max(np.abs(np.einsum("ki,ij,kj->k", v, S, v) + v @ b + c))
-    if residual > ELLIPSE_RESIDUAL_RTOL * diam**2:
-        return None
-
-    center = -np.linalg.solve(S, b) / 2.0
-    kappa = center @ (S @ center) - c
-    if kappa <= 0.0:
-        return None
-    semi_major = float(np.sqrt(kappa / lam[0]))
-    semi_minor = float(np.sqrt(kappa / lam[1]))
-    f = float(np.sqrt(max(semi_major**2 - semi_minor**2, 0.0)))
-    direction = complex(vecs[0, 0], vecs[1, 0])
-    direction /= abs(direction)
-    cz = complex(center[0], center[1])
-    return EllipseParams(center=cz, foci=(cz - f * direction, cz + f * direction), semi_minor=semi_minor)
 
 
 def _polished_max(pencil: mc.Pencil, x: np.ndarray, g: np.ndarray, kink: np.ndarray, other) -> float:

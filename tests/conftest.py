@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from numrange import matcore as mc
+
 # convex hull of the unit circle and the point 2 (two flat portions,
 # two non-exposed tangent points, one exposed vertex)
 CIRCLE_POINT = np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]], dtype=complex)
@@ -35,6 +37,21 @@ def random_matrix(rng, d):
 def random_hermitian(rng, d):
     H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (H + H.conj().T) / 2.0
+
+
+def hermitian_parts(A):
+    """Re(A) and Im(A), as the Pencil of A holds them."""
+    pencil = mc.Pencil(A)
+    return pencil.R, pencil.S
+
+
+def gibbs(K):
+    """(exp(K)/tr exp(K), log tr exp(K)) for Hermitian K, overflow-safe:
+    the reference Gibbs state of the dual's gradient checks."""
+    w, V = np.linalg.eigh((K + K.conj().T) / 2.0)
+    e = np.exp(w - w[-1])
+    Z = float(np.sum(e))
+    return (V * (e / Z)) @ V.conj().T, float(w[-1] + np.log(Z))
 
 
 def random_unit_vectors(rng, n, d):

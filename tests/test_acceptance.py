@@ -21,7 +21,7 @@ from numrange import (
 )
 from numrange.errors import PreconditionError
 
-from conftest import CIRCLE_POINT, DISK, DISK_EIG_BOUNDARY, TRIANGLE
+from conftest import CIRCLE_POINT, DISK, DISK_EIG_BOUNDARY, TRIANGLE, gibbs, hermitian_parts
 
 SQ3 = np.sqrt(3.0)
 LOG2 = np.log(2.0)
@@ -61,12 +61,13 @@ def test_criterion_1_identity_suite():
             x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             x /= np.linalg.norm(x)
             theta = float(rng.uniform(0, 2 * np.pi))
+            pencil = mc.Pencil(A)
             fa = mc.f_eval(A, x)
             radial = (fa * np.exp(-1j * theta)).real
-            assert abs(radial - mc.f_eval(mc.rotate(A, theta), x).real) < 1e-12 * (1 + mc.fro(A))
+            assert abs(radial - mc.f_eval(pencil.rotate(theta), x).real) < 1e-12 * (1 + mc.fro(A))
             recon = np.exp(1j * theta) * (
-                mc.f_eval(mc.rotate(A, theta), x)
-                + 1j * mc.f_eval(mc.rotate_prime(A, theta), x)
+                mc.f_eval(pencil.rotate(theta), x)
+                + 1j * mc.f_eval(pencil.prime(theta), x)
             )
             assert abs(fa - recon) < 1e-12 * (1 + mc.fro(A))
 
@@ -87,7 +88,7 @@ def test_criterion_2_support_oracle_sandwich():
             d = int(rng.integers(2, 6))
             A = ginibre(rng, d)
             cloud = oracle.sample_range(A, 100000, seed=k)
-            sup = np.linalg.eigvalsh(mc.rotate_stack(A, thetas))[:, -1]
+            sup = mc.Pencil(A).support(thetas)
             pts = np.column_stack([cloud.points.real, cloud.points.imag])
             excess = float(np.max((pts @ dirs.T) - sup[None, :]))
             worst_sound = max(worst_sound, excess)
@@ -261,7 +262,7 @@ def test_criterion_8_maxent_probe():
                 continue
             res = me.maxent_interior(A, center)
             assert res.residual <= 1e-8
-            R, S = mc.re_part(A), mc.im_part(A)
+            R, S = hermitian_parts(A)
             target = np.array([center.real, center.imag])
 
             def dual(uv):
@@ -270,7 +271,7 @@ def test_criterion_8_maxent_probe():
                 return m + np.log(np.sum(np.exp(w - m))) - uv @ target
 
             point = np.array(res.dual_point) * 0.5
-            rho, _ = me._gibbs(point[0] * R + point[1] * S)
+            rho, _ = gibbs(point[0] * R + point[1] * S)
             grad = np.array(
                 [
                     np.trace(rho @ R).real - target[0],

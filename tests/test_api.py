@@ -1,0 +1,65 @@
+"""The public surface of numrange: what it exports, what it no longer
+exports, and no stale imports in its modules."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import numrange
+
+# names deleted from the package, by module: delegates of Pencil, a
+# validated eigensolver, a least-squares ellipse fit, one-line wrappers
+# and helpers that only tests used
+REMOVED = {
+    "matcore": ["re_part", "im_part", "rotate", "rotate_prime", "rotate_stack", "eig_hermitian", "SpectralDecomposition"],
+    "extremal": ["cluster_tolerance", "eigencurve_derivatives"],
+    "rangegeo": ["support_value", "SupportSample", "ellipse_fit", "ELLIPSE_RESIDUAL_RTOL"],
+    "maxent": ["boundary_depth", "_interior_state", "_gibbs"],
+    "kipp3": ["_SEGMENT_FRAME_U"],
+}
+
+MODULES = sorted(Path(numrange.__file__).parent.glob("*.py"))
+
+
+def test_every_exported_name_resolves_once():
+    assert len(numrange.__all__) == len(set(numrange.__all__))
+    missing = [name for name in numrange.__all__ if not hasattr(numrange, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_are_gone(module):
+    mod = importlib.import_module(f"numrange.{module}")
+    for name in REMOVED[module]:
+        assert not hasattr(mod, name), f"numrange.{module}.{name}"
+        assert not hasattr(numrange, name), f"numrange.{name}"
+        assert name not in numrange.__all__
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; a package's ``__all__``
+    counts as a use of the names it lists."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {e.value for e in node.value.elts}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport math\nimport numpy as np\nfrom .a import b, c\n__all__ = ['c']\nnp.zeros(1)\n"
+    assert unused_imports(source) == ["b", "math"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text()) == []

@@ -14,6 +14,7 @@ from conftest import (
     TRIANGLE,
     count_eighs,
     golden_min,
+    hermitian_parts,
     random_matrix,
     segment_distance,
 )
@@ -38,7 +39,7 @@ def test_top_cluster_examples():
 
 def test_top_cluster_maps_into_face(rng):
     Q = top_cluster(DISK_EIG_BOUNDARY, 0.0)
-    sup = rg.support_value(DISK_EIG_BOUNDARY, 0.0).support
+    sup = mc.Pencil(DISK_EIG_BOUNDARY).support(0.0)
     for _ in range(50):
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         x = Q @ (c / np.linalg.norm(c))
@@ -91,18 +92,22 @@ def test_face_chart_bijection(rng):
 
 
 def test_eigencurve_derivatives_examples():
-    curves = ex.eigencurve_derivatives(np.diag([0.0, 1.0]), np.pi / 4)
-    got = sorted((round(v, 10), round(d, 10)) for v, d, _ in curves)
+    # the faces at theta and theta + pi carry the top and the bottom
+    # eigenvalue curve of A(theta), A(theta + pi) = -A(theta), with their
+    # slopes
+    D = np.diag([0.0, 1.0])
+    top, bottom = ex.face(D, np.pi / 4), ex.face(D, 5 * np.pi / 4)
+    curves = [(top.support, top.deriv_plus), (-bottom.support, -bottom.deriv_plus)]
+    got = sorted((round(v, 10), round(d, 10)) for v, d in curves)
     s2 = np.sqrt(2) / 2
     assert got == [(0.0, 0.0), (round(s2, 10), round(-s2, 10))]
     for theta in [0.0, 1.0, 2.2]:
-        top = max(ex.eigencurve_derivatives(DISK, theta), key=lambda c: c[0])
-        assert top[0] == pytest.approx(1.0) and top[1] == pytest.approx(0.0, abs=1e-12)
-    curves = ex.eigencurve_derivatives(DISK_EIG_BOUNDARY, 0.0)
-    tops = [c for c in curves if abs(c[0] - 1.0) < 1e-9]
-    assert len(tops) == 2
-    assert all(abs(c[1]) < 1e-12 for c in tops)
-    assert all(c[2] == 2 for c in tops)
+        fd = ex.face(DISK, theta)
+        assert fd.support == pytest.approx(1.0) and fd.deriv_plus == pytest.approx(0.0, abs=1e-12)
+    fd = ex.face(DISK_EIG_BOUNDARY, 0.0)
+    assert abs(fd.support - 1.0) < 1e-9
+    assert abs(fd.deriv_plus) < 1e-12 and abs(fd.deriv_minus) < 1e-12
+    assert fd.basis_m.shape[1] == 2
 
 
 def test_derivative_consistency_finite_differences(rng):
@@ -110,12 +115,12 @@ def test_derivative_consistency_finite_differences(rng):
     for _ in range(100):
         d = int(rng.integers(2, 6))
         A = random_matrix(rng, d)
+        pencil = mc.Pencil(A)
         scale = 1 + mc.fro(A)
         for theta in rng.uniform(0, 2 * np.pi, 32):
             fd = ex.face(A, theta)
-            sup = rg.support_value
-            fplus = (sup(A, theta + h).support - fd.support) / h
-            fminus = (sup(A, theta - h).support - fd.support) / h
+            fplus = (pencil.support(theta + h) - fd.support) / h
+            fminus = (pencil.support(theta - h) - fd.support) / h
             assert abs(fd.deriv_plus - fplus) < 1e-4 * scale
             assert abs(-fd.deriv_minus - fminus) < 1e-4 * scale
             # endpoints sit on the supporting line and inside the range
@@ -307,7 +312,7 @@ def face_distance(p, theta, face):
 def reference_extreme_points(A, grid):
     """extreme_points with one face solve per angle and per point: the loop
     version of its stacked solves."""
-    R, S = mc.re_part(A), mc.im_part(A)
+    R, S = hermitian_parts(A)
     scale = 1.0 + mc.fro(A)
     strict = ex.STRICT_GAP_RTOL * scale
     member_tol = ex.FACE_MEMBER_RTOL * scale
@@ -445,7 +450,7 @@ def reference_supporting_angle(A, p, grid=512):
     bracket a maximum keeps its grid angle on a plateau of g and runs a
     golden-section search otherwise; supporting_angle keeps the grid angle
     in both cases, whose g agrees to rounding."""
-    R, S = mc.re_part(A), mc.im_part(A)
+    R, S = hermitian_parts(A)
     scale = 1.0 + mc.fro(A)
     thetas = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     step = 2.0 * np.pi / grid
@@ -497,7 +502,7 @@ def supporting_angle_cases():
             cases.append((f"ginibre{d}_{k}", G / np.linalg.norm(G)))
     out = []
     for name, A in cases:
-        R, S = mc.re_part(A), mc.im_part(A)
+        R, S = hermitian_parts(A)
         centroid = complex(np.trace(A)) / A.shape[0]
         for k, t in enumerate(rng.uniform(0.0, 2.0 * np.pi, 3)):
             x = np.linalg.eigh(np.cos(t) * R + np.sin(t) * S)[1][:, -1]
@@ -518,7 +523,7 @@ def test_supporting_angle_matches_bisection_reference(A, p):
     assert abs(g - g_ref) <= 1e-12 * scale * (1.0 + abs(p))
     # the maximizer is unique where g has a strict quadratic top: the top
     # eigenvalue is simple there and g'' < 0 (not on a plateau of g)
-    R, S = mc.re_part(A), mc.im_part(A)
+    R, S = hermitian_parts(A)
     w, V = np.linalg.eigh(np.cos(t_ref) * R + np.sin(t_ref) * S)
     y = V.conj().T @ (np.cos(t_ref) * S - np.sin(t_ref) * R) @ V[:, -1]
     gaps = w[-1] - w[:-1]
@@ -579,7 +584,7 @@ def lockstep_cases():
         G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         mats.append((f"ginibre{d}", G / np.linalg.norm(G)))
     for name, A in mats:
-        R, S = mc.re_part(A), mc.im_part(A)
+        R, S = hermitian_parts(A)
         centroid = complex(np.trace(A)) / A.shape[0]
         pts = list(np.linalg.eigvals(A))
         for t in rng.uniform(0.0, 2.0 * np.pi, 6):

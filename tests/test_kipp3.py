@@ -54,16 +54,23 @@ def test_kippenhahn_polynomial_traces_boundary(rng):
         A = random_matrix(rng, d)
         kp = kipp3.kippenhahn_polynomial(A)
         for theta in np.linspace(0, 2 * np.pi, 9):
-            sup = rg.support_value(A, theta).support
+            sup = mc.Pencil(A).support(theta)
             val = kp(-sup, np.cos(theta), np.sin(theta))
             assert abs(val) <= 1e-10 * (1 + mc.fro(A)) ** d
 
 
-def test_kippenhahn_polynomial_refuses_d8():
-    # the interpolation design loses rank at d = 8
-    A = np.random.default_rng(0).standard_normal((8, 8)) + 0j
-    with pytest.raises(PreconditionError, match="d <= 7"):
-        kipp3.kippenhahn_polynomial(A / mc.fro(A))
+@pytest.mark.parametrize("d", [8, 16, 32])
+def test_kippenhahn_polynomial_is_exact_at_large_d(rng, d):
+    # F(y) = prod_k (y0 + lambda_k(y1 Re A + y2 Im A)) at random points,
+    # to rounding on the scale prod_k (|y0| + |lambda_k|)
+    A = random_matrix(rng, d)
+    pencil = mc.Pencil(A)
+    kp = kipp3.kippenhahn_polynomial(A)
+    assert kp.degree == d and len(kp.coeffs) == (d + 1) * (d + 2) // 2
+    for y0, y1, y2 in rng.standard_normal((20, 3)):
+        lam = np.linalg.eigvalsh(y1 * pencil.R + y2 * pencil.S)
+        want = np.prod(y0 + lam)
+        assert abs(kp(y0, y1, y2) - want) <= 1e-12 * np.prod(abs(y0) + np.abs(lam))
 
 
 def test_elliptic_data_examples():
@@ -324,8 +331,8 @@ def test_affine_transform_examples(rng):
     R = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
     B = kipp3.affine_transform(A, R)
     for theta in rng.uniform(0, 2 * np.pi, 16):
-        hb = rg.support_value(B, theta).support
-        ha = rg.support_value(A, theta - phi).support
+        hb = mc.Pencil(B).support(theta)
+        ha = mc.Pencil(A).support(theta - phi)
         assert abs(hb - ha) <= 1e-12 * (1 + mc.fro(A))
     # the two polygons are inscribed at offset angle grids; the residual
     # is the sagitta of one grid cell
@@ -340,7 +347,12 @@ def test_affine_transform_segment_pipeline():
     # the recorded unitary + affine map carries the disk family onto the
     # perturbed segment form
     lam, eps = 0.2, 0.05
-    U = kipp3._SEGMENT_FRAME_U
+    # the fixed unitary frame: the affine map (x, y) -> ((1-x)/2, eps*y)
+    # applied to U* A(1-2*lam) U gives [[0,0,-eps],[0,lam,0],[eps,0,1]],
+    # which tends to diag[0, lam, 1] as eps -> 0
+    U = np.array(
+        [[1.0, 0.0, 1.0], [1.0, 0.0, -1.0], [0.0, np.sqrt(2.0), 0.0]], dtype=complex
+    ) / np.sqrt(2.0)
     inner = cp(1 - 2 * lam)
     got = kipp3.affine_transform(
         U.conj().T @ inner @ U, np.array([[-0.5, 0.0], [0.0, eps]]), (0.5, 0.0)

@@ -17,21 +17,21 @@ from conftest import (
 
 
 def test_re_part_examples():
-    assert np.allclose(mc.re_part(DISK), [[0, 1], [1, 0]])
+    assert np.allclose(mc.Pencil(DISK).R, [[0, 1], [1, 0]])
     H = np.array([[2, 1j], [-1j, 0]], dtype=complex)
-    assert np.allclose(mc.re_part(H), H)
+    assert np.allclose(mc.Pencil(H).R, H)
     assert np.allclose(
-        mc.re_part(np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]])),
+        mc.Pencil(np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]])).R,
         [[0, 1, 0], [1, 0, 0], [0, 0, 2]],
     )
 
 
 def test_im_part_examples():
-    assert np.allclose(mc.im_part(DISK), [[0, -1j], [1j, 0]])
+    assert np.allclose(mc.Pencil(DISK).S, [[0, -1j], [1j, 0]])
     H = np.array([[2, 1j], [-1j, 0]], dtype=complex)
-    assert np.allclose(mc.im_part(H), np.zeros((2, 2)))
+    assert np.allclose(mc.Pencil(H).S, np.zeros((2, 2)))
     assert np.allclose(
-        mc.im_part(np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]])),
+        mc.Pencil(np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]])).S,
         [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
     )
 
@@ -40,15 +40,17 @@ def test_reconstruction_identity(rng):
     for _ in range(1000):
         d = int(rng.integers(2, 7))
         A = random_matrix(rng, d)
-        err = mc.fro(mc.re_part(A) + 1j * mc.im_part(A) - A)
+        pencil = mc.Pencil(A)
+        err = mc.fro(pencil.R + 1j * pencil.S - A)
         assert err <= 1e-14 * max(mc.fro(A), 1e-300)
 
 
 def test_rotate_examples():
-    assert np.allclose(mc.rotate(DISK, 0.0), [[0, 1], [1, 0]])
-    assert np.allclose(mc.rotate(DISK, np.pi / 2), [[0, -1j], [1j, 0]])
+    disk = mc.Pencil(DISK)
+    assert np.allclose(disk.rotate(0.0), [[0, 1], [1, 0]])
+    assert np.allclose(disk.rotate(np.pi / 2), [[0, -1j], [1j, 0]])
     # hand evaluation of the cos/sin combination at pi/3
-    got = mc.rotate(np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]]), np.pi / 3)
+    got = mc.Pencil(np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]])).rotate(np.pi / 3)
     want = np.array(
         [
             [0, 0.5 - 0.5j * np.sqrt(3), 0],
@@ -60,18 +62,18 @@ def test_rotate_examples():
 
 
 def test_rotate_periodic(rng):
-    A = random_matrix(rng, 4)
-    assert np.allclose(mc.rotate(A, 0.4), mc.rotate(A, 0.4 + 2 * np.pi), atol=1e-14)
+    pencil = mc.Pencil(random_matrix(rng, 4))
+    assert np.allclose(pencil.rotate(0.4), pencil.rotate(0.4 + 2 * np.pi), atol=1e-14)
 
 
 def test_rotate_prime_is_derivative(rng):
-    A = random_matrix(rng, 3)
-    assert np.allclose(mc.rotate_prime(A, 0.0), mc.im_part(A), atol=1e-15)
+    pencil = mc.Pencil(random_matrix(rng, 3))
+    assert np.allclose(pencil.prime(0.0), pencil.S, atol=1e-15)
     h = 1e-6
     for theta in [0.0, 0.9, 2.5]:
-        fd = (mc.rotate(A, theta + h) - mc.rotate(A, theta)) / h
-        assert mc.fro(fd - mc.rotate_prime(A, theta)) < 1e-5
-    got = mc.rotate_prime(np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]]), 0.0)
+        fd = (pencil.rotate(theta + h) - pencil.rotate(theta)) / h
+        assert mc.fro(fd - pencil.prime(theta)) < 1e-5
+    got = mc.Pencil(np.array([[0, 2, 0], [0, 0, 0], [0, 0, 2]])).prime(0.0)
     assert np.allclose(got, [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
 
 
@@ -91,34 +93,35 @@ def test_radial_coordinate_identity(rng):
         x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         x /= np.linalg.norm(x)
         theta = float(rng.uniform(0, 2 * np.pi))
+        pencil = mc.Pencil(A)
         lhs = (mc.f_eval(A, x) * np.exp(-1j * theta)).real
-        assert abs(lhs - mc.f_eval(mc.rotate(A, theta), x).real) < 1e-12
+        assert abs(lhs - mc.f_eval(pencil.rotate(theta), x).real) < 1e-12
         rhs = np.exp(1j * theta) * (
-            mc.f_eval(mc.rotate(A, theta), x) + 1j * mc.f_eval(mc.rotate_prime(A, theta), x)
+            mc.f_eval(pencil.rotate(theta), x) + 1j * mc.f_eval(pencil.prime(theta), x)
         )
         assert abs(mc.f_eval(A, x) - rhs) < 1e-12
 
 
 def test_eig_hermitian_examples():
-    dec = mc.eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(dec.eigenvalues, [1, 2, 3])
-    dec = mc.eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(dec.eigenvalues, [-1, 1])
+    # a Hermitian H is its own real part: A(0) = H, solved by Pencil.eigh
+    w, V = mc.Pencil(np.diag([3.0, 1.0, 2.0])).eigh(0.0)
+    assert np.allclose(w, [1, 2, 3])
+    w, V = mc.Pencil(np.array([[0.0, 1.0], [1.0, 0.0]])).eigh(0.0)
+    assert np.allclose(w, [-1, 1])
     for k in range(2):
-        v = dec.eigenvectors[:, k]
+        v = V[:, k]
         assert np.allclose(np.abs(v), [1 / np.sqrt(2)] * 2)
     H = np.array(
         [[0, 0.5 - 0.5j * np.sqrt(3), 0], [0.5 + 0.5j * np.sqrt(3), 0, 0], [0, 0, 1.0]]
     )
-    assert np.allclose(mc.eig_hermitian(H).eigenvalues, [-1, 1, 1])
+    assert np.allclose(mc.Pencil(H).eigh(0.0)[0], [-1, 1, 1])
 
 
 def test_eig_hermitian_invariants(rng):
     for _ in range(1000):
         d = int(rng.integers(1, 9))
         H = random_hermitian(rng, d)
-        dec = mc.eig_hermitian(H)
-        w, V = dec.eigenvalues, dec.eigenvectors
+        w, V = mc.Pencil(H).eigh(0.0)
         assert np.all(np.diff(w) >= 0)
         scale = max(mc.fro(H), 1e-300)
         assert np.linalg.norm(H @ V - V @ np.diag(w)) <= 1e-12 * scale
@@ -127,11 +130,11 @@ def test_eig_hermitian_invariants(rng):
 
 def test_eig_hermitian_deterministic_and_phase_fixed(rng):
     H = random_hermitian(rng, 5)
-    d1 = mc.eig_hermitian(H)
-    d2 = mc.eig_hermitian(H)
-    assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+    V1 = mc._fix_phases(np.linalg.eigh(H)[1])
+    V2 = mc._fix_phases(np.linalg.eigh(H)[1])
+    assert np.array_equal(V1, V2)
     for k in range(5):
-        v = d1.eigenvectors[:, k]
+        v = V1[:, k]
         piv = v[np.argmax(np.abs(v))]
         assert piv.imag == pytest.approx(0.0, abs=1e-14)
         assert piv.real > 0
@@ -154,13 +157,13 @@ def test_fix_phases_keeps_the_first_of_tied_pivots():
 
 def test_eig_hermitian_rejects_nonhermitian():
     with pytest.raises(PreconditionError):
-        mc.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        mc.check_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_eig_matches_lapack(rng):
     for _ in range(100):
         H = random_hermitian(rng, int(rng.integers(2, 8)))
-        got = mc.eig_hermitian(H).eigenvalues
+        got = mc.Pencil(H).eigh(0.0)[0]
         want = np.linalg.eigvalsh(H)
         assert np.allclose(got, want, atol=1e-12 * max(1, mc.fro(H)))
 
@@ -170,7 +173,7 @@ def test_compress_examples(rng):
     assert np.allclose(mc.compress(B, np.eye(3)), B)
     Q = np.array([[1, 0], [0, 0], [0, 1.0]])
     assert np.allclose(mc.compress(B, Q), np.diag([1.0, 3.0]))
-    Bim = mc.im_part(np.array([[0, 2, 0], [0, 0, 0], [0, 0, 1]]))
+    Bim = mc.Pencil(np.array([[0, 2, 0], [0, 0, 0], [0, 0, 1]])).S
     Q = np.array([[1, 0], [1, 0], [0, np.sqrt(2)]]) / np.sqrt(2)
     assert np.allclose(mc.compress(Bim, Q), np.zeros((2, 2)), atol=1e-15)
     with pytest.raises(PreconditionError):

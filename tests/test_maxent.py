@@ -11,6 +11,8 @@ from conftest import (
     DISK_EIG_BOUNDARY,
     TRIANGLE,
     count_eighs,
+    gibbs,
+    hermitian_parts,
     random_matrix,
 )
 
@@ -85,7 +87,7 @@ def _project_to_constraint(A, sigma0, alpha, rho_star):
     drift along the traceless observable directions, then mix toward the
     feasible optimum until positive semidefinite again."""
     d = A.shape[0]
-    R, S = mc.re_part(A), mc.im_part(A)
+    R, S = hermitian_parts(A)
     dirs = [O - np.trace(O).real / d * np.eye(d) for O in (R, S)]
     drift = complex(np.trace(A @ sigma0) - alpha)
     M = np.array([[np.trace(Oi @ Dj).real for Dj in dirs] for Oi in (R, S)])
@@ -135,7 +137,7 @@ def test_dual_gradient_matches_finite_differences(rng):
     for _ in range(30):
         d = int(rng.integers(2, 6))
         A = random_matrix(rng, d)
-        R, S = mc.re_part(A), mc.im_part(A)
+        R, S = hermitian_parts(A)
         center = complex(np.trace(A)) / d
         if me.relative_depth(A, center) < 1e-4:
             continue
@@ -151,7 +153,7 @@ def test_dual_gradient_matches_finite_differences(rng):
 
         for point in (np.array([u, v]), np.zeros(2), np.array([u, v]) / 2 + 0.1):
             K = point[0] * R + point[1] * S
-            rho, _ = me._gibbs(K)
+            rho, _ = gibbs(K)
             grad = np.array(
                 [np.trace(rho @ R).real - target[0], np.trace(rho @ S).real - target[1]]
             )
@@ -239,6 +241,31 @@ def test_flat_portion_gibbs_state_meets_its_constraint(fraction):
         a, b = fp.endpoints
         res = me.maxent_boundary(CIRCLE_POINT, a + fraction * (b - a))
         assert res.residual <= 1e-14
+
+
+@pytest.mark.parametrize("fraction", [1e-7, 1e-5, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-5, 1 - 1e-7])
+def test_flat_portion_gibbs_dual_stops_at_rounding(monkeypatch, fraction):
+    # near an end of a flat portion the dual's maximizer t reaches |t| = 9.3,
+    # where an ulp of t exceeds 1e-15: the Newton loop stops at rounding
+    # there instead of running all its 80 steps
+    newton, calls = ex._newton_max, []
+
+    def counted(jet, lo, t, hi, first):
+        def counted_jet(t, rows):
+            calls.append(1)
+            return jet(t, rows)
+
+        return newton(counted_jet, lo, t, hi, first)
+
+    faces = [(fp.endpoints, ex.face(CIRCLE_POINT, fp.theta)) for fp in ex.flat_portions(CIRCLE_POINT)]
+    monkeypatch.setattr(ex, "_newton_max", counted)
+    for (a, b), fd in faces:
+        p = a + fraction * (b - a)
+        eta = (p * np.conj(1j * np.exp(1j * fd.theta))).real
+        calls.clear()
+        rho = fd.basis_m @ me._solve_single_observable(fd.mu, fd.W, eta) @ fd.basis_m.conj().T
+        assert len(calls) <= 24
+        assert abs(np.trace(rho @ CIRCLE_POINT) - p) <= 1e-14
 
 
 def test_state_straight_inward_from_a_flat_portion_end_is_the_end_state():
@@ -405,7 +432,7 @@ def test_interior_states_lockstep_matches_scalar():
     assert radial.size == 8
     together = me._interior_states(pencil, radial)
     for p, res in zip(radial, together):
-        alone = me._interior_state(pencil, complex(p))
+        alone = me._interior_states(pencil, [complex(p)])[0]
         assert abs(res.entropy - alone.entropy) <= 1e-12
         assert np.abs(np.subtract(res.dual_point, alone.dual_point)).max() <= 1e-12
         assert np.abs(res.rho - alone.rho).max() <= 1e-12

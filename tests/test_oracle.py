@@ -140,7 +140,7 @@ def test_samples_pass_contains(rng):
         A = random_matrix(rng, int(rng.integers(2, 5)))
         cloud = oracle.sample_range(A, 500, seed=2)
         thetas = np.linspace(0, 2 * np.pi, 512, endpoint=False)
-        sup = np.linalg.eigvalsh(mc.rotate_stack(A, thetas))[:, -1]
+        sup = mc.Pencil(A).support(thetas)
         proj = np.outer(cloud.points.real, np.cos(thetas)) + np.outer(
             cloud.points.imag, np.sin(thetas)
         )

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from numrange import matcore as mc, oracle, rangegeo as rg
+from numrange import extremal, matcore as mc, oracle, rangegeo as rg
 from numrange.errors import PreconditionError
 
 from conftest import (
     CIRCLE_POINT,
     DISK,
-    DISK_EIG_BOUNDARY,
     SEGMENT,
     TRIANGLE,
     random_matrix,
@@ -21,11 +20,12 @@ def unit_disk_polygon(n=4096):
 
 
 def test_support_value_examples():
-    assert rg.support_value(np.diag([0.0, 1.0]), 0.0).support == pytest.approx(1.0)
+    assert mc.Pencil(np.diag([0.0, 1.0])).support(0.0) == pytest.approx(1.0)
     for theta in [0.0, 0.7, 2.0, 4.5]:
-        assert rg.support_value(DISK, theta).support == pytest.approx(1.0, abs=1e-12)
-    s = rg.support_value(CIRCLE_POINT, 0.0)
-    assert s.support == pytest.approx(2.0) and s.multiplicity == 1
+        assert mc.Pencil(DISK).support(theta) == pytest.approx(1.0, abs=1e-12)
+    # the multiplicity is the size of the face's top eigenvalue cluster
+    fd = extremal.face(CIRCLE_POINT, 0.0)
+    assert fd.support == pytest.approx(2.0) and fd.basis_m.shape[1] == 1
 
 
 def test_support_dominates_samples(rng):
@@ -34,7 +34,7 @@ def test_support_dominates_samples(rng):
         A = random_matrix(rng, d)
         xs = random_unit_vectors(rng, 2000, d)
         for theta in rng.uniform(0, 2 * np.pi, size=8):
-            assert sampled_support(A, xs, theta) <= rg.support_value(A, theta).support + 1e-12
+            assert sampled_support(A, xs, theta) <= mc.Pencil(A).support(theta) + 1e-12
 
 
 def test_boundary_polygon_triangle():
@@ -251,61 +251,6 @@ def test_polygon_diameter_exact(rng):
     assert abs(unit_disk_polygon().diameter - 2.0) <= 1e-12
     assert rg.ConvexPolygon(np.array([[0.3, -1.0]])).diameter == 0.0
     assert rg.ConvexPolygon(np.array([[1.0, 1.0], [4.0, 5.0]])).diameter == 5.0
-
-
-def test_ellipse_fit_circle():
-    fit = rg.ellipse_fit(unit_disk_polygon(512))
-    assert fit is not None
-    assert abs(fit.center) <= 1e-9
-    assert abs(fit.foci[0] - fit.foci[1]) <= 1e-7
-    assert fit.semi_minor == pytest.approx(1.0, abs=1e-9)
-
-
-def test_ellipse_fit_triangle_returns_none():
-    assert rg.ellipse_fit(rg.boundary_polygon(TRIANGLE, 256)) is None
-
-
-def test_ellipse_fit_disk_with_boundary_eigenvalue():
-    fit = rg.ellipse_fit(rg.boundary_polygon(DISK_EIG_BOUNDARY, 1024))
-    assert fit is not None
-    assert abs(fit.center) <= 1e-7
-    assert fit.semi_minor == pytest.approx(1.0, abs=1e-7)
-
-
-def test_ellipse_fit_general_ellipse(rng):
-    # random ellipse sampled on its boundary
-    c = 0.3 - 0.2j
-    a, b, phi = 2.0, 0.7, 0.5
-    ts = np.linspace(0, 2 * np.pi, 300, endpoint=False)
-    zs = c + np.exp(1j * phi) * (a * np.cos(ts) + 1j * b * np.sin(ts))
-    fit = rg.ellipse_fit(rg.ConvexPolygon.from_complex(zs))
-    assert fit is not None
-    assert abs(fit.center - c) < 1e-8
-    assert fit.semi_minor == pytest.approx(b, abs=1e-8)
-    assert fit.semi_major == pytest.approx(a, abs=1e-8)
-
-
-def test_ellipse_fit_degenerate():
-    seg = rg.ConvexPolygon.from_complex(np.array([0.0, 1.0 + 1.0j]))
-    fit = rg.ellipse_fit(seg)
-    assert fit.semi_minor == 0.0
-    assert sorted([fit.foci[0], fit.foci[1]], key=lambda z: z.real) == [0, 1 + 1j]
-    pt = rg.ConvexPolygon(np.array([[0.5, 0.5]]))
-    fit = rg.ellipse_fit(pt)
-    assert fit.semi_minor == 0.0 and fit.foci[0] == fit.foci[1]
-    square = rg.ConvexPolygon.from_points(np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]]))
-    assert rg.ellipse_fit(square) is None  # underdetermined (4 vertices)
-
-
-def test_ellipse_limits_recognized(rng):
-    # Hausdorff limits of shrinking ellipses are ellipses, segments, or points
-    for t in [1.0, 0.3, 0.05]:
-        ts = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-        zs = np.cos(ts) + 1j * t * np.sin(ts)
-        fit = rg.ellipse_fit(rg.ConvexPolygon.from_complex(zs))
-        assert fit is not None
-    seg_limit = rg.ConvexPolygon.from_complex(np.array([-1.0 + 0j, 1.0 + 0j]))
-    assert rg.ellipse_fit(seg_limit) is not None
 
 
 def test_range_converges_constant(rng):
