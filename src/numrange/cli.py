@@ -243,7 +243,13 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("matrix", help="matrix file (JSON with d, re, im)")
         if samples:
-            sp.add_argument("--samples", type=int, default=1024, help="angle grid size")
+            sp.add_argument(
+                "--samples",
+                type=int,
+                default=1024,
+                help="angle grid size N (boundary, extremes), or the finest cell width 2 pi / N of a "
+                "cell scan whose bounds give the answer of the whole N-angle grid (flat, oracle)",
+            )
         if point:
             sp.add_argument("--point", required=True, help="planar point 'x,y'")
         if eps:
@@ -268,7 +274,12 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("hausdorff", help="Hausdorff distance of two numerical ranges, from their support functions")
     sp.add_argument("matrix", help="first matrix file")
     sp.add_argument("matrix_b", help="second matrix file")
-    sp.add_argument("--samples", type=int, default=1024, help="angle scan size")
+    sp.add_argument(
+        "--samples",
+        type=int,
+        default=1024,
+        help="finest cell width 2 pi / N of the cell scan, whose bounds give the answer of the whole N-angle grid",
+    )
     return p
 
 

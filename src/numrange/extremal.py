@@ -16,7 +16,6 @@ is ``<a, b> = Re(a * conj(b))``.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -461,16 +460,30 @@ class FlatPortion:
     length: float
 
 
-def _flat_candidates(pencil: mc.Pencil, thetas: np.ndarray, w: np.ndarray) -> list[float]:
+def _flat_candidates(pencil: mc.Pencil, grid: int) -> list[float]:
     """Angles where the top eigenvalue cluster of A(theta) meets the next
-    eigenvalue, from the ascending eigenvalues ``w`` on the grid ``thetas``.
+    eigenvalue, from the cells of the ``grid``-angle grid.
+
+    A meeting is where the top two eigenvalues come together, so a cell
+    where the top gap lambda_1 - lambda_2 stays above the rounding level
+    ``GAP_REFINE_RTOL`` of :func:`_crossings` holds none.  The top gap is
+    2 L0-Lipschitz (:meth:`~numrange.matcore.Pencil._cells`), so a cell
+    whose end gaps average more than that level plus L0 width is
+    certified clear.  :meth:`~numrange.matcore.Pencil._scan` halves the
+    other cells, and the three cells on each side of them, down to one
+    grid step.
 
     The top cluster at a grid angle is the k eigenvalues within ``ctol``
     of the top one; its gap is the distance from the top one to the next
     eigenvalue (inf where all of them cluster).  Eigenvalue curves are
     Lipschitz with constant at most ||A||_F, so every meeting lies within
-    a grid step of a local minimum of the gap below 2 step ||A||_F +
-    10 ctol.  Each minimum seeds :func:`_polish` with m = k + 1 at the
+    a grid step of a local minimum of the gap at most thresh =
+    2 step ||A||_F + 10 ctol.  The minima that seed the polish are those
+    within two grid steps (the reach of the seeds) of a cell left open;
+    the others see only certified cells, near misses.  Their neighbours
+    lie in the cells halved with the open ones, so each is a local
+    minimum of the whole grid.  Each minimum seeds :func:`_polish` with
+    m = k + 1 at the
     :func:`_model_minima` of the top m eigenvalues and of all n within
     that bound: the meeting may lie a cell away, nearly parallel curves
     can meet twice near one minimum, and a curve passing between the two
@@ -480,12 +493,25 @@ def _flat_candidates(pencil: mc.Pencil, thetas: np.ndarray, w: np.ndarray) -> li
     polished once more from there, where the model is accurate: two
     meetings can lie 1e-6 rad apart.
     """
-    grid, d = w.shape
     reach = 4.0 * np.pi / grid  # two grid steps
-    k = np.sum(w >= w[:, -1:] - pencil.ctol, axis=1)
-    gap = np.where(k < d, w[:, -1] - w[np.arange(grid), np.maximum(d - k - 1, 0)], np.inf)
     thresh = reach * pencil.norm + 10.0 * pencil.ctol
-    low = (gap <= thresh) & (gap <= np.roll(gap, 1)) & (gap <= np.roll(gap, -1))
+    clear = (GAP_REFINE_RTOL + mc.BOUND_RTOL) * pencil.scale
+
+    def meeting(t, w):
+        # the cells that may hold a meeting
+        top = pencil.top_gap(w)
+        nxt = mc._next(top)
+        width = np.append(t[1:], 2.0 * np.pi) - t
+        return ~(np.minimum((top + nxt) / 2.0 - pencil._lipschitz() * width, np.minimum(top, nxt)) > clear)
+
+    thetas, (w,) = pencil._scan(grid, lambda t, w: mc._dilate(meeting(t, w), 3))
+    d = w.shape[1]
+    k = np.sum(w >= w[:, -1:] - pencil.ctol, axis=1)
+    gap = np.where(k < d, w[:, -1] - w[np.arange(len(w)), np.maximum(d - k - 1, 0)], np.inf)
+    # the samples within two grid steps of an open cell
+    near = mc._dilate(meeting(thetas, w), 2)
+    near |= np.append(near[-1], near[:-1])
+    low = near & (gap <= thresh) & (gap <= np.append(gap[-1], gap[:-1])) & (gap <= mc._next(gap))
     if not low.any():
         return []
     # the curves within thresh of the top, all of which can reach it
@@ -618,16 +644,18 @@ def _flat_portions(pencil: mc.Pencil, candidates: list[float]) -> list[FlatPorti
 def flat_portions(A, grid: int = 512) -> list[FlatPortion]:
     """All flat boundary portions of W(A), located by a gap scan.
 
-    The grid is scanned for angles where the top eigenvalue cluster of
-    A(theta) nearly meets the next eigenvalue; each candidate is polished
-    by Newton (:func:`_flat_candidates`, :func:`_polish`), and kept
-    when the face there is a genuine segment.  A degenerate
+    The cells of the grid are scanned for angles where the top eigenvalue
+    cluster of A(theta) nearly meets the next eigenvalue; each candidate
+    is polished by Newton (:func:`_flat_candidates`, :func:`_polish`),
+    and kept when the face there is a genuine segment.  ``grid`` is the
+    finest cell width, 2 pi / grid: the cells whose top gap bound
+    certifies that they hold no meeting are never split, and the answer
+    is the one the whole grid gives.  A degenerate
     one-dimensional W(A) reports itself under both of its normals.
     """
     _require_grid(grid, "flat_portions")
     pencil = mc.as_pencil(A)
-    thetas, w, _ = pencil.grid(grid)
-    return _flat_portions(pencil, _flat_candidates(pencil, thetas, w))
+    return _flat_portions(pencil, _flat_candidates(pencil, grid))
 
 
 @dataclass(frozen=True)
@@ -764,7 +792,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     sup, mu_lo, mu_hi = pencil.faces(thetas, pencil.ctol, eig)
     lo_pts = u_grid * (sup + 1j * mu_lo)
     hi_pts = u_grid * (sup + 1j * mu_hi)
-    portions = _flat_portions(pencil, _flat_candidates(pencil, thetas, eig[0]))
+    portions = _flat_portions(pencil, _flat_candidates(pencil, grid))
     flat_ends = np.array([e for fp in portions for e in fp.endpoints], dtype=complex)
 
     # (angle, point) candidates, sorted by angle then point for stable dedup
@@ -913,9 +941,11 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
 
     For p on the boundary the maximum is ~0 at a supporting angle; for an
     interior point it is strictly negative (minus the depth), and for an
-    exterior point strictly positive (the distance).  The uniform scan of
-    the grid (:meth:`~numrange.matcore.Pencil.grid`, shared through a
-    Pencil) finds the maximizing cell.  Where g' changes sign across the
+    exterior point strictly positive (the distance).  A cell scan of the
+    grid (:meth:`~numrange.matcore.Pencil._scan`, shared through a
+    Pencil) finds the grid angle where g is largest, splitting only the
+    cells whose bound could hold a better one; ``grid`` is the finest
+    cell width, 2 pi / grid.  Where g' changes sign across the
     cell, safeguarded Newton on g' (:func:`_newton_max`) pins the angle to
     machine precision: each step takes h, h' and h'' of the support curve
     h from one eigendecomposition (:meth:`~numrange.matcore.Pencil.jet`),
@@ -938,29 +968,76 @@ def supporting_angle(A, p, grid: int = 512) -> tuple[float, float]:
     return float(t[0]), float(g[0])
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_directions(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the angles of ``Pencil.grid(N)``, kept per N (read-only)."""
-    t = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
-    out = np.cos(t), np.sin(t)
-    for a in out:
-        a.flags.writeable = False
-    return out
+def _sample_gaps(p: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g = <p, e^{i theta}> - h(theta) of each point of ``p`` (rows) at the
+    sample angles t of a :meth:`~numrange.matcore.Pencil._scan`, from the
+    ascending eigenvalues w there."""
+    return p.real[:, None] * np.cos(t) + p.imag[:, None] * np.sin(t) - w[:, -1]
+
+
+def _cell_reach(pencil: mc.Pencil, p: np.ndarray, t: np.ndarray, w: np.ndarray, g: np.ndarray, level) -> np.ndarray:
+    """For each point of ``p`` (rows) and cell of a scan, whether an upper
+    bound of g (:func:`_sample_gaps`) over the cell reaches the point's
+    ``level`` (a column).
+
+    h - <p, u>, the support function of W(A - p), changes by at most its
+    :meth:`~numrange.matcore.Pencil._lipschitz` constant times the
+    distance from a cell end, which bounds g on every cell at once; the
+    cells where that cone reaches the level take the closer bound from
+    h >= <corner, u> - sag (:meth:`~numrange.matcore.Pencil._cells`),
+    the largest <p - corner, u> on the cell plus sag.
+    """
+    width = np.append(t[1:], 2.0 * np.pi) - t
+    reach = (g + mc._next(g) + pencil._lipschitz(p)[:, None] * width) / 2.0 >= level
+    i, k = np.nonzero(reach)
+    if k.size:
+        _, corner, sag = pencil._cells(t, w)
+        reach[i, k] = mc._arc_max(p[i] - corner[k], t[k], width[k]) + sag[k] >= np.broadcast_to(level, g.shape)[i, k]
+    return reach
+
+
+def _depth_at_least(pencil: mc.Pencil, p: complex, grid: int, floor: float) -> bool:
+    """Whether the cells of the ``grid``-angle grid certify that
+    min over theta of h(theta) - <p, e^{i theta}>, the depth of p in
+    W(A), is at least ``floor`` (> 0).  The scan stops at the first
+    sample below the floor or when every cell's bound clears it; a
+    False leaves its solved cells to :func:`supporting_angle`."""
+    q = np.array([p])
+    level = -floor - mc.BOUND_RTOL * (pencil.scale + abs(p))
+
+    def undecided(t, w):
+        g = _sample_gaps(q, t, w)
+        # no cell is left to decide once a sample is shallower than the floor
+        return np.zeros(t.size, dtype=bool) if g.max() > -floor else _cell_reach(pencil, q, t, w, g, level)[0]
+
+    t, (w,) = pencil._scan(grid, undecided)
+    return _sample_gaps(q, t, w).max() <= -floor and not undecided(t, w).any()
 
 
 def _supporting_angles(pencil: mc.Pencil, points, grid: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`supporting_angle` at every point of a complex array, in
-    lockstep.  The points share one grid scan and one stacked solve of
-    their cells, and each Newton step solves the new angles of all the
-    points still searching in one stacked ``Pencil.eigh``.  A point whose
-    top eigenvalue is clustered at its current angle takes its step from
-    :func:`_reduced_argmax`, on its own.  Returns the angles, in
+    lockstep.  The points share one cell scan and one stacked solve of
+    their Newton cells, and each Newton step solves the new angles of all
+    the points still searching in one stacked ``Pencil.eigh``.  A point
+    whose top eigenvalue is clustered at its current angle takes its step
+    from :func:`_reduced_argmax`, on its own.  Returns the angles, in
     [0, 2 pi), and the values of g.
+
+    The scan (:meth:`~numrange.matcore.Pencil._scan`) splits every cell
+    whose bound of g (:func:`_cell_reach`) reaches the best sample of some
+    point.  A cell it leaves holds no grid angle as good as that sample,
+    so each point's best sample, and the first of several equal ones, is
+    that of the whole grid.
     """
     p = np.asarray(points, dtype=complex).reshape(-1)
-    scan_thetas, w_grid, _ = pencil.grid(grid)
-    grid_cos, grid_sin = _grid_directions(grid)
-    g_grid = p.real[:, None] * grid_cos + p.imag[:, None] * grid_sin - w_grid[:, -1]
+    slack = mc.BOUND_RTOL * (pencil.scale + np.abs(p))[:, None]
+
+    def split(t, w):
+        g = _sample_gaps(p, t, w)
+        return _cell_reach(pencil, p, t, w, g, g.max(axis=1, keepdims=True) - slack).any(axis=0)
+
+    scan_thetas, (w_scan,) = pencil._scan(grid, split, argmax=True)
+    g_grid = _sample_gaps(p, scan_thetas, w_scan)
     j = np.argmax(g_grid, axis=1)
     step = 2.0 * np.pi / grid
 

@@ -15,6 +15,9 @@ are relative to the Frobenius norm unless noted otherwise.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
@@ -28,6 +31,15 @@ UNIT_NORM_TOL = 1e-10
 # Relative width of an eigenvalue cluster (single source of truth for the
 # whole package: multiplicities, pre-image dimensions, crossing detection).
 CLUSTER_RTOL = 1e-8
+# Rounding allowance of a decision on the cell bounds of Pencil._cells,
+# relative to Pencil.scale.
+BOUND_RTOL = 1e-12
+# Pencil._scan solves every angle left in the table at once, instead of
+# halving the flagged cells, where their count times d^3 (summed over the
+# pencils) is at most this.  LAPACK solves a 3x3 matrix in about 1 us and
+# a 32x32 one in about 50 us, while a round of cell bounds costs about
+# 50 us; the choice moves no answer.
+_FILL_COST = 32768
 # schur3: allowed sub-diagonal residual relative to ||A||_F.
 SCHUR_SUBDIAG_RTOL = 1e-10
 
@@ -94,16 +106,18 @@ class Pencil:
     solved in one LAPACK call, with results indexed by angle along the
     leading axis.
 
-    Uniform angle grids are built and solved in one place,
-    :meth:`grid`.  It uses the half-turn identity
-    A(theta + pi) = -A(theta): on an even grid only the first half of the
-    angles is solved, and the eigenvalues at theta + pi are the negated
-    eigenvalues at theta in reverse order, with the top eigenvector the
-    bottom one at theta.  Each grid size is solved once per Pencil and
-    kept, so every query that reaches W(A) through a grid of the same size
-    shares one stacked solve.  Public functions accept a matrix or a
-    Pencil (:func:`as_pencil`); passing one Pencil down a chain of calls
-    shares its grids.
+    The angles of the uniform grid of N angles on [0, 2 pi) are solved in
+    one place, a table per N that fills as angles are asked for.  It uses
+    the half-turn identity A(theta + pi) = -A(theta): on an even grid
+    only the first half of the angles is solved, and the eigenvalues at
+    theta + pi are the negated eigenvalues at theta in reverse order, with
+    the top eigenvector the bottom one at theta.  :meth:`grid` solves the
+    whole grid; :meth:`_scan` solves only the cells of it that a question
+    needs, bounding the others (:meth:`_cells`).  Each angle is solved once
+    per Pencil and kept, so every query that reaches W(A) through a grid
+    of the same size shares its solves.  Public functions accept a matrix
+    or a Pencil (:func:`as_pencil`); passing one Pencil down a chain of
+    calls shares its tables.
 
     R, S and every cos(theta) R + sin(theta) S are Hermitian by
     construction: their (i, j) and (j, i) entries are conjugate in
@@ -125,6 +139,12 @@ class Pencil:
         self.scale = 1.0 + self.norm
         self.ctol = CLUSTER_RTOL * self.scale
         self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
+        # per grid size N: the ascending eigenvalues at the angles of the
+        # first half of the grid (every angle for odd N), and which of
+        # them are solved
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._extent: tuple[float, float, float, float] | None = None
+        self._L0 = 0.0
 
     def grid(self, N: int, vectors: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """A(theta) solved on the uniform grid of N angles on [0, 2 pi).
@@ -136,28 +156,184 @@ class Pencil:
         ``-w[k, ::-1]`` and the top eigenvector is the bottom one at
         theta_k, because A(theta + pi) = -A(theta).  Odd N solves every
         angle.  The result is kept per N, read-only; a grid solved with
-        vectors also serves later eigenvalue-only requests.
+        vectors also serves later eigenvalue-only requests, and its
+        eigenvalues go to the table that :meth:`_scan` reads.
+
+        Two callers need every angle: the N-vertex polygon of
+        :func:`~numrange.rangegeo.boundary_polygon` and the face endpoints
+        of :func:`~numrange.extremal.extreme_points`.  Every other scan
+        goes through :meth:`_scan`, which reads the kept arrays once the
+        whole grid is solved.
         """
         kept = self._grids.get(N)
         if kept is not None and (kept[2] is not None or not vectors):
             return kept
-        thetas = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
-        even = N % 2 == 0
-        solved = thetas[: N // 2] if even else thetas
+        thetas = _grid_angles(N)
+        table, solved = self._table(N)
+        half = len(solved) < N
         x = None
         if vectors:
-            w, V = self.eigh(solved)
-            x = np.concatenate([V[..., -1], V[..., 0]] if even else [V[..., -1]])
+            w, V = self.eigh(thetas[: len(solved)])
+            table[:], solved[:] = w, True
+            x = np.concatenate([V[..., -1], V[..., 0]] if half else [V[..., -1]])
         else:
-            w = np.linalg.eigvalsh(self.rotate(solved))
-        if even:
-            w = np.concatenate([w, -w[:, ::-1]])
+            self._solve(N, np.arange(len(solved)))
+        w = self._at(N, np.arange(len(solved)))
         # every caller shares the kept arrays
-        for a in (thetas, w, x):
+        for a in (w, x):
             if a is not None:
                 a.flags.writeable = False
         self._grids[N] = (thetas, w, x)
         return self._grids[N]
+
+    def _table(self, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalue table of the N-angle grid and its solved mask."""
+        table = self._tables.get(N)
+        if table is None:
+            rows = N // 2 if N % 2 == 0 else N
+            table = self._tables[N] = (np.empty((rows, self.d)), np.zeros(rows, dtype=bool))
+        return table
+
+    def _solve(self, N: int, rows: np.ndarray) -> None:
+        """Solve the table rows of the N-angle grid among ``rows`` that are
+        not solved yet, in one stacked call.  LAPACK solves each matrix of a
+        stack on its own, so a row has the same bits however it is batched."""
+        table, solved = self._table(N)
+        rows = rows[~solved[rows]]
+        if rows.size:
+            table[rows] = np.linalg.eigvalsh(self.rotate(_grid_angles(N)[rows]))
+            solved[rows] = True
+
+    def _at(self, N: int, rows: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues at the solved table ``rows`` of the N-angle
+        grid, followed for even N by those half a turn later."""
+        table, solved = self._table(N)
+        w = table if rows.size == solved.size else table[rows]
+        return np.concatenate([w, -w[:, ::-1]]) if len(table) < N else w.copy()
+
+    def _scan(self, N: int, split, *others: "Pencil", argmax: bool = False) -> tuple[np.ndarray, list]:
+        """Solve the cells of the N-angle grid that a question needs.
+
+        The samples are the solved angles of the grid (at least 16 evenly
+        spread ones, 0 among them); cell k runs from sample k to sample
+        k + 1, the last one to 2 pi.  ``split(t, w, *w_others)`` gets the
+        sorted sample angles and the ascending eigenvalues there of this
+        pencil and of each of ``others`` (solved at the same angles), and
+        flags the cells whose bounds (:meth:`_cells`) leave the question
+        open.  Each round halves every flagged cell wider than one grid
+        step, solving the new angles of each pencil in one stacked
+        ``eigvalsh`` call (with the half-turn identity, a cell and the
+        one opposite share a solve), until no flagged cell is wider than
+        one grid step.  So a question answered on the cells never solves
+        more angles than the whole grid has.  Where the angles left in the
+        table are cheaper to solve than the rounds of halving
+        (``_FILL_COST``, in angles times d^3), the round solves all of
+        them, and so does the first round of an ``argmax`` question,
+        which halves its cells down to one grid step about the maximum
+        anyway: a small matrix takes one or two rounds.  Which angles are
+        solved changes only the cost of an answer.
+
+        Returns ``(t, ws)``: the samples and the list of eigenvalue arrays
+        there, this pencil first.  A flagged cell left in them is one grid
+        step wide, an open cell no bound decided.
+        """
+        pencils = (self, *others)
+        done = self._table(N)[1]
+        rows = len(done)
+        half = rows < N
+        cost = sum(p.d**3 for p in pencils)
+        if all(p._table(N)[1].all() for p in pencils):
+            # a solved grid is its own scan, kept read-only by grid()
+            return _grid_angles(N), [p.grid(N)[1] for p in pencils]
+        if argmax and rows * cost <= _FILL_COST:
+            new = np.arange(rows)
+        else:
+            first = 8 if half else 16
+            new = np.unique(np.arange(first) * rows // first)
+        thetas = _grid_angles(N)
+        while True:
+            self._solve(N, new)
+            solved = np.nonzero(done)[0]
+            idx = np.concatenate([solved, solved + rows]) if half else solved
+            for p in others:
+                p._solve(N, solved)
+            t = thetas[idx]
+            ws = [p._at(N, solved) for p in pencils]
+            if solved.size == rows:
+                return t, ws
+            width = np.append(idx[1:], N) - idx
+            cut = np.asarray(split(t, *ws), dtype=bool) & (width > 1)
+            if not cut.any():
+                return t, ws
+            if (rows - solved.size) * cost <= _FILL_COST:
+                new = np.nonzero(~done)[0]
+            else:
+                new = np.unique((idx[cut] + width[cut] // 2) % rows)
+
+    def _spectral_extent(self) -> tuple[float, float, float, float]:
+        """Smallest and largest eigenvalues of Re A and of Im A, kept.
+
+        A(0) = Re A and A(pi / 2) = Im A are the angles 0 and N/4 of a
+        grid with N divisible by 4, and among the first samples of every
+        :meth:`_scan`; only without such a table are they solved here."""
+        if self._extent is None:
+            grids = (t[[0, N // 4]] for N, (t, ok) in self._tables.items() if N % 4 == 0 and ok[0] and ok[N // 4])
+            w = next(grids, None)
+            if w is None:
+                w = np.linalg.eigvalsh(np.stack([self.R, self.S]))
+            r0, r1, s0, s1 = self._extent = (float(w[0, 0]), float(w[0, -1]), float(w[1, 0]), float(w[1, -1]))
+            self._L0 = math.hypot((r1 - r0) / 2.0, (s1 - s0) / 2.0)
+        return self._extent
+
+    def _lipschitz(self, p=None):
+        """Lipschitz constant hypot(|Re A - Re p|_2, |Im A - Im p|_2) of the
+        support function of W(A - p) (broadcast over an array p): its slope
+        is x*(A - p)'(theta)x for a top eigenvector x (Weyl), and
+        (A - p)'(theta) = -sin(theta) (Re A - Re p) + cos(theta) (Im A - Im p).
+        Without p, the smallest of them, at the middle of the spectra of
+        Re A and Im A: the constant of every eigenvalue curve up to a
+        shift c(theta) common to all of them.
+        """
+        r0, r1, s0, s1 = self._spectral_extent()
+        if p is None:
+            return self._L0
+        p = np.asarray(p, dtype=complex)
+        return np.hypot(np.maximum(r1 - p.real, p.real - r0), np.maximum(s1 - p.imag, p.imag - s0))
+
+    def _cells(self, t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bounds of the support function h over the cells of a :meth:`_scan`.
+
+        ``t`` are the sorted sample angles on [0, 2 pi) and ``w`` the
+        ascending eigenvalues there; cell k is [t_k, t_k + width_k].
+        Returns ``(width, corner, sag)`` such that on cell k, with
+        u = e^{i theta},
+
+            <corner_k, u> - sag_k <= h(theta) <= <corner_k, u>.
+
+        The upper bound holds for every convex set, whose h + h'' is a
+        nonnegative measure: on an arc shorter than pi, h lies below the
+        sinusoid through its end values, the support function of the
+        corner where the two supporting lines meet.  The lower bound is
+        Kato's: where the top eigenvalue is simple, h'' = -h + 2 sum_j
+        |v_j* A' v|^2 / (h - lambda_j) <= -h + 2 L0^2 / gamma, with gamma
+        the top gap and L0 the smallest :meth:`_lipschitz` constant (a
+        scalar shift of A' leaves the sum alone).  Every eigenvalue curve
+        is L0-Lipschitz up to a common shift (Weyl), so the gap is
+        2 L0-Lipschitz and at least gamma_lo = (gamma_a + gamma_b) / 2 -
+        L0 width on the cell.  Then h - K, K = 2 L0^2 / gamma_lo, lies
+        above the sinusoid through its end values, which gives
+        sag = K (sec(width / 2) - 1); inf where gamma_lo is not positive.
+        """
+        width = np.append(t[1:], t[0] + 2.0 * np.pi) - t
+        h = w[:, -1]
+        corner = np.exp(1j * t) * (h + 1j * (_next(h) - h * np.cos(width)) / np.sin(width))
+        L0 = self._lipschitz()
+        gap = self.top_gap(w)
+        gap_lo = (gap + _next(gap)) / 2.0 - L0 * width
+        sag = np.full(t.size, np.inf)
+        ok = gap_lo > 0.0
+        sag[ok] = 2.0 * L0**2 / gap_lo[ok] * (1.0 / np.cos(width[ok] / 2.0) - 1.0)
+        return width, corner, sag
 
     def rotate(self, thetas) -> np.ndarray:
         """A(theta) = cos(theta) R + sin(theta) S."""
@@ -221,10 +397,16 @@ class Pencil:
         h' is the :meth:`slope` on (1, d) rows, so each angle is its own
         product, with the bits of a one-angle call; h'' is the
         :meth:`curvature`, and nan where the top gap is at most ``ctol``
-        (a clustered top eigenvalue has no second derivative).
+        (a clustered top eigenvalue has no second derivative).  A single
+        angle, as most Newton steps take, uses the plain vector and matrix
+        products, which round as the one-row stacks do at less cost.
         """
         t = np.asarray(thetas, dtype=float)
         w, V = eig
+        if t.shape == (1,):
+            simple = self.top_gap(w[0]) > self.ctol
+            h2 = self.curvature(t[0], (w[0], V[0])) if simple else np.nan
+            return w[:, -1], self.slope(t, V[0, :, -1]), np.array([h2])
         h1 = self.slope(t[..., None], V[..., None, :, -1])[..., 0]
         simple = self.top_gap(w) > self.ctol
         if simple.all():
@@ -315,6 +497,39 @@ class Pencil:
             sup[j], _, mu, _ = self.segments(t[j], tol, (w[j], x[j]) if full else None)
             lo[j], hi[j] = [m[0] for m in mu], [m[-1] for m in mu]
         return sup, lo, hi
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_angles(N: int) -> np.ndarray:
+    """The N grid angles on [0, 2 pi), kept per N (read-only)."""
+    t = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+    t.flags.writeable = False
+    return t
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """``np.roll(a, -1, axis=-1)``: the value at the next sample of a
+    circle, at a fraction of the cost of ``np.roll``."""
+    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+
+
+def _dilate(mask: np.ndarray, r: int) -> np.ndarray:
+    """A circular mask widened by r places on each side."""
+    n = mask.size
+    padded = np.concatenate((mask[n - r :], mask, mask[:r]))
+    out = mask.copy()
+    for k in range(2 * r + 1):
+        out |= padded[k : k + n]
+    return out
+
+
+def _arc_max(z, a, width):
+    """Largest <z, e^{i theta}> over theta in [a, a + width] (width < 2 pi),
+    elementwise: |z| where the arc holds the direction of z, else the
+    larger end value."""
+    ends = np.maximum((z * np.exp(-1j * a)).real, (z * np.exp(-1j * (a + width))).real)
+    inside = np.mod(np.angle(z) - a, 2.0 * np.pi) <= width
+    return np.where(inside, np.abs(z), ends)
 
 
 def as_pencil(A) -> Pencil:

@@ -109,8 +109,14 @@ def relative_depth(A, p, grid: int = 1024) -> float:
     tr Z^2), |X(t)|_F^2 > d (``DEGENERATE_THICKNESS_RTOL`` scale)^2 proves
     a 2-D range without a solve; otherwise the width at t decides.
     """
-    pencil = mc.as_pencil(A)
-    p = extremal.as_point(p)
+    return _relative_depth(mc.as_pencil(A), extremal.as_point(p), grid)
+
+
+def _relative_depth(pencil: mc.Pencil, p: complex, grid: int, floor: float | None = None) -> float:
+    """:func:`relative_depth`; with a ``floor``, a two-dimensional range
+    returns the floor itself as soon as the cell scan certifies that the
+    depth is at least that (:func:`~numrange.extremal._depth_at_least`),
+    which decides the interior routing without the depth's own search."""
     scale = pencil.scale
     thin = DEGENERATE_THICKNESS_RTOL * scale
     d = pencil.d
@@ -118,11 +124,14 @@ def relative_depth(A, p, grid: int = 1024) -> float:
     t = np.angle(np.sum(Z * Z.T)) / 2.0 + np.pi / 2.0
     X = np.exp(-1j * t) * Z
     X = (X + X.conj().T) / 2.0
-    if np.vdot(X, X).real > d * thin**2:
-        return -extremal.supporting_angle(pencil, p, grid)[1]
     phi = t + np.pi / 2.0
-    s_t, s_opp, s_phi, s_phi_opp = pencil.support([t, t + np.pi, phi, phi + np.pi])
-    if s_t + s_opp > thin:
+    planar = np.vdot(X, X).real > d * thin**2
+    if not planar:
+        s_t, s_opp, s_phi, s_phi_opp = pencil.support([t, t + np.pi, phi, phi + np.pi])
+        planar = s_t + s_opp > thin
+    if planar:
+        if floor is not None and extremal._depth_at_least(pencil, p, grid, floor):
+            return floor
         return -extremal.supporting_angle(pencil, p, grid)[1]
     trans = (p * np.conj(np.exp(1j * t))).real - (s_t - s_opp) / 2.0
     if abs(trans) > 1e-7 * scale:
@@ -141,8 +150,9 @@ def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
     """
     pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
-    depth = relative_depth(pencil, alpha, grid)
-    if depth < INTERIOR_MARGIN_RTOL * pencil.scale:
+    margin = INTERIOR_MARGIN_RTOL * pencil.scale
+    depth = _relative_depth(pencil, alpha, grid, margin)
+    if depth < margin:
         raise PreconditionError(
             f"alpha = {alpha} is on or outside the boundary of W(A) "
             f"(relative depth {depth:.3e}); use maxent_boundary"
@@ -384,11 +394,17 @@ def _face_states(pencil: mc.Pencil, alphas, faces) -> list[InferenceResult]:
 
 
 def infer(A, alpha, grid: int = 1024) -> InferenceResult:
-    """Route alpha to the interior or boundary solver by its depth."""
+    """Route alpha to the interior or boundary solver by its depth.
+
+    The routing asks only whether the depth reaches the interior margin,
+    which a cell scan of the ``grid``-angle grid (finest cell width
+    2 pi / grid) usually certifies from a few solves; a point it leaves
+    open takes the depth's own search on the cells already solved.
+    """
     pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
-    depth = relative_depth(pencil, alpha, grid)
-    if depth >= INTERIOR_MARGIN_RTOL * pencil.scale:
+    margin = INTERIOR_MARGIN_RTOL * pencil.scale
+    if _relative_depth(pencil, alpha, grid, margin) >= margin:
         return _interior_states(pencil, [alpha])[0]
     return maxent_boundary(pencil, alpha, grid)
 

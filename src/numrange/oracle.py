@@ -101,15 +101,18 @@ class SampleCloud:
 def sample_range(A, n: int, seed: int = 0) -> SampleCloud:
     """n values x*Ax: structured vectors first, then seeded Gaussians.
 
-    Deterministic given (n, seed).  Gaussian vector r takes the normals at
-    counters 2rd .. 2(r+1)d - 1 as (re, im) pairs, normalized to unit
-    length.  The rows are drawn and evaluated in blocks of SAMPLE_BLOCK
+    Deterministic given (n, seed); the seed, the offset of the
+    splitmix64 counters, is an unsigned 64-bit integer.  Gaussian vector
+    r takes the normals at counters 2rd .. 2(r+1)d - 1 as (re, im) pairs,
+    normalized to unit length.  The rows are drawn and evaluated in blocks of SAMPLE_BLOCK
     complex entries; every block starts at an even counter, so the points
     match a one-shot draw bit for bit.
     """
     A = mc.as_matrix(A)
     if n < 1:
         raise PreconditionError("sample_range requires n >= 1")
+    if not 0 <= seed < 2**64:
+        raise PreconditionError(f"sample_range requires 0 <= seed < 2**64, got {seed}")
     d = A.shape[0]
     head = structured_vectors(d)[:n]
     k = len(head)

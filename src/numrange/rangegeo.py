@@ -10,9 +10,10 @@ functions.
 Distances between numerical ranges are sup-norm distances of support
 functions as well, read from the eigenvalues directly rather than from
 inscribed polygons: :func:`range_distance` for two matrices and
-:func:`range_gap` for a matrix and a convex polygon scan h_A on one
-uniform grid and polish the maxima with the Newton loop of
-:func:`~numrange.extremal.supporting_angle`.
+:func:`range_gap` for a matrix and a convex polygon scan h_A on the
+cells of a uniform grid that their bounds leave open
+(:meth:`~numrange.matcore.Pencil._scan`) and polish the maxima with the
+Newton loop of :func:`~numrange.extremal.supporting_angle`.
 """
 
 from __future__ import annotations
@@ -110,24 +111,6 @@ class ConvexPolygon:
         t = np.atleast_1d(np.asarray(thetas, dtype=float))
         dirs = np.column_stack([np.cos(t), np.sin(t)])
         return (dirs @ self.vertices.T).max(axis=1)
-
-    @property
-    def diameter(self) -> float:
-        """Largest distance between two points of the polygon.
-
-        It is attained at an antipodal vertex pair, which supports the
-        polygon at theta and theta + pi.  Between consecutive angles of the
-        outward edge normals and their opposites the pair is constant, so
-        the diameter is the largest vertex distance over those arcs.
-        """
-        v, c = _support_pieces(self)
-        if len(v) == 1:
-            return 0.0
-        two_pi = 2.0 * np.pi
-        ends = np.sort(np.mod(np.concatenate([c, c + np.pi]), two_pi))
-        mid = (ends + np.append(ends[1:], ends[0] + two_pi)) / 2.0
-        i, j = (_supporting_vertex(c, t) % len(v) for t in (mid, mid + np.pi))
-        return float(np.max(np.hypot(*(v[i] - v[j]).T)))
 
     def centroid(self) -> complex:
         """Area centroid (vertex mean for degenerate polygons)."""
@@ -282,14 +265,16 @@ class EllipseParams:
         return boundary_polygon(M, N)
 
 
-def _polished_max(pencil: mc.Pencil, x: np.ndarray, g: np.ndarray, kink: np.ndarray, other) -> float:
+def _polished_max(pencil: mc.Pencil, x: np.ndarray, g: np.ndarray, kink: np.ndarray, other, open_: np.ndarray) -> float:
     """Largest |g| over the circle, g = h_A - h_o with h_A the support
     function of ``pencil``, from its values g at the sorted angles x in
     [0, 2 pi) and a local polish.
 
     ``kink`` marks the angles where g may have a kink; between
     consecutive angles g is smooth apart from kinks of the support
-    functions.  A sample that is a local maximum of |g| is polished when
+    functions.  ``open_`` marks the samples of the cells that a cell scan
+    left open; elsewhere its bounds show that |g| stays below the best
+    sample.  An open sample that is a local maximum of |g| is polished when
     the maximum over its two cells could beat the best sample: on a
     concave peak that maximum is at most the sample's value plus its rise
     over a neighbour, scaled by the ratio of the cell widths.  A smooth
@@ -304,15 +289,13 @@ def _polished_max(pencil: mc.Pencil, x: np.ndarray, g: np.ndarray, kink: np.ndar
     """
     a = np.abs(g)
     best = float(a.max())
-    prev, nxt = np.roll(x, 1), np.roll(x, -1)
-    prev[0] -= 2.0 * np.pi
-    nxt[-1] += 2.0 * np.pi
-    left, right = np.roll(a, 1), np.roll(a, -1)
+    prev, nxt = np.append(x[-1] - 2.0 * np.pi, x[:-1]), np.append(x[1:], x[0] + 2.0 * np.pi)
+    left, right = np.append(a[-1], a[:-1]), mc._next(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         dl, dr = x - prev, nxt - x
         ub = a + np.maximum((a - left) * (dr / dl), (a - right) * (dl / dr))
     ub = np.where(np.isnan(ub), np.inf, ub)
-    cand = np.nonzero((a >= left) & (a >= right) & (ub > best))[0]
+    cand = np.nonzero((a >= left) & (a >= right) & (ub > best) & open_)[0]
     smooth, split = cand[~kink[cand]], cand[kink[cand]]
     owner = np.concatenate([smooth, split, split])
     lo = np.concatenate([prev[smooth], prev[split], x[split]])
@@ -346,26 +329,59 @@ def _require_scan(N: int, what: str) -> None:
         raise PreconditionError(f"{what} requires N >= 8")
 
 
+def _open_cells(bound: np.ndarray, best: float, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cells whose bound of |g| reaches the best sample (open), and
+    those with their two neighbours (to split): a scan that halves the
+    neighbours too leaves every open cell between cells one grid step
+    wide, so an open sample has its two grid neighbours, as on the whole
+    grid."""
+    reach = bound >= best - slack
+    return reach, mc._dilate(reach, 1)
+
+
 def range_distance(A, B, N: int = DEFAULT_BOUNDARY_SAMPLES) -> float:
     """Hausdorff distance of W(A) and W(B): max over theta of |h_A - h_B|.
 
     For compact convex sets the Hausdorff distance is the sup-norm
     distance of the support functions (Schneider, *Convex Bodies*, Lemma
     1.8.14), so it is read from h_A and h_B directly, with no polygon:
-    one eigenvalue-only scan of each on ``Pencil.grid(N)``, then a
-    safeguarded Newton polish, in lockstep, of every grid maximum of
-    |h_A - h_B| that could beat the best grid value, with h' and h'' from
-    the eigendecompositions at the iterates (:func:`_polished_max`).
-    ``A`` and ``B`` are matrices or Pencils; their dimensions may differ.
-    Symmetric in A and B bit for bit.
+    an eigenvalue-only cell scan of both at the same angles of the
+    N-angle grid (:meth:`~numrange.matcore.Pencil._scan`), then a
+    safeguarded Newton polish, in lockstep, of every sampled maximum of
+    |h_A - h_B| in a cell the scan left open that could beat the best
+    sample, with h' and h'' from the eigendecompositions at the iterates
+    (:func:`_polished_max`).  N is the finest cell width, 2 pi / N.  On
+    a cell, h_A lies between <c_A, u> - sag_A and <c_A, u>
+    (:meth:`~numrange.matcore.Pencil._cells`), so h_A - h_B is at most
+    the largest <c_A - c_B, u> on the arc plus sag_B, and the scan splits
+    the cells where that, or the bound of h_B - h_A, reaches the best
+    sample.  The result is the one the whole grid gives.  ``A`` and ``B``
+    are matrices or Pencils; their dimensions may differ.  Symmetric in
+    A and B bit for bit.
     """
     _require_scan(N, "range_distance")
     pa, pb = mc.as_pencil(A), mc.as_pencil(B)
-    thetas, wa, _ = pa.grid(N)
-    wb = pb.grid(N)[1]
+    slack = mc.BOUND_RTOL * max(pa.scale, pb.scale)
 
-    no_kinks = np.zeros(N, dtype=bool)
-    return _polished_max(pa, thetas, wa[:, -1] - wb[:, -1], no_kinks, lambda t, t0: pb.jet(t, pb.eigh(t)))
+    def bound(t, wa, wb):
+        g = wa[:, -1] - wb[:, -1]
+        width, ca, sa = pa._cells(t, wa)
+        cb, sb = pb._cells(t, wb)[1:]
+        cone = (np.abs(g + mc._next(g)) + (pa._lipschitz(0j) + pb._lipschitz(0j)) * width) / 2.0
+        up = mc._arc_max(ca - cb, t, width) + sb
+        down = mc._arc_max(cb - ca, t, width) + sa
+        return np.abs(g), np.minimum(np.maximum(up, down), cone)
+
+    def split(t, wa, wb):
+        a, b = bound(t, wa, wb)
+        return _open_cells(b, a.max(), slack)[1]
+
+    thetas, (wa, wb) = pa._scan(N, split, pb, argmax=True)
+    a, b = bound(thetas, wa, wb)
+    reach = _open_cells(b, a.max(), slack)[0]
+    no_kinks = np.zeros(thetas.size, dtype=bool)
+    g = wa[:, -1] - wb[:, -1]
+    return _polished_max(pa, thetas, g, no_kinks, lambda t, t0: pb.jet(t, pb.eigh(t)), reach | np.roll(reach, 1))
 
 
 def range_gap(A, K: ConvexPolygon, N: int = DEFAULT_BOUNDARY_SAMPLES) -> float:
@@ -373,28 +389,69 @@ def range_gap(A, K: ConvexPolygon, N: int = DEFAULT_BOUNDARY_SAMPLES) -> float:
     of |h_A - h_K|.  For K inside W(A), such as a hull of sampled points,
     it is the gap max (h_A - h_K).
 
-    h_A is scanned on ``Pencil.grid(N)`` with eigenvalues only.  h_K is
-    one sinusoid <v, e^{i theta}> per vertex v between consecutive outward
-    edge normals of K, and h_A - h_K has a kink at each edge normal, where
-    its maximum often sits; so every edge-normal angle is a sample too,
-    solved in one stack.  The maxima of |h_A - h_K| over the merged
-    samples are then polished as in :func:`range_distance`, each on one
-    sinusoid piece of h_K.
+    h_A is read from an eigenvalue-only cell scan of the N-angle grid
+    (:meth:`~numrange.matcore.Pencil._scan`; N is the finest cell width,
+    2 pi / N).  h_K is one sinusoid <v, e^{i theta}> per vertex v between
+    consecutive outward edge normals of K.  On each piece of a cell
+    between the normals, h_A lies between <c, u> - sag and <c, u>
+    (:meth:`~numrange.matcore.Pencil._cells`), so h_A - h_K is at most
+    the largest <c - v, u> on the piece, and h_K - h_A at most the
+    largest <v - c, u> plus sag; the scan splits the cells where either
+    reaches the best sample.  h_A - h_K has a kink at each edge normal,
+    where its maximum often sits, so every edge normal in a cell the scan
+    left open (or next to one) is a sample too, solved in one stack.  The
+    maxima of |h_A - h_K| over the merged samples are then polished as in
+    :func:`range_distance`, each on one sinusoid piece of h_K.  The result
+    is the one the whole grid with every edge normal gives.
     """
     _require_scan(N, "range_gap")
     if not isinstance(K, ConvexPolygon):
         raise PreconditionError("range_gap expects a ConvexPolygon")
     pencil = mc.as_pencil(A)
     v, c = _support_pieces(K)
-    thetas, w, _ = pencil.grid(N)
+    vz = v[:, 0] + 1j * v[:, 1]
     normals = np.mod(c, 2.0 * np.pi)
-    x = np.concatenate([thetas, normals])
-    h = np.concatenate([w[:, -1], pencil.support(normals)])
+    slack = mc.BOUND_RTOL * (pencil.scale + float(np.abs(vz).max()))
+
+    def support_k(t):
+        vx, vy = v[_supporting_vertex(c, t) % len(v)].T
+        return vx * np.cos(t) + vy * np.sin(t)
+
+    def bound(t, w):
+        # |g| at the samples, and its bound on each cell from the pieces
+        # between the samples and the normals
+        h = w[:, -1]
+        width, corner, sag = pencil._cells(t, w)
+        x = np.concatenate([t, normals])
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        cell = np.cumsum(order < t.size) - 1
+        arc = np.append(xs[1:], 2.0 * np.pi) - xs
+        vk = vz[_supporting_vertex(c, xs + arc / 2.0) % len(v)]
+        low = (h + mc._next(h) - pencil._lipschitz(0j) * width) / 2.0  # h_A on the cell is at least this
+        up = mc._arc_max(corner[cell] - vk, xs, arc)
+        down = np.minimum(mc._arc_max(vk - corner[cell], xs, arc) + sag[cell], mc._arc_max(vk, xs, arc) - low[cell])
+        return np.abs(h - support_k(t)), np.maximum.reduceat(np.maximum(up, down), np.nonzero(order < t.size)[0])
+
+    def split(t, w):
+        a, b = bound(t, w)
+        return _open_cells(b, a.max(), slack)[1]
+
+    thetas, (w,) = pencil._scan(N, split, argmax=True)
+    a, b = bound(thetas, w)
+    reach, near = _open_cells(b, a.max(), slack)
+    # the normals in the open cells and their neighbours
+    own = np.searchsorted(thetas, normals, side="right") - 1
+    kept = near[own]
+    x = np.concatenate([thetas, normals[kept]])
+    h = np.concatenate([w[:, -1], pencil.support(normals[kept])])
     order = np.argsort(x, kind="stable")
     x, h = x[order], h[order]
-    kink = order >= N
-    vx, vy = v[_supporting_vertex(c, x) % len(v)].T
-    g = h - (vx * np.cos(x) + vy * np.sin(x))
+    kink = order >= thetas.size
+    g = h - support_k(x)
+    # open: a sample ending an open cell, a normal inside one
+    cell = np.concatenate([np.arange(thetas.size), own[kept]])[order]
+    open_ = reach[cell] | (~kink & reach[cell - 1])
 
     def piece(t, t0):
         # the sinusoid <v, e^{i t}> of the vertex v that supports K at t0
@@ -404,7 +461,7 @@ def range_gap(A, K: ConvexPolygon, N: int = DEFAULT_BOUNDARY_SAMPLES) -> float:
         hk = px * cos + py * sin
         return hk, py * cos - px * sin, -hk
 
-    return _polished_max(pencil, x, g, kink, piece)
+    return _polished_max(pencil, x, g, kink, piece, open_)
 
 
 def range_converges(sequence, limit, N: int = DEFAULT_BOUNDARY_SAMPLES) -> list[float]:

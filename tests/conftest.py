@@ -1,5 +1,7 @@
 """Shared fixtures: the standard example matrices and brute-force helpers."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,29 @@ def count_eighs(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     return calls
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """Count the matrices solved by np.linalg.eigh and np.linalg.eigvalsh,
+    a stack of n counting n, in ``solved["eigh"]`` and
+    ``solved["eigvalsh"]`` (:func:`count_eighs` counts eigh calls)."""
+    solved = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            a = np.asarray(a)
+            solved[_name] += int(np.prod(a.shape[:-2], dtype=int))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return solved
+
+
+def large_ginibre(d, k):
+    """Ginibre draw k of size d of the benchmark's ``large`` workload, unit
+    Frobenius norm (the workload shows it in a seeded unitary frame, which
+    leaves W(A) alone)."""
+    g = np.random.default_rng([20240817, d, k])
+    A = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+    return A / np.linalg.norm(A)

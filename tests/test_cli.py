@@ -324,6 +324,15 @@ def test_oracle_command(capsys, matrix_file):
     assert out == out2  # byte-identical for identical inputs
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_oracle_refuses_seed_outside_uint64(capsys, matrix_file, seed):
+    path = matrix_file("disk", [[0, 2], [0, 0]])
+    code, out, err = run_cli(capsys, "oracle", path, "--n", "100", "--seed", seed)
+    assert code == 3
+    assert out == ""
+    assert err == f"sample_range requires 0 <= seed < 2**64, got {seed}\n"
+
+
 def test_matrix_dict_roundtrip_through_json():
     A = np.array([[1 / 3, 0.1 + 0.7j], [np.pi, -1e-17j]], dtype=complex)
     doc = json.loads(json.dumps(cli.matrix_dict(A)))

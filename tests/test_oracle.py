@@ -36,6 +36,18 @@ def test_sample_range_structured_prefix():
         oracle.sample_range(DISK, 0)
 
 
+def test_sample_range_refuses_seeds_outside_uint64():
+    """Seeds are splitmix64 counter offsets, unsigned 64-bit integers:
+    negative seeds and seeds from 2**64 are refused, and both ends of the
+    range draw."""
+    for seed in (-1, -(2**70), 2**64, 2**64 + 5):
+        with pytest.raises(PreconditionError, match="seed"):
+            oracle.sample_range(DISK, 100, seed=seed)
+    for seed in (0, 2**63, 2**64 - 1):
+        cloud = oracle.sample_range(DISK, 100, seed=seed)
+        assert cloud.seed == seed and np.all(np.isfinite(cloud.points))
+
+
 def test_chunked_stream_matches_sequential():
     g1 = oracle._gaussians(9, 0, 64)
     g2 = np.concatenate([oracle._gaussians(9, 0, 20), oracle._gaussians(9, 20, 44)])
