@@ -7,7 +7,10 @@ A'(theta) = Im(e^{-i theta} A), the quadratic-form map x -> x*Ax, the
 phase normalization of returned eigenvectors, the per-matrix
 :class:`Pencil` that validates A once and solves the family A(theta)
 over angle arrays, subspace compressions Q*BQ, and a 3x3 complex Schur
-triangularization.
+triangularization.  :func:`_map`, the package's only concurrency, runs
+independent pieces of a large solve on one thread per CPU of the
+process's affinity mask; the pieces write disjoint slices, so every
+result has the same bits for any worker count.
 
 All matrices are dense ``numpy`` arrays of ``complex128``.  Tolerances
 are relative to the Frobenius norm unless noted otherwise.
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -40,6 +45,18 @@ BOUND_RTOL = 1e-12
 # a 32x32 one in about 50 us, while a round of cell bounds costs about
 # 50 us; the choice moves no answer.
 _FILL_COST = 32768
+# Pencil.eigh splits a stack whose n d^3 is at least this across the
+# workers of _map, in pieces of about _PIECE complex entries, so that the
+# memory each worker thread takes from its own malloc arena stays small.
+# Every points and shapes3 stack is below it; a 512-angle d = 8 grid,
+# 2^18, is above.
+_SPLIT_WORK = 2**17
+_PIECE = 2**15
+# Threads of the _map pool: the CPUs of the affinity mask (taskset limits
+# them), os.cpu_count() where the OS has no mask.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None
+_pool_lock = threading.Lock()
 # schur3: allowed sub-diagonal residual relative to ||A||_F.
 SCHUR_SUBDIAG_RTOL = 1e-10
 
@@ -346,8 +363,30 @@ class Pencil:
         return -np.sin(t) * self.R + np.cos(t) * self.S
 
     def eigh(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors of A(theta)."""
-        return np.linalg.eigh(self.rotate(thetas))
+        """Ascending eigenvalues and eigenvectors of A(theta).
+
+        A stack whose n d^3 is at least ``_SPLIT_WORK`` is built and solved
+        in contiguous pieces on the workers of :func:`_map` (one per CPU of
+        the affinity mask, so ``taskset`` limits them), each writing its
+        rows of the preallocated results.  LAPACK solves each matrix of a
+        stack on its own, so the results have the same bits for any
+        worker count; a smaller stack, or one worker, is one call.
+        """
+        t = np.asarray(thetas, dtype=float)
+        d, n = self.d, t.size
+        if _WORKERS < 2 or n * d**3 < _SPLIT_WORK:
+            return np.linalg.eigh(self.rotate(t))
+        w, V = np.empty((n, d)), np.empty((n, d, d), dtype=complex)
+        k = min(_WORKERS * -(-n * d * d // (_WORKERS * _PIECE)), n)
+        ends = (np.arange(k + 1) * n // k).tolist()
+        flat = t.reshape(-1)
+
+        def solve(piece):
+            a, b = piece
+            w[a:b], V[a:b] = np.linalg.eigh(self.rotate(flat[a:b]))
+
+        _map(solve, zip(ends[:-1], ends[1:]))
+        return w.reshape(*t.shape, d), V.reshape(*t.shape, d, d)
 
     def support(self, thetas) -> np.ndarray:
         """Support function of W(A): the top eigenvalue of A(theta)."""
@@ -497,6 +536,41 @@ class Pencil:
             sup[j], _, mu, _ = self.segments(t[j], tol, (w[j], x[j]) if full else None)
             lo[j], hi[j] = [m[0] for m in mu], [m[-1] for m in mu]
         return sup, lo, hi
+
+
+def _map(fn, pieces) -> list:
+    """``[fn(p) for p in pieces]``, the pieces run at once on the worker pool.
+
+    This is the package's only concurrency.  The pool has ``_WORKERS``
+    threads, one per CPU of the process's affinity mask, and is made (and
+    ``concurrent.futures`` imported) on first use; one piece or one
+    worker runs inline, in order.  An exception raised by ``fn`` reaches
+    the caller.  The callers hand it independent pieces that write
+    disjoint slices of one result, so the result has the same bits for
+    any worker count; ``fn`` must not call :func:`_map` itself, as a pool
+    thread waiting on the pool could wait forever.
+    """
+    pieces = list(pieces)
+    if _WORKERS < 2 or len(pieces) < 2:
+        return [fn(p) for p in pieces]
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="numrange")
+    return list(_pool.map(fn, pieces))
+
+
+def _forget_pool() -> None:
+    """In a forked child: the pool's threads stayed in the parent, so the
+    child makes its own pool on first use."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @functools.lru_cache(maxsize=16)

@@ -109,14 +109,19 @@ def relative_depth(A, p, grid: int = 1024) -> float:
     tr Z^2), |X(t)|_F^2 > d (``DEGENERATE_THICKNESS_RTOL`` scale)^2 proves
     a 2-D range without a solve; otherwise the width at t decides.
     """
-    return _relative_depth(mc.as_pencil(A), extremal.as_point(p), grid)
+    return _relative_depth(mc.as_pencil(A), extremal.as_point(p), grid)[0]
 
 
-def _relative_depth(pencil: mc.Pencil, p: complex, grid: int, floor: float | None = None) -> float:
-    """:func:`relative_depth`; with a ``floor``, a two-dimensional range
-    returns the floor itself as soon as the cell scan certifies that the
-    depth is at least that (:func:`~numrange.extremal._depth_at_least`),
-    which decides the interior routing without the depth's own search."""
+def _relative_depth(
+    pencil: mc.Pencil, p: complex, grid: int, floor: float | None = None
+) -> tuple[float, tuple[np.ndarray, np.ndarray] | None]:
+    """:func:`relative_depth`, and the supporting-angle search of p that
+    gave it: the angle and g arrays of
+    :func:`~numrange.extremal._supporting_angles`, or None where no search
+    ran.  With a ``floor``, a two-dimensional range returns the floor
+    itself as soon as the cell scan certifies that the depth is at least
+    that (:func:`~numrange.extremal._depth_at_least`), which decides the
+    interior routing without the depth's own search."""
     scale = pencil.scale
     thin = DEGENERATE_THICKNESS_RTOL * scale
     d = pencil.d
@@ -131,13 +136,14 @@ def _relative_depth(pencil: mc.Pencil, p: complex, grid: int, floor: float | Non
         planar = s_t + s_opp > thin
     if planar:
         if floor is not None and extremal._depth_at_least(pencil, p, grid, floor):
-            return floor
-        return -extremal.supporting_angle(pencil, p, grid)[1]
+            return floor, None
+        found = extremal._supporting_angles(pencil, np.array([p]), grid)
+        return -float(found[1][0]), found
     trans = (p * np.conj(np.exp(1j * t))).real - (s_t - s_opp) / 2.0
     if abs(trans) > 1e-7 * scale:
-        return -abs(trans)
+        return -abs(trans), None
     along = (p * np.conj(np.exp(1j * phi))).real
-    return float(min(s_phi - along, s_phi_opp + along))
+    return float(min(s_phi - along, s_phi_opp + along)), None
 
 
 def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
@@ -151,7 +157,7 @@ def maxent_interior(A, alpha, grid: int = 1024) -> InferenceResult:
     pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
     margin = INTERIOR_MARGIN_RTOL * pencil.scale
-    depth = _relative_depth(pencil, alpha, grid, margin)
+    depth = _relative_depth(pencil, alpha, grid, margin)[0]
     if depth < margin:
         raise PreconditionError(
             f"alpha = {alpha} is on or outside the boundary of W(A) "
@@ -343,15 +349,16 @@ def maxent_boundary(A, alpha, grid: int = 1024) -> InferenceResult:
     return _boundary_states(mc.as_pencil(A), [extremal.as_point(alpha)], grid)[0]
 
 
-def _boundary_states(pencil: mc.Pencil, alphas, grid: int) -> list[InferenceResult]:
+def _boundary_states(pencil: mc.Pencil, alphas, grid: int, found=None) -> list[InferenceResult]:
     """:func:`maxent_boundary` at an array of points together: their
     supporting angles come from one lockstep search
-    (:func:`~numrange.extremal._supporting_angles`), every point is checked
+    (:func:`~numrange.extremal._supporting_angles`), or are the angles and
+    g values ``found`` by a search the caller ran; every point is checked
     as :func:`maxent_boundary` checks it, and the faces at all the angles
     come from one stacked solve (:func:`~numrange.extremal._faces`)."""
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
     tol = extremal.POINT_MATCH_RTOL * pencil.scale
-    thetas, gvals = extremal._supporting_angles(pencil, alphas, grid)
+    thetas, gvals = extremal._supporting_angles(pencil, alphas, grid) if found is None else found
     for alpha, gval in zip(alphas, gvals):
         if gval > tol:
             raise PreconditionError(f"alpha = {alpha} lies outside W(A) (distance {gval:.3e})")
@@ -399,14 +406,16 @@ def infer(A, alpha, grid: int = 1024) -> InferenceResult:
     The routing asks only whether the depth reaches the interior margin,
     which a cell scan of the ``grid``-angle grid (finest cell width
     2 pi / grid) usually certifies from a few solves; a point it leaves
-    open takes the depth's own search on the cells already solved.
+    open takes the depth's own search on the cells already solved, and a
+    boundary point keeps the supporting angle that search found.
     """
     pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
     margin = INTERIOR_MARGIN_RTOL * pencil.scale
-    if _relative_depth(pencil, alpha, grid, margin) >= margin:
+    depth, found = _relative_depth(pencil, alpha, grid, margin)
+    if depth >= margin:
         return _interior_states(pencil, [alpha])[0]
-    return maxent_boundary(pencil, alpha, grid)
+    return _boundary_states(pencil, [alpha], grid, found)[0]
 
 
 def round_boundary_points(A, grid: int = 512) -> list[complex]:

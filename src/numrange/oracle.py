@@ -4,10 +4,13 @@ Seeded sampling of the quadratic-form map gives an inner approximation
 of W(A); the gap between its convex hull and W(A), read from the support
 function of W(A), bounds the discretization error of everything else.
 The sampler is counter-based (splitmix64), so any chunking of the draw
-reproduces the sequential stream bit for bit.  :func:`sample_range` uses this: it draws the
-vectors and evaluates x*Ax in row blocks of at most SAMPLE_BLOCK complex
-entries, written into one preallocated array, so memory stays bounded
-and the points are the same for every block size.
+reproduces the sequential stream bit for bit.  :func:`sample_range` uses
+this: it draws the vectors and evaluates x*Ax in row blocks, each written
+into its slice of one preallocated array.  The blocks run at once on the
+workers of :func:`~numrange.matcore._map`, one per CPU of the process's
+affinity mask (``taskset`` limits them), and hold SAMPLE_BLOCK complex
+entries among them, so memory stays bounded and the points are the same
+for every block size and worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# Complex entries of the sample vectors drawn and evaluated per block.
+# Complex entries of the sample vectors drawn and evaluated at once: a
+# block holds SAMPLE_BLOCK divided by the worker count.
 SAMPLE_BLOCK = 2**15
 # Angle bins whose farthest points give the hull prefilter its polygon.
 PREFILTER_BINS = 1024
@@ -104,9 +108,11 @@ def sample_range(A, n: int, seed: int = 0) -> SampleCloud:
     Deterministic given (n, seed); the seed, the offset of the
     splitmix64 counters, is an unsigned 64-bit integer.  Gaussian vector
     r takes the normals at counters 2rd .. 2(r+1)d - 1 as (re, im) pairs,
-    normalized to unit length.  The rows are drawn and evaluated in blocks of SAMPLE_BLOCK
-    complex entries; every block starts at an even counter, so the points
-    match a one-shot draw bit for bit.
+    normalized to unit length.  The rows are drawn and evaluated in blocks
+    of SAMPLE_BLOCK / W complex entries, run at once on the W workers of
+    :func:`~numrange.matcore._map` (the CPUs of the affinity mask, so
+    ``taskset`` limits them); every block starts at an even counter, so
+    the points match a one-shot draw bit for bit for any W.
     """
     A = mc.as_matrix(A)
     if n < 1:
@@ -118,14 +124,9 @@ def sample_range(A, n: int, seed: int = 0) -> SampleCloud:
     k = len(head)
     AT = A.T
     pts = np.empty(n, dtype=complex)
-    rows = max(SAMPLE_BLOCK // d, 2)
-    start = 0
-    while start < n:
-        stop = min(start + rows, n)
-        if n - stop == 1:
-            # numpy evaluates a one-row product by gemv, which rounds
-            # differently from the gemm of a taller block
-            stop = n
+
+    def block(span):
+        start, stop = span
         xs = np.empty((stop - start, d), dtype=complex)
         n_head = max(min(k - start, stop - start), 0)
         xs[:n_head] = head[start : start + n_head]
@@ -135,7 +136,13 @@ def sample_range(A, n: int, seed: int = 0) -> SampleCloud:
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             xs[n_head:] = z
         pts[start:stop] = np.sum(xs.conj() * (xs @ AT), axis=1)
-        start = stop
+
+    starts = list(range(0, n, max(SAMPLE_BLOCK // (mc._WORKERS * d), 2)))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        # numpy evaluates a one-row product by gemv, which rounds
+        # differently from the gemm of a taller block
+        del starts[-1]
+    mc._map(block, zip(starts, starts[1:] + [n]))
     return SampleCloud(points=pts, seed=seed, count=n)
 
 

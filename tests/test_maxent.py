@@ -187,6 +187,23 @@ def test_maxent_boundary_tangent_point_residual(A, alpha):
     assert me.maxent_boundary(A, alpha).residual <= 1e-12
 
 
+def test_infer_at_a_boundary_point_searches_its_angle_once(monkeypatch):
+    # the depth's supporting-angle search is the one the boundary state uses
+    calls = []
+    search = ex._supporting_angles
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    want = me.maxent_boundary(DISK_EIG_BOUNDARY, 1.0 + 0j)
+    monkeypatch.setattr(ex, "_supporting_angles", counted)
+    for _ in range(200):
+        res = me.infer(DISK_EIG_BOUNDARY, 1.0 + 0j)
+    assert len(calls) == 200
+    assert np.array_equal(res.rho, want.rho) and res.entropy == want.entropy
+
+
 def test_maxent_boundary_pure_state():
     res = me.maxent_boundary(DISK, 0.0 + 1.0j)
     assert res.entropy == pytest.approx(0.0, abs=1e-10)

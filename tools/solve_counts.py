@@ -30,6 +30,7 @@ import shutil  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import threading  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -37,12 +38,15 @@ import numpy as np  # noqa: E402
 
 
 def _counting(solved: list[int]):
-    """Wrappers of eigh and eigvalsh that add the matrices solved to solved[0]."""
+    """Wrappers of eigh and eigvalsh that add the matrices solved to solved[0];
+    numrange may call them from its worker threads, so the sum is locked."""
+    lock = threading.Lock()
 
     def wrap(fn):
         def counted(a, *args, **kwargs):
             a = np.asarray(a)
-            solved[0] += int(np.prod(a.shape[:-2], dtype=int))
+            with lock:
+                solved[0] += int(np.prod(a.shape[:-2], dtype=int))
             return fn(a, *args, **kwargs)
 
         return counted
