@@ -28,6 +28,7 @@ import numpy as np
 
 from . import birth, extremal, kipp3, maxent, oracle, rangegeo as rg
 from .errors import MatrixFileError, NumericalError, PreconditionError
+from .matcore import Pencil
 
 
 def parse_matrix(path: str) -> np.ndarray:
@@ -247,8 +248,9 @@ def _build_parser() -> _Parser:
                 "--samples",
                 type=int,
                 default=1024,
-                help="angle grid size N (boundary, extremes), or the finest cell width 2 pi / N of a "
-                "cell scan whose bounds give the answer of the whole N-angle grid (flat, oracle)",
+                help="angle grid size N (boundary; extremes, which caps N at 1024), or the finest cell "
+                "width 2 pi / N of a cell scan whose bounds give the answer of the whole N-angle grid "
+                "(flat, which caps N at 2048; oracle)",
             )
         if point:
             sp.add_argument("--point", required=True, help="planar point 'x,y'")
@@ -380,26 +382,21 @@ def run(args) -> int:
         return 0
 
     if cmd == "closure3":
-        # one classification and at most one canonical form serve every
-        # predicate and witness; each witness is still classified itself
-        cls = kipp3.classify(A)
-        cf = kipp3._canonical_if_reducible(A, cls)
+        # one Pencil keeps the classification and the canonical form of A
+        # for every predicate and witness
+        pencil = Pencil(A)
         out = {
-            "in_closure_E3": kipp3._in_closure_E3(cls),
-            "in_closure_F3": kipp3._in_closure_F3(A, cls),
+            "in_closure_E3": kipp3.in_closure_E3(pencil),
+            "in_closure_F3": kipp3.in_closure_F3(pencil),
             "e3_witness": None,
             "f3_witness": None,
         }
         eps = _parse_eps(args.eps)
         if not all(e > 0.0 for e in eps):
             raise PreconditionError("closure3 requires positive eps values")
-        witnesses = {
-            "e3_witness": lambda e: kipp3._e3_witness(cls, cf, e),
-            "f3_witness": lambda e: kipp3._f3_witness(A, cls, cf, e),
-        }
-        for key, fn in witnesses.items():
+        for key, fn in (("e3_witness", kipp3.e3_witness), ("f3_witness", kipp3.f3_witness)):
             try:
-                out[key] = [matrix_dict(fn(e)) for e in eps]
+                out[key] = [matrix_dict(fn(pencil, e)) for e in eps]
             except PreconditionError:
                 out[key] = None
         _emit(out)

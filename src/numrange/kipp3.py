@@ -17,6 +17,7 @@ the tolerance scale ``1 + |A|_F``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -68,22 +69,27 @@ def _distinct(values, tol: float) -> list[complex]:
     return out
 
 
-def normal_eigenvalues(A) -> list[complex]:
-    """Eigenvalues possessing a joint eigenvector of A and A*.
+def _per_pencil(solve):
+    """Keep ``solve(pencil)`` on the Pencil of the argument, the way a Pencil
+    keeps its grids: one answer per matrix, immutable (tuples, frozen
+    dataclasses, read-only arrays)."""
 
-    alpha qualifies when the stacked system [(A - alpha); (A* - conj(alpha))]
-    is rank deficient within tolerance.  A 3x3 matrix has one exactly when
-    it is unitarily reducible.  Multiple eigenvalues are only determined
-    to a fractional power of the rounding noise, so the means of close
-    eigenvalue clusters (which recover a k-fold root to full precision)
-    are tested as well.
-    """
-    pencil = mc.as_pencil(A)
+    @functools.wraps(solve)
+    def kept(A):
+        pencil = mc.as_pencil(A)
+        answers = pencil._kept
+        if solve not in answers:
+            answers[solve] = solve(pencil)
+        return answers[solve]
+
+    return kept
+
+
+@_per_pencil
+def _normal_eigenvalues(pencil: mc.Pencil) -> tuple[complex, ...]:
+    """:func:`normal_eigenvalues`, kept per Pencil."""
     A, d, scale = pencil.A, pencil.d, pencil.scale
-    if d == 3:
-        eigs = mc.eigvals3(A)
-    else:
-        eigs = np.sort_complex(np.linalg.eigvals(A))
+    eigs = np.sort_complex(np.linalg.eigvals(A))
     candidates = list(_distinct(eigs, 1e-9 * scale))
     cluster_radius = 1e-4 * scale
     for i in range(len(eigs)):
@@ -103,12 +109,25 @@ def normal_eigenvalues(A) -> list[complex]:
         if smin <= NORMAL_EIG_RTOL * scale
     ]
     passing.sort(key=lambda t: t[1])
-    out: list[complex] = []
-    for alpha, _ in passing:
-        if all(abs(alpha - b) > 1e-8 * scale for b in out):
-            out.append(alpha)
-    out.sort(key=lambda z: (z.real, z.imag))
-    return out
+    # the smallest singular value speaks for the values that are one point
+    out = _distinct([alpha for alpha, _ in passing], NORMAL_EIG_RTOL * scale)
+    return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
+
+
+def normal_eigenvalues(A) -> list[complex]:
+    """Eigenvalues possessing a joint eigenvector of A and A*.
+
+    alpha qualifies when the stacked system [(A - alpha); (A* - conj(alpha))]
+    is rank deficient within ``NORMAL_EIG_RTOL * scale``.  A 3x3 matrix has
+    one exactly when it is unitarily reducible.  The candidates are the
+    LAPACK eigenvalues (``np.linalg.eigvals``) for every d.  Multiple
+    eigenvalues are only determined to a fractional power of the rounding
+    noise, so the means of close eigenvalue clusters (which recover a
+    k-fold root to full precision) are tested as well.  Passing values
+    closer than ``NORMAL_EIG_RTOL * scale`` are one point, the one with
+    the smallest singular value.  Solved once per Pencil.
+    """
+    return list(_normal_eigenvalues(A))
 
 
 def joint_eigenvector(A, alpha) -> np.ndarray:
@@ -211,21 +230,21 @@ def elliptic_data(A) -> EllipticData | None:
     lam = (c|x|^2 + b|y|^2 + a|z|^2 - x conj(y) z) / (|x|^2+|y|^2+|z|^2),
     and returns data iff lam coincides with an eigenvalue; the other two
     eigenvalues are then the foci and sqrt(d) the minor axis.  Returns
-    None for normal input (no off-diagonal mass) or when lam misses the
-    spectrum.
+    None for a normal A (no off-diagonal mass), exactly when the one
+    normality test of the module says so (:func:`_normal_basis`), and
+    when lam misses the spectrum.
     """
     pencil = _require_3x3(A)
-    scale = pencil.scale
+    if _normal_basis(pencil) is not None:
+        return None
     _, T = mc.schur3(pencil.A)
     a, b, c = T[0, 0], T[1, 1], T[2, 2]
     x, y, z = T[0, 1], T[0, 2], T[1, 2]
     dd = abs(x) ** 2 + abs(y) ** 2 + abs(z) ** 2
-    if np.sqrt(dd) <= NORMAL_EIG_RTOL * scale:
-        return None
     lam = (c * abs(x) ** 2 + b * abs(y) ** 2 + a * abs(z) ** 2 - x * np.conj(y) * z) / dd
     eigs = np.array([a, b, c])
     k = int(np.argmin(np.abs(eigs - lam)))
-    if abs(eigs[k] - lam) > ELLIPTIC_MATCH_RTOL * scale:
+    if abs(eigs[k] - lam) > ELLIPTIC_MATCH_RTOL * pencil.scale:
         return None
     foci = tuple(complex(eigs[i]) for i in range(3) if i != k)
     return EllipticData(lam=complex(lam), foci=foci, minor_axis=float(np.sqrt(dd)), d=float(dd))
@@ -237,15 +256,9 @@ class KippenhahnClassification:
 
     class_tag: str  # R3 | E3 | F3 | O3
     shape: str
-    normal_eigenvalues: list[complex]
+    normal_eigenvalues: tuple[complex, ...]
     elliptic: EllipticData | None
-    flat_angles: list[float]
-
-
-def _is_normal_matrix(pencil: mc.Pencil) -> bool:
-    A, Ah = pencil.A, pencil.A.conj().T
-    comm = A @ Ah - Ah @ A
-    return mc.fro(comm) <= 1e-10 * (1.0 + pencil.norm ** 2)
+    flat_angles: tuple[float, ...]
 
 
 def _double_eigenvalue_angles(pencil: mc.Pencil) -> list[float]:
@@ -280,11 +293,15 @@ def _double_eigenvalue_angles(pencil: mc.Pencil) -> list[float]:
     return extremal._crossings(pencil, *extremal._polish(pencil, t, 2))
 
 
+@_per_pencil
 def classify(A) -> KippenhahnClassification:
     """Assign the unique class R3/E3/F3/O3 and a shape descriptor.
 
-    R3 shapes follow the normal-eigenvalue geometry (point, segment,
-    triangle, ellipse, or ellipse plus an outside point).  An irreducible
+    A is R3 when it has a normal eigenvalue (:func:`normal_eigenvalues`).
+    A normal R3 matrix (:func:`_normal_basis`) is a point, a segment or a
+    triangle by its distinct eigenvalues (:func:`_normal_shape`, the rule
+    the canonical form shares); any other R3 matrix is an ellipse, or an
+    ellipse plus an outside point, by its elliptic data.  An irreducible
     matrix is F3 when the face of W(A) at one of the angles where the top
     eigenvalue of A(theta) is double (the real zeros of the discriminant
     of A(theta), :func:`_double_eigenvalue_angles`) is a segment longer
@@ -293,35 +310,19 @@ def classify(A) -> KippenhahnClassification:
     whose face is a single point is a tangentially multiply generated
     boundary point, not a flat portion.  Otherwise it is E3 when the
     elliptical criterion fires, and O3 when it does not.  No angle grid is
-    scanned.
+    scanned.  Solved once per Pencil; the result is immutable.
     """
     pencil = _require_3x3(A)
-    scale = pencil.scale
-    ne = normal_eigenvalues(pencil)
+    ne = _normal_eigenvalues(pencil)
     if ne:
-        if _is_normal_matrix(pencil):
-            pts = _distinct(mc.eigvals3(pencil.A), 1e-9 * scale)
-            if len(pts) == 1:
-                shape = "point"
-            elif len(pts) == 2:
-                shape = "segment"
-            else:
-                cross = ((pts[1] - pts[0]) * np.conj(pts[2] - pts[0])).imag
-                shape = "segment" if abs(cross) <= COLLINEAR_TOL * scale**2 else "triangle"
-            return KippenhahnClassification(CLASS_R3, shape, ne, None, [])
+        if _normal_basis(pencil) is not None:
+            return KippenhahnClassification(CLASS_R3, _normal_shape(pencil)[0], ne, None, ())
         ed = elliptic_data(pencil)
         if ed is None:
-            raise NumericalError(
-                "inconsistent classification: reducible non-normal matrix "
-                "without elliptical data"
-            )
-        excess = ed.focal_excess(ed.lam)
-        shape = (
-            "ellipse_plus_outside_point"
-            if excess > 2.0 * FOCAL_MARGIN_RTOL * scale
-            else "ellipse"
-        )
-        return KippenhahnClassification(CLASS_R3, shape, ne, ed, [])
+            # exact arithmetic puts lam on the normal eigenvalue
+            raise NumericalError("the triangular form of a reducible matrix misses its normal eigenvalue")
+        outside = ed.focal_excess(ed.lam) > 2.0 * FOCAL_MARGIN_RTOL * pencil.scale
+        return KippenhahnClassification(CLASS_R3, "ellipse_plus_outside_point" if outside else "ellipse", ne, ed, ())
 
     portions = extremal._flat_portions(pencil, _double_eigenvalue_angles(pencil))
     if portions:
@@ -329,12 +330,12 @@ def classify(A) -> KippenhahnClassification:
         # common closure boundary the algebraic elliptic match can fire
         # spuriously within its tolerance, so the geometric signal wins
         return KippenhahnClassification(
-            CLASS_F3, "flat_portion_shape", [], None, [fp.theta for fp in portions]
+            CLASS_F3, "flat_portion_shape", (), None, tuple(fp.theta for fp in portions)
         )
     ed = elliptic_data(pencil)
     if ed is not None:
-        return KippenhahnClassification(CLASS_E3, "ellipse_irreducible", [], ed, [])
-    return KippenhahnClassification(CLASS_O3, "ovular", [], None, [])
+        return KippenhahnClassification(CLASS_E3, "ellipse_irreducible", (), ed, ())
+    return KippenhahnClassification(CLASS_O3, "ovular", (), None, ())
 
 
 def affine_transform(A, T, s=(0.0, 0.0)) -> np.ndarray:
@@ -395,9 +396,10 @@ def _bloch(X: np.ndarray) -> np.ndarray:
 def _joint_eigenbasis(R: np.ndarray, S: np.ndarray, ctol: float) -> tuple[np.ndarray, np.ndarray]:
     """Simultaneous eigenbasis of commuting Hermitian R, S.
 
-    Returns (V, w) with V unitary and w complex: R + iS = V diag(w) V*.
-    V leaves the package, so its phases are fixed
-    (:func:`~numrange.matcore._fix_phases`).
+    Returns (V, w) with V unitary and w complex: R + iS = V diag(w) V*
+    when R and S commute: S is diagonalized on each cluster of R's
+    eigenvalues, with no solve for a single one.  V leaves the package, so
+    its phases are fixed (:func:`~numrange.matcore._fix_phases`).
     """
     r, V = np.linalg.eigh(R)
     V = mc._fix_phases(V)
@@ -405,86 +407,103 @@ def _joint_eigenbasis(R: np.ndarray, S: np.ndarray, ctol: float) -> tuple[np.nda
     for cl in extremal._clusters(r, ctol):
         Q = V[:, cl]
         C = Q.conj().T @ S @ Q
+        if len(C) == 1:
+            svals[cl] = C.real[0]
+            continue
         svals[cl], W = np.linalg.eigh((C + C.conj().T) / 2.0)
         V[:, cl] = Q @ mc._fix_phases(W)
     return V, r + 1j * svals
 
 
+@_per_pencil
+def _normal_basis(pencil: mc.Pencil) -> tuple[np.ndarray, np.ndarray] | None:
+    """The one normality test: the joint eigenbasis (V, w) of Re A and Im A
+    when it diagonalizes A, |V* A V - diag(w)|_F <= delta =
+    ``NORMAL_EIG_RTOL * scale``, else None.  A matrix within delta of a
+    normal one has |[A, A*]|_F <= 4 (|A|_F + delta) delta + 2 delta^2, so a
+    larger commutator proves "not normal" with no eigenbasis."""
+    A, tol = pencil.A, NORMAL_EIG_RTOL * pencil.scale
+    Ah = A.conj().T
+    if mc.fro(A @ Ah - Ah @ A) > 4.0 * (pencil.norm + tol) * tol + 2.0 * tol * tol:
+        return None
+    V, w = _joint_eigenbasis(pencil.R, pencil.S, pencil.ctol)
+    if mc.fro(V.conj().T @ A @ V - np.diag(w)) > tol:
+        return None
+    V.flags.writeable = w.flags.writeable = False
+    return V, w
+
+
+def _normal_shape(pencil: mc.Pencil) -> tuple[str, list[complex]]:
+    """Point, segment or triangle: W(A) of a normal A, and its distinct
+    eigenvalues (closer than ``NORMAL_EIG_RTOL * scale`` is one point; three
+    with twice the triangle's area below ``COLLINEAR_TOL * scale^2`` are a
+    segment).  The one rule of :func:`classify` and the canonical form."""
+    scale = pencil.scale
+    pts = _distinct(_normal_basis(pencil)[1], NORMAL_EIG_RTOL * scale)
+    if len(pts) == 1:
+        return "point", pts
+    if len(pts) == 3:
+        cross = ((pts[1] - pts[0]) * np.conj(pts[2] - pts[0])).imag
+        if abs(cross) > COLLINEAR_TOL * scale**2:
+            return "triangle", pts
+    return "segment", pts
+
+
+@_per_pencil
 def canonical_reducible_form(A) -> CanonicalForm3:
     """Canonical form of a reducible 3x3 matrix modulo unitary similarity
     and invertible affine reparametrization of the plane.
 
-    Commuting real/imaginary parts lead to the diagonal forms (zero, the
-    segment family diag[0, lam, 1] with lam folded into [0, 1/2], or the
-    triangle diag[0, 1, i]); a non-commuting reducible matrix is carried
-    to [[0, 2, 0], [0, 0, 0], [0, 0, a]] with a >= 0 by splitting off the
-    normal eigenvalue, trace/shear normalizations of the 2x2 blocks, and
-    an SU(2) rotation aligning the Bloch frame.
+    A normal matrix (:func:`_normal_basis`, the test :func:`classify`
+    reads) leads to the diagonal forms, by the shape :func:`classify`
+    reports (:func:`_normal_shape`): zero for a point, the segment family
+    diag[0, lam, 1] with lam folded into [0, 1/2] (lam = 0 when the
+    segment has two distinct points), or the triangle diag[0, 1, i].  The
+    diagonal forms reuse the test's eigenbasis.  Any other reducible
+    matrix is carried to [[0, 2, 0], [0, 0, 0], [0, 0, a]] with a >= 0 by
+    splitting off the normal eigenvalue, trace/shear normalizations of
+    the 2x2 blocks, and an SU(2) rotation aligning the Bloch frame.
+    Solved once per Pencil; the result is immutable.
     """
     pencil = _require_3x3(A)
     scale = pencil.scale
-    ne = normal_eigenvalues(pencil)
+    ne = _normal_eigenvalues(pencil)
     if not ne:
         raise PreconditionError("canonical_reducible_form requires a reducible matrix")
-    R, S = pencil.R, pencil.S
-    comm = mc.fro(R @ S - S @ R)
 
-    if comm <= 1e-10 * (1.0 + pencil.norm ** 2):
-        V, w = _joint_eigenbasis(R, S, pencil.ctol)
-        pts = _distinct(w, 1e-8 * scale)
-        if len(pts) == 1:
-            canonical = np.zeros((3, 3), dtype=complex)
-            T = np.eye(2)
+    basis = _normal_basis(pencil)
+    if basis is not None:
+        V, w = basis
+        shape, pts = _normal_shape(pencil)
+        lam, order = None, np.arange(3)
+        if shape == "point":
+            form, diagonal, T = "zero", [0.0, 0.0, 0.0], np.eye(2)
             shift = np.array([-pts[0].real, -pts[0].imag])
-            cf = CanonicalForm3("zero", None, None, V, T, shift, canonical)
-            _check_canonical(cf, pencil)
-            return cf
-        cross = 0.0
-        if len(pts) == 3:
-            cross = ((pts[1] - pts[0]) * np.conj(pts[2] - pts[0])).imag
-        if len(pts) == 2 or abs(cross) <= COLLINEAR_TOL * scale**2:
-            # segment family: map the extreme points to 0 and 1
-            pairs = [(abs(x - y), x, y) for x, y in combinations_with_replacement(pts, 2)]
-            _, wa, wb = max(pairs, key=lambda t: t[0])
-            direction = wb - wa
-            L = abs(direction)
-            phi = np.angle(direction)
-            rot = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]]) / L
-            T = rot
+        elif shape == "segment":
+            # the extreme points go to 0 and 1, the middle one to lam <= 1/2
+            _, wa, wb = max(((abs(x - y), x, y) for x, y in combinations_with_replacement(pts, 2)), key=lambda t: t[0])
+            L, phi = abs(wb - wa), np.angle(wb - wa)
+            T = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]]) / L
             shift = -T @ np.array([wa.real, wa.imag])
             tvals = np.array([((z - wa) * np.exp(-1j * phi)).real / L for z in w])
-            lam = float(sorted(tvals)[1])
-            if lam > 0.5:
+            if sorted(tvals)[1] > 0.5:
                 flip = np.array([[-1.0, 0.0], [0.0, 1.0]])
-                T = flip @ T
-                shift = flip @ shift + np.array([1.0, 0.0])
-                tvals = 1.0 - tvals
-                lam = 1.0 - lam
-            lam = min(max(lam, 0.0), 0.5)
+                T, shift, tvals = flip @ T, flip @ shift + np.array([1.0, 0.0]), 1.0 - tvals
             order = np.argsort(tvals, kind="stable")
-            V = V[:, order]
-            canonical = np.diag([0.0, lam, 1.0]).astype(complex)
-            cf = CanonicalForm3("diag_0_lambda_1", lam, None, V, T, shift, canonical)
-            _check_canonical(cf, pencil)
-            return cf
-        # triangle
-        pts.sort(key=lambda z: (z.real, z.imag))
-        p0, p1, p2 = pts
-        M = np.array(
-            [[(p1 - p0).real, (p2 - p0).real], [(p1 - p0).imag, (p2 - p0).imag]]
-        )
-        T = np.linalg.inv(M)
-        shift = -T @ np.array([p0.real, p0.imag])
-        targets = {0: 0.0 + 0.0j, 1: 1.0 + 0.0j, 2: 1.0j}
-        mapped = [complex(*(T @ np.array([z.real, z.imag]) + shift)) for z in w]
-        order = sorted(range(3), key=lambda i: min((abs(mapped[i] - t), k) for k, t in targets.items())[1])
-        V = V[:, order]
-        canonical = np.diag([0.0, 1.0, 1.0j])
-        cf = CanonicalForm3("diag_0_1_i", None, None, V, T, shift, canonical)
-        _check_canonical(cf, pencil)
-        return cf
+            lam = min(max(float(tvals[order[1]]), 0.0), 0.5) if len(pts) == 3 else 0.0
+            form, diagonal = "diag_0_lambda_1", [0.0, lam, 1.0]
+        else:
+            p0, p1, p2 = sorted(pts, key=lambda z: (z.real, z.imag))
+            T = np.linalg.inv(np.array([[(p1 - p0).real, (p2 - p0).real], [(p1 - p0).imag, (p2 - p0).imag]]))
+            shift = -T @ np.array([p0.real, p0.imag])
+            targets = {0: 0.0 + 0.0j, 1: 1.0 + 0.0j, 2: 1.0j}
+            mapped = [complex(*(T @ np.array([z.real, z.imag]) + shift)) for z in w]
+            order = sorted(range(3), key=lambda i: min((abs(mapped[i] - t), k) for k, t in targets.items())[1])
+            form, diagonal = "diag_0_1_i", [0.0, 1.0, 1.0j]
+        canonical = np.diag(np.array(diagonal, dtype=complex))
+        return _checked(CanonicalForm3(form, lam, None, V[:, order], T, shift, canonical), pencil)
 
-    # non-commuting reducible: split off the normal eigenvalue
+    # non-normal reducible: split off the normal eigenvalue
     v = joint_eigenvector(pencil, ne[0])
     H = mc._householder_to_e1(v)
     U1 = H[:, [1, 2, 0]]  # columns (h2, h3, h1): v spans the last column
@@ -536,30 +555,30 @@ def canonical_reducible_form(A) -> CanonicalForm3:
     U = U1 @ np.block([[u2, np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])
     a_final = float(aval)
     canonical = np.array([[0, 2, 0], [0, 0, 0], [0, 0, a_final]], dtype=complex)
-    cf = CanonicalForm3("offdiag_a", None, a_final, U, T, shift, canonical)
-    _check_canonical(cf, pencil)
-    return cf
+    return _checked(CanonicalForm3("offdiag_a", None, a_final, U, T, shift, canonical), pencil)
 
 
-def _check_canonical(cf: CanonicalForm3, pencil: mc.Pencil) -> None:
+def _checked(cf: CanonicalForm3, pencil: mc.Pencil) -> CanonicalForm3:
+    """``cf`` once its witnesses reproduce the canonical matrix from A within
+    ``1e-8 * scale``; its arrays are made read-only, since it is kept."""
     err = mc.fro(cf.apply(pencil.A) - cf.canonical)
     if err > 1e-8 * pencil.scale:
         raise NumericalError(
             f"canonical form witnesses drifted: reproduction error {err:.3e}"
         )
+    for a in (cf.unitary, cf.affine_T, cf.affine_shift, cf.canonical):
+        a.flags.writeable = False
+    return cf
 
 
 def in_closure_E3(A) -> bool:
     """Norm-closure membership for the elliptical class.
 
     True iff A is itself E3, or is reducible with numerical range an
-    ellipse, a segment, or a point.
+    ellipse, a segment, or a point.  Reads the classification kept on the
+    Pencil of A (:func:`classify`).
     """
-    return _in_closure_E3(classify(A))
-
-
-def _in_closure_E3(cls: KippenhahnClassification) -> bool:
-    """:func:`in_closure_E3` from the classification of A."""
+    cls = classify(A)
     if cls.class_tag == CLASS_E3:
         return True
     return cls.class_tag == CLASS_R3 and cls.shape in ("ellipse", "segment", "point")
@@ -570,15 +589,11 @@ def in_closure_F3(A) -> bool:
 
     True iff A is itself F3, or is reducible and W(A) is not an ellipse
     with the normal eigenvalue strictly in the interior (strictness
-    margin relative to 1 + ||A||).
+    margin relative to 1 + ||A||).  Reads the classification kept on the
+    Pencil of A (:func:`classify`).
     """
     pencil = _require_3x3(A)
-    return _in_closure_F3(pencil, classify(pencil))
-
-
-def _in_closure_F3(A, cls: KippenhahnClassification) -> bool:
-    """:func:`in_closure_F3` from the classification ``cls`` of A (a
-    matrix or its Pencil)."""
+    cls = classify(pencil)
     if cls.class_tag == CLASS_F3:
         return True
     if cls.class_tag != CLASS_R3:
@@ -586,12 +601,7 @@ def _in_closure_F3(A, cls: KippenhahnClassification) -> bool:
     if cls.shape != "ellipse":
         return True
     excess = cls.elliptic.focal_excess(cls.elliptic.lam)
-    return excess >= -2.0 * FOCAL_MARGIN_RTOL * mc.as_pencil(A).scale
-
-
-def _canonical_if_reducible(A, cls: KippenhahnClassification) -> CanonicalForm3 | None:
-    """Canonical form of A when its classification ``cls`` is R3, else None."""
-    return canonical_reducible_form(A) if cls.class_tag == CLASS_R3 else None
+    return excess >= -2.0 * FOCAL_MARGIN_RTOL * pencil.scale
 
 
 def m_alpha_beta(alpha: float, beta: float) -> np.ndarray:
@@ -627,7 +637,7 @@ def _segment_e3_member(lam: float, eps: float) -> np.ndarray:
     For lam = 0 the couplings are rebalanced so the criterion still
     cancels exactly while no joint eigenvector appears.
     """
-    if lam > 1e-8:
+    if lam > 0.0:
         return np.array(
             [
                 [0.0, np.sqrt(lam) * eps, 0.0],
@@ -647,24 +657,19 @@ def e3_witness(A, eps: float) -> np.ndarray:
     Requires A in the closure of E3 but not in E3 itself.  The witness
     approaches the canonical representative (not A): disk forms scale the
     circular family, segment and degenerate forms use triangular members
-    of E3 whose elliptical criterion cancels exactly.  The result is
-    re-classified and must come out E3.
+    of E3 whose elliptical criterion cancels exactly.  Reads the
+    classification and the canonical form kept on the Pencil of A; the
+    result is classified once and must come out E3.
     """
-    pencil = _require_3x3(A)
-    cls = classify(pencil)
-    return _e3_witness(cls, _canonical_if_reducible(pencil, cls), eps)
-
-
-def _e3_witness(cls: KippenhahnClassification, cf: CanonicalForm3 | None, eps: float) -> np.ndarray:
-    """:func:`e3_witness` from the classification ``cls`` of A and, when A
-    is reducible, its canonical form ``cf`` (:func:`_canonical_if_reducible`)."""
     if eps <= 0:
         raise PreconditionError("e3_witness requires eps > 0")
-    if cls.class_tag == CLASS_E3:
+    pencil = _require_3x3(A)
+    if classify(pencil).class_tag == CLASS_E3:
         raise PreconditionError("matrix is already in E3")
-    if not _in_closure_E3(cls):
+    if not in_closure_E3(pencil):
         raise PreconditionError("matrix is not in the closure of E3")
 
+    cf = canonical_reducible_form(pencil)
     if cf.form == "zero":
         B = eps * _segment_e3_member(0.5, 1.0)
     elif cf.form == "offdiag_a":
@@ -673,10 +678,8 @@ def _e3_witness(cls: KippenhahnClassification, cf: CanonicalForm3 | None, eps: f
             B = a * m_alpha_beta(eps, _beta_for(min(a, 1.0)))
         else:
             B = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, eps], [0.0, 0.0, 0.0]], dtype=complex)
-    elif cf.form == "diag_0_lambda_1":
+    else:  # diag_0_lambda_1: a triangle is not in the closure
         B = _segment_e3_member(cf.lam, eps)
-    else:
-        raise PreconditionError("matrix is not in the closure of E3")
 
     check = classify(B)
     if check.class_tag != CLASS_E3:
@@ -691,38 +694,30 @@ def f3_witness(A, eps: float) -> np.ndarray:
     real bump of the middle entry when lam = 0, where the plain
     perturbation would stay reducible); the disk-with-boundary-eigenvalue
     family is perturbed through its flat-portion normal frame, mapped
-    back through the recorded transformations.  The result is
-    re-classified and must come out F3.
+    back through the recorded transformations.  Reads the classification
+    and the canonical form kept on the Pencil of A; the result is
+    classified once and must come out F3.
     """
-    pencil = _require_3x3(A)
-    cls = classify(pencil)
-    return _f3_witness(pencil, cls, _canonical_if_reducible(pencil, cls), eps)
-
-
-def _f3_witness(A, cls: KippenhahnClassification, cf: CanonicalForm3 | None, eps: float) -> np.ndarray:
-    """:func:`f3_witness` from the classification ``cls`` of A (a matrix or
-    its Pencil) and, when A is reducible, its canonical form ``cf``
-    (:func:`_canonical_if_reducible`)."""
     if eps <= 0:
         raise PreconditionError("f3_witness requires eps > 0")
-    if cls.class_tag == CLASS_F3:
+    pencil = _require_3x3(A)
+    if classify(pencil).class_tag == CLASS_F3:
         raise PreconditionError("matrix is already in F3")
-    if not _in_closure_F3(A, cls):
+    if not in_closure_F3(pencil):
         raise PreconditionError("matrix is not in the closure of F3")
+    cf = canonical_reducible_form(pencil)
     ones = np.ones((3, 3), dtype=complex)
 
     if cf.form == "zero":
         base = np.diag([0.0, 0.5, 1.0]).astype(complex) + 0.1j * ones
         B = eps * base
     elif cf.form == "diag_0_lambda_1":
-        lam = cf.lam if cf.lam > 1e-12 else eps / 2.0
+        lam = cf.lam if cf.lam > 0.0 else eps / 2.0
         B = np.diag([0.0, lam, 1.0]).astype(complex) + 1j * eps * ones
     elif cf.form == "diag_0_1_i":
         B = np.diag([0.0, 1.0, 1.0j]) + 1j * eps * ones
     else:
-        a = cf.a
-        if a < 1.0 - 1e-9:
-            raise PreconditionError("matrix is not in the closure of F3")
+        a = cf.a  # at least 1 within the margin of in_closure_F3
         if a <= 1.0 + 1e-9:
             # boundary case: the real part of the canonical form has a
             # double eigenvalue, so the entrywise i*eps perturbation is

@@ -162,6 +162,9 @@ class Pencil:
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._extent: tuple[float, float, float, float] | None = None
         self._L0 = 0.0
+        # answers to per-matrix questions of other modules, by the function
+        # that solved them (kipp3's spectrum, classification, canonical form)
+        self._kept: dict = {}
 
     def grid(self, N: int, vectors: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """A(theta) solved on the uniform grid of N angles on [0, 2 pi).

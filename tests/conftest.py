@@ -121,6 +121,20 @@ def count_eighs(monkeypatch):
     return calls
 
 
+def record_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to record the matrix each call works on: its first
+    argument, or that Pencil's matrix.  Returns the list of recorded matrices."""
+    seen = []
+    orig = getattr(owner, name)
+
+    def recorded(A, *args, **kwargs):
+        seen.append(np.array(A.A if isinstance(A, mc.Pencil) else A))
+        return orig(A, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return seen
+
+
 @pytest.fixture
 def count_solves(monkeypatch):
     """Count the matrices solved by np.linalg.eigh and np.linalg.eigvalsh,

@@ -11,13 +11,23 @@ import numrange
 
 # names deleted from the package, by module: delegates of Pencil, a
 # validated eigensolver, a least-squares ellipse fit, one-line wrappers,
-# helpers that only tests used and a grid helper the cell scans replaced
+# helpers that only tests used, a grid helper the cell scans replaced, and
+# the second normality test and private twins of the closure functions
+# that the per-Pencil classification replaced
 REMOVED = {
     "matcore": ["re_part", "im_part", "rotate", "rotate_prime", "rotate_stack", "eig_hermitian", "SpectralDecomposition"],
     "extremal": ["cluster_tolerance", "eigencurve_derivatives", "_grid_directions"],
     "rangegeo": ["support_value", "SupportSample", "ellipse_fit", "ELLIPSE_RESIDUAL_RTOL", "ConvexPolygon.diameter"],
     "maxent": ["boundary_depth", "_interior_state", "_gibbs"],
-    "kipp3": ["_SEGMENT_FRAME_U"],
+    "kipp3": [
+        "_SEGMENT_FRAME_U",
+        "_is_normal_matrix",
+        "_in_closure_E3",
+        "_in_closure_F3",
+        "_e3_witness",
+        "_f3_witness",
+        "_canonical_if_reducible",
+    ],
 }
 
 MODULES = sorted(Path(numrange.__file__).parent.glob("*.py"))

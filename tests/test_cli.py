@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from numrange import cli, extremal, kipp3, rangegeo as rg
 from numrange.errors import NumericalError, PreconditionError
 
-from conftest import CIRCLE_POINT, DISK, DISK2, DISK_EIG_BOUNDARY, JORDAN3, SEGMENT, TRIANGLE
+from conftest import CIRCLE_POINT, DISK, DISK2, DISK_EIG_BOUNDARY, JORDAN3, SEGMENT, TRIANGLE, record_calls
 
 
 @pytest.fixture
@@ -144,6 +144,21 @@ def test_kept_options_parse(command, flag):
     assert getattr(args, flag[2:]) == 7
 
 
+@pytest.mark.parametrize("command, fn, cap", [("extremes", "extreme_points", 1024), ("flat", "flat_portions", 2048)])
+def test_samples_caps(capsys, matrix_file, monkeypatch, command, fn, cap):
+    # --samples N runs extremes at min(N, 1024) and flat at min(N, 2048),
+    # as the option's help says
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0 and f"caps N at {cap}" in " ".join(out.split())
+    grids = []
+    solve = getattr(extremal, fn)
+    monkeypatch.setattr(extremal, fn, lambda A, grid: grids.append(grid) or solve(A, grid))
+    path = matrix_file("disk", DISK)
+    outs = [run_cli(capsys, command, path, "--samples", str(n))[1] for n in (cap // 2, cap, 4 * cap)]
+    assert grids == [cap // 2, cap, cap]
+    assert outs[1] == outs[2]
+
+
 def test_extremes_and_preimage_commands(capsys, matrix_file):
     path = matrix_file("deb", [[0, 2, 0], [0, 0, 0], [0, 0, 1]])
     code, out, _ = run_cli(capsys, "preimage", path, "--point", "1,0")
@@ -223,27 +238,22 @@ def test_closure3_classifies_the_matrix_once(capsys, matrix_file, monkeypatch):
         A = np.array([[0, 2, 0], [0, 0, 0], [0, 0, a]], dtype=complex)
         path = matrix_file(f"a{a}", A)
         with monkeypatch.context() as m:
-            classified, canonical = [], []
-            classify, canonical_form = kipp3.classify, kipp3.canonical_reducible_form
-
-            def counting_classify(B, *args, **kwargs):
-                classified.append(np.array_equal(B, A))
-                return classify(B, *args, **kwargs)
-
-            def counting_canonical(B, *args, **kwargs):
-                canonical.append(np.array_equal(B, A))
-                return canonical_form(B, *args, **kwargs)
-
-            m.setattr(kipp3, "classify", counting_classify)
-            m.setattr(kipp3, "canonical_reducible_form", counting_canonical)
+            spectra = record_calls(m, np.linalg, "eigvals")
+            ellipses = record_calls(m, kipp3.mc, "schur3")
+            splits = record_calls(m, kipp3, "joint_eigenvector")
             code, out, _ = run_cli(capsys, "closure3", path, "--eps", "0.01,0.001")
         assert code == 0
         doc = json.loads(out)
         witnesses = sum(doc[key] is not None for key in ("e3_witness", "f3_witness")) * len(eps)
-        # A once; every witness matrix once more
-        assert classified.count(True) == 1
-        assert classified.count(False) == witnesses
-        assert canonical == [True]
+        # one spectrum of A, which its classification and its canonical form
+        # share, and one of every witness matrix, each classified once
+        assert sum(np.array_equal(B, A) for B in spectra) == 1
+        assert len(spectra) == 1 + witnesses
+        assert len({B.tobytes() for B in spectra}) == len(spectra)
+        # A's elliptic data (its classification) and the split of its normal
+        # eigenvalue (its canonical form) are solved once
+        assert sum(np.array_equal(B, A) for B in ellipses) == 1
+        assert len(splits) == 1 and np.array_equal(splits[0], A)
 
         def public(fn):
             try:
@@ -267,6 +277,16 @@ def test_canonical3_command(capsys, matrix_file):
     doc = json.loads(out)
     assert doc["form"] == "diag_0_lambda_1"
     assert doc["lambda"] == pytest.approx(0.5)
+
+
+def test_kipp3_commands_on_a_barely_coupled_triangle(capsys, matrix_file):
+    # a coupling far below NORMAL_EIG_RTOL: normal, by the one test that
+    # classify3 and canonical3 share
+    path = matrix_file("tri", [[0, 1e-9, 0], [0, 1, 0], [0, 0, 0.5j]])
+    code, out, _ = run_cli(capsys, "classify3", path)
+    assert code == 0 and json.loads(out)["shape"] == "triangle"
+    code, out, _ = run_cli(capsys, "canonical3", path)
+    assert code == 0 and json.loads(out)["form"] == "diag_0_1_i"
 
 
 def test_hausdorff_command(capsys, matrix_file):

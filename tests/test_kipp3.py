@@ -4,7 +4,7 @@ import pytest
 from numrange import extremal as ex, kipp3, matcore as mc, rangegeo as rg
 from numrange.errors import PreconditionError
 
-from conftest import DISK_EIG_BOUNDARY, JORDAN3, TRIANGLE, golden_min, random_matrix
+from conftest import DISK_EIG_BOUNDARY, JORDAN3, TRIANGLE, golden_min, random_matrix, record_calls
 
 
 def cp(a):
@@ -411,25 +411,103 @@ def test_canonical_form_parameter_recovery(rng):
     assert cf.lam == pytest.approx(0.35, abs=1e-9)
 
 
+# Boundary families: each 3x3 question (normal? which points coincide?)
+# has one answer, so classify, the canonical form and the closure
+# functions agree on them and never raise.  A disk of diameter eps beside
+# the point 1; a tiny coupling inside a triangle; two eigenvalues delta
+# apart.
+DISK_BESIDE_POINT = [1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4]
+COUPLED_TRIANGLE = [1e-10, 3e-10, 1e-9, 3e-9, 1e-8]
+SPLIT_EIGENVALUE = [1e-8, 3e-8, 1e-7, 1e-6]
+SHAPE_FORM = {"point": "zero", "segment": "diag_0_lambda_1", "triangle": "diag_0_1_i"}
+
+
+def disk_beside_point(eps):
+    return np.array([[0, eps, 0], [0, 0, 0], [0, 0, 1]], dtype=complex)
+
+
+def coupled_triangle(eps):
+    return np.array([[0, eps, 0], [0, 1, 0], [0, 0, 0.5j]], dtype=complex)
+
+
+def split_eigenvalue(delta):
+    return np.diag([0, 1, 1 + 1j * delta]).astype(complex)
+
+
+@pytest.mark.parametrize("eps", DISK_BESIDE_POINT)
+def test_disk_beside_point_has_one_answer(eps):
+    A = disk_beside_point(eps)
+    shape, form = kipp3.classify(A).shape, kipp3.canonical_reducible_form(A).form
+    if eps <= 1e-8:
+        # within NORMAL_EIG_RTOL of diag(0, 0, 1): a two-point segment, lam = 0
+        assert (shape, form) == ("segment", "diag_0_lambda_1")
+        assert kipp3.canonical_reducible_form(A).lam == 0.0
+        assert kipp3.classify(kipp3.e3_witness(A, 1e-3)).class_tag == "E3"
+        assert kipp3.classify(kipp3.f3_witness(A, 1e-3)).class_tag == "F3"
+    else:
+        assert (shape, form) == ("ellipse_plus_outside_point", "offdiag_a")
+
+
+@pytest.mark.parametrize("eps", COUPLED_TRIANGLE)
+def test_coupled_triangle_has_one_answer(eps):
+    A = coupled_triangle(eps)
+    assert kipp3.classify(A).shape == "triangle"
+    assert kipp3.canonical_reducible_form(A).form == "diag_0_1_i"
+
+
+@pytest.mark.parametrize("delta", SPLIT_EIGENVALUE)
+def test_split_eigenvalue_has_one_answer(delta):
+    rng = np.random.default_rng(7)
+    A = split_eigenvalue(delta)
+    frames = [random_unitary3(rng) for _ in range(20)]
+    for B in [A] + [Q.conj().T @ A @ Q for Q in frames]:
+        shape = kipp3.classify(B).shape
+        assert SHAPE_FORM[shape] == kipp3.canonical_reducible_form(B).form
+        if delta >= 1e-7:
+            ne = kipp3.normal_eigenvalues(B)
+            eigs = np.linalg.eigvals(B)
+            assert len(ne) == 3
+            assert all(np.min(np.abs(eigs - z)) <= 1e-12 for z in ne)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [disk_beside_point(e) for e in DISK_BESIDE_POINT]
+    + [coupled_triangle(e) for e in COUPLED_TRIANGLE]
+    + [split_eigenvalue(d) for d in SPLIT_EIGENVALUE],
+)
+def test_e3_closure_has_a_witness_exactly_when_it_holds(A):
+    try:
+        witness = kipp3.e3_witness(A, 1e-3)
+    except PreconditionError:
+        witness = None
+    assert kipp3.in_closure_E3(A) == (witness is not None)
+
+
 def test_normal_eigenvalues_solved_once_per_call(rng, monkeypatch):
     Q = random_unitary3(rng)
     A = Q.conj().T @ cp(0.7) @ Q
-    calls = []
-    solve = kipp3.normal_eigenvalues
-
-    def counting(B):
-        calls.append(1)
-        return solve(B)
-
-    monkeypatch.setattr(kipp3, "normal_eigenvalues", counting)
+    spectra = record_calls(monkeypatch, np.linalg, "eigvals")
     assert kipp3.canonical_reducible_form(A).form == "offdiag_a"
-    assert len(calls) == 1
-    # closure3 of one matrix: its classification and its canonical form
-    # (each witness is classified on its own, and not counted here)
-    calls.clear()
-    cls = kipp3.classify(A)
-    assert kipp3._canonical_if_reducible(A, cls).form == "offdiag_a"
-    assert len(calls) == 2
+    assert len(spectra) == 1
+    # one Pencil: every question asked of it reads one spectrum, one
+    # classification and one canonical form (closure3 asks all of them)
+    spectra.clear()
+    pencil = mc.Pencil(A)
+    cls = kipp3.classify(pencil)
+    cf = kipp3.canonical_reducible_form(pencil)
+    assert kipp3.is_reducible3(pencil) and kipp3.in_closure_E3(pencil) and not kipp3.in_closure_F3(pencil)
+    assert kipp3.normal_eigenvalues(pencil) == list(cls.normal_eigenvalues)
+    assert kipp3.classify(pencil) is cls and kipp3.canonical_reducible_form(pencil) is cf
+    kipp3.e3_witness(pencil, 0.01)
+    assert len(spectra) == 2 and np.array_equal(spectra[0], A)
+    # the kept answers cannot be changed through what is returned
+    kipp3.normal_eigenvalues(pencil).clear()
+    assert kipp3.normal_eigenvalues(pencil) == list(cls.normal_eigenvalues) != []
+    assert isinstance(cls.normal_eigenvalues, tuple) and isinstance(cls.flat_angles, tuple)
+    for arr in (cf.unitary, cf.affine_T, cf.affine_shift, cf.canonical):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_closure_predicates_examples():
