@@ -36,7 +36,7 @@ from .kipp3 import (
     m_alpha_beta,
     normal_eigenvalues,
 )
-from .matcore import Pencil, compress, eigvals3, f_eval, schur3
+from .matcore import Pencil, compress, f_eval, schur3
 from .maxent import (
     InferenceResult,
     ProbeReport,
@@ -90,7 +90,6 @@ __all__ = [
     "default_H",
     "discontinuity_probe",
     "e3_witness",
-    "eigvals3",
     "elliptic_data",
     "entropy",
     "extreme_points",

@@ -91,7 +91,7 @@ def _normal_eigenvalues(pencil: mc.Pencil) -> tuple[complex, ...]:
     A, d, scale = pencil.A, pencil.d, pencil.scale
     eigs = np.sort_complex(np.linalg.eigvals(A))
     candidates = list(_distinct(eigs, 1e-9 * scale))
-    cluster_radius = 1e-4 * scale
+    cluster_radius = mc._MULTIPLE_ROOT_RTOL * scale
     for i in range(len(eigs)):
         for j in range(i + 1, len(eigs)):
             if abs(eigs[i] - eigs[j]) <= cluster_radius:
@@ -716,20 +716,13 @@ def f3_witness(A, eps: float) -> np.ndarray:
         B = np.diag([0.0, lam, 1.0]).astype(complex) + 1j * eps * ones
     elif cf.form == "diag_0_1_i":
         B = np.diag([0.0, 1.0, 1.0j]) + 1j * eps * ones
+    elif cf.a <= 1.0 + 1e-9:  # a is at least 1 within the margin of in_closure_F3
+        # boundary case: the real part of the canonical form has a
+        # double eigenvalue, so the entrywise i*eps perturbation is
+        # already irreducible with the rank-one criterion intact
+        B = np.array([[0, 2, 0], [0, 0, 0], [0, 0, 1]], dtype=complex) + 1j * eps * ones
     else:
-        a = cf.a  # at least 1 within the margin of in_closure_F3
-        if a <= 1.0 + 1e-9:
-            # boundary case: the real part of the canonical form has a
-            # double eigenvalue, so the entrywise i*eps perturbation is
-            # already irreducible with the rank-one criterion intact
-            B = np.array([[0, 2, 0], [0, 0, 0], [0, 0, 1]], dtype=complex) + 1j * eps * ones
-            check = classify(B)
-            if check.class_tag != CLASS_F3:
-                raise NumericalError(
-                    f"witness failed to classify as F3 (got {check.class_tag})"
-                )
-            return B
-        at = a
+        at = cf.a
         # the distance of the perturbed frame from the elliptical
         # degeneration scales like coupling * (a^2-1)^2; keep the coupling
         # large enough for the classifier to see the quartic structure

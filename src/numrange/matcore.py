@@ -7,7 +7,9 @@ A'(theta) = Im(e^{-i theta} A), the quadratic-form map x -> x*Ax, the
 phase normalization of returned eigenvectors, the per-matrix
 :class:`Pencil` that validates A once and solves the family A(theta)
 over angle arrays, subspace compressions Q*BQ, and a 3x3 complex Schur
-triangularization.  :func:`_map`, the package's only concurrency, runs
+triangularization by LAPACK eigenvectors (:func:`schur3`).  Every
+spectrum is LAPACK's; a possible multiple root is read as the mean of
+its eigenvalue cluster.  :func:`_map`, the package's only concurrency, runs
 independent pieces of a large solve on one thread per CPU of the
 process's affinity mask; the pieces write disjoint slices, so every
 result has the same bits for any worker count.
@@ -59,6 +61,9 @@ _pool = None
 _pool_lock = threading.Lock()
 # schur3: allowed sub-diagonal residual relative to ||A||_F.
 SCHUR_SUBDIAG_RTOL = 1e-10
+# Radius, relative to the matrix scale, of the eigenvalue clusters whose
+# mean stands for a possible multiple root (schur3, normal_eigenvalues).
+_MULTIPLE_ROOT_RTOL = 1e-4
 
 
 def as_matrix(A) -> np.ndarray:
@@ -633,137 +638,24 @@ def compress(B, Q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cubic_roots(c2: complex, c1: complex, c0: complex) -> np.ndarray:
-    """Roots of z^3 + c2 z^2 + c1 z + c0 (complex coefficients).
+def _deflating_vector(B: np.ndarray, pick, scale: float) -> np.ndarray:
+    """Unit eigenvector of B for the LAPACK eigenvalue ``pick(lam)`` indexes.
 
-    Cardano on the depressed cubic, with a dedicated near-multiple-root
-    branch: when the discriminant is tiny the simple root is located by
-    Newton and the remaining pair is taken from the deflated quadratic,
-    which keeps double roots accurate to machine precision instead of
-    the sqrt(eps) typical of iterative fallbacks.
+    An eigenvalue with cluster mates within ``_MULTIPLE_ROOT_RTOL * scale``
+    may be a multiple root, which LAPACK resolves only to a fractional
+    power of the rounding; the cluster mean recovers it to full precision.
+    Its SVD null vector is taken when the residual |(B - mean I) v| is
+    within ``SCHUR_SUBDIAG_RTOL * scale``; a near-multiple root, whose
+    residual is larger, keeps its own LAPACK eigenvector.
     """
-    c2, c1, c0 = complex(c2), complex(c1), complex(c0)
-    shift = c2 / 3.0
-    p = c1 - c2 * c2 / 3.0
-    q = 2.0 * c2**3 / 27.0 - c2 * c1 / 3.0 + c0
-    s = max(np.sqrt(abs(p)), abs(q) ** (1.0 / 3.0))
-    # scale of the original coefficients: p and q of a (near-)triple root
-    # are pure rounding noise relative to it, not to the depressed scale
-    s0 = max(abs(c2), abs(c1) ** 0.5, abs(c0) ** (1.0 / 3.0), s)
-    if s == 0.0:
-        return np.full(3, -shift, dtype=np.complex128)
-
-    disc = -4.0 * p**3 - 27.0 * q * q
-
-    def depressed(t):
-        return (t * t + p) * t + q
-
-    if abs(disc) < 1e-12 * s**6 or s <= 1e-5 * s0:
-        if abs(p) <= 1e-12 * s0 * s0 and abs(q) <= 1e-12 * s0**3:
-            roots = np.full(3, 0.0, dtype=np.complex128)
-        else:
-            t1 = 3.0 * q / p
-            for _ in range(8):
-                f = depressed(t1)
-                fp = 3.0 * t1 * t1 + p
-                if abs(fp) < 1e-14 * s * s:
-                    break
-                step = f / fp
-                t1 -= step
-                if abs(step) < 1e-17 * s:
-                    break
-            # deflate: t^2 + t1 t + (p + t1^2)
-            b, c = t1, p + t1 * t1
-            dq = b * b - 4.0 * c
-            if abs(dq) <= 1e-13 * (abs(b) ** 2 + 4.0 * abs(c)):
-                dq = 0.0  # collapse the spurious splitting of a double root
-            sq = np.sqrt(dq + 0j)
-            ra, rb = (-b + sq) / 2.0, (-b - sq) / 2.0
-            big = ra if abs(ra) >= abs(rb) else rb
-            small = c / big if abs(big) > 0 else -b / 2.0
-            roots = np.array([t1, big, small], dtype=np.complex128)
-    else:
-        half = -q / 2.0
-        r = np.sqrt(half * half + p**3 / 27.0 + 0j)
-        u3 = half + r if abs(half + r) >= abs(half - r) else half - r
-        u = u3 ** (1.0 / 3.0)
-        v = -p / (3.0 * u)
-        w = np.exp(2j * np.pi / 3.0)
-        roots = np.array([u + v, u * w + v / w, u / w + v * w], dtype=np.complex128)
-
-    z = roots - shift
-
-    def full(t):
-        return ((t + c2) * t + c1) * t + c0
-
-    for k in range(3):
-        for _ in range(2):
-            fp = (3.0 * z[k] + 2.0 * c2) * z[k] + c1
-            if abs(fp) < 1e-8 * s0 * s0:
-                break  # multiple root: a Newton step would be noise/noise
-            z[k] -= full(z[k]) / fp
-    return z
-
-
-def char_poly_coeffs3(A: np.ndarray) -> tuple[complex, complex, complex]:
-    """Coefficients (c2, c1, c0) of det(z I - A) = z^3 + c2 z^2 + c1 z + c0."""
-    tr = np.trace(A)
-    minors = (
-        A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1]
-        + A[0, 0] * A[2, 2] - A[0, 2] * A[2, 0]
-        + A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    )
-    det = (
-        A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
-        - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
-        + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])
-    )
-    return -complex(tr), complex(minors), -complex(det)
-
-
-def eigvals3(A) -> np.ndarray:
-    """Eigenvalues of a 3x3 matrix via the characteristic cubic."""
-    A = as_matrix(A)
-    if A.shape[0] != 3:
-        raise PreconditionError("eigvals3 requires a 3x3 matrix")
-    c2, c1, c0 = char_poly_coeffs3(A)
-    z = cubic_roots(c2, c1, c0)
-    order = np.lexsort((z.imag, z.real))
-    return z[order]
-
-
-_CROSS_I = np.array([1, 2, 0])
-_CROSS_J = np.array([2, 0, 1])
-
-
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product a x b of two 3-vectors, written out: ``np.cross``
-    normalizes its axes on every call.  The same array products as
-    ``np.cross``, so the result is bit-identical to it."""
-    return a[_CROSS_I] * b[_CROSS_J] - a[_CROSS_J] * b[_CROSS_I]
-
-
-def _null3(M: np.ndarray) -> np.ndarray:
-    """Unit vector v with M v ~ 0 for a (near-)singular 3x3 matrix."""
-    rows = [M[i, :] for i in range(3)]
-    best, best_norm = None, -1.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            c = _cross3(rows[i], rows[j])
-            n = np.linalg.norm(c)
-            if n > best_norm:
-                best, best_norm = c, n
-    scale = max(fro(M), 1e-300)
-    if best_norm > 1e-13 * scale * scale:
-        return best / best_norm
-    # rank <= 1: any vector annihilated by the dominant row
-    norms = [np.linalg.norm(r) for r in rows]
-    i = int(np.argmax(norms))
-    if norms[i] <= 1e-300:
-        return np.array([1.0, 0.0, 0.0], dtype=np.complex128)
-    k = int(np.argmin(np.abs(rows[i])))
-    c = _cross3(rows[i], np.eye(3)[k])
-    return c / np.linalg.norm(c)
+    lam, V = np.linalg.eig(B)
+    i = pick(lam)
+    mates = np.abs(lam - lam[i]) <= _MULTIPLE_ROOT_RTOL * scale
+    if np.count_nonzero(mates) > 1:
+        _, s, vh = np.linalg.svd(B - np.mean(lam[mates]) * np.eye(len(B)))
+        if s[-1] <= SCHUR_SUBDIAG_RTOL * scale:
+            return vh[-1].conj()
+    return V[:, i]
 
 
 def _householder_to_e1(v: np.ndarray) -> np.ndarray:
@@ -780,9 +672,12 @@ def _householder_to_e1(v: np.ndarray) -> np.ndarray:
 def schur3(A) -> tuple[np.ndarray, np.ndarray]:
     """Unitary U and upper triangular T with U*AU = T, for 3x3 A.
 
-    Eigenvalues come from :func:`cubic_roots`; two Householder
-    deflations triangularize.  Defective matrices triangularize too.
-    Already-triangular input returns (I, A) unchanged.
+    Two Householder deflations, each by an eigenvector of the trailing
+    block from ``np.linalg.eig`` (:func:`_deflating_vector`, which keeps
+    multiple roots at full precision): first the eigenvalue of A that is
+    least in (real, imag) order, then the larger-modulus one of the 2x2
+    block.  Defective matrices triangularize too.  Already-triangular
+    input returns (I, A) unchanged.
     """
     A = as_matrix(A)
     if A.shape[0] != 3:
@@ -792,21 +687,10 @@ def schur3(A) -> tuple[np.ndarray, np.ndarray]:
     if np.linalg.norm(lower) <= 1e-14 * scale:
         return np.eye(3, dtype=np.complex128), A.copy()
 
-    lam = eigvals3(A)
-    v = _null3(A - lam[0] * np.eye(3))
+    v = _deflating_vector(A, lambda lam: np.lexsort((lam.imag, lam.real))[0], scale)
     H1 = _householder_to_e1(v)
     A1 = H1 @ A @ H1
-
-    B = A1[1:, 1:]
-    # eigenvalues of the 2x2 block by a stable quadratic formula
-    tr, det = B[0, 0] + B[1, 1], B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    sq = np.sqrt(tr * tr - 4.0 * det + 0j)
-    mu = (tr + sq) / 2.0 if abs(tr + sq) >= abs(tr - sq) else (tr - sq) / 2.0
-    N = B - mu * np.eye(2)
-    cand = [np.array([N[0, 1], -N[0, 0]]), np.array([N[1, 1], -N[1, 0]])]
-    w = max(cand, key=np.linalg.norm)
-    nw = np.linalg.norm(w)
-    w = w / nw if nw > 1e-300 else np.array([1.0, 0.0], dtype=np.complex128)
+    w = _deflating_vector(A1[1:, 1:], lambda lam: np.argmax(np.abs(lam)), scale)
     H2 = np.eye(3, dtype=np.complex128)
     H2[1:, 1:] = _householder_to_e1(w)
 

@@ -15,7 +15,20 @@ import numrange
 # the second normality test and private twins of the closure functions
 # that the per-Pencil classification replaced
 REMOVED = {
-    "matcore": ["re_part", "im_part", "rotate", "rotate_prime", "rotate_stack", "eig_hermitian", "SpectralDecomposition"],
+    "matcore": [
+        "re_part",
+        "im_part",
+        "rotate",
+        "rotate_prime",
+        "rotate_stack",
+        "eig_hermitian",
+        "SpectralDecomposition",
+        "cubic_roots",
+        "char_poly_coeffs3",
+        "eigvals3",
+        "_null3",
+        "_cross3",
+    ],
     "extremal": ["cluster_tolerance", "eigencurve_derivatives", "_grid_directions"],
     "rangegeo": ["support_value", "SupportSample", "ellipse_fit", "ELLIPSE_RESIDUAL_RTOL", "ConvexPolygon.diameter"],
     "maxent": ["boundary_depth", "_interior_state", "_gibbs"],

@@ -323,6 +323,33 @@ def test_class_invariance_under_transforms(rng):
             assert kipp3.classify(B).class_tag == ref
 
 
+def test_jordan_block_is_elliptic_in_every_frame():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        Q = random_unitary3(rng)
+        assert kipp3.classify(Q.conj().T @ JORDAN3 @ Q).class_tag == "E3"
+
+
+@pytest.mark.parametrize("shift", [1e4, 1e6])
+def test_shifted_ginibre_draw_stays_ovular(shift):
+    A = random_matrix(np.random.default_rng(5), 3)
+    assert kipp3.classify(A).class_tag == "O3"
+    assert kipp3.classify(A + shift * np.eye(3)).class_tag == "O3"
+
+
+def test_near_defective_reducible_matrices_classify():
+    # a double eigenvalue with a Jordan coupling of 6e-9 ... 2e-6 times the
+    # scale beside a normal eigenvalue, in a unitary frame: reducible, and
+    # the Schur form of the elliptic data must not fail on the coupling
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        c = 10 ** rng.uniform(np.log10(6e-9), np.log10(2e-6)) * (1 + abs(a) + abs(b))
+        Q = random_unitary3(rng)
+        A = Q.conj().T @ np.array([[a, c, 0], [0, a, 0], [0, 0, b]]) @ Q
+        assert kipp3.classify(A).class_tag == "R3"
+
+
 def test_affine_transform_examples(rng):
     A = random_matrix(rng, 3)
     assert np.allclose(kipp3.affine_transform(A, np.eye(2)), A)

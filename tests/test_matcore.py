@@ -201,6 +201,22 @@ def test_schur3_examples():
     assert np.allclose(sorted(np.abs(np.diag(T))), [0, 0, 2], atol=1e-12)
 
 
+def char_poly_coeffs3(A: np.ndarray) -> tuple[complex, complex, complex]:
+    """Coefficients (c2, c1, c0) of det(z I - A) = z^3 + c2 z^2 + c1 z + c0."""
+    tr = np.trace(A)
+    minors = (
+        A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1]
+        + A[0, 0] * A[2, 2] - A[0, 2] * A[2, 0]
+        + A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    )
+    det = (
+        A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
+        - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
+        + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])
+    )
+    return -complex(tr), complex(minors), -complex(det)
+
+
 def test_schur3_invariants(rng):
     for _ in range(300):
         A = random_matrix(rng, 3)
@@ -210,7 +226,7 @@ def test_schur3_invariants(rng):
         assert mc.fro(U.conj().T @ A @ U - T) <= 1e-10 * scale
         assert np.allclose(np.tril(T, -1), 0)
         # diag(T) equals the characteristic roots (independent oracle)
-        c2, c1, c0 = mc.char_poly_coeffs3(A)
+        c2, c1, c0 = char_poly_coeffs3(A)
         roots = np.roots([1.0, c2, c1, c0])
         got = np.sort_complex(np.diag(T))
         want = np.sort_complex(roots)
@@ -226,12 +242,19 @@ def test_schur3_defective_and_multiple_roots(rng):
     U, T = mc.schur3(Q.conj().T @ M @ Q)
     got = np.sort_complex(np.diag(T))
     assert np.max(np.abs(got - np.array([0.5, 0.5, 1.0]))) < 1e-10
-
-
-def test_cubic_roots_triple_and_double():
-    assert np.allclose(mc.cubic_roots(-3, 3, -1), [1, 1, 1])
-    r = np.sort_complex(mc.cubic_roots(-2, 1.25, -0.25))
-    assert np.allclose(r, [0.5, 0.5, 1.0], atol=1e-14)
+    # a triple root of a Jordan block in the same frame
+    U, T = mc.schur3(Q.conj().T @ (np.eye(3) + JORDAN3) @ Q)
+    assert np.max(np.abs(np.diag(T) - 1.0)) < 1e-10
+    # two eigenvalues delta apart, a normal matrix in unitary frames: the
+    # near-double root keeps its own eigenvector, not the pair's mean
+    for delta in (1e-8, 1e-7, 1e-6):
+        frames = np.random.default_rng(7)
+        A = np.diag([0, 1, 1 + 1j * delta]).astype(complex)
+        for _ in range(20):
+            Q = np.linalg.qr(frames.standard_normal((3, 3)) + 1j * frames.standard_normal((3, 3)))[0]
+            B = Q.conj().T @ A @ Q
+            U, T = mc.schur3(B)
+            assert mc.fro(U.conj().T @ B @ U - T) <= 1e-10 * mc.fro(B)
 
 
 class FullGridPencil(mc.Pencil):

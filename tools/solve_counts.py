@@ -6,12 +6,14 @@ ROOT is a source checkout (with ``src/`` and ``perfbench/``).  The
 workload's matrix files are built by ``perfbench/workloads.build`` into a
 fixed directory under the system temporary directory.  Each query runs
 through ``numrange.cli.main`` in process, with its output captured, once
-with ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` wrapped to count the
-matrices they solve (a stack of n matrices counts n), then R more timed
-times without the wrappers.  Per query label it prints the number
-of queries, the mean count of matrices solved per query and the median
-wall time per query over all repeats, in milliseconds.  ``--json`` also
-writes those numbers to a file.  ``perfbench`` is only imported, never
+with the LAPACK drivers of ``np.linalg`` wrapped to count the matrices
+they are given (a stack of n matrices counts n), then R more timed times
+without the wrappers.  Per query label it prints the number of queries,
+the mean count of matrices per query solved by the Hermitian drivers
+``eigh`` and ``eigvalsh`` (``matrices``) and by the general ones ``eig``,
+``eigvals`` and ``svd`` (``eig/svd``), and the median wall time per query
+over all repeats, in milliseconds.  ``--json`` also writes those numbers
+to a file.  ``perfbench`` is only imported, never
 changed; BLAS threads are pinned to one, as perfbench pins them.
 """
 
@@ -37,21 +39,27 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 
-def _counting(solved: list[int]):
-    """Wrappers of eigh and eigvalsh that add the matrices solved to solved[0];
-    numrange may call them from its worker threads, so the sum is locked."""
+# The counted drivers of np.linalg, each with its column of ``solved``:
+# 0 the Hermitian eigensolvers, 1 the general eigensolvers and the SVD.
+_DRIVERS = {"eigh": 0, "eigvalsh": 0, "eig": 1, "eigvals": 1, "svd": 1}
+
+
+def _counting(solved: list[int]) -> dict:
+    """Wrappers of the _DRIVERS that add the matrices they are given to their
+    column of solved; numrange may call them from its worker threads, so the
+    sums are locked."""
     lock = threading.Lock()
 
-    def wrap(fn):
+    def wrap(fn, k):
         def counted(a, *args, **kwargs):
             a = np.asarray(a)
             with lock:
-                solved[0] += int(np.prod(a.shape[:-2], dtype=int))
+                solved[k] += int(np.prod(a.shape[:-2], dtype=int))
             return fn(a, *args, **kwargs)
 
         return counted
 
-    return wrap(np.linalg.eigh), wrap(np.linalg.eigvalsh)
+    return {name: wrap(getattr(np.linalg, name), k) for name, k in _DRIVERS.items()}
 
 
 def _run(cli, argv: list[str]) -> int:
@@ -82,18 +90,20 @@ def main(argv=None) -> int:
     work.mkdir()
     try:
         queries = workloads.build(args.workload, args.seed, work)
-        solved = [0]
-        plain = np.linalg.eigh, np.linalg.eigvalsh
-        counts: dict[str, list[int]] = {}
+        solved = [0, 0]
+        plain = {name: getattr(np.linalg, name) for name in _DRIVERS}
+        counts: dict[str, list[list[int]]] = {}
         times: dict[str, list[float]] = {}
-        np.linalg.eigh, np.linalg.eigvalsh = _counting(solved)
+        for name, counted in _counting(solved).items():
+            setattr(np.linalg, name, counted)
         try:
             for q in queries:
-                solved[0] = 0
+                solved[:] = [0, 0]
                 _run(cli, q.argv)
-                counts.setdefault(q.label, []).append(solved[0])
+                counts.setdefault(q.label, []).append(list(solved))
         finally:
-            np.linalg.eigh, np.linalg.eigvalsh = plain
+            for name, fn in plain.items():
+                setattr(np.linalg, name, fn)
         for _ in range(args.repeats):
             for q in queries:
                 start = time.perf_counter()
@@ -104,14 +114,18 @@ def main(argv=None) -> int:
     rows = {
         label: {
             "queries": len(counts[label]),
-            "matrices_per_query": sum(counts[label]) / len(counts[label]),
+            "matrices_per_query": statistics.fmean(c[0] for c in counts[label]),
+            "eig_svd_matrices_per_query": statistics.fmean(c[1] for c in counts[label]),
             "median_ms": 1e3 * statistics.median(times[label]),
         }
         for label in sorted(counts)
     }
-    print(f"{'label':24s} {'queries':>7s} {'matrices':>10s} {'median ms':>10s}")
+    print(f"{'label':24s} {'queries':>7s} {'matrices':>10s} {'eig/svd':>10s} {'median ms':>10s}")
     for label, r in rows.items():
-        print(f"{label:24s} {r['queries']:7d} {r['matrices_per_query']:10.1f} {r['median_ms']:10.3f}")
+        print(
+            f"{label:24s} {r['queries']:7d} {r['matrices_per_query']:10.1f}"
+            f" {r['eig_svd_matrices_per_query']:10.1f} {r['median_ms']:10.3f}"
+        )
     if args.json:
         doc = {"workload": args.workload, "seed": args.seed, "repeats": args.repeats, "labels": rows}
         args.json.write_text(json.dumps(doc, indent=2) + "\n")
