@@ -61,14 +61,6 @@ def _require_3x3(A) -> mc.Pencil:
     return pencil
 
 
-def _distinct(values, tol: float) -> list[complex]:
-    out: list[complex] = []
-    for v in values:
-        if all(abs(v - u) > tol for u in out):
-            out.append(complex(v))
-    return out
-
-
 def _per_pencil(solve):
     """Keep ``solve(pencil)`` on the Pencil of the argument, the way a Pencil
     keeps its grids: one answer per matrix, immutable (tuples, frozen
@@ -90,7 +82,7 @@ def _normal_eigenvalues(pencil: mc.Pencil) -> tuple[complex, ...]:
     """:func:`normal_eigenvalues`, kept per Pencil."""
     A, d, scale = pencil.A, pencil.d, pencil.scale
     eigs = np.sort_complex(np.linalg.eigvals(A))
-    candidates = list(_distinct(eigs, 1e-9 * scale))
+    candidates = eigs[extremal._greedy_dedup(eigs, 1e-9 * scale)].tolist()
     cluster_radius = mc._MULTIPLE_ROOT_RTOL * scale
     for i in range(len(eigs)):
         for j in range(i + 1, len(eigs)):
@@ -103,14 +95,10 @@ def _normal_eigenvalues(pencil: mc.Pencil) -> tuple[complex, ...]:
     eye = np.eye(d)
     stacked = np.concatenate([A - alphas * eye, A.conj().T - alphas.conj() * eye], axis=1)
     smins = np.linalg.svd(stacked, compute_uv=False)[:, -1]
-    passing = [
-        (complex(alpha), float(smin))
-        for alpha, smin in zip(candidates, smins, strict=True)
-        if smin <= NORMAL_EIG_RTOL * scale
-    ]
-    passing.sort(key=lambda t: t[1])
     # the smallest singular value speaks for the values that are one point
-    out = _distinct([alpha for alpha, _ in passing], NORMAL_EIG_RTOL * scale)
+    passing = sorted((smin, i) for i, smin in enumerate(smins.tolist()) if smin <= NORMAL_EIG_RTOL * scale)
+    found = np.array([candidates[i] for _, i in passing], dtype=complex)
+    out = found[extremal._greedy_dedup(found, NORMAL_EIG_RTOL * scale)].tolist()
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
@@ -439,7 +427,8 @@ def _normal_shape(pencil: mc.Pencil) -> tuple[str, list[complex]]:
     with twice the triangle's area below ``COLLINEAR_TOL * scale^2`` are a
     segment).  The one rule of :func:`classify` and the canonical form."""
     scale = pencil.scale
-    pts = _distinct(_normal_basis(pencil)[1], NORMAL_EIG_RTOL * scale)
+    w = _normal_basis(pencil)[1]
+    pts = w[extremal._greedy_dedup(w, NORMAL_EIG_RTOL * scale)].tolist()
     if len(pts) == 1:
         return "point", pts
     if len(pts) == 3:
@@ -547,11 +536,10 @@ def canonical_reducible_form(A) -> CanonicalForm3:
     u0 = Vx[:, ::-1] @ Wx.conj().T  # +1 eigencolumn first
     Yb = _bloch(u0.conj().T @ Y @ u0)
     psi = np.arctan2(Yb[2], Yb[1])
-    for sign in (1.0, -1.0):
-        u1 = np.cos(psi / 2.0) * np.eye(2) + sign * 1j * np.sin(psi / 2.0) * _PAULI_X
-        u2 = u0 @ u1
-        if np.linalg.norm(u2.conj().T @ Y @ u2 - _PAULI_Y) < 1e-6:
-            break
+    # u1 = exp(-i psi sigma_x / 2) turns sigma_y to u1 sigma_y u1* =
+    # cos(psi) sigma_y + sin(psi) sigma_z, the direction of Y in the frame
+    # of u0, so u2* Y u2 = sigma_y (the other sign leaves a residual 2 psi)
+    u2 = u0 @ (np.cos(psi / 2.0) * np.eye(2) - 1j * np.sin(psi / 2.0) * _PAULI_X)
     U = U1 @ np.block([[u2, np.zeros((2, 1))], [np.zeros((1, 2)), np.eye(1)]])
     a_final = float(aval)
     canonical = np.array([[0, 2, 0], [0, 0, 0], [0, 0, a_final]], dtype=complex)

@@ -408,12 +408,10 @@ class Pencil:
             return np.full(w.shape[:-1], np.inf)
         return w[..., -1] - w[..., -2]
 
-    def slope(self, thetas, x=None) -> np.ndarray:
-        """Slope x*A'(theta)x of the top eigenvalue curve, x the top
-        eigenvector (the given top eigenvectors ``x`` when passed)."""
+    def slope(self, thetas, x) -> np.ndarray:
+        """Slope x*A'(theta)x of the eigenvalue curve of the eigenvectors
+        ``x`` (the top ones give the top curve) at the same angles."""
         t = np.asarray(thetas, dtype=float)
-        if x is None:
-            x = self.eigh(t)[1][..., -1]
         xc = x.conj()
         xr = (xc * (x @ self.R.T)).sum(axis=-1).real
         xs = (xc * (x @ self.S.T)).sum(axis=-1).real
@@ -520,20 +518,18 @@ class Pencil:
                 Qm[j], mu[j], W[j] = Q[i], m[i], Y[i]
         return w[:, -1], Qm, mu, W
 
-    def faces(self, thetas, tol: float, eig=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def faces(self, thetas, tol: float, eig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Face segments at an angle array: (support, mu_lo, mu_hi).
 
         Where the top eigenvalue is simple within ``tol`` the face is one
         touch point and mu_lo = mu_hi is the top-curve slope.  ``eig``
         passes the ascending eigenvalues and the top eigenvectors at the
-        same angles when the caller has them, as :meth:`grid` gives them;
-        the clustered angles are then solved in one stacked call of
-        :meth:`segments`.  With all the eigenvectors, as :meth:`eigh` gives
-        them, a clustered face is read from them without another solve.
+        same angles, as :meth:`grid` gives them; the clustered angles are
+        then solved in one stacked call of :meth:`segments`.  With all the
+        eigenvectors, as :meth:`eigh` gives them, a clustered face is read
+        from them without another solve.
         """
         t = np.asarray(thetas, dtype=float)
-        if eig is None:
-            eig = self.eigh(t)
         w, x = eig
         full = x.ndim == w.ndim + 1
         sup = w[:, -1].copy()

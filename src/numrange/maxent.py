@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import extremal, matcore as mc, rangegeo as rg
+from . import extremal, matcore as mc
 from .errors import NumericalError, PreconditionError
 
 # Interior margin below which a point is routed to the boundary solver.
@@ -451,21 +451,23 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
     boundary point.
 
     Evaluates the entropy of the inference state along (i) a radial path
-    from the centroid of W(A) and (ii) boundary paths approaching alpha
-    from both sides, and compares the path limits with the value at
-    alpha; a spread above 1e-3 flags a discontinuity.
+    from tr(A)/d, the image of the maximally mixed state I/d, which has
+    full rank and so lies in the relative interior of W(A), and (ii)
+    boundary paths approaching alpha from both sides: the face endpoints
+    nearer alpha at the side angles theta -/+ 0.2 2^-k about the
+    supporting angle theta of alpha, whose states are read from those
+    faces (the pre-image of an extreme point is the endpoint eigenspace
+    at any supporting angle).  The path limits are compared with the
+    value at alpha; a spread above 1e-3 flags a discontinuity.  The
+    flat-portion refusal scans the same ``grid`` as the supporting-angle
+    searches.
     """
     pencil = mc.as_pencil(A)
     alpha = extremal.as_point(alpha)
     scale = pencil.scale
     tol = extremal.POINT_MATCH_RTOL * scale
 
-    theta, gval = extremal.supporting_angle(pencil, alpha, grid)
-    if abs(gval) > tol:
-        raise PreconditionError(
-            f"alpha = {alpha} is not a boundary point of W(A) (gap {gval:.3e})"
-        )
-    fd, _, basis = extremal._preimage(pencil, alpha, theta, gval)
+    fd, _, basis = extremal._preimage(pencil, alpha, *extremal.supporting_angle(pencil, alpha, grid))
     if basis.shape[1] < 2:
         raise PreconditionError(
             f"alpha = {alpha} is simply generated (pre-image dimension 1); "
@@ -476,11 +478,7 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
             f"alpha = {alpha} lies on a flat boundary portion; the probe "
             "requires a round boundary point"
         )
-    # the polygon first: its grid of 512 angles, solved with vectors,
-    # serves the flat-portion scan as well
-    centroid = rg.boundary_polygon(pencil, 512).centroid()
-    portions = extremal.flat_portions(pencil, min(grid, 512))
-    ends = np.array([e for fp in portions for e in fp.endpoints], dtype=complex)
+    ends = np.array([e for fp in extremal.flat_portions(pencil, grid) for e in fp.endpoints], dtype=complex)
     if ends.size and np.min(np.abs(ends - alpha)) <= 10 * tol:
         raise PreconditionError(
             f"alpha = {alpha} is an endpoint of a flat boundary portion, "
@@ -491,20 +489,21 @@ def discontinuity_probe(A, alpha, n_steps: int = 8, grid: int = 1024) -> ProbeRe
 
     # radial path: the depths of all its points together, and the path
     # up to the first point shallower than the interior margin
-    radial_pts = centroid + (1.0 - 0.5 ** np.arange(1, n_steps + 1)) * (alpha - centroid)
+    center = complex(np.trace(pencil.A)) / pencil.d
+    radial_pts = center + (1.0 - 0.5 ** np.arange(1, n_steps + 1)) * (alpha - center)
     depth = -extremal._supporting_angles(pencil, radial_pts, grid)[1]
     shallow = np.nonzero(depth < 10 * INTERIOR_MARGIN_RTOL * scale)[0]
     radial_pts = radial_pts[: shallow[0] if shallow.size else n_steps]
     radial_ent = [res.entropy for res in _interior_states(pencil, radial_pts)]
 
     # boundary paths: at fd.theta - dth and fd.theta + dth, the face
-    # endpoint nearer alpha
-    sgn = np.tile([-1.0, 1.0], n_steps)
-    sides = fd.theta + sgn * np.repeat(0.2 * 0.5 ** np.arange(n_steps), 2)
-    sup, lo, hi = pencil.faces(sides, pencil.ctol)
-    ends = np.exp(1j * sides) * (sup + 1j * np.where(sgn < 0.0, hi, lo))
-    boundary_pts = ends[np.abs(ends - alpha) > tol]
-    boundary_ent = [res.entropy for res in _boundary_states(pencil, boundary_pts, grid)]
+    # endpoint nearer alpha, with its state on that face
+    sides = fd.theta + np.tile([-1.0, 1.0], n_steps) * np.repeat(0.2 * 0.5 ** np.arange(n_steps), 2)
+    faces = extremal._faces(pencil, sides)
+    ends = np.array([f.p_plus if k % 2 == 0 else f.p_minus for k, f in enumerate(faces)])
+    kept = np.abs(ends - alpha) > tol
+    boundary_pts = ends[kept]
+    boundary_ent = [res.entropy for res in _face_states(pencil, boundary_pts, [f for f, k in zip(faces, kept) if k])]
 
     radial_limit = radial_ent[-1] if radial_ent else value.entropy
     boundary_limit = boundary_ent[-1] if boundary_ent else value.entropy

@@ -112,23 +112,6 @@ class ConvexPolygon:
         dirs = np.column_stack([np.cos(t), np.sin(t)])
         return (dirs @ self.vertices.T).max(axis=1)
 
-    def centroid(self) -> complex:
-        """Area centroid (vertex mean for degenerate polygons)."""
-        v = self.vertices
-        if len(v) < 3:
-            m = v.mean(axis=0)
-            return complex(m[0], m[1])
-        x, y = v[:, 0], v[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yn - xn * y
-        area = cross.sum() / 2.0
-        if abs(area) < 1e-300:
-            m = v.mean(axis=0)
-            return complex(m[0], m[1])
-        cx = ((x + xn) * cross).sum() / (6.0 * area)
-        cy = ((y + yn) * cross).sum() / (6.0 * area)
-        return complex(cx, cy)
-
 
 def boundary_polygon(A, N: int = DEFAULT_BOUNDARY_SAMPLES) -> ConvexPolygon:
     """Polygon through the face touch points of W(A) on a uniform angle grid.

@@ -13,7 +13,8 @@ import numrange
 # validated eigensolver, a least-squares ellipse fit, one-line wrappers,
 # helpers that only tests used, a grid helper the cell scans replaced, and
 # the second normality test and private twins of the closure functions
-# that the per-Pencil classification replaced
+# that the per-Pencil classification replaced, a polygon centroid the
+# probe no longer needs, and a quadratic twin of extremal._greedy_dedup
 REMOVED = {
     "matcore": [
         "re_part",
@@ -30,7 +31,14 @@ REMOVED = {
         "_cross3",
     ],
     "extremal": ["cluster_tolerance", "eigencurve_derivatives", "_grid_directions"],
-    "rangegeo": ["support_value", "SupportSample", "ellipse_fit", "ELLIPSE_RESIDUAL_RTOL", "ConvexPolygon.diameter"],
+    "rangegeo": [
+        "support_value",
+        "SupportSample",
+        "ellipse_fit",
+        "ELLIPSE_RESIDUAL_RTOL",
+        "ConvexPolygon.diameter",
+        "ConvexPolygon.centroid",
+    ],
     "maxent": ["boundary_depth", "_interior_state", "_gibbs"],
     "kipp3": [
         "_SEGMENT_FRAME_U",
@@ -40,6 +48,7 @@ REMOVED = {
         "_e3_witness",
         "_f3_witness",
         "_canonical_if_reducible",
+        "_distinct",
     ],
 }
 

@@ -482,6 +482,17 @@ def test_coupled_triangle_has_one_answer(eps):
     assert kipp3.canonical_reducible_form(A).form == "diag_0_1_i"
 
 
+@pytest.mark.parametrize("eps", [3e-8, 1e-7, 3e-7])
+def test_coupled_triangle_past_normal_has_an_exact_canonical_form(eps):
+    # past NORMAL_EIG_RTOL the coupled triangle is a disk beside a point;
+    # the Bloch rotation of its 2x2 block is one exact SU(2) turn, and a
+    # rotation by the other sign left a residual 2 sqrt(2) eps
+    A = coupled_triangle(eps)
+    cf = kipp3.canonical_reducible_form(A)
+    assert cf.form == "offdiag_a"
+    assert mc.fro(cf.apply(A) - cf.canonical) <= 0.2 * eps
+
+
 @pytest.mark.parametrize("delta", SPLIT_EIGENVALUE)
 def test_split_eigenvalue_has_one_answer(delta):
     rng = np.random.default_rng(7)

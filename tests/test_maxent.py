@@ -443,6 +443,27 @@ def test_discontinuity_probe_solves_at_most_72(monkeypatch):
     assert len(calls) <= 72
 
 
+def test_discontinuity_probe_reads_what_it_holds(monkeypatch):
+    # the radial path starts at tr(A)/d, and the boundary states are read
+    # from the faces at the side angles: alpha and the radial path are the
+    # only supporting-angle searches
+    searches = []
+    search = ex._supporting_angles
+
+    def counted(*args):
+        searches.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(ex, "_supporting_angles", counted)
+    calls = count_eighs(monkeypatch)
+    rep = me.discontinuity_probe(DISK_EIG_BOUNDARY, 1.0 + 0j)
+    assert rep.discontinuous
+    assert len(calls) <= 48
+    assert len(searches) == 2
+    center = np.trace(DISK_EIG_BOUNDARY) / 3
+    assert rep.radial_points[0] == center + 0.5 * (1.0 - center)
+
+
 def test_interior_states_lockstep_matches_scalar():
     pencil = mc.Pencil(DISK_EIG_BOUNDARY)
     radial = me.discontinuity_probe(pencil, 1.0 + 0j).radial_points
@@ -492,3 +513,49 @@ def test_discontinuity_probe_rejections():
         me.discontinuity_probe(TRIANGLE, 0.5 + 0.1j)
     with pytest.raises(PreconditionError):
         me.discontinuity_probe(DISK_EIG_BOUNDARY, 0.0 + 1.0j)  # simply generated
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        (0.5 + 0.5j * np.sqrt(3.0), "lies on a flat boundary portion"),
+        (0.5 - 0.5j * np.sqrt(3.0), "lies on a flat boundary portion"),
+        (2.0 + 0j, "is an endpoint of a flat boundary portion"),
+    ],
+)
+def test_discontinuity_probe_refuses_flat_portion_points(alpha, message):
+    # every point of W(kron(I2, CIRCLE_POINT)) has a pre-image of dimension
+    # at least 2: the tangent points are non-exposed, and 2 is a corner
+    with pytest.raises(PreconditionError, match=message):
+        me.discontinuity_probe(np.kron(np.eye(2), CIRCLE_POINT), alpha)
+
+
+def test_dual_newton_backtracks(monkeypatch):
+    # a point 1e-5 inside the boundary of a d = 8 Ginibre range, where one
+    # full Newton step fails the Armijo test
+    g = np.random.default_rng(0)
+    pencil = mc.Pencil(g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8)))
+    x = pencil.eigh([np.pi])[1][0, :, -1]
+    b, c = complex(x.conj() @ pencil.A @ x), complex(np.trace(pencil.A)) / 8
+    alpha = c + (1.0 - 1e-5) * (b - c)
+    rejected = []
+    armijo = me._armijo
+
+    def counted(*args):
+        ok = armijo(*args)
+        rejected.append((ok.size, int(np.count_nonzero(~ok))))
+        return ok
+
+    monkeypatch.setattr(me, "_armijo", counted)
+    res = me._interior_states(pencil, [alpha])[0]
+    assert any(k >= 1 for _, k in rejected)
+    assert res.residual <= 1e-10
+    # in lockstep the backtracking row searches while another row waits
+    points = [alpha, c, c + (1.0 - 1e-6) * (b - c)]
+    rejected.clear()
+    together = me._interior_states(pencil, points)
+    assert any(1 <= k < n for n, k in rejected)
+    for p, got in zip(points, together):
+        alone = me._interior_states(pencil, [p])[0]
+        assert abs(got.entropy - alone.entropy) <= 1e-12
+        assert np.abs(got.rho - alone.rho).max() <= 1e-12

@@ -10,9 +10,11 @@ with the LAPACK drivers of ``np.linalg`` wrapped to count the matrices
 they are given (a stack of n matrices counts n), then R more timed times
 without the wrappers.  Per query label it prints the number of queries,
 the mean count of matrices per query solved by the Hermitian drivers
-``eigh`` and ``eigvalsh`` (``matrices``) and by the general ones ``eig``,
-``eigvals`` and ``svd`` (``eig/svd``), and the median wall time per query
-over all repeats, in milliseconds.  ``--json`` also writes those numbers
+``eigh`` and ``eigvalsh`` (``matrices``), the mean count of calls of
+those two drivers per query, a stack counting one (``calls``), the mean
+count of matrices solved by the general drivers ``eig``, ``eigvals`` and
+``svd`` (``eig/svd``), and the median wall time per query over all
+repeats, in milliseconds.  ``--json`` also writes those numbers
 to a file.  ``perfbench`` is only imported, never
 changed; BLAS threads are pinned to one, as perfbench pins them.
 """
@@ -41,13 +43,14 @@ import numpy as np  # noqa: E402
 
 # The counted drivers of np.linalg, each with its column of ``solved``:
 # 0 the Hermitian eigensolvers, 1 the general eigensolvers and the SVD.
+# Column 2 counts the calls of the Hermitian eigensolvers.
 _DRIVERS = {"eigh": 0, "eigvalsh": 0, "eig": 1, "eigvals": 1, "svd": 1}
 
 
 def _counting(solved: list[int]) -> dict:
     """Wrappers of the _DRIVERS that add the matrices they are given to their
-    column of solved; numrange may call them from its worker threads, so the
-    sums are locked."""
+    column of solved, and a Hermitian driver's call to column 2; numrange
+    may call them from its worker threads, so the sums are locked."""
     lock = threading.Lock()
 
     def wrap(fn, k):
@@ -55,6 +58,8 @@ def _counting(solved: list[int]) -> dict:
             a = np.asarray(a)
             with lock:
                 solved[k] += int(np.prod(a.shape[:-2], dtype=int))
+                if k == 0:
+                    solved[2] += 1
             return fn(a, *args, **kwargs)
 
         return counted
@@ -90,7 +95,7 @@ def main(argv=None) -> int:
     work.mkdir()
     try:
         queries = workloads.build(args.workload, args.seed, work)
-        solved = [0, 0]
+        solved = [0, 0, 0]
         plain = {name: getattr(np.linalg, name) for name in _DRIVERS}
         counts: dict[str, list[list[int]]] = {}
         times: dict[str, list[float]] = {}
@@ -98,7 +103,7 @@ def main(argv=None) -> int:
             setattr(np.linalg, name, counted)
         try:
             for q in queries:
-                solved[:] = [0, 0]
+                solved[:] = [0, 0, 0]
                 _run(cli, q.argv)
                 counts.setdefault(q.label, []).append(list(solved))
         finally:
@@ -115,15 +120,17 @@ def main(argv=None) -> int:
         label: {
             "queries": len(counts[label]),
             "matrices_per_query": statistics.fmean(c[0] for c in counts[label]),
+            "hermitian_calls_per_query": statistics.fmean(c[2] for c in counts[label]),
             "eig_svd_matrices_per_query": statistics.fmean(c[1] for c in counts[label]),
             "median_ms": 1e3 * statistics.median(times[label]),
         }
         for label in sorted(counts)
     }
-    print(f"{'label':24s} {'queries':>7s} {'matrices':>10s} {'eig/svd':>10s} {'median ms':>10s}")
+    print(f"{'label':24s} {'queries':>7s} {'matrices':>10s} {'calls':>10s} {'eig/svd':>10s} {'median ms':>10s}")
     for label, r in rows.items():
         print(
             f"{label:24s} {r['queries']:7d} {r['matrices_per_query']:10.1f}"
+            f" {r['hermitian_calls_per_query']:10.1f}"
             f" {r['eig_svd_matrices_per_query']:10.1f} {r['median_ms']:10.3f}"
         )
     if args.json:
