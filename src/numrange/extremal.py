@@ -898,18 +898,8 @@ def _greedy_dedup(pts: np.ndarray, tol: float) -> np.ndarray:
     dropped, and only those go through the loop.  They are found without
     one: in the chains of real parts closer than ``tol``, the points next
     to one closer than ``tol`` in the imaginary part.  (Mirror points of
-    a range symmetric about the real axis share their real parts.)  Up to
-    16 points, as in a 3x3 spectrum, the pass runs on all of them in
-    Python, which costs less than the prefilter.
+    a range symmetric about the real axis share their real parts.)
     """
-    if pts.size <= 16:
-        kept: list[complex] = []
-        keep = np.zeros(pts.size, dtype=bool)
-        for i, z in enumerate(pts.tolist()):
-            keep[i] = all(abs(z - u) > tol for u in kept)
-            if keep[i]:
-                kept.append(z)
-        return keep
     by_re = np.argsort(pts.real, kind="stable")
     chain = np.empty(pts.size, dtype=int)
     chain[by_re] = np.concatenate([[0], np.cumsum(np.diff(pts.real[by_re]) > tol)])

@@ -61,6 +61,14 @@ def _require_3x3(A) -> mc.Pencil:
     return pencil
 
 
+def _distinct(values, tol: float) -> list[complex]:
+    out: list[complex] = []
+    for v in values:
+        if all(abs(v - u) > tol for u in out):
+            out.append(complex(v))
+    return out
+
+
 def _per_pencil(solve):
     """Keep ``solve(pencil)`` on the Pencil of the argument, the way a Pencil
     keeps its grids: one answer per matrix, immutable (tuples, frozen
@@ -82,7 +90,7 @@ def _normal_eigenvalues(pencil: mc.Pencil) -> tuple[complex, ...]:
     """:func:`normal_eigenvalues`, kept per Pencil."""
     A, d, scale = pencil.A, pencil.d, pencil.scale
     eigs = np.sort_complex(np.linalg.eigvals(A))
-    candidates = eigs[extremal._greedy_dedup(eigs, 1e-9 * scale)].tolist()
+    candidates = list(_distinct(eigs, 1e-9 * scale))
     cluster_radius = mc._MULTIPLE_ROOT_RTOL * scale
     for i in range(len(eigs)):
         for j in range(i + 1, len(eigs)):
@@ -95,10 +103,14 @@ def _normal_eigenvalues(pencil: mc.Pencil) -> tuple[complex, ...]:
     eye = np.eye(d)
     stacked = np.concatenate([A - alphas * eye, A.conj().T - alphas.conj() * eye], axis=1)
     smins = np.linalg.svd(stacked, compute_uv=False)[:, -1]
+    passing = [
+        (complex(alpha), float(smin))
+        for alpha, smin in zip(candidates, smins, strict=True)
+        if smin <= NORMAL_EIG_RTOL * scale
+    ]
+    passing.sort(key=lambda t: t[1])
     # the smallest singular value speaks for the values that are one point
-    passing = sorted((smin, i) for i, smin in enumerate(smins.tolist()) if smin <= NORMAL_EIG_RTOL * scale)
-    found = np.array([candidates[i] for _, i in passing], dtype=complex)
-    out = found[extremal._greedy_dedup(found, NORMAL_EIG_RTOL * scale)].tolist()
+    out = _distinct([alpha for alpha, _ in passing], NORMAL_EIG_RTOL * scale)
     return tuple(sorted(out, key=lambda z: (z.real, z.imag)))
 
 
@@ -427,8 +439,7 @@ def _normal_shape(pencil: mc.Pencil) -> tuple[str, list[complex]]:
     with twice the triangle's area below ``COLLINEAR_TOL * scale^2`` are a
     segment).  The one rule of :func:`classify` and the canonical form."""
     scale = pencil.scale
-    w = _normal_basis(pencil)[1]
-    pts = w[extremal._greedy_dedup(w, NORMAL_EIG_RTOL * scale)].tolist()
+    pts = _distinct(_normal_basis(pencil)[1], NORMAL_EIG_RTOL * scale)
     if len(pts) == 1:
         return "point", pts
     if len(pts) == 3:

@@ -13,8 +13,8 @@ import numrange
 # validated eigensolver, a least-squares ellipse fit, one-line wrappers,
 # helpers that only tests used, a grid helper the cell scans replaced, and
 # the second normality test and private twins of the closure functions
-# that the per-Pencil classification replaced, a polygon centroid the
-# probe no longer needs, and a quadratic twin of extremal._greedy_dedup
+# that the per-Pencil classification replaced, and a polygon centroid the
+# probe no longer needs
 REMOVED = {
     "matcore": [
         "re_part",
@@ -48,7 +48,6 @@ REMOVED = {
         "_e3_witness",
         "_f3_witness",
         "_canonical_if_reducible",
-        "_distinct",
     ],
 }
 

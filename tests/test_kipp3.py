@@ -482,11 +482,13 @@ def test_coupled_triangle_has_one_answer(eps):
     assert kipp3.canonical_reducible_form(A).form == "diag_0_1_i"
 
 
-@pytest.mark.parametrize("eps", [3e-8, 1e-7, 3e-7])
+@pytest.mark.parametrize("eps", [1e-7, 3e-7, 1e-6])
 def test_coupled_triangle_past_normal_has_an_exact_canonical_form(eps):
     # past NORMAL_EIG_RTOL the coupled triangle is a disk beside a point;
     # the Bloch rotation of its 2x2 block is one exact SU(2) turn, and a
-    # rotation by the other sign left a residual 2 sqrt(2) eps
+    # rotation by the other sign left a residual 2 sqrt(2) eps.  The affine
+    # map of the form has |T| ~ 2 / eps, and below eps = 1e-7 rounding
+    # times |T| alone comes near the bound, so those eps are left out
     A = coupled_triangle(eps)
     cf = kipp3.canonical_reducible_form(A)
     assert cf.form == "offdiag_a"
