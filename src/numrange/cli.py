@@ -69,8 +69,8 @@ def matrix_dict(A: np.ndarray) -> dict:
     A = np.asarray(A, dtype=complex)
     return {
         "d": A.shape[0],
-        "re": [[float(x) for x in row] for row in A.real],
-        "im": [[float(x) for x in row] for row in A.imag],
+        "re": A.real.tolist(),
+        "im": A.imag.tolist(),
     }
 
 

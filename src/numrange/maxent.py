@@ -225,28 +225,25 @@ def _interior_states(pencil: mc.Pencil, alphas) -> list[InferenceResult]:
         # every row tries the full step first; the rows it fails halve theirs
         trial = state(u + step, target)
         accepted = _armijo(trial, f0, slope, gn)
-        if accepted.all():
-            u = u + step
-        else:
-            t = np.ones(rows.size)
-            pending = np.nonzero(~accepted)[0]
-            while pending.size:
-                t[pending] /= 2.0
-                pending = pending[t[pending] > 1e-14]
-                if not pending.size:
-                    break
-                tr = state(u[pending] + t[pending, None] * step[pending], target[pending])
-                ok = _armijo(tr, f0[pending], t[pending] * slope[pending], gn[pending])
-                for x, y in zip(trial, tr):
-                    x[pending[ok]] = y[ok]
-                accepted[pending[ok]] = True
-                pending = pending[~ok]
-            u = u + t[:, None] * step
-            # a search that ran out without accepting moves to an untried point
-            spent = ~accepted
-            if spent.any():
-                for x, y in zip(trial, state(u[spent], target[spent])):
-                    x[spent] = y
+        t = np.ones(rows.size)
+        pending = np.nonzero(~accepted)[0]
+        while pending.size:
+            t[pending] /= 2.0
+            pending = pending[t[pending] > 1e-14]
+            if not pending.size:
+                break
+            tr = state(u[pending] + t[pending, None] * step[pending], target[pending])
+            ok = _armijo(tr, f0[pending], t[pending] * slope[pending], gn[pending])
+            for x, y in zip(trial, tr):
+                x[pending[ok]] = y[ok]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+        u = u + t[:, None] * step
+        # a search that ran out without accepting moves to an untried point
+        spent = ~accepted
+        if spent.any():
+            for x, y in zip(trial, state(u[spent], target[spent])):
+                x[spent] = y
         # the accepted trial is the new iterate
         f0, rho, grad, H = trial
     else:

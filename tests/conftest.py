@@ -1,6 +1,7 @@
-"""Shared fixtures: the standard example matrices and brute-force helpers."""
+"""Shared fixtures: the standard example matrices, seeded matrix generators,
+brute-force helpers and the call recorder of the tests that count calls."""
 
-import collections
+import threading
 
 import numpy as np
 import pytest
@@ -108,54 +109,55 @@ def golden_min(f, lo, hi, iters=90):
     return (a + b) / 2.0
 
 
-def count_eighs(monkeypatch):
-    """Count the calls of np.linalg.eigh; a call solves one matrix or one stack."""
-    calls = []
-    orig = np.linalg.eigh
-
-    def eigh(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    return calls
+_RECORD_LOCK = threading.Lock()
 
 
-def record_calls(monkeypatch, owner, name):
-    """Wrap ``owner.name`` to record the matrix each call works on: its first
-    argument, or that Pencil's matrix.  Returns the list of recorded matrices."""
+def record(monkeypatch, owner, name, what=lambda out, *args, **kwargs: 1):
+    """Replace ``owner.name`` for the test by a wrapper that, on each call,
+    appends ``what(out, *args, **kwargs)`` to the list it returns, ``out``
+    being what the call returned.  Appends are locked, so calls made on
+    the worker threads of ``matcore._map`` are recorded too."""
     seen = []
     orig = getattr(owner, name)
 
-    def recorded(A, *args, **kwargs):
-        seen.append(np.array(A.A if isinstance(A, mc.Pencil) else A))
-        return orig(A, *args, **kwargs)
+    def recorded(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        item = what(out, *args, **kwargs)
+        with _RECORD_LOCK:
+            seen.append(item)
+        return out
 
     monkeypatch.setattr(owner, name, recorded)
     return seen
 
 
-@pytest.fixture
-def count_solves(monkeypatch):
-    """Count the matrices solved by np.linalg.eigh and np.linalg.eigvalsh,
-    a stack of n counting n, in ``solved["eigh"]`` and
-    ``solved["eigvalsh"]`` (:func:`count_eighs` counts eigh calls)."""
-    solved = collections.Counter()
-    for name in ("eigh", "eigvalsh"):
+def matrices(out, a, *args, **kwargs):
+    """For :func:`record` of a LAPACK driver: the matrices a call solves,
+    a stack of n counting n."""
+    return int(np.prod(np.shape(a)[:-2], dtype=int))
 
-        def counted(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
-            a = np.asarray(a)
-            solved[_name] += int(np.prod(a.shape[:-2], dtype=int))
-            return _solve(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    return solved
+def matrix(out, A, *args, **kwargs):
+    """For :func:`record`: a copy of the matrix a call works on, its first
+    argument or that Pencil's matrix."""
+    return np.array(A.A if isinstance(A, mc.Pencil) else A)
+
+
+def ginibre(rng, d):
+    """A complex Ginibre d x d draw of rng, scaled to unit Frobenius norm."""
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return A / np.linalg.norm(A)
+
+
+def haar_unitary(rng, d):
+    """A Haar-random d x d unitary: the Q of a complex Ginibre draw, its
+    columns turned by the phases of R's diagonal."""
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def large_ginibre(d, k):
     """Ginibre draw k of size d of the benchmark's ``large`` workload, unit
     Frobenius norm (the workload shows it in a seeded unitary frame, which
     leaves W(A) alone)."""
-    g = np.random.default_rng([20240817, d, k])
-    A = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
-    return A / np.linalg.norm(A)
+    return ginibre(np.random.default_rng([20240817, d, k]), d)

@@ -21,15 +21,10 @@ from numrange import (
 )
 from numrange.errors import PreconditionError
 
-from conftest import CIRCLE_POINT, DISK, DISK_EIG_BOUNDARY, TRIANGLE, gibbs, hermitian_parts
+from conftest import CIRCLE_POINT, DISK, DISK_EIG_BOUNDARY, TRIANGLE, gibbs, ginibre, hermitian_parts
 
 SQ3 = np.sqrt(3.0)
 LOG2 = np.log(2.0)
-
-
-def ginibre(rng, d, unit_norm=True):
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return A / mc.fro(A) if unit_norm else A
 
 
 class _Budget:
@@ -57,7 +52,7 @@ def test_criterion_1_identity_suite():
     with _Budget("criterion 1: identity suite", 5.0):
         for _ in range(1000):
             d = int(rng.integers(2, 7))
-            A = ginibre(rng, d, unit_norm=False)
+            A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             x /= np.linalg.norm(x)
             theta = float(rng.uniform(0, 2 * np.pi))

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from numrange import cli, extremal, kipp3, rangegeo as rg
 from numrange.errors import NumericalError, PreconditionError
 
-from conftest import CIRCLE_POINT, DISK, DISK2, DISK_EIG_BOUNDARY, JORDAN3, SEGMENT, TRIANGLE, record_calls
+from conftest import CIRCLE_POINT, DISK, DISK2, DISK_EIG_BOUNDARY, JORDAN3, SEGMENT, TRIANGLE, matrix, record
 
 
 @pytest.fixture
@@ -150,9 +150,7 @@ def test_samples_caps(capsys, matrix_file, monkeypatch, command, fn, cap):
     # as the option's help says
     code, out, _ = run_cli(capsys, command, "--help")
     assert code == 0 and f"caps N at {cap}" in " ".join(out.split())
-    grids = []
-    solve = getattr(extremal, fn)
-    monkeypatch.setattr(extremal, fn, lambda A, grid: grids.append(grid) or solve(A, grid))
+    grids = record(monkeypatch, extremal, fn, lambda out, A, grid: grid)
     path = matrix_file("disk", DISK)
     outs = [run_cli(capsys, command, path, "--samples", str(n))[1] for n in (cap // 2, cap, 4 * cap)]
     assert grids == [cap // 2, cap, cap]
@@ -238,9 +236,9 @@ def test_closure3_classifies_the_matrix_once(capsys, matrix_file, monkeypatch):
         A = np.array([[0, 2, 0], [0, 0, 0], [0, 0, a]], dtype=complex)
         path = matrix_file(f"a{a}", A)
         with monkeypatch.context() as m:
-            spectra = record_calls(m, np.linalg, "eigvals")
-            ellipses = record_calls(m, kipp3.mc, "schur3")
-            splits = record_calls(m, kipp3, "joint_eigenvector")
+            spectra = record(m, np.linalg, "eigvals", matrix)
+            ellipses = record(m, kipp3.mc, "schur3", matrix)
+            splits = record(m, kipp3, "joint_eigenvector", matrix)
             code, out, _ = run_cli(capsys, "closure3", path, "--eps", "0.01,0.001")
         assert code == 0
         doc = json.loads(out)

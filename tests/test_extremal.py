@@ -12,10 +12,12 @@ from conftest import (
     JORDAN3,
     SEGMENT,
     TRIANGLE,
-    count_eighs,
     golden_min,
+    haar_unitary,
     hermitian_parts,
+    large_ginibre,
     random_matrix,
+    record,
     segment_distance,
 )
 
@@ -534,19 +536,6 @@ def test_supporting_angle_matches_bisection_reference(A, p):
         assert abs(np.angle(np.exp(1j * (t - t_ref)))) <= 1e-10
 
 
-def count_eigh(monkeypatch):
-    """Count the calls of Pencil.eigh; a call solves one angle or one stack."""
-    calls = []
-    orig = mc.Pencil.eigh
-
-    def eigh(self, thetas):
-        calls.append(np.size(thetas))
-        return orig(self, thetas)
-
-    monkeypatch.setattr(mc.Pencil, "eigh", eigh)
-    return calls
-
-
 def band_cases():
     """Points whose supporting angle lies in the band where the top
     eigenvalue of DISK_EIG_BOUNDARY is double within ctol (|theta| < ~2.5e-4)."""
@@ -560,7 +549,7 @@ def band_cases():
 
 @pytest.mark.parametrize(("A", "p"), band_cases())
 def test_supporting_angle_in_band_solves_at_most_8(A, p, monkeypatch):
-    calls = count_eigh(monkeypatch)
+    calls = record(monkeypatch, mc.Pencil, "eigh")
     t, g = ex.supporting_angle(A, p, 1024)
     assert len(calls) <= 8
     # the maximizer is theta = 0, where g = Re p - 1
@@ -620,7 +609,7 @@ def arc_edge_cases():
 
 @pytest.mark.parametrize(("A", "grid", "cap"), arc_edge_cases())
 def test_arc_edges_take_few_stacked_solves(A, grid, cap, monkeypatch):
-    calls = count_eigh(monkeypatch)
+    calls = record(monkeypatch, mc.Pencil, "eigh")
     reps = ex.extreme_points(A, grid)
     # one solve is the grid's and one the pre-images' at the arc midpoints;
     # every other refines arc edges
@@ -664,7 +653,7 @@ def test_stacked_faces_match_face_bit_for_bit(A):
 
 def test_flat_portions_of_triangle_solve_at_most_9(monkeypatch):
     # the faces at the polished angles come from one stacked solve
-    calls = count_eighs(monkeypatch)
+    calls = record(monkeypatch, np.linalg, "eigh")
     assert len(ex.flat_portions(TRIANGLE, 512)) == 3
     assert len(calls) <= 9
 
@@ -674,7 +663,7 @@ def test_extreme_points_in_a_band_everywhere_solve_at_most_64(monkeypatch):
     # angle: clustered faces are solved in stacks, with one compression
     # solve per cluster size, and the pre-images read the rows of the arc
     # midpoints' solve
-    calls = count_eighs(monkeypatch)
+    calls = record(monkeypatch, np.linalg, "eigh")
     reps = ex.extreme_points(np.kron(np.eye(2), TRIANGLE), 256)
     assert len(reps) >= 3
     assert len(calls) <= 64
@@ -702,27 +691,12 @@ def test_greedy_dedup_matches_the_loop(seed):
     assert np.array_equal(ex._greedy_dedup(pts, tol), want)
 
 
-def unit_ginibre(d):
-    """The unit-Frobenius Ginibre d x d draw of default_rng([20240817, d, 0])."""
-    rng = np.random.default_rng([20240817, d, 0])
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return A / np.linalg.norm(A)
-
-
 def test_extreme_points_distance_entries_stay_linear_in_grid(monkeypatch):
     # the arc runs are read from a window of grid angles about each point,
     # not from every (point, grid angle) pair: about 1000 points at 1024
     # angles would be a million distances
-    entries = []
-    orig = ex._segment_distance
-
-    def segment_distance(*args):
-        out = orig(*args)
-        entries.append(np.size(out))
-        return out
-
-    monkeypatch.setattr(ex, "_segment_distance", segment_distance)
-    reps = ex.extreme_points(unit_ginibre(3), 1024)
+    entries = record(monkeypatch, ex, "_segment_distance", lambda out, *args: np.size(out))
+    reps = ex.extreme_points(large_ginibre(3, 0), 1024)
     assert len(reps) >= 1000
     assert sum(entries) <= 16 * 1024
 
@@ -747,7 +721,7 @@ def test_polish_drops_near_misses_early(monkeypatch):
 
     monkeypatch.setattr(ex, "_polish", polish)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    ex.flat_portions(unit_ginibre(8), 64)
+    ex.flat_portions(large_ginibre(8, 0), 64)
     assert len(solves) <= 12
 
 
@@ -800,11 +774,6 @@ def test_preimages_at_multiply_generated_points_in_affine_copies(seed):
             assert np.max(np.abs(B @ B.conj().T - U.conj().T @ P @ U)) <= tol
 
 
-def haar_unitary(rng, d):
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
 @pytest.mark.parametrize(
     ("seed", "p", "grid"),
     [(s, p, 64) for s in (11, 20, 29) for p in (1.0, 0.0, 1j)] + [(73, 1.0, 512)],
@@ -815,18 +784,10 @@ def test_non_bracketing_cells_keep_the_grid_angle(seed, p, grid, monkeypatch):
     # returns its best grid angle, with no single-angle solve
     U = haar_unitary(np.random.default_rng(seed), 3)
     A = U.conj().T @ TRIANGLE @ U
-    single = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        if np.ndim(a) == 2:
-            single.append(1)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    solves = record(monkeypatch, np.linalg, "eigvalsh", lambda out, a, *args, **kwargs: np.ndim(a) == 2)
     t, g = ex.supporting_angle(A, p, grid)
     assert abs(g) <= 1e-15
-    assert not single
+    assert not any(solves)
     x = ex.preimage(A, p, grid)[:, 0]
     assert abs(x.conj() @ A @ x - p) <= 1e-15
 

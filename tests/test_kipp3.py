@@ -4,7 +4,7 @@ import pytest
 from numrange import extremal as ex, kipp3, matcore as mc, rangegeo as rg
 from numrange.errors import PreconditionError
 
-from conftest import DISK_EIG_BOUNDARY, JORDAN3, TRIANGLE, golden_min, random_matrix, record_calls
+from conftest import DISK_EIG_BOUNDARY, JORDAN3, TRIANGLE, golden_min, haar_unitary, matrix, random_matrix, record
 
 
 def cp(a):
@@ -249,11 +249,6 @@ def test_double_eigenvalue_angles_match_dense_scan(rng):
             assert min(circular_gap(fp.theta, g.theta) for g in got) <= 1e-9
         flat_cases += bool(got)
     assert flat_cases >= 20 + 6  # the display copies and every F3 witness
-
-
-def haar_unitary(rng, d):
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def flat_family(rng):
@@ -527,7 +522,7 @@ def test_e3_closure_has_a_witness_exactly_when_it_holds(A):
 def test_normal_eigenvalues_solved_once_per_call(rng, monkeypatch):
     Q = random_unitary3(rng)
     A = Q.conj().T @ cp(0.7) @ Q
-    spectra = record_calls(monkeypatch, np.linalg, "eigvals")
+    spectra = record(monkeypatch, np.linalg, "eigvals", matrix)
     assert kipp3.canonical_reducible_form(A).form == "offdiag_a"
     assert len(spectra) == 1
     # one Pencil: every question asked of it reads one spectrum, one

@@ -10,10 +10,12 @@ from conftest import (
     DISK2,
     DISK_EIG_BOUNDARY,
     TRIANGLE,
-    count_eighs,
     gibbs,
+    ginibre,
+    haar_unitary,
     hermitian_parts,
     random_matrix,
+    record,
 )
 
 LOG2 = np.log(2.0)
@@ -189,15 +191,8 @@ def test_maxent_boundary_tangent_point_residual(A, alpha):
 
 def test_infer_at_a_boundary_point_searches_its_angle_once(monkeypatch):
     # the depth's supporting-angle search is the one the boundary state uses
-    calls = []
-    search = ex._supporting_angles
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return search(*args, **kwargs)
-
     want = me.maxent_boundary(DISK_EIG_BOUNDARY, 1.0 + 0j)
-    monkeypatch.setattr(ex, "_supporting_angles", counted)
+    calls = record(monkeypatch, ex, "_supporting_angles")
     for _ in range(200):
         res = me.infer(DISK_EIG_BOUNDARY, 1.0 + 0j)
     assert len(calls) == 200
@@ -302,14 +297,8 @@ def test_state_straight_inward_from_a_flat_portion_end_is_the_end_state():
 def test_flat_portion_state_reads_the_face_spectrum(monkeypatch):
     # the face carries mu and W of its compression, so the Gibbs branch
     # solves no face again: one Pencil.segments call, that of the face
-    calls = []
     segments = mc.Pencil.segments
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return segments(self, *args, **kwargs)
-
-    monkeypatch.setattr(mc.Pencil, "segments", counted)
+    calls = record(monkeypatch, mc.Pencil, "segments")
     p = 1.25 + 0.25j * np.sqrt(3.0)
     res = me.maxent_boundary(CIRCLE_POINT, p)
     assert len(calls) == 1
@@ -397,15 +386,8 @@ def test_round_boundary_points_scan_the_grid_once(rng, monkeypatch):
     mats += [(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 4.0 for _ in range(3)]
     for A in mats:
         want = two_scan_round_points(A, 512)
-        calls = []
-        scan = ex._flat_candidates
-
-        def counting(*args):
-            calls.append(1)
-            return scan(*args)
-
         with monkeypatch.context() as m:
-            m.setattr(ex, "_flat_candidates", counting)
+            calls = record(m, ex, "_flat_candidates")
             got = me.round_boundary_points(A, 512)
         assert got == want
         assert len(calls) == 1
@@ -422,14 +404,7 @@ def test_discontinuity_probe_fixture():
 def test_discontinuity_probe_solves_at_most_100(monkeypatch):
     # the boundary and radial points are resolved in lockstep, one stacked
     # solve per step for all of them
-    calls = []
-    orig = np.linalg.eigh
-
-    def eigh(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    calls = record(monkeypatch, np.linalg, "eigh")
     rep = me.discontinuity_probe(DISK_EIG_BOUNDARY, 1.0 + 0j)
     assert rep.discontinuous
     assert len(calls) <= 100
@@ -438,7 +413,7 @@ def test_discontinuity_probe_solves_at_most_100(monkeypatch):
 def test_discontinuity_probe_solves_at_most_72(monkeypatch):
     # the probe value is read from the pre-image it has checked, without
     # solving its face again
-    calls = count_eighs(monkeypatch)
+    calls = record(monkeypatch, np.linalg, "eigh")
     assert me.discontinuity_probe(DISK_EIG_BOUNDARY, 1.0 + 0j).discontinuous
     assert len(calls) <= 72
 
@@ -447,15 +422,8 @@ def test_discontinuity_probe_reads_what_it_holds(monkeypatch):
     # the radial path starts at tr(A)/d, and the boundary states are read
     # from the faces at the side angles: alpha and the radial path are the
     # only supporting-angle searches
-    searches = []
-    search = ex._supporting_angles
-
-    def counted(*args):
-        searches.append(1)
-        return search(*args)
-
-    monkeypatch.setattr(ex, "_supporting_angles", counted)
-    calls = count_eighs(monkeypatch)
+    searches = record(monkeypatch, ex, "_supporting_angles")
+    calls = record(monkeypatch, np.linalg, "eigh")
     rep = me.discontinuity_probe(DISK_EIG_BOUNDARY, 1.0 + 0j)
     assert rep.discontinuous
     assert len(calls) <= 48
@@ -474,16 +442,6 @@ def test_interior_states_lockstep_matches_scalar():
         assert abs(res.entropy - alone.entropy) <= 1e-12
         assert np.abs(np.subtract(res.dual_point, alone.dual_point)).max() <= 1e-12
         assert np.abs(res.rho - alone.rho).max() <= 1e-12
-
-
-def ginibre(rng, d):
-    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return A / np.linalg.norm(A)
-
-
-def haar_unitary(rng, d):
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def test_maxent_interior_converges_below_dual_rounding():
@@ -538,15 +496,7 @@ def test_dual_newton_backtracks(monkeypatch):
     x = pencil.eigh([np.pi])[1][0, :, -1]
     b, c = complex(x.conj() @ pencil.A @ x), complex(np.trace(pencil.A)) / 8
     alpha = c + (1.0 - 1e-5) * (b - c)
-    rejected = []
-    armijo = me._armijo
-
-    def counted(*args):
-        ok = armijo(*args)
-        rejected.append((ok.size, int(np.count_nonzero(~ok))))
-        return ok
-
-    monkeypatch.setattr(me, "_armijo", counted)
+    rejected = record(monkeypatch, me, "_armijo", lambda ok, *args: (ok.size, int(np.count_nonzero(~ok))))
     res = me._interior_states(pencil, [alpha])[0]
     assert any(k >= 1 for _, k in rejected)
     assert res.residual <= 1e-10

@@ -14,7 +14,7 @@ import pytest
 
 from numrange import cli, matcore as mc, oracle, rangegeo as rg
 
-from conftest import random_matrix
+from conftest import random_matrix, record
 
 COUNTS = (1, 2, 3)
 
@@ -31,16 +31,11 @@ def workers(monkeypatch):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Counts the np.linalg.eigh calls, from any thread."""
-    calls = []
-    plain = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(threading.current_thread() is threading.main_thread())
-        return plain(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
+    """Records, per np.linalg.eigh call from any thread, whether it ran on
+    the main thread."""
+    return record(
+        monkeypatch, np.linalg, "eigh", lambda *_, **__: threading.current_thread() is threading.main_thread()
+    )
 
 
 def _sample_edges(d, n_workers):
@@ -172,14 +167,7 @@ def test_many_workers_and_callers_under_fast_switching(rng, workers, monkeypatch
     # and every result keeps its serial bits
     import concurrent.futures
 
-    made = []
-    executor = concurrent.futures.ThreadPoolExecutor
-
-    def counted(*args, **kwargs):
-        made.append(1)
-        return executor(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+    made = record(monkeypatch, concurrent.futures, "ThreadPoolExecutor")
     A = random_matrix(rng, 8)
     t = np.linspace(0.0, 2.0 * np.pi, 700)
 

@@ -11,6 +11,7 @@ from conftest import (
     TRIANGLE,
     random_matrix,
     random_unit_vectors,
+    record,
     sampled_support,
 )
 
@@ -108,14 +109,8 @@ def numpy_row_hull(points, collinear_tol=0.0):
 
 def test_convex_hull_matches_numpy_row_chain(rng, monkeypatch):
     # the touch-point sets that boundary_polygon hands to the hull
-    inputs = []
     hull = rg.convex_hull
-
-    def recording_hull(points, collinear_tol=0.0):
-        inputs.append((points, collinear_tol))
-        return hull(points, collinear_tol)
-
-    monkeypatch.setattr(rg, "convex_hull", recording_hull)
+    inputs = record(monkeypatch, rg, "convex_hull", lambda out, points, collinear_tol=0.0: (points, collinear_tol))
     for d, count in ((2, 5), (3, 5), (8, 5), (32, 1)):  # d = 32 takes 1 s at N = 4096
         for _ in range(count):
             rg.boundary_polygon(random_matrix(rng, d), 4096)
@@ -385,14 +380,7 @@ def test_range_distance_polishes_in_lockstep(monkeypatch):
     # 182 calls); the distance is sin(0.3), from the vertex e^{0.3i} of the
     # rotated copy to the edge [0, 1]
     B = np.exp(0.3j) * TRIANGLE
-    calls = []
-    eigh = mc.Pencil.eigh
-
-    def counted(self, thetas):
-        calls.append(1)
-        return eigh(self, thetas)
-
-    monkeypatch.setattr(mc.Pencil, "eigh", counted)
+    calls = record(monkeypatch, mc.Pencil, "eigh")
     d = rg.range_distance(TRIANGLE, B, 256)
     assert len(calls) <= 92
     scan, _ = dense_distance(TRIANGLE, B)
