@@ -685,14 +685,16 @@ def _segment_distance(p, theta, support, mu_lo, mu_hi):
     return np.hypot(radial, off)
 
 
-def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol: float):
+def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol: float, eig=None):
     """Arc-edge function f = (distance of q to the face) - member_tol at
     the angles t, and the edge each local model predicts.
 
     ``q`` holds the points of the brackets and ``outward`` the sign of the
     direction from their inside ends to their outside ends.  Faces group
     eigenvalues within ``strict_tol``.  One stacked eigendecomposition at
-    the distinct angles gives every quantity:
+    the distinct angles (or the :meth:`~numrange.matcore.Pencil.eigh`
+    result ``eig`` there, in the order of ``np.unique``) gives every
+    quantity:
 
     - Where the face is a touch point x(t) = e^{i t}(h + i h'), the curve
       moves at x' = i e^{i t} rho with rho = h + h'' (h'' from
@@ -713,7 +715,7 @@ def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol:
     cluster band.
     """
     ts, inv = np.unique(t, return_inverse=True)
-    w, V = pencil.eigh(ts)
+    w, V = pencil.eigh(ts) if eig is None else eig
     sup, lo, hi = pencil.faces(ts, strict_tol, (w, V))
     gap = pencil.top_gap(w)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -734,6 +736,20 @@ def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol:
         steps = np.concatenate([ball[None], band])
         near = np.argmin(np.where(np.isnan(steps), np.inf, np.abs(steps)), axis=0)
     return val, t + steps[near, np.arange(t.size)]
+
+
+def _eig_at(pencil: mc.Pencil, grid: int, t: np.ndarray, j: np.ndarray, on: np.ndarray):
+    """The :meth:`~numrange.matcore.Pencil.eigh` result at the angles t:
+    read from the ``grid``-angle grid at the integer indices j where
+    ``on`` (t is that grid angle there, up to a whole turn), and solved in
+    one stacked call elsewhere."""
+    if on.all():
+        return pencil._grid_eig(grid, j)
+    d = pencil.d
+    w, V = np.empty((t.size, d)), np.empty((t.size, d, d), dtype=complex)
+    w[on], V[on] = pencil._grid_eig(grid, j[on])
+    w[~on], V[~on] = pencil.eigh(t[~on])
+    return w, V
 
 
 def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
@@ -764,7 +780,18 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     floor of f; an edge where the face jumps to a segment follows the
     Taylor model of the top gap.  Corners and clustered ends fall back to
     false position and section steps.  Each edge ends at a root to
-    rounding, or at a bracket of 2^-48 grid steps (or 4 ulp).
+    rounding, or at a bracket of 2^-48 grid steps (or 4 ulp).  The first
+    model call reads the eigenpairs of the bracket ends at grid angles
+    from the grid (:meth:`~numrange.matcore.Pencil._grid_eig`, by their
+    integer indices) and solves only the ends about refined portion
+    angles.
+
+    A point that is a member of the face at its own grid angle takes its
+    pre-image there, read from the grid: that angle lies inside its arc.
+    The other points (flat-portion ends off the grid) take theirs at
+    their arc midpoints, solved in one stack.  Where the top eigenvalue
+    at that angle is clustered, the pre-image is the :func:`_pick` of the
+    point on the face there.
     """
     _require_grid(grid, "extreme_points")
     pencil = mc.as_pencil(A)
@@ -850,14 +877,20 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
         outward = np.sign(outer - inner)
         floor = _ROUNDING * scale
 
-        def f(t, idx):
-            return _edge_model(pencil, t, edge_pts[idx], outward[idx], strict_tol, member_tol)
+        def f(t, idx, eig=None):
+            return _edge_model(pencil, t, edge_pts[idx], outward[idx], strict_tol, member_tol, eig)
 
-        # both ends of every bracket in one solve: a proposal from the
-        # inside end (a smooth point seeds its edge there) where it lies in
-        # the bracket, else from the outside end
+        # both ends of every bracket at once, the grid angles read from the
+        # grid and the others (about refined portion angles) solved: a
+        # proposal from the inside end (a smooth point seeds its edge
+        # there) where it lies in the bracket, else from the outside end
         m = inner.size
-        vals, props = f(np.concatenate([inner, outer]), np.concatenate([np.arange(m)] * 2))
+        t_ends = np.concatenate([inner, outer])
+        j_ends = np.concatenate([j_in[owner].ravel(), (j_in + past)[owner].ravel()])
+        on_ends = np.tile(np.repeat(on_grid[owner], 2), 2)
+        _, first = np.unique(t_ends, return_index=True)
+        eig = _eig_at(pencil, grid, t_ends[first], j_ends[first], on_ends[first])
+        vals, props = f(t_ends, np.concatenate([np.arange(m)] * 2), eig)
         off = np.isnan(f_in)
         f_in[off], f_out[off] = vals[:m][off], vals[m:][off]
         p_in = props[:m]
@@ -866,10 +899,12 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
         edges = _false_position(f, inner, f_in, outer, f_out, step * 2.0**-_EDGE_HALVINGS, floor, seed)
         lo_edge[owner], hi_edge[owner] = edges[0::2], edges[1::2]
 
-    # pre-images at the arc midpoints: one stacked solve; angles whose top
-    # eigenvalue is clustered read the full face from its rows
-    theta_rep = (lo_edge + hi_edge) / 2.0
-    w_rep, V_rep = pencil.eigh(theta_rep)
+    # pre-images: a point that is a member of the face at its grid angle
+    # (inside its arc) takes it there, read from the grid; the others at
+    # their arc midpoints, in one stacked solve.  Angles whose top
+    # eigenvalue is clustered read the full face from their rows
+    theta_rep = np.where(on_grid, thetas[j0], (lo_edge + hi_edge) / 2.0)
+    w_rep, V_rep = _eig_at(pencil, grid, theta_rep, j0, on_grid)
     bases = list(mc._fix_phases(V_rep[:, :, -1:]))
     band = np.nonzero(pencil.top_gap(w_rep) <= pencil.ctol)[0]
     for i, fd in zip(band.tolist(), _faces(pencil, theta_rep[band], (w_rep[band], V_rep[band]))):

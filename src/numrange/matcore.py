@@ -165,6 +165,9 @@ class Pencil:
         # first half of the grid (every angle for odd N), and which of
         # them are solved
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # per grid size N solved by grid(N, vectors=True): the eigenvectors
+        # at the angles of the table rows, read by _grid_eig
+        self._vectors: dict[int, np.ndarray] = {}
         self._extent: tuple[float, float, float, float] | None = None
         self._L0 = 0.0
         # answers to per-matrix questions of other modules, by the function
@@ -182,7 +185,10 @@ class Pencil:
         theta_k, because A(theta + pi) = -A(theta).  Odd N solves every
         angle.  The result is kept per N, read-only; a grid solved with
         vectors also serves later eigenvalue-only requests, and its
-        eigenvalues go to the table that :meth:`_scan` reads.
+        eigenvalues go to the table that :meth:`_scan` reads.  With
+        ``vectors`` the full eigenvectors of the solved angles are kept
+        too, read-only and only for them (no copy for the second half):
+        :meth:`_grid_eig` reads the eigenpairs at any grid index from them.
 
         Two callers need every angle: the N-vertex polygon of
         :func:`~numrange.rangegeo.boundary_polygon` and the face endpoints
@@ -200,6 +206,8 @@ class Pencil:
         if vectors:
             w, V = self.eigh(thetas[: len(solved)])
             table[:], solved[:] = w, True
+            V.flags.writeable = False
+            self._vectors[N] = V
             x = np.concatenate([V[..., -1], V[..., 0]] if half else [V[..., -1]])
         else:
             self._solve(N, np.arange(len(solved)))
@@ -210,6 +218,23 @@ class Pencil:
                 a.flags.writeable = False
         self._grids[N] = (thetas, w, x)
         return self._grids[N]
+
+    def _grid_eig(self, N: int, k) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of A(theta) at the integer
+        indices ``k`` of the N-angle grid, taken mod N, as :meth:`eigh`
+        gives them, read from what ``grid(N, vectors=True)`` kept.  An
+        index k in the second half of an even grid reads the angle half a
+        turn earlier: the eigenvalues are ``-w[k - N/2, ::-1]`` and the
+        eigenvectors ``V[k - N/2][..., ::-1]``.  Returns copies."""
+        V = self._vectors[N]
+        rows = len(V)
+        k = np.asarray(k, dtype=int) % N
+        flip = k >= rows
+        r = np.where(flip, k - rows, k)
+        w, X = self._table(N)[0][r], V[r]
+        if flip.any():
+            w[flip], X[flip] = -w[flip, ::-1], X[flip, :, ::-1]
+        return w, X
 
     def _table(self, N: int) -> tuple[np.ndarray, np.ndarray]:
         """The eigenvalue table of the N-angle grid and its solved mask."""

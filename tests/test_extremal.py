@@ -16,6 +16,7 @@ from conftest import (
     haar_unitary,
     hermitian_parts,
     large_ginibre,
+    matrices,
     random_matrix,
     record,
     segment_distance,
@@ -611,10 +612,111 @@ def arc_edge_cases():
 def test_arc_edges_take_few_stacked_solves(A, grid, cap, monkeypatch):
     calls = record(monkeypatch, mc.Pencil, "eigh")
     reps = ex.extreme_points(A, grid)
-    # one solve is the grid's and one the pre-images' at the arc midpoints;
-    # every other refines arc edges
+    # one solve is the grid's and at most one the pre-images' of the points
+    # that are no member of the face at their grid angle (they take theirs
+    # at the arc midpoints); every other refines arc edges
     assert len(calls) - 2 <= cap
     assert len(reps) >= 3
+
+
+@pytest.mark.parametrize(("d", "grid", "cap"), [(3, 256, 640), (3, 255, 765), (8, 64, 160)])
+def test_extreme_points_read_edge_ends_and_preimages_from_the_grid(d, grid, cap, monkeypatch):
+    # the grid's stack and the arc-edge confirmations are the only solves:
+    # the first arc-edge model and the pre-images read the grid
+    solved = record(monkeypatch, np.linalg, "eigh", matrices)
+    ex.extreme_points(large_ginibre(d, 0), grid)
+    assert sum(solved) <= cap
+    assert len(solved) <= 2
+
+
+@pytest.mark.parametrize(
+    ("A", "grid"),
+    [
+        pytest.param(large_ginibre(3, 0), 256, id="ginibre3-256"),
+        pytest.param(large_ginibre(8, 0), 64, id="ginibre8-64"),
+        pytest.param(CIRCLE_POINT, 256, id="circle_point-256"),
+    ],
+)
+def test_first_arc_edge_model_solves_no_grid_angle(A, grid, monkeypatch):
+    # the bracket ends at grid angles take their eigenpairs from the grid;
+    # only the ends about refined flat-portion angles (CIRCLE_POINT's) are
+    # solved.  The log keeps the solves after the flat-portion scan: those
+    # ends, then the edge confirmations
+    step = 2.0 * np.pi / grid
+    log = []
+    record(monkeypatch, ex, "_flat_portions", lambda out, *args: log.clear())
+    record(monkeypatch, mc.Pencil, "eigh", lambda out, self, t: log.append(np.ravel(t)))
+    models = record(monkeypatch, ex, "_edge_model", lambda out, pencil, t, *args: np.array(t))
+    ex.extreme_points(A, grid)
+    t, solved = models[0], np.concatenate(log)
+    on_grid = np.abs(t / step - np.rint(t / step)) <= 1e-12
+    assert on_grid.sum() >= 3
+    assert not np.isin(t[on_grid], solved).any()
+    assert np.isin(t[~on_grid], solved).all()
+
+
+def midpoint_preimage_cases():
+    """Matrices and grids for the pre-images read from the grid, with the
+    exact projector of a point where one is pinned: the point 1 of
+    DISK_EIG_BOUNDARY in 20 unitary frames."""
+    cases = [
+        pytest.param(large_ginibre(3, 0), 256, None, id="ginibre3-256"),
+        pytest.param(large_ginibre(3, 0), 255, None, id="ginibre3-255"),
+        pytest.param(large_ginibre(8, 0), 64, None, id="ginibre8-64"),
+        pytest.param((0.5 - 2.0j) * np.eye(3, dtype=complex), 64, None, id="scalar"),
+        pytest.param(DISK2, 256, None, id="disk2"),
+        pytest.param(np.kron(np.eye(2), TRIANGLE), 256, None, id="kron_triangle"),
+    ]
+    rng = np.random.default_rng(23)
+    for k in range(20):
+        U = haar_unitary(rng, 3)
+        pinned = (1.0, U.conj().T @ DEB_PROJECTOR @ U)
+        cases.append(pytest.param(U.conj().T @ DISK_EIG_BOUNDARY @ U, 256, pinned, id=f"disk_eig_boundary-{k}"))
+    return cases
+
+
+@pytest.mark.parametrize(("A", "grid", "pinned"), midpoint_preimage_cases())
+def test_preimages_read_from_the_grid_match_fresh_faces_at_arc_midpoints(A, grid, pinned):
+    # the reference of each report is a fresh face at the midpoint of its
+    # arc: the report's point is an endpoint of it, it is a segment exactly
+    # where the point is non-exposed, and its pre-image of the point (the
+    # endpoint eigenspace, the whole cluster for a face that is a point)
+    # has the report's projector.  The projectors are rounding apart: the
+    # bound is 1e-12 plus 16 eps scale / gap, the Davis-Kahan size of a
+    # rounding of A(theta) with the top cluster a gap from the rest (about
+    # 3e-4 next to the point 1 of DISK_EIG_BOUNDARY, where the gap closes).
+    # The point 1 of DISK_EIG_BOUNDARY has the arc +/-2.54e-7 rad about its
+    # one normal 0, so its midpoint's cluster turns with the midpoint; its
+    # pre-image, read at the grid angle 0, is checked against the exact one
+    pencil = mc.Pencil(A)
+    tol = ex.POINT_MATCH_RTOL * pencil.scale
+    reps = ex.extreme_points(A, grid)
+    halves = set()
+    for r in reps:
+        P = r.preimage @ r.preimage.conj().T
+        if pinned is not None and abs(r.point - pinned[0]) <= tol:
+            assert r.multiply_generated and np.max(np.abs(P - pinned[1])) <= 1e-12
+            continue
+        mid = sum(r.normal_arc) / 2.0
+        halves.add(mid % (2.0 * np.pi) >= np.pi)
+        fd = ex.face(A, mid)
+        if fd.length <= tol:
+            basis = fd.basis_m
+        elif abs(r.point - fd.p_plus) <= abs(r.point - fd.p_minus):
+            basis = fd.basis_plus
+        else:
+            basis = fd.basis_minus
+        assert min(abs(r.point - fd.p_plus), abs(r.point - fd.p_minus)) <= tol
+        assert (r.kind == "non-exposed") == (fd.length > ex.FLAT_LENGTH_RTOL * pencil.scale)
+        assert r.multiply_generated == (basis.shape[1] >= 2)
+        w = np.linalg.eigvalsh(pencil.rotate(mid))
+        k = fd.basis_m.shape[1]
+        gap = w[-k] - w[-k - 1] if k < pencil.d else np.inf
+        bound = 1e-12 + 16.0 * np.finfo(float).eps * pencil.scale / gap
+        assert np.max(np.abs(P - basis @ basis.conj().T)) <= bound
+    # both halves of the grid, the second read by the half-turn identity
+    assert halves == {False, True} or len(reps) == 1
+    assert pinned is None or any(abs(r.point - pinned[0]) <= tol for r in reps)
 
 
 def stacked_face_cases():
@@ -661,8 +763,8 @@ def test_flat_portions_of_triangle_solve_at_most_9(monkeypatch):
 def test_extreme_points_in_a_band_everywhere_solve_at_most_64(monkeypatch):
     # the top eigenvalue of kron(I2, TRIANGLE)(theta) is double at every
     # angle: clustered faces are solved in stacks, with one compression
-    # solve per cluster size, and the pre-images read the rows of the arc
-    # midpoints' solve
+    # solve per cluster size, and the pre-images read the grid's rows at
+    # the grid angles the points were seen at
     calls = record(monkeypatch, np.linalg, "eigh")
     reps = ex.extreme_points(np.kron(np.eye(2), TRIANGLE), 256)
     assert len(reps) >= 3
