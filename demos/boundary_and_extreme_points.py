@@ -59,8 +59,7 @@ print("\npre-image basis at the vertex (2, 0):")
 print(np.round(basis, 6))
 
 # inner sampled hull vs W(A), read from the support function
-cloud = nr.sample_range(A, 50_000, seed=0)
-gap = nr.range_gap(A, nr.hull(cloud))
+gap = nr.range_gap(A, nr.sample_hull(A, 50_000, seed=0))
 print(f"\nsampling oracle: Hausdorff gap of 5e4 samples to W(A) = {gap:.2e}")
 
 poly = nr.boundary_polygon(A, 512)

@@ -47,7 +47,7 @@ from .maxent import (
     maxent_interior,
     round_boundary_points,
 )
-from .oracle import SampleCloud, hull, oracle_gap, sample_range
+from .oracle import SampleCloud, hull, oracle_gap, sample_hull, sample_range
 from .rangegeo import (
     ConvexPolygon,
     EllipseParams,
@@ -114,6 +114,7 @@ __all__ = [
     "range_distance",
     "range_gap",
     "round_boundary_points",
+    "sample_hull",
     "sample_range",
     "schur3",
     "supporting_angle",

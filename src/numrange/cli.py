@@ -436,8 +436,7 @@ def run(args) -> int:
         return 0
 
     if cmd == "oracle":
-        cloud = oracle.sample_range(A, args.n, args.seed)
-        inner = oracle.hull(cloud)
+        inner = oracle.sample_hull(A, args.n, args.seed)
         gap = rg.range_gap(A, inner, args.samples)
         _emit(
             {

@@ -543,14 +543,17 @@ class Pencil:
                 Qm[j], mu[j], W[j] = Q[i], m[i], Y[i]
         return w[:, -1], Qm, mu, W
 
-    def faces(self, thetas, tol: float, eig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def faces(self, thetas, tol: float, eig, grid: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Face segments at an angle array: (support, mu_lo, mu_hi).
 
         Where the top eigenvalue is simple within ``tol`` the face is one
         touch point and mu_lo = mu_hi is the top-curve slope.  ``eig``
         passes the ascending eigenvalues and the top eigenvectors at the
         same angles, as :meth:`grid` gives them; the clustered angles are
-        then solved in one stacked call of :meth:`segments`.  With all the
+        then solved in one stacked call of :meth:`segments`, unless
+        ``grid`` says that the angles are the whole ``grid``-angle grid
+        solved by ``grid(grid, vectors=True)``: then they read the full
+        eigenvectors it kept (:meth:`_grid_eig`).  With all the
         eigenvectors, as :meth:`eigh` gives them, a clustered face is read
         from them without another solve.
         """
@@ -562,7 +565,12 @@ class Pencil:
         hi = lo.copy()
         j = np.nonzero(self.top_gap(w) <= tol)[0]
         if j.size:
-            sup[j], _, mu, _ = self.segments(t[j], tol, (w[j], x[j]) if full else None)
+            at = None
+            if full:
+                at = (w[j], x[j])
+            elif grid is not None:
+                at = self._grid_eig(grid, j)
+            sup[j], _, mu, _ = self.segments(t[j], tol, at)
             lo[j], hi[j] = [m[0] for m in mu], [m[-1] for m in mu]
         return sup, lo, hi
 

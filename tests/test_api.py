@@ -51,6 +51,9 @@ REMOVED = {
     ],
 }
 
+# names added to the public surface, by module, each recorded in CHANGES.md
+ADDED = {"oracle": ["sample_hull"]}
+
 MODULES = sorted(Path(numrange.__file__).parent.glob("*.py"))
 
 
@@ -72,6 +75,14 @@ def test_removed_names_are_gone(module):
         assert not hasattr(holder, attr), f"numrange.{module}.{name}"
         assert not hasattr(numrange, name), f"numrange.{name}"
         assert name not in numrange.__all__
+
+
+@pytest.mark.parametrize("module", sorted(ADDED))
+def test_added_names_are_exported(module):
+    mod = importlib.import_module(f"numrange.{module}")
+    for name in ADDED[module]:
+        assert name in numrange.__all__
+        assert getattr(numrange, name) is getattr(mod, name)
 
 
 def unused_imports(source: str) -> list[str]:

@@ -655,6 +655,34 @@ def test_first_arc_edge_model_solves_no_grid_angle(A, grid, monkeypatch):
     assert np.isin(t[~on_grid], solved).all()
 
 
+@pytest.mark.parametrize(("A", "flat"), [(np.kron(np.eye(2), TRIANGLE), True), (DISK2, False)], ids=["kron_triangle", "disk2"])
+def test_grid_faces_read_the_kept_eigenvectors(A, flat, monkeypatch):
+    # the top eigenvalue is double at every angle, so every grid face is
+    # clustered.  Its face reads the eigenvectors the grid kept: the only
+    # grid angles Pencil.segments solves are the flat-portion candidates
+    # that fall on the grid (TRIANGLE's normals pi/4, pi and 3 pi/2), and
+    # DISK2 solves no grid angle again at all
+    grid = 256
+    step = 2.0 * np.pi / grid
+    pencil = mc.Pencil(A)
+    pencil.grid(grid, vectors=True)
+    candidates = record(monkeypatch, ex, "_flat_candidates", lambda out, *args: np.array(out, dtype=float))
+    segments = record(
+        monkeypatch, mc.Pencil, "segments", lambda out, self, t, tol, eig=None: np.ravel(t) if eig is None else []
+    )
+    solved = record(monkeypatch, mc.Pencil, "eigh", lambda out, self, t: np.ravel(t))
+    ex.extreme_points(pencil, grid)
+
+    def on_grid(t):
+        t = np.concatenate([np.empty(0), *t])
+        return t[np.abs(t / step - np.rint(t / step)) <= 1e-12]
+
+    assert np.isin(on_grid(segments), np.concatenate(candidates)).all()
+    assert on_grid(segments).size == (3 if flat else 0)
+    if not flat:
+        assert on_grid(solved).size == 0
+
+
 def midpoint_preimage_cases():
     """Matrices and grids for the pre-images read from the grid, with the
     exact projector of a point where one is pinned: the point 1 of

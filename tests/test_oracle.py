@@ -4,7 +4,18 @@ import pytest
 from numrange import matcore as mc, oracle, rangegeo as rg
 from numrange.errors import PreconditionError
 
-from conftest import DISK, TRIANGLE, random_matrix
+from conftest import (
+    CIRCLE_POINT,
+    DISK,
+    DISK2,
+    DISK_EIG_BOUNDARY,
+    JORDAN3,
+    SEGMENT,
+    TRIANGLE,
+    large_ginibre,
+    random_matrix,
+    record,
+)
 
 
 def test_sample_range_deterministic():
@@ -157,3 +168,105 @@ def test_samples_pass_contains(rng):
             cloud.points.imag, np.sin(thetas)
         )
         assert np.max(proj - sup[None, :]) <= 1e-12 * (1 + mc.fro(A))
+
+
+# the stress family of sample_hull: fixtures and draws under scalings,
+# rotations and shifts of the plane, at three sample sizes
+HULL_MATRICES = {
+    "circle_point": CIRCLE_POINT,
+    "disk_eig_boundary": DISK_EIG_BOUNDARY,
+    "disk": DISK,
+    "triangle": TRIANGLE,
+    "jordan": JORDAN3,
+    "disk2": DISK2,
+    "ginibre2": large_ginibre(2, 0),
+    "ginibre3": large_ginibre(3, 1),
+    "ginibre8": large_ginibre(8, 0),
+    "ginibre32": large_ginibre(32, 0),
+}
+PLANE_MAPS = [(1.0, 0.0), (1e-9 * np.exp(0.3j), 0.0), (1e9 * np.exp(-1.1j), 0.0), (1.0, 1e6), (np.exp(2j), 1e6 + 3e5j)]
+
+
+@pytest.mark.parametrize("name", sorted(HULL_MATRICES))
+def test_sample_hull_is_the_hull_of_sample_range(name):
+    for a, b in PLANE_MAPS:
+        A = a * HULL_MATRICES[name] + b * np.eye(len(HULL_MATRICES[name]))
+        for n in (500, 5000, 20000):
+            want = oracle.hull(oracle.sample_range(A, n, seed=7)).vertices
+            assert np.array_equal(oracle.sample_hull(A, n, seed=7).vertices, want), (a, b, n)
+
+
+def _drawn_rows(monkeypatch):
+    """The row arrays sample_hull draws exactly, one per product."""
+    return record(monkeypatch, oracle, "_gaussian_rows", lambda out, seed, rows, d: np.array(rows))
+
+
+def test_sample_hull_with_no_survivor(monkeypatch):
+    # the vertices of TRIANGLE come from the structured head, and every
+    # Gaussian row lies far inside
+    drawn = _drawn_rows(monkeypatch)
+    full = record(monkeypatch, oracle, "sample_range")
+    got = oracle.sample_hull(TRIANGLE, 500, seed=0)
+    assert drawn == [] and full == []
+    assert np.array_equal(got.vertices, oracle.hull(oracle.sample_range(TRIANGLE, 500, seed=0)).vertices)
+
+
+def test_sample_hull_draws_a_lone_survivor_twice(monkeypatch):
+    # TRIANGLE with one edge bulged out: one Gaussian row survives the
+    # screen, and is drawn in a two-row product, as sample_range's gemm
+    A = TRIANGLE.astype(complex)
+    A[1, 2] = 0.2
+    drawn = _drawn_rows(monkeypatch)
+    got = oracle.sample_hull(A, 100, seed=0)
+    assert len(drawn) == 1 and drawn[0].size == 2 and drawn[0][0] == drawn[0][1]
+    assert np.array_equal(got.vertices, oracle.hull(oracle.sample_range(A, 100, seed=0)).vertices)
+
+
+@pytest.mark.parametrize(
+    ("A", "n"),
+    [
+        (TRIANGLE, 27),  # no Gaussian row: the head has 3 + 8 * 3 rows
+        (DISK, 5),
+        (np.array([[2.0 - 1.0j]]), 500),  # d = 1
+        ((0.5 - 2.0j) * np.eye(3), 500),  # scalar
+        (SEGMENT, 5000),  # Hermitian: a collinear cloud
+        (np.diag([0.0, 1.0, 2.0]) * np.exp(0.7j) + 3.0 * np.eye(3), 5000),  # collinear, off the real axis
+    ],
+    ids=["head_only", "head_part", "d1", "scalar", "hermitian", "collinear"],
+)
+def test_sample_hull_takes_the_whole_cloud_where_the_screen_cannot_help(A, n, monkeypatch):
+    full = record(monkeypatch, oracle, "sample_range", lambda out, *args: out.points)
+    got = oracle.sample_hull(A, n, seed=3)
+    assert len(full) == 1
+    assert np.array_equal(got.vertices, oracle.hull(full[0]).vertices)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+def test_screen_bound_is_at_least_twice_the_error(d):
+    # 5 maps x 5000 rows per d, 100 000 rows in all; mu also covers the
+    # float64 rounding of the exact values, which dominates at scale 1e-9
+    # under a shift of 1e6
+    A1 = large_ginibre(d, 2)
+    k = len(oracle.structured_vectors(d))
+    rows = 5000
+    for a, b in [(1e-9, 0.0), (1e9, 0.0), (1.0, 1e6), (1e-9, 1e6), (1e9 * np.exp(1j), 1e6)]:
+        A = a * A1 + b * np.eye(d)
+        c, s, BT, mu = oracle._screen_frame(A)
+        exact = oracle.sample_range(A, k + rows, seed=d).points[k:] - c
+        screened = s * oracle._screen(d, (0, rows), BT).astype(complex)
+        assert 2.0 * np.abs(screened - exact).max() <= mu, (a, b)
+
+
+def test_prefilter_margin_keeps_every_point_near_the_edge(rng):
+    # a point within 2 mu of the corner polygon's boundary is kept, and a
+    # point dropped with margin mu lies at least 2 mu inside every edge line
+    zs = np.exp(2j * np.pi * rng.uniform(size=4000)) * np.sqrt(rng.uniform(size=4000))
+    mu = 1e-3
+    kept = np.zeros(zs.size, dtype=bool)
+    kept[oracle._prefilter(zs, mu)] = True
+    poly = rg.ConvexPolygon.from_complex(zs[kept])
+    v = poly.vertices[:, 0] + 1j * poly.vertices[:, 1]
+    e = np.roll(v, -1) - v
+    depth = np.min(((e.conj()[None] * (zs[~kept, None] - v[None])).imag) / np.abs(e)[None], axis=1)
+    assert depth.min() > 2.0 * mu
+    assert kept.sum() < zs.size // 4

@@ -1,7 +1,7 @@
-"""The worker pool of matcore._map: its two callers, Pencil.eigh on large
-stacks and the row blocks of oracle.sample_range, give the same bits for
-every worker count, pass a worker's exception to the caller, and leave
-the small queries of the benchmark inline."""
+"""The worker pool of matcore._map: its callers, Pencil.eigh on large
+stacks and the row blocks of oracle.sample_range and oracle.sample_hull,
+give the same bits for every worker count, pass a worker's exception to
+the caller, and leave the small queries of the benchmark inline."""
 
 import contextlib
 import io
@@ -56,6 +56,20 @@ def test_sample_range_same_bits_for_every_worker_count(rng, workers, d):
         for n, serial, split in zip(sizes, results[1], results[w]):
             assert np.array_equal(serial, split), (w, n)
     assert mc._pool is not None  # 50 000 rows were split
+
+
+@pytest.mark.parametrize("d", [3, 8, 32])
+def test_sample_hull_same_bits_for_every_worker_count(rng, workers, d):
+    # the screen and the exact draw of the survivors run in row blocks on
+    # _map; the hull is hull(sample_range) for every worker count
+    A = random_matrix(rng, d)
+    sizes = (2000, 50_000)
+    want = [oracle.hull(oracle.sample_range(A, n, seed=29)).vertices for n in sizes]
+    for w in COUNTS:
+        workers(w)
+        for n, ref in zip(sizes, want):
+            assert np.array_equal(oracle.sample_hull(A, n, seed=29).vertices, ref), (w, n)
+    assert mc._pool is not None  # the screen of 50 000 rows was split
 
 
 def _stacks(rng):
