@@ -762,8 +762,8 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     (:func:`_greedy_dedup`): a point is dropped when an earlier kept one
     lies within the dedup tolerance.
 
-    The grid faces read their clustered rows from the eigenvectors the
-    grid kept (:meth:`~numrange.matcore.Pencil.faces` with ``grid``).
+    The grid faces are read from the eigenpairs the grid kept
+    (:meth:`~numrange.matcore.Pencil.grid_faces`), no angle solved again.
     The arc runs of every point come from the distances of the grid faces
     to the point, taken in a window of five grid angles about the angle
     the point was seen at.  A run that ends inside the window is read from
@@ -816,9 +816,8 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
             )
         ]
 
-    thetas, *eig = pencil.grid(grid, vectors=True)
+    thetas, sup, mu_lo, mu_hi = pencil.grid_faces(grid, pencil.ctol)
     u_grid = np.exp(1j * thetas)
-    sup, mu_lo, mu_hi = pencil.faces(thetas, pencil.ctol, eig, grid)
     lo_pts = u_grid * (sup + 1j * mu_lo)
     hi_pts = u_grid * (sup + 1j * mu_hi)
     portions = _flat_portions(pencil, _flat_candidates(pencil, grid))
@@ -837,7 +836,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     # distance of every point to the faces at the grid angles about its
     # own: its runs give the arcs, its values seed the arc-edge refinement
     step = 2.0 * np.pi / grid
-    strict_faces = pencil.faces(thetas, strict_tol, eig, grid)
+    strict_faces = pencil.grid_faces(grid, strict_tol)[1:]
     j0 = np.rint((th0 % (2 * np.pi)) / step).astype(int) % grid
     half = 2  # the window's half-width in grid steps
     cols = (j0[:, None] + np.arange(-half, half + 1)) % grid

@@ -134,12 +134,13 @@ class Pencil:
     only the first half of the angles is solved, and the eigenvalues at
     theta + pi are the negated eigenvalues at theta in reverse order, with
     the top eigenvector the bottom one at theta.  :meth:`grid` solves the
-    whole grid; :meth:`_scan` solves only the cells of it that a question
-    needs, bounding the others (:meth:`_cells`).  Each angle is solved once
-    per Pencil and kept, so every query that reaches W(A) through a grid
-    of the same size shares its solves.  Public functions accept a matrix
-    or a Pencil (:func:`as_pencil`); passing one Pencil down a chain of
-    calls shares its tables.
+    whole grid with its eigenvectors, and :meth:`grid_faces` reads every
+    face of it from them; :meth:`_scan` solves only the cells of the grid
+    that a question needs, bounding the others (:meth:`_cells`).  Each
+    angle is solved once per Pencil and kept, so every query that reaches
+    W(A) through a grid of the same size shares its solves.  Public
+    functions accept a matrix or a Pencil (:func:`as_pencil`); passing one
+    Pencil down a chain of calls shares its tables.
 
     R, S and every cos(theta) R + sin(theta) S are Hermitian by
     construction: their (i, j) and (j, i) entries are conjugate in
@@ -160,13 +161,12 @@ class Pencil:
         self.norm = fro(self.A)
         self.scale = 1.0 + self.norm
         self.ctol = CLUSTER_RTOL * self.scale
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
         # per grid size N: the ascending eigenvalues at the angles of the
         # first half of the grid (every angle for odd N), and which of
         # them are solved
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # per grid size N solved by grid(N, vectors=True): the eigenvectors
-        # at the angles of the table rows, read by _grid_eig
+        # per grid size N solved by grid(N): the eigenvectors at the angles
+        # of the table rows, read by _grid_eig
         self._vectors: dict[int, np.ndarray] = {}
         self._extent: tuple[float, float, float, float] | None = None
         self._L0 = 0.0
@@ -174,58 +174,39 @@ class Pencil:
         # that solved them (kipp3's spectrum, classification, canonical form)
         self._kept: dict = {}
 
-    def grid(self, N: int, vectors: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def grid(self, N: int) -> tuple[np.ndarray, np.ndarray]:
         """A(theta) solved on the uniform grid of N angles on [0, 2 pi).
 
-        Returns ``(thetas, w, x)``: the angles, the ascending eigenvalues w
-        at every angle, shape (N, d), and with ``vectors`` the top
-        eigenvectors x, shape (N, d), else None.  For even N only the
-        first N/2 angles are solved: at theta_k + pi the eigenvalues are
-        ``-w[k, ::-1]`` and the top eigenvector is the bottom one at
-        theta_k, because A(theta + pi) = -A(theta).  Odd N solves every
-        angle.  The result is kept per N, read-only; a grid solved with
-        vectors also serves later eigenvalue-only requests, and its
-        eigenvalues go to the table that :meth:`_scan` reads.  With
-        ``vectors`` the full eigenvectors of the solved angles are kept
-        too, read-only and only for them (no copy for the second half):
-        :meth:`_grid_eig` reads the eigenpairs at any grid index from them.
+        Returns ``(thetas, w)``: the angles and the ascending eigenvalues
+        at every angle, shape (N, d).  For even N only the first N/2
+        angles are solved: at theta_k + pi the eigenvalues are
+        ``-w[k, ::-1]``, because A(theta + pi) = -A(theta).  Odd N solves
+        every angle.  The solve is :meth:`eigh`, once per N: its
+        eigenvalues go to the table that :meth:`_scan` reads, and its
+        eigenvectors are kept read-only for the solved angles only (no
+        copy for the second half), where :meth:`_grid_eig` and
+        :meth:`grid_faces` read them.
 
         Two callers need every angle: the N-vertex polygon of
         :func:`~numrange.rangegeo.boundary_polygon` and the face endpoints
-        of :func:`~numrange.extremal.extreme_points`.  Every other scan
-        goes through :meth:`_scan`, which reads the kept arrays once the
-        whole grid is solved.
+        of :func:`~numrange.extremal.extreme_points`, both through
+        :meth:`grid_faces`.  Every other scan goes through :meth:`_scan`.
         """
-        kept = self._grids.get(N)
-        if kept is not None and (kept[2] is not None or not vectors):
-            return kept
-        thetas = _grid_angles(N)
         table, solved = self._table(N)
-        half = len(solved) < N
-        x = None
-        if vectors:
-            w, V = self.eigh(thetas[: len(solved)])
+        if N not in self._vectors:
+            w, V = self.eigh(_grid_angles(N)[: len(solved)])
             table[:], solved[:] = w, True
             V.flags.writeable = False
             self._vectors[N] = V
-            x = np.concatenate([V[..., -1], V[..., 0]] if half else [V[..., -1]])
-        else:
-            self._solve(N, np.arange(len(solved)))
-        w = self._at(N, np.arange(len(solved)))
-        # every caller shares the kept arrays
-        for a in (w, x):
-            if a is not None:
-                a.flags.writeable = False
-        self._grids[N] = (thetas, w, x)
-        return self._grids[N]
+        return _grid_angles(N), self._at(N, np.arange(len(solved)))
 
     def _grid_eig(self, N: int, k) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and eigenvectors of A(theta) at the integer
         indices ``k`` of the N-angle grid, taken mod N, as :meth:`eigh`
-        gives them, read from what ``grid(N, vectors=True)`` kept.  An
-        index k in the second half of an even grid reads the angle half a
-        turn earlier: the eigenvalues are ``-w[k - N/2, ::-1]`` and the
-        eigenvectors ``V[k - N/2][..., ::-1]``.  Returns copies."""
+        gives them, read from what :meth:`grid` kept.  An index k in the
+        second half of an even grid reads the angle half a turn earlier:
+        the eigenvalues are ``-w[k - N/2, ::-1]`` and the eigenvectors
+        ``V[k - N/2][..., ::-1]``.  Returns copies."""
         V = self._vectors[N]
         rows = len(V)
         k = np.asarray(k, dtype=int) % N
@@ -292,9 +273,6 @@ class Pencil:
         rows = len(done)
         half = rows < N
         cost = sum(p.d**3 for p in pencils)
-        if all(p._table(N)[1].all() for p in pencils):
-            # a solved grid is its own scan, kept read-only by grid()
-            return _grid_angles(N), [p.grid(N)[1] for p in pencils]
         if argmax and rows * cost <= _FILL_COST:
             new = np.arange(rows)
         else:
@@ -543,34 +521,40 @@ class Pencil:
                 Qm[j], mu[j], W[j] = Q[i], m[i], Y[i]
         return w[:, -1], Qm, mu, W
 
-    def faces(self, thetas, tol: float, eig, grid: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Face segments at an angle array: (support, mu_lo, mu_hi).
+    def faces(self, thetas, tol: float, eig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Face segments at an angle array: (support, mu_lo, mu_hi), from
+        the :meth:`eigh` result ``eig`` at the same angles.
 
         Where the top eigenvalue is simple within ``tol`` the face is one
-        touch point and mu_lo = mu_hi is the top-curve slope.  ``eig``
-        passes the ascending eigenvalues and the top eigenvectors at the
-        same angles, as :meth:`grid` gives them; the clustered angles are
-        then solved in one stacked call of :meth:`segments`, unless
-        ``grid`` says that the angles are the whole ``grid``-angle grid
-        solved by ``grid(grid, vectors=True)``: then they read the full
-        eigenvectors it kept (:meth:`_grid_eig`).  With all the
-        eigenvectors, as :meth:`eigh` gives them, a clustered face is read
-        from them without another solve.
+        touch point and mu_lo = mu_hi is the top-curve slope; a clustered
+        face is read by :meth:`segments` from the eigenvectors, without
+        another solve.
         """
-        t = np.asarray(thetas, dtype=float)
-        w, x = eig
-        full = x.ndim == w.ndim + 1
+        w, V = eig
+        return self._faces_from(np.asarray(thetas, dtype=float), tol, w, V[..., -1], lambda j: (w[j], V[j]))
+
+    def grid_faces(self, N: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Face segments at the N grid angles: (thetas, support, mu_lo,
+        mu_hi), as :meth:`faces` gives them, read from what :meth:`grid`
+        solved and kept.  The top eigenvector at theta_k + pi is the
+        bottom one at theta_k; the clustered rows read their eigenpairs
+        through :meth:`_grid_eig`.  No grid angle is solved again.
+        """
+        thetas, w = self.grid(N)
+        V = self._vectors[N]
+        x = np.concatenate([V[..., -1], V[..., 0]] if len(V) < N else [V[..., -1]])
+        return (thetas, *self._faces_from(thetas, tol, w, x, lambda j: self._grid_eig(N, j)))
+
+    def _faces_from(self, t, tol: float, w, x, eig_at) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(support, mu_lo, mu_hi) from the ascending eigenvalues w and top
+        eigenvectors x at the angles t; ``eig_at(j)`` gives the eigenpairs
+        of the clustered rows j."""
         sup = w[:, -1].copy()
-        lo = self.slope(t, x[..., -1] if full else x)
+        lo = self.slope(t, x)
         hi = lo.copy()
         j = np.nonzero(self.top_gap(w) <= tol)[0]
         if j.size:
-            at = None
-            if full:
-                at = (w[j], x[j])
-            elif grid is not None:
-                at = self._grid_eig(grid, j)
-            sup[j], _, mu, _ = self.segments(t[j], tol, at)
+            sup[j], _, mu, _ = self.segments(t[j], tol, eig_at(j))
             lo[j], hi[j] = [m[0] for m in mu], [m[-1] for m in mu]
         return sup, lo, hi
 

@@ -32,12 +32,12 @@ DEFAULT_BOUNDARY_SAMPLES = 1024
 DUPLICATE_VERTEX_RTOL = 1e-10
 
 
-def convex_hull(points: np.ndarray, collinear_tol: float = 0.0) -> np.ndarray:
+def convex_hull(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull of planar points, counterclockwise.
 
-    Collinear and duplicate points are dropped; degenerate inputs give a
-    1- or 2-vertex "polygon".  ``collinear_tol`` is the cross-product
-    threshold below which a turn counts as non-left.
+    Duplicate points, and points where the chain does not turn left (a
+    computed cross product of at most 0), are dropped; degenerate inputs
+    give a 1- or 2-vertex "polygon".
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
@@ -62,7 +62,7 @@ def convex_hull(points: np.ndarray, collinear_tol: float = 0.0) -> np.ndarray:
         for p in iterable:
             while len(chain) >= 2:
                 o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= collinear_tol:
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0.0:
                     chain.pop()
                 else:
                     break
@@ -95,8 +95,8 @@ class ConvexPolygon:
             raise PreconditionError("polygon must have at least one vertex")
 
     @classmethod
-    def from_points(cls, points, collinear_tol: float = 0.0) -> "ConvexPolygon":
-        return cls(convex_hull(points, collinear_tol))
+    def from_points(cls, points) -> "ConvexPolygon":
+        return cls(convex_hull(points))
 
     @classmethod
     def from_complex(cls, zs) -> "ConvexPolygon":
@@ -118,7 +118,12 @@ def boundary_polygon(A, N: int = DEFAULT_BOUNDARY_SAMPLES) -> ConvexPolygon:
 
     Every vertex lies on the boundary of W(A) (endpoints of exposed
     faces), so the polygon is an inner approximation that refines as N
-    grows.  ``A`` is a matrix or a :class:`~numrange.matcore.Pencil`.
+    grows.  The faces are read from the grid's one solve
+    (:meth:`~numrange.matcore.Pencil.grid_faces`).  Their endpoints are
+    hulled exactly (a collinearity tolerance can pop a true vertex that
+    lies between near-copies of another), then a vertex within
+    ``DUPLICATE_VERTEX_RTOL * scale`` of the next one is dropped.  ``A``
+    is a matrix or a :class:`~numrange.matcore.Pencil`.
     """
     pencil = mc.as_pencil(A)
     if N < 8:
@@ -126,17 +131,14 @@ def boundary_polygon(A, N: int = DEFAULT_BOUNDARY_SAMPLES) -> ConvexPolygon:
     if pencil.d == 1:
         z = complex(pencil.A[0, 0])
         return ConvexPolygon(np.array([[z.real, z.imag]]))
-    thetas, *eig = pencil.grid(N, vectors=True)
-    sup, lo, hi = pencil.faces(thetas, pencil.ctol, eig)
+    thetas, sup, lo, hi = pencil.grid_faces(N, pencil.ctol)
     u = np.exp(1j * thetas)
     zs = np.concatenate([u * (sup + 1j * lo), u * (sup + 1j * hi)])
     pts = np.column_stack([zs.real, zs.imag])
-    scale = pencil.scale
-    # drop near-duplicates cheaply before the hull pass
-    poly = convex_hull(pts, collinear_tol=1e-13 * max(scale, 1.0) ** 2)
+    poly = convex_hull(pts)
     if len(poly) > 1:
         d = np.linalg.norm(np.diff(np.vstack([poly, poly[:1]]), axis=0), axis=1)
-        poly = poly[d > DUPLICATE_VERTEX_RTOL * scale]
+        poly = poly[d > DUPLICATE_VERTEX_RTOL * pencil.scale]
         if len(poly) == 0:
             poly = np.array([pts[0]])
     return ConvexPolygon(poly)

@@ -3,6 +3,7 @@ exports, and no stale imports in its modules."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,16 @@ REMOVED = {
     ],
 }
 
+# parameters deleted from functions that stay: the grid's eigenvector
+# switch (the grid always keeps them), the faces' grid mode (grid faces are
+# asked for by N), and the hull's collinearity tolerance (the hull is exact)
+REMOVED_PARAMETERS = {
+    "matcore.Pencil.grid": ["vectors"],
+    "matcore.Pencil.faces": ["grid"],
+    "rangegeo.convex_hull": ["collinear_tol"],
+    "rangegeo.ConvexPolygon.from_points": ["collinear_tol"],
+}
+
 # names added to the public surface, by module, each recorded in CHANGES.md
 ADDED = {"oracle": ["sample_hull"]}
 
@@ -75,6 +86,16 @@ def test_removed_names_are_gone(module):
         assert not hasattr(holder, attr), f"numrange.{module}.{name}"
         assert not hasattr(numrange, name), f"numrange.{name}"
         assert name not in numrange.__all__
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_PARAMETERS))
+def test_removed_parameters_are_gone(name):
+    module, *path = name.split(".")
+    holder = importlib.import_module(f"numrange.{module}")
+    for part in path:
+        holder = getattr(holder, part)
+    params = inspect.signature(holder).parameters
+    assert [p for p in REMOVED_PARAMETERS[name] if p in params] == []
 
 
 @pytest.mark.parametrize("module", sorted(ADDED))

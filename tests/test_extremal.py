@@ -665,7 +665,7 @@ def test_grid_faces_read_the_kept_eigenvectors(A, flat, monkeypatch):
     grid = 256
     step = 2.0 * np.pi / grid
     pencil = mc.Pencil(A)
-    pencil.grid(grid, vectors=True)
+    pencil.grid(grid)
     candidates = record(monkeypatch, ex, "_flat_candidates", lambda out, *args: np.array(out, dtype=float))
     segments = record(
         monkeypatch, mc.Pencil, "segments", lambda out, self, t, tol, eig=None: np.ravel(t) if eig is None else []

@@ -223,7 +223,7 @@ def test_double_eigenvalue_angles_match_dense_scan(rng):
     # reference: a 4096-angle gap scan refined by golden-section search
     def dense_portions(A):
         pencil = mc.Pencil(A)
-        thetas, w, _ = pencil.grid(4096)
+        thetas, w = pencil.grid(4096)
         return ex._flat_portions(pencil, scan_candidates(pencil, thetas, pencil.top_gap(w)))
 
     cases = [random_matrix(rng, 3) for _ in range(500)]

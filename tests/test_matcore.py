@@ -258,12 +258,11 @@ def test_schur3_defective_and_multiple_roots(rng):
 
 
 class FullGridPencil(mc.Pencil):
-    """Pencil whose grids solve A(theta) at every linspace angle."""
+    """Pencil whose grid faces solve A(theta) at every linspace angle."""
 
-    def grid(self, N, vectors=False):
+    def grid_faces(self, N, tol):
         thetas = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
-        w, V = np.linalg.eigh(self.rotate(thetas))
-        return thetas, w, V[..., -1]
+        return (thetas, *self.faces(thetas, tol, np.linalg.eigh(self.rotate(thetas))))
 
 
 def half_turn_cases():
@@ -289,16 +288,16 @@ def test_grid_half_turn_matches_full_solve(A, N):
     thetas = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
     pencil = mc.Pencil(A)
     want = np.linalg.eigvalsh(pencil.rotate(thetas))
-    got_t, w, x = pencil.grid(N)
-    assert np.array_equal(got_t, thetas) and x is None
-    assert np.max(np.abs(w - want)) <= tol
-    got_t, w, x = mc.Pencil(A).grid(N, vectors=True)
+    got_t, w = pencil.grid(N)
     assert np.array_equal(got_t, thetas)
     assert np.max(np.abs(w - want)) <= tol
-    # x is a unit top eigenvector of A(theta) at the linspace angle
-    res = np.einsum("nij,nj->ni", pencil.rotate(thetas), x) - w[:, -1:] * x
+    # the kept eigenpairs at every grid index: unit eigenvectors of A(theta)
+    # at the linspace angle, with the eigenvalues of the grid
+    gw, V = pencil._grid_eig(N, np.arange(N))
+    assert np.array_equal(gw, w)
+    res = pencil.rotate(thetas) @ V - gw[:, None, :] * V
     assert np.max(np.linalg.norm(res, axis=1)) <= tol
-    assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0)) <= 1e-12
     poly = rg.boundary_polygon(A, N)
     ref = rg.boundary_polygon(FullGridPencil(A), N)
     assert rg.hausdorff(poly, ref) <= tol
@@ -308,9 +307,8 @@ def test_grid_clustered_face_in_second_half():
     # TRIANGLE at 3 pi / 2 (grid index 768 of 1024) has the face [0, 1]:
     # A(3 pi / 2) = diag(0, 0, -1), read from the bottom of A(pi / 2)
     pencil = mc.Pencil(TRIANGLE)
-    thetas, *eig = pencil.grid(1024, vectors=True)
+    thetas, sup, lo, hi = pencil.grid_faces(1024, pencil.ctol)
     assert thetas[768] == 1.5 * np.pi
-    sup, lo, hi = pencil.faces(thetas, pencil.ctol, eig)
     assert abs(sup[768]) <= 1e-15 and abs(lo[768]) <= 1e-15 and abs(hi[768] - 1.0) <= 1e-15
     poly = rg.boundary_polygon(TRIANGLE, 1024)
     assert rg.hausdorff(poly, rg.boundary_polygon(FullGridPencil(TRIANGLE), 1024)) <= 2e-12

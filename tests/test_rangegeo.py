@@ -7,8 +7,10 @@ from numrange.errors import PreconditionError
 from conftest import (
     CIRCLE_POINT,
     DISK,
+    DISK2,
     SEGMENT,
     TRIANGLE,
+    matrices,
     random_matrix,
     random_unit_vectors,
     record,
@@ -61,6 +63,47 @@ def test_boundary_polygon_segment():
     assert np.allclose(sorted(poly.as_complex(), key=lambda z: z.real), [0.0, 1.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+@pytest.mark.parametrize("N", [64, 256, 512, 1024])
+def test_boundary_polygon_keeps_every_vertex_of_a_rotated_triangle(N, scale):
+    # at the edge normals of TRIANGLE the face endpoints land a rounding
+    # away from its vertices; a hull with a collinearity tolerance popped
+    # the vertex 0 of -TRIANGLE (k = 4) between two such near-copies
+    for k in range(8):
+        u = np.exp(1j * k * np.pi / 4.0)
+        poly = rg.boundary_polygon(scale * u * TRIANGLE, N)
+        assert len(poly.vertices) == 3, k
+        want = rg.ConvexPolygon.from_complex(scale * u * np.array([0.0, 1.0, 1.0j]))
+        assert rg.hausdorff(poly, want) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_boundary_polygon_keeps_every_touch_point_of_a_smooth_range(scale):
+    # a Ginibre draw has a smooth, strictly convex range, so each of the N
+    # touch points is a vertex.  At scale 1e-3 the turns between them fall
+    # below an absolute collinearity tolerance of 1e-13, which dropped up
+    # to half of them
+    rng = np.random.default_rng(8)
+    for d in (2, 3, 8):
+        A = scale * random_matrix(rng, d)
+        assert len(rg.boundary_polygon(A, 512).vertices) == 512
+
+
+@pytest.mark.parametrize("A", [DISK2, np.kron(np.eye(2), TRIANGLE)], ids=["disk2", "kron_triangle"])
+def test_boundary_polygon_solves_each_grid_row_once(A, monkeypatch):
+    # every top eigenvalue is double, so every face is clustered; its
+    # eigenpairs come from the grid's own solve of the 256 angles of the
+    # first half, not from a second solve (the 2 x 2 compressions aside)
+    d = A.shape[0]
+
+    def full_size(out, a, *args, **kwargs):
+        return matrices(out, a) if np.shape(a)[-1] == d else 0
+
+    solved = [record(monkeypatch, np.linalg, name, full_size) for name in ("eigh", "eigvalsh")]
+    rg.boundary_polygon(A, 512)
+    assert sum(solved[0]) + sum(solved[1]) == 256
+
+
 def test_boundary_polygon_refines(rng):
     A = random_matrix(rng, 4)
     p128 = rg.boundary_polygon(A, 128)
@@ -78,7 +121,7 @@ def test_boundary_polygon_vertices_contained(rng):
         assert rg.contains(A, z)
 
 
-def numpy_row_hull(points, collinear_tol=0.0):
+def numpy_row_hull(points):
     """Reference: the monotone chain on numpy rows, as convex_hull ran it
     before it ran on Python floats."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -94,7 +137,7 @@ def numpy_row_hull(points, collinear_tol=0.0):
         for p in iterable:
             while len(chain) >= 2:
                 o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= collinear_tol:
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0.0:
                     chain.pop()
                 else:
                     break
@@ -110,16 +153,16 @@ def numpy_row_hull(points, collinear_tol=0.0):
 def test_convex_hull_matches_numpy_row_chain(rng, monkeypatch):
     # the touch-point sets that boundary_polygon hands to the hull
     hull = rg.convex_hull
-    inputs = record(monkeypatch, rg, "convex_hull", lambda out, points, collinear_tol=0.0: (points, collinear_tol))
+    inputs = record(monkeypatch, rg, "convex_hull", lambda out, points: points)
     for d, count in ((2, 5), (3, 5), (8, 5), (32, 1)):  # d = 32 takes 1 s at N = 4096
         for _ in range(count):
             rg.boundary_polygon(random_matrix(rng, d), 4096)
     assert len(inputs) == 16
     # random clouds, and integer lattices full of exactly collinear triples
-    inputs += [(rng.standard_normal((5000, 2)), 0.0) for _ in range(20)]
-    inputs += [(rng.integers(0, 20, (2000, 2)).astype(float), tol) for tol in (0.0, 1.0)]
-    for points, tol in inputs:
-        assert np.array_equal(hull(points, tol), numpy_row_hull(points, tol))
+    inputs += [rng.standard_normal((5000, 2)) for _ in range(20)]
+    inputs += [rng.integers(0, 20, (2000, 2)).astype(float) for _ in range(2)]
+    for points in inputs:
+        assert np.array_equal(hull(points), numpy_row_hull(points))
 
 
 def test_contains_examples():

@@ -30,10 +30,11 @@ def mats():
 
 
 def full(A, N):
-    """A Pencil whose N-angle grid is solved, so that its scans see every
-    angle: the answers of the whole grid."""
+    """A Pencil whose N-angle table is solved, row by row with the
+    ``eigvalsh`` of the scans, so that its scans see every angle: the
+    answers of the whole grid."""
     pencil = mc.Pencil(A)
-    pencil.grid(N)
+    pencil._solve(N, np.arange(len(pencil._table(N)[1])))
     return pencil
 
 
@@ -42,7 +43,12 @@ def test_scan_of_every_cell_is_the_grid(N):
     A = random_matrix(np.random.default_rng(2), 5)
     pencil = mc.Pencil(A)
     t, (w,) = pencil._scan(N, lambda t, w: np.ones(t.size, dtype=bool))
-    thetas, want, _ = mc.Pencil(A).grid(N)
+    # the whole grid by eigvalsh, the second half of an even one by the
+    # half-turn identity
+    thetas = np.linspace(0.0, 2.0 * np.pi, N, endpoint=False)
+    rows = N // 2 if N % 2 == 0 else N
+    h = np.linalg.eigvalsh(pencil.rotate(thetas[:rows]))
+    want = np.concatenate([h, -h[:, ::-1]]) if rows < N else h
     assert np.array_equal(t, thetas) and np.array_equal(w, want)
 
 
