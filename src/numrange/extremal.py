@@ -217,11 +217,14 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
     No point lands within tol/2 of an end (Brent's minimum step), so one
     step past a converged end closes the bracket.  A point with
     |f| <= ``floor``, the rounding level of f, is a root: its bracket
-    closes there.  Stops when a bracket is at most max(tol, 4 ulp) wide;
-    returns the inside ends.
+    closes there.  Stops when a bracket is at most max(tol, 4 ulp)
+    (:func:`_min_width`) wide; returns the inside ends.
+    :func:`extreme_points` hands it only the arc-edge brackets whose
+    first proposal :func:`_certified_roots` could not prove a root: on a
+    smooth range, none.
     """
     a, fa, b, fb = (np.array(x, dtype=float) for x in (a, fa, b, fb))
-    tol = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    tol = _min_width(a, b, tol)
     prop, at = (np.array(x, dtype=float) for x in seed)  # each bracket's proposal, and where it was made
     last = np.full(a.size, np.inf)  # the last proposal step, inf after any other step
     kept = np.zeros(a.size, dtype=int)  # end kept by the last false-position step: +1 a, -1 b
@@ -289,6 +292,12 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
         a[one[root]] = b[one[root]] = t1[root]
         live = live[np.abs(b[live] - a[live]) > tol[live]]
     return a
+
+
+def _min_width(a, b, tol) -> np.ndarray:
+    """The width at which :func:`_false_position` stops a bracket [a, b]:
+    tol, or 4 ulp of its larger end."""
+    return np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
 
 
 def _newton_max(jet, lo, t, hi, first) -> tuple[list[float], list[float]]:
@@ -519,24 +528,33 @@ def _flat_candidates(pencil: mc.Pencil, grid: int) -> list[float]:
     found, spreads = [], []
     for m, n in sorted(set(zip(k[low] + 1, window[low]))):
         t = thetas[low & (k + 1 == m) & (window == n)]
-        t, s = _polish(pencil, np.concatenate([_model_minima(pencil, t, size, reach) for size in sorted({m, n})]), m)
+        seeds = [_model_minima(pencil, t, size, reach, grid) for size in sorted({m, n})]
+        t, s = _polish(pencil, np.concatenate(seeds), m)
         near = t[s <= reach**3 * pencil.norm + pencil.ctol]
-        t2, s2 = _polish(pencil, _model_minima(pencil, near, m, reach), m)
+        t2, s2 = _polish(pencil, _model_minima(pencil, near, m, reach, grid), m)
         found += [t, t2]
         spreads += [s, s2]
     return _crossings(pencil, np.concatenate(found), np.concatenate(spreads))
 
 
-def _model_minima(pencil: mc.Pencil, t: np.ndarray, m: int, reach: float) -> np.ndarray:
+def _model_minima(pencil: mc.Pencil, t: np.ndarray, m: int, reach: float, grid: int) -> np.ndarray:
     """Seeds for :func:`_polish` near the angles ``t``: the local minima
     within ``reach`` of |traceless M(delta)|_F^2, a quartic in delta,
     where M is the second-order model of the top m eigenvalues at t
     (:meth:`~numrange.matcore.Pencil.reduced`), or t itself where there
-    is none."""
+    is none.  The angles of t that are angles of the ``grid``-angle grid
+    read their eigenpairs from it where :meth:`~numrange.matcore.Pencil.grid`
+    solved it whole (inside :func:`extreme_points`); the others are
+    solved."""
+    if grid in pencil._vectors:
+        j = np.rint(t / (2.0 * np.pi / grid)).astype(int)
+        eig = _eig_at(pencil, grid, t, j, t == mc._grid_angles(grid)[j % grid])
+    else:
+        eig = pencil.eigh(t)
     # the model needs the top m apart from the rest; where they touch (a
     # meeting of more than m) it is not finite
     with np.errstate(divide="ignore", invalid="ignore"):
-        N0, N1, N2 = (_traceless(M) for M in pencil.reduced(t, pencil.eigh(t), m))
+        N0, N1, N2 = (_traceless(M) for M in pencil.reduced(t, eig, m))
     n22, n12, n02, n11, n01 = (_dot(X, Y) for X, Y in ((N2, N2), (N1, N2), (N0, N2), (N1, N1), (N0, N1)))
     # 2 d/d delta |N0 + delta N1 + delta^2 N2 / 2|^2 in x = delta / reach, highest power first
     cubic = np.stack([n22 * reach**3, 3.0 * n12 * reach**2, 2.0 * (n02 + n11) * reach, 2.0 * n01], axis=-1)
@@ -712,7 +730,10 @@ def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol:
 
     The proposal is the nearer of the two, moving toward the edge; nan
     where neither model applies, as at a corner (rho = 0) or inside a
-    cluster band.
+    cluster band.  The linear model of a smooth point leaves an error of
+    order delta^2 |x''| in f at its proposal, at rounding level on a
+    smooth range; :func:`_certified_roots` bounds it on the first call,
+    so that the proposals it proves roots need no evaluation.
     """
     ts, inv = np.unique(t, return_inverse=True)
     w, V = pencil.eigh(ts) if eig is None else eig
@@ -738,6 +759,71 @@ def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol:
     return val, t + steps[near, np.arange(t.size)]
 
 
+def _certified_roots(pencil: mc.Pencil, t, q, prop, eig, strict_tol: float, member_tol: float, floor: float):
+    """Whether the arc-edge function f of :func:`_edge_model` (q's distance
+    to the face, minus member_tol) is certified within ``floor`` at the
+    proposals ``prop``, from the :meth:`~numrange.matcore.Pencil.eigh`
+    result ``eig`` at the angles t (one row per proposal) and no solve at
+    the proposals.
+
+    Where the face at t is a touch point, the boundary curve
+    x(t) = e^{i t}(h + i h') has x' = i e^{i t}(h + h'') and x'' =
+    e^{i t}(-(h + h'') + i(h' + h''')) (h''' from
+    :meth:`~numrange.matcore.Pencil.third`).  At delta = prop - t, f
+    differs from the distance of its second-order Taylor model,
+    |x + delta x' + (delta^2 / 2) x'' - q| - member_tol, by at most
+    (|delta|^3 / 6) max |x'''| on the segment, with x''' =
+    e^{i t}(-2(h' + h''') + i(h'''' - h)).
+
+    That maximum is bounded by Cauchy estimates (Kato, *Perturbation
+    Theory for Linear Operators*, ch. II).  Take B = A - m I, m the middle
+    of the spectra of Re A and Im A (:meth:`~numrange.matcore.Pencil._spectral_extent`),
+    which moves x by the constant m and leaves x''' alone, and K =
+    |Re A - Re m|_2 + |Im A - Im m|_2.  For complex z, |B(t + z) - B(t)|_2
+    <= sinh|z| K, so on the disk |z| < r, sinh(r) K = g / 2 with g the
+    top gap at t, every eigenvalue of B(t + z) lies within g / 2 of one of
+    B(t) (Bauer-Fike), and the top one stays simple and analytic within
+    g / 2 of its value at t.  With rad = r - |delta|, its k-th derivative
+    is at most k! (g / 2) / rad^k at every real angle between t and the
+    proposal, where the top eigenvalue of B and its slope are at most K.
+    So |x'''| <= 3 K + 12 (g / 2) / rad^3 + 24 (g / 2) / rad^4.  The
+    top gap stays above g - 2 sinh|delta| K there (Weyl), which must
+    keep the face a touch point: at least twice ``strict_tol``.
+
+    A proposal is certified where the model's |f| plus that remainder is
+    at most floor / 2, the other half left for the rounding of f where
+    it is evaluated.
+    """
+    w, V = eig
+    delta = prop - t
+    gap = pencil.top_gap(w)
+    r0, r1, s0, s1 = pencil._spectral_extent()
+    K = (r1 - r0) / 2.0 + (s1 - s0) / 2.0
+    sure = np.zeros(t.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.arcsinh(gap / (2.0 * K))
+        clear = gap - 2.0 * K * np.sinh(np.abs(delta)) >= 2.0 * strict_tol
+        i = np.nonzero((gap > strict_tol) & (np.abs(delta) < r) & clear)[0]
+    if not i.size:
+        return sure
+    ti, d, g = t[i], delta[i], gap[i]
+    # the derivatives at the distinct angles (the two edges of a smooth
+    # point share theirs)
+    ts, first, inv = np.unique(ti, return_index=True, return_inverse=True)
+    eig_s = w[i[first]], V[i[first]]
+    h = eig_s[0][:, -1]
+    h1 = pencil.slope(ts, eig_s[1][..., -1])
+    rho, h1, h3 = (h + pencil.curvature(ts, eig_s))[inv], h1[inv], pencil.third(ts, eig_s)[inv]
+    # x(t) - q and the model's step in the frame of the normal at t
+    u = np.exp(1j * ti)
+    c = (u * (h[inv] + 1j * h1) - q[i]) * np.conj(u)
+    model = np.abs(c + d * 1j * rho + (d * d / 2.0) * (-rho + 1j * (h1 + h3))) - member_tol
+    rad = r[i] - np.abs(d)
+    x3 = 3.0 * K + 6.0 * g / rad**3 + 12.0 * g / rad**4
+    sure[i] = np.abs(model) + np.abs(d) ** 3 / 6.0 * x3 <= floor / 2.0
+    return sure
+
+
 def _eig_at(pencil: mc.Pencil, grid: int, t: np.ndarray, j: np.ndarray, on: np.ndarray):
     """The :meth:`~numrange.matcore.Pencil.eigh` result at the angles t:
     read from the ``grid``-angle grid at the integer indices j where
@@ -758,9 +844,12 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     Covers every endpoint seen on the grid plus the refined endpoints of
     every flat portion.  Each deduplicated point gets its supporting-angle
     arc, an exposed/non-exposed verdict, and its pre-image basis.  The
-    candidates are sorted by (angle, point) and deduplicated greedily
-    (:func:`_greedy_dedup`): a point is dropped when an earlier kept one
-    lies within the dedup tolerance.
+    candidates are sorted by (angle, point), the grid's before the
+    flat-portion ends, and deduplicated greedily (:func:`_greedy_dedup`):
+    a point is dropped when an earlier kept one lies within the dedup
+    tolerance.  So a flat-portion end that the grid sees too (a corner
+    whose normal cone holds grid angles) keeps a grid angle, whatever the
+    angle of its portion.
 
     The grid faces are read from the eigenpairs the grid kept
     (:meth:`~numrange.matcore.Pencil.grid_faces`), no angle solved again.
@@ -774,19 +863,26 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     grid steps about its angle.  The distance is elementwise, so the
     window holds the values the full row would.
 
-    Their edges are the roots of f = distance - member tolerance,
-    refined together by :func:`_false_position` on the models of
-    :func:`_edge_model`: a smooth point seeds each edge at
-    member_tol / rho from itself (rho = h + h'', the speed of the boundary
-    curve) and usually closes it with one Newton step at the rounding
-    floor of f; an edge where the face jumps to a segment follows the
-    Taylor model of the top gap.  Corners and clustered ends fall back to
-    false position and section steps.  Each edge ends at a root to
-    rounding, or at a bracket of 2^-48 grid steps (or 4 ulp).  The first
-    model call reads the eigenpairs of the bracket ends at grid angles
-    from the grid (:meth:`~numrange.matcore.Pencil._grid_eig`, by their
-    integer indices) and solves only the ends about refined portion
-    angles.
+    Their edges are the roots of f = distance - member tolerance.  The
+    first call of :func:`_edge_model` evaluates f at both ends of every
+    bracket, reading the eigenpairs of the ends at grid angles from the
+    grid (:meth:`~numrange.matcore.Pencil._grid_eig`, by their integer
+    indices) and solving only the ends about refined portion angles, and
+    proposes each edge: a smooth point seeds it at member_tol / rho from
+    itself (rho = h + h'', the speed of the boundary curve), and an edge
+    where the face jumps to a segment follows the Taylor model of the top
+    gap.  A proposal made from the inside end is checked without a solve
+    (:func:`_certified_roots`): where a bound on the boundary curve's
+    Taylor remainder proves f within its rounding floor there, the
+    bracket closes at the proposal, where one evaluation by
+    :func:`_false_position` would have closed it.  On a smooth range
+    every edge closes so, and the grid's stack is the only solve.  The
+    brackets it refuses (corners, band edges, flat-portion ends off the
+    grid, clustered rows, proposals whose Taylor model is no root to
+    rounding) are refined together by :func:`_false_position`, with
+    false position and section steps where the model fails.  Each edge
+    ends at a root to rounding, or at a bracket of 2^-48 grid steps (or
+    4 ulp).
 
     A point that is a member of the face at its own grid angle takes its
     pre-image there, read from the grid: that angle lies inside its arc.
@@ -823,11 +919,15 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     portions = _flat_portions(pencil, _flat_candidates(pencil, grid))
     flat_ends = np.array([e for fp in portions for e in fp.endpoints], dtype=complex)
 
-    # (angle, point) candidates, sorted by angle then point for stable dedup
+    # (angle, point) candidates, sorted by angle then point for stable
+    # dedup, the grid's before the flat-portion ends: an end seen on the
+    # grid too (a corner whose normal cone holds grid angles) keeps a grid
+    # angle, where its arc runs are read
     seg = np.abs(hi_pts - lo_pts) > dedup_tol
     cand_t = np.concatenate([thetas, thetas[seg], np.repeat([fp.theta for fp in portions], 2)])
     cand_p = np.concatenate([lo_pts, hi_pts[seg], flat_ends])
-    order = np.lexsort((cand_p.imag, cand_p.real, cand_t))
+    off_grid = np.arange(cand_t.size) >= cand_t.size - flat_ends.size
+    order = np.lexsort((cand_p.imag, cand_p.real, cand_t, off_grid))
     cand_t, cand_p = cand_t[order], cand_p[order]
     keep = _greedy_dedup(cand_p, dedup_tol)
     pts, th0 = cand_p[keep], cand_t[keep]
@@ -889,7 +989,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
         t_ends = np.concatenate([inner, outer])
         j_ends = np.concatenate([j_in[owner].ravel(), (j_in + past)[owner].ravel()])
         on_ends = np.tile(np.repeat(on_grid[owner], 2), 2)
-        _, first = np.unique(t_ends, return_index=True)
+        _, first, back = np.unique(t_ends, return_index=True, return_inverse=True)
         eig = _eig_at(pencil, grid, t_ends[first], j_ends[first], on_ends[first])
         vals, props = f(t_ends, np.concatenate([np.arange(m)] * 2), eig)
         off = np.isnan(f_in)
@@ -897,7 +997,22 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
         p_in = props[:m]
         use_in = (p_in - inner) * (p_in - outer) < 0.0
         seed = np.where(use_in, p_in, props[m:]), np.where(use_in, inner, outer)
-        edges = _false_position(f, inner, f_in, outer, f_out, step * 2.0**-_EDGE_HALVINGS, floor, seed)
+        # an inside-end proposal that the first step of _false_position
+        # would take unmoved, and that is certified a root, closes its
+        # bracket there; the others are refined
+        tol = step * 2.0**-_EDGE_HALVINGS
+        margin = _min_width(inner, outer, tol) / 2.0
+        sure = use_in & (np.abs(p_in - inner) >= margin) & (np.abs(p_in - outer) >= margin)
+        i = np.nonzero(sure)[0]
+        sure[i] = _certified_roots(
+            pencil, inner[i], edge_pts[i], p_in[i], (eig[0][back[i]], eig[1][back[i]]), strict_tol, member_tol, floor
+        )
+        edges, rest = p_in.copy(), np.nonzero(~sure)[0]
+        if rest.size:
+            ends = (x[rest] for x in (inner, f_in, outer, f_out))
+            edges[rest] = _false_position(
+                lambda t, idx: f(t, rest[idx]), *ends, tol, floor, (seed[0][rest], seed[1][rest])
+            )
         lo_edge[owner], hi_edge[owner] = edges[0::2], edges[1::2]
 
     # pre-images: a point that is a member of the face at its grid angle

@@ -438,6 +438,30 @@ class Pencil:
         c = np.abs(y[..., others, 0]) ** 2
         return -w[..., k] + 2.0 * (c / (w[..., k : k + 1] - w[..., others])).sum(axis=-1)
 
+    def third(self, thetas, eig) -> np.ndarray:
+        """Third derivative of the top eigenvalue curve from the :meth:`eigh`
+        result ``eig`` at the same angles.  With C = V* A'(theta) V, t the
+        top index, g_j = lambda_t - lambda_j and y_j = C_jt / g_j (j != t):
+
+            h''' = -C_tt + 6 y* C y - 6 C_tt |y|^2
+
+        In the eigenbasis, A(theta + delta) = cos(delta) (D + tan(delta) C)
+        with D = diag(w) (A'' = -A), and the top eigenvalue of D + s C has
+        the third-order coefficient sum_{j,k != t} C_tj C_jk C_kt /
+        (g_j g_k) - C_tt sum_{j != t} |C_tj|^2 / g_j^2 = y* C y - C_tt
+        |y|^2.  y* C y is z* A'(theta) z with z = V y, so no d x d
+        compression is formed.  Defined only where the top eigenvalue is
+        simple.
+        """
+        w, V = eig
+        P = self.prime(thetas)
+        c = (V.conj().swapaxes(-1, -2) @ (P @ V[..., -1:]))[..., 0]
+        ctt = c[..., -1].real
+        y = c[..., :-1] / (w[..., -1:] - w[..., :-1])
+        z = V[..., :-1] @ y[..., None]
+        triple = (z.conj() * (P @ z)).sum(axis=(-2, -1)).real
+        return -ctt + 6.0 * triple - 6.0 * ctt * (np.abs(y) ** 2).sum(axis=-1)
+
     def jet(self, thetas, eig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The support curve h and its derivatives h', h'' at an angle array,
         from the :meth:`eigh` result ``eig`` at the same angles.

@@ -12,6 +12,7 @@ from conftest import (
     JORDAN3,
     SEGMENT,
     TRIANGLE,
+    ginibre,
     golden_min,
     haar_unitary,
     hermitian_parts,
@@ -648,11 +649,139 @@ def test_first_arc_edge_model_solves_no_grid_angle(A, grid, monkeypatch):
     record(monkeypatch, mc.Pencil, "eigh", lambda out, self, t: log.append(np.ravel(t)))
     models = record(monkeypatch, ex, "_edge_model", lambda out, pencil, t, *args: np.array(t))
     ex.extreme_points(A, grid)
-    t, solved = models[0], np.concatenate(log)
+    t, solved = models[0], np.concatenate([np.empty(0), *log])
     on_grid = np.abs(t / step - np.rint(t / step)) <= 1e-12
     assert on_grid.sum() >= 3
     assert not np.isin(t[on_grid], solved).any()
     assert np.isin(t[~on_grid], solved).all()
+
+
+@pytest.mark.parametrize(("d", "grid", "solved"), [(3, 256, 128), (3, 255, 255), (8, 64, 32)])
+def test_extreme_points_of_a_smooth_range_solve_only_the_grid(d, grid, solved, monkeypatch):
+    # every arc edge of a Ginibre draw is certified at its first proposal,
+    # so the grid's one stack is the only solve
+    calls = record(monkeypatch, np.linalg, "eigh", matrices)
+    ex.extreme_points(large_ginibre(d, 0), grid)
+    assert calls == [solved]
+
+
+def test_extreme_points_of_circle_point_solve_at_most_258(monkeypatch):
+    # half of the 516 matrices solved before arc edges were certified: the
+    # corner, the flat-portion ends and the points about them still refine
+    calls = record(monkeypatch, np.linalg, "eigh", matrices)
+    assert len(ex.extreme_points(CIRCLE_POINT, 256)) == 174
+    assert sum(calls) <= 258
+
+
+@pytest.mark.parametrize("A", [CIRCLE_POINT, np.kron(np.eye(2), TRIANGLE)], ids=["circle_point", "kron_triangle"])
+def test_model_minima_read_grid_angles_from_the_grid(A, monkeypatch):
+    # inside extreme_points the grid is solved whole, so the seeds of the
+    # polish that are grid angles take their eigenpairs from it: the gap
+    # minima, and polished angles that land on the grid (10 of the 12 of
+    # kron(I2, TRIANGLE)).  Only 2 angles off the grid are solved on each,
+    # where 4 and 24 were
+    solved = record(monkeypatch, mc.Pencil, "eigh", lambda out, self, t: np.size(t))
+    inside = []
+    model_minima = ex._model_minima
+
+    def counted(pencil, t, *args):
+        before = len(solved)
+        out = model_minima(pencil, t, *args)
+        inside.append(sum(solved[before:]))
+        return out
+
+    monkeypatch.setattr(ex, "_model_minima", counted)
+    ex.extreme_points(A, 256)
+    assert len(inside) >= 2
+    assert sum(inside) <= 2
+
+
+def certificate_cases():
+    """Ginibre draws of d in {2, 3, 4, 8, 32} in Haar frames, at the scales
+    1e-3, 1 and 1e3 and with a shift of 1e3."""
+    rng = np.random.default_rng(26)
+    for d, grid in ((2, 64), (3, 256), (4, 128), (8, 64), (32, 64)):
+        G, U = ginibre(rng, d), haar_unitary(rng, d)
+        for a, b in ((1e-3, 0.0), (1.0, 0.0), (1e3, 0.0), (1.0, 1e3)):
+            every = a >= 1.0 and b == 0.0  # every arc edge is certified
+            yield pytest.param(a * (U.conj().T @ G @ U) + b * np.eye(d), grid, every, id=f"d{d}-a{a:g}-b{b:g}")
+
+
+@pytest.mark.parametrize(("A", "grid", "every"), certificate_cases())
+def test_certified_arc_edges_are_roots_and_move_no_bit(A, grid, every, monkeypatch):
+    # every proposal the certificate accepts is a root of the arc-edge
+    # function to its rounding floor when solved afresh, and certifying
+    # nothing (every edge refined by false position) gives the same reports.
+    # At scale 1e-3 and under the shift the first proposals of many edges
+    # are no roots to the floor, and they are refined
+    pencil = mc.Pencil(A)
+    floor = ex._ROUNDING * pencil.scale
+    certified = record(monkeypatch, ex, "_certified_roots", lambda out, pencil, t, q, prop, *args: (q[out], prop[out]))
+    reps = ex.extreme_points(pencil, grid)
+    q, prop = (np.concatenate(x) for x in zip(*certified))
+    if every:
+        assert q.size == 2 * len(reps) == 2 * grid
+    w, V = np.linalg.eigh(pencil.rotate(prop))
+    assert np.all(w[:, -1] - w[:, -2] > ex.STRICT_GAP_RTOL * pencil.scale)
+    v = V[..., -1]
+    slope = np.einsum("ki,kij,kj->k", v.conj(), pencil.prime(prop), v).real
+    f = np.abs(np.exp(1j * prop) * (w[:, -1] + 1j * slope) - q) - ex.FACE_MEMBER_RTOL * pencil.scale
+    assert np.abs(f).max(initial=0.0) <= floor
+    monkeypatch.setattr(ex, "_certified_roots", lambda pencil, t, *args: np.zeros(t.size, dtype=bool))
+    ref = ex.extreme_points(mc.Pencil(A), grid)
+    assert len(reps) == len(ref)
+    for r, s in zip(reps, ref):
+        assert (r.kind, r.multiply_generated) == (s.kind, s.multiply_generated)
+        assert np.array([r.point, *r.normal_arc]).tobytes() == np.array([s.point, *s.normal_arc]).tobytes()
+        assert r.preimage.tobytes() == s.preimage.tobytes()
+
+
+# The tangent point 1 of DISK_EIG_BOUNDARY is multiply generated and its
+# true normal cone is the angle 0, but extreme_points reads an arc of
+# about +/-2.5e-7 rad there, whose edges move with the rounding of the
+# frame: up to 3e-9 rad over 40 frames and grid rotations.
+TANGENT_ARC_FLICKER = 1e-8
+
+
+def covariance_cases():
+    """Each matrix under two rotations e^{2 pi i k / N}, which map the grid
+    of N angles to itself, and in two Haar frames."""
+    rng = np.random.default_rng(260)
+    for name, A, grid in (
+        ("ginibre3", large_ginibre(3, 1), 256),
+        ("ginibre8", large_ginibre(8, 1), 64),
+        ("circle_point", CIRCLE_POINT, 256),
+        ("disk_eig_boundary", DISK_EIG_BOUNDARY, 256),
+    ):
+        d = A.shape[0]
+        for k in (1, 100):
+            yield pytest.param(A, grid, 2.0 * np.pi * k / grid, np.eye(d), id=f"{name}-rotation{k}")
+        for j in range(2):
+            yield pytest.param(A, grid, 0.0, haar_unitary(rng, d), id=f"{name}-frame{j}")
+
+
+@pytest.mark.parametrize(("A", "grid", "phi", "U"), covariance_cases())
+def test_extreme_points_map_over_under_rotations_and_frames(A, grid, phi, U):
+    # W(e^{i phi} U*AU) = e^{i phi} W(A): points turn by phi, normal arcs
+    # shift by phi and pre-images map by U*.  The certificate closes most
+    # arc edges of these inputs; the corners, flat-portion ends and the
+    # tangent point refine theirs by false position
+    tol = 1e-12 * (1.0 + np.linalg.norm(A))
+    reps = ex.extreme_points(A, grid)
+    moved = ex.extreme_points(np.exp(1j * phi) * (U.conj().T @ A @ U), grid)
+    assert len(moved) == len(reps)
+    pts = np.exp(1j * phi) * np.array([r.point for r in reps])
+    match = [int(np.argmin(np.abs(pts - r.point))) for r in moved]
+    assert len(set(match)) == len(reps)
+    for r, i in zip(moved, match):
+        s = reps[i]
+        assert abs(r.point - pts[i]) <= tol
+        assert (r.kind, r.multiply_generated) == (s.kind, s.multiply_generated)
+        tangent = A is DISK_EIG_BOUNDARY and abs(s.point - 1.0) <= 1e-9
+        shift = np.subtract(r.normal_arc, s.normal_arc) - phi
+        assert np.abs(np.angle(np.exp(1j * shift))).max() <= (TANGENT_ARC_FLICKER if tangent else tol)
+        P = U.conj().T @ s.preimage @ s.preimage.conj().T @ U
+        assert np.abs(r.preimage @ r.preimage.conj().T - P).max() <= tol
 
 
 @pytest.mark.parametrize(("A", "flat"), [(np.kron(np.eye(2), TRIANGLE), True), (DISK2, False)], ids=["kron_triangle", "disk2"])

@@ -77,6 +77,22 @@ def test_rotate_prime_is_derivative(rng):
     assert np.allclose(got, [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_third_derivative_matches_differences_of_the_curvature(rng, d):
+    # five-point central differences of h'' at step 1e-3 err by about
+    # 1e-6 h^(5); angles where the top gap is small are skipped
+    pencil = mc.Pencil(random_matrix(rng, d))
+    step = 1e-3
+    thetas = rng.uniform(0.0, 2.0 * np.pi, 16)
+    thetas = thetas[pencil.top_gap(pencil.eigh(thetas)[0]) >= 0.1]
+    assert thetas.size >= 4
+    for theta in thetas:
+        t = theta + step * np.array([-2.0, -1.0, 1.0, 2.0])
+        h2 = pencil.curvature(t, pencil.eigh(t))
+        fd = (8.0 * (h2[2] - h2[1]) - (h2[3] - h2[0])) / (12.0 * step)
+        assert abs(pencil.third(np.array([theta]), pencil.eigh(np.array([theta])))[0] - fd) <= 1e-6
+
+
 def test_f_eval_examples():
     assert mc.f_eval(np.diag([0.0, 1.0]), [0, 1]) == pytest.approx(1.0)
     assert mc.f_eval(DISK, np.array([1, 1]) / np.sqrt(2)) == pytest.approx(1.0)
