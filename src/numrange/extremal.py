@@ -192,13 +192,18 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
     Bracket i has its inside end ``a[i]`` (f <= 0) and its outside end
     ``b[i]`` (f > 0), with values ``fa``/``fb``; ``f(t, idx)`` evaluates
     f at the angles ``t`` of the brackets ``idx`` (one stacked solve; a
-    bracket may appear more than once) and returns ``(values,
-    proposals)``: the angle a local model of the bracket predicts for its
-    root, nan where it has none.  ``seed`` holds the proposals for the
-    first step and the angles they were made at.
+    bracket may appear more than once) and returns ``(values, proposals,
+    certified)``: the angle a local model of the bracket predicts for its
+    root, nan where it has none, and whether that proposal is proved a
+    root, |f| <= ``floor``, without an evaluation.  ``seed`` holds the
+    proposals for the first step, the angles they were made at and
+    their certificates.
 
-    Each step takes one of three moves per bracket:
+    Each step takes one of four moves per bracket:
 
+    - a certified proposal that the step takes (as below) and the
+      minimum step leaves in place: the bracket closes there, and f is
+      not evaluated.  A step whose brackets all close so solves nothing;
     - a proposal, when it lies in the bracket and, as in rtsafe
       (Numerical Recipes), its step is at most half the step before
       when that was a proposal step too;
@@ -218,14 +223,15 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
     step past a converged end closes the bracket.  A point with
     |f| <= ``floor``, the rounding level of f, is a root: its bracket
     closes there.  Stops when a bracket is at most max(tol, 4 ulp)
-    (:func:`_min_width`) wide; returns the inside ends.
-    :func:`extreme_points` hands it only the arc-edge brackets whose
-    first proposal :func:`_certified_roots` could not prove a root: on a
-    smooth range, none.
+    (:func:`_min_width`) wide; returns the inside ends.  On the arc
+    edges of a smooth range (:func:`extreme_points`) every first
+    proposal is certified, and the first step closes every bracket.
     """
     a, fa, b, fb = (np.array(x, dtype=float) for x in (a, fa, b, fb))
     tol = _min_width(a, b, tol)
-    prop, at = (np.array(x, dtype=float) for x in seed)  # each bracket's proposal, and where it was made
+    # each bracket's proposal, where it was made, and whether it is certified
+    prop, at = (np.array(x, dtype=float) for x in seed[:2])
+    sure = np.array(seed[2], dtype=bool)
     last = np.full(a.size, np.inf)  # the last proposal step, inf after any other step
     kept = np.zeros(a.size, dtype=int)  # end kept by the last false-position step: +1 a, -1 b
     section = np.zeros(a.size, dtype=bool)
@@ -242,10 +248,16 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
         half_tol = np.copysign(tol[live] / 2.0, bl - al)
         t = np.where(np.abs(t - al) < np.abs(half_tol), al + half_tol, t)
         t = np.where(np.abs(t - bl) < np.abs(half_tol), bl - half_tol, t)
+        # a certified proposal left in place closes its bracket, unevaluated
+        shut = take & sure[live] & (t == pl)
+        a[live[shut]] = b[live[shut]] = t[shut]
+        live, al, bl, fal, t, take = (x[~shut] for x in (live, al, bl, fal, t, take))
+        if not live.size:
+            break
         sec = ~take & (section[live] | ~((t - al) * (t - bl) < 0.0))
         one, many = live[~sec], live[sec]
         tk = al[sec, None] + (bl - al)[sec, None] * cuts
-        fs, ps = f(np.concatenate([t[~sec], tk.ravel()]), np.concatenate([one, np.repeat(many, cuts.size)]))
+        fs, ps, cs = f(np.concatenate([t[~sec], tk.ravel()]), np.concatenate([one, np.repeat(many, cuts.size)]))
 
         # one point: it replaces the end on its side
         t1, f1, p1 = t[~sec], fs[: one.size], ps[: one.size]
@@ -260,7 +272,7 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
         a[one[inside]], fa[one[inside]] = t1[inside], f1[inside]
         b[one[~inside]], fb[one[~inside]], f_out[one[~inside]] = t1[~inside], f1[~inside], f1[~inside]
         last[one] = np.where(take[~sec], np.abs(t1 - at[one]), np.inf)
-        prop[one], at[one] = p1, t1
+        prop[one], at[one], sure[one] = p1, t1, cs[: one.size]
         section[one] = fp & (np.abs(b[one] - a[one]) > np.abs(bl - al)[~sec] / 2.0)
 
         # sectioned: keep the part where f first turns positive
@@ -269,6 +281,7 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
             tk = np.concatenate([al[sec, None], tk, bl[sec, None]], axis=1)
             fk = np.concatenate([fal[sec, None], fs[one.size :].reshape(-1, cuts.size), f_out[many, None]], axis=1)
             pk = np.concatenate([prop[many, None], ps[one.size :].reshape(-1, cuts.size), prop[many, None]], axis=1)
+            ck = np.concatenate([sure[many, None], cs[one.size :].reshape(-1, cuts.size), sure[many, None]], axis=1)
             r = np.arange(many.size)
             j = np.argmax(fk[:, 1:] > 0.0, axis=1) + 1  # first positive point (the old outside end at worst)
             nxt = np.minimum(j + 1, cuts.size + 1)
@@ -281,6 +294,7 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
             use_a = (pa - a[many]) * (pa - b[many]) < 0.0
             prop[many] = np.where(use_a, pa, pb)
             at[many] = np.where(use_a, a[many], b[many])
+            sure[many] = np.where(use_a, ck[r, j - 1], ck[r, j])
             last[many] = np.inf
             kept[many] = 0
             t1 = np.concatenate([t1, tk[:, 1:-1].ravel()])
@@ -500,7 +514,9 @@ def _flat_candidates(pencil: mc.Pencil, grid: int) -> list[float]:
     Angles polished to within the O(||A||_F reach^3) remainder of the
     model at the grid angle, or within ``ctol``, are expanded and
     polished once more from there, where the model is accurate: two
-    meetings can lie 1e-6 rad apart.
+    meetings can lie 1e-6 rad apart.  Each polish gets distinct seeds:
+    the models of the two sizes, and nearby minima, often give the same
+    angle.
     """
     reach = 4.0 * np.pi / grid  # two grid steps
     thresh = reach * pencil.norm + 10.0 * pencil.ctol
@@ -528,29 +544,24 @@ def _flat_candidates(pencil: mc.Pencil, grid: int) -> list[float]:
     found, spreads = [], []
     for m, n in sorted(set(zip(k[low] + 1, window[low]))):
         t = thetas[low & (k + 1 == m) & (window == n)]
-        seeds = [_model_minima(pencil, t, size, reach, grid) for size in sorted({m, n})]
-        t, s = _polish(pencil, np.concatenate(seeds), m)
-        near = t[s <= reach**3 * pencil.norm + pencil.ctol]
-        t2, s2 = _polish(pencil, _model_minima(pencil, near, m, reach, grid), m)
+        seeds = [_model_minima(pencil, t, size, reach) for size in sorted({m, n})]
+        t, s = _polish(pencil, np.unique(np.concatenate(seeds)), m)
+        near = np.unique(t[s <= reach**3 * pencil.norm + pencil.ctol])
+        t2, s2 = _polish(pencil, np.unique(_model_minima(pencil, near, m, reach)), m)
         found += [t, t2]
         spreads += [s, s2]
     return _crossings(pencil, np.concatenate(found), np.concatenate(spreads))
 
 
-def _model_minima(pencil: mc.Pencil, t: np.ndarray, m: int, reach: float, grid: int) -> np.ndarray:
+def _model_minima(pencil: mc.Pencil, t: np.ndarray, m: int, reach: float) -> np.ndarray:
     """Seeds for :func:`_polish` near the angles ``t``: the local minima
     within ``reach`` of |traceless M(delta)|_F^2, a quartic in delta,
     where M is the second-order model of the top m eigenvalues at t
     (:meth:`~numrange.matcore.Pencil.reduced`), or t itself where there
-    is none.  The angles of t that are angles of the ``grid``-angle grid
-    read their eigenpairs from it where :meth:`~numrange.matcore.Pencil.grid`
-    solved it whole (inside :func:`extreme_points`); the others are
-    solved."""
-    if grid in pencil._vectors:
-        j = np.rint(t / (2.0 * np.pi / grid)).astype(int)
-        eig = _eig_at(pencil, grid, t, j, t == mc._grid_angles(grid)[j % grid])
-    else:
-        eig = pencil.eigh(t)
+    is none.  The eigenpairs at t come from one
+    :meth:`~numrange.matcore.Pencil.eigh` call, which reads the grid
+    angles of a grid solved whole (inside :func:`extreme_points`)."""
+    eig = pencil.eigh(t)
     # the model needs the top m apart from the rest; where they touch (a
     # meeting of more than m) it is not finite
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -703,16 +714,15 @@ def _segment_distance(p, theta, support, mu_lo, mu_hi):
     return np.hypot(radial, off)
 
 
-def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol: float, eig=None):
+def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol: float):
     """Arc-edge function f = (distance of q to the face) - member_tol at
     the angles t, and the edge each local model predicts.
 
     ``q`` holds the points of the brackets and ``outward`` the sign of the
     direction from their inside ends to their outside ends.  Faces group
-    eigenvalues within ``strict_tol``.  One stacked eigendecomposition at
-    the distinct angles (or the :meth:`~numrange.matcore.Pencil.eigh`
-    result ``eig`` there, in the order of ``np.unique``) gives every
-    quantity:
+    eigenvalues within ``strict_tol``.  One
+    :meth:`~numrange.matcore.Pencil.eigh` call at the distinct angles
+    (which reads the angles of a grid solved whole) gives every quantity:
 
     - Where the face is a touch point x(t) = e^{i t}(h + i h'), the curve
       moves at x' = i e^{i t} rho with rho = h + h'' (h'' from
@@ -730,21 +740,23 @@ def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol:
 
     The proposal is the nearer of the two, moving toward the edge; nan
     where neither model applies, as at a corner (rho = 0) or inside a
-    cluster band.  The linear model of a smooth point leaves an error of
-    order delta^2 |x''| in f at its proposal, at rounding level on a
-    smooth range; :func:`_certified_roots` bounds it on the first call,
-    so that the proposals it proves roots need no evaluation.
+    cluster band.  Returns ``(values, proposals, certified)``.  The linear
+    model of a smooth point leaves an error of order delta^2 |x''| in f
+    at its proposal, at rounding level on a smooth range:
+    :func:`_certified_roots` bounds it from the rho, h' and offset
+    x(t) - q computed here, and a proposal it proves a root needs no
+    evaluation.
     """
     ts, inv = np.unique(t, return_inverse=True)
-    w, V = pencil.eigh(ts) if eig is None else eig
-    sup, lo, hi = pencil.faces(ts, strict_tol, (w, V))
+    eig = w, V = pencil.eigh(ts)
+    sup, lo, hi = pencil.faces(ts, strict_tol, eig)
     gap = pencil.top_gap(w)
     with np.errstate(divide="ignore", invalid="ignore"):
         # curvatures are defined where the face is a touch point
-        h2 = np.where(gap > strict_tol, pencil.curvature(ts, (w, V)), np.nan)
+        h2 = np.where(gap > strict_tol, pencil.curvature(ts, eig), np.nan)
         rho = (sup + h2)[inv]
         m, m1 = gap[inv] - strict_tol, (lo - pencil.slope(ts, V[..., -2]))[inv]
-        m2 = (h2 - pencil.curvature(ts, (w, V), -2))[inv]
+        m2 = (h2 - pencil.curvature(ts, eig, -2))[inv]
         val = _segment_distance(q, t, sup[inv], lo[inv], hi[inv]) - member_tol
         # x(t) - q in the frame of the normal: radial + i tangential offset
         u = np.exp(1j * t)
@@ -756,21 +768,25 @@ def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol:
         band[~(band * outward < 0.0) | ~(val > 0.0)] = np.nan
         steps = np.concatenate([ball[None], band])
         near = np.argmin(np.where(np.isnan(steps), np.inf, np.abs(steps)), axis=0)
-    return val, t + steps[near, np.arange(t.size)]
+    prop = t + steps[near, np.arange(t.size)]
+    return val, prop, _certified_roots(pencil, t, prop, eig, inv, rho, lo[inv], c, strict_tol, member_tol)
 
 
-def _certified_roots(pencil: mc.Pencil, t, q, prop, eig, strict_tol: float, member_tol: float, floor: float):
+def _certified_roots(pencil: mc.Pencil, t, prop, eig, inv, rho, h1, c, strict_tol: float, member_tol: float):
     """Whether the arc-edge function f of :func:`_edge_model` (q's distance
-    to the face, minus member_tol) is certified within ``floor`` at the
-    proposals ``prop``, from the :meth:`~numrange.matcore.Pencil.eigh`
-    result ``eig`` at the angles t (one row per proposal) and no solve at
-    the proposals.
+    to the face, minus member_tol) is certified within its rounding floor
+    ``_ROUNDING * scale`` at the proposals ``prop`` made at the angles t,
+    with no solve at the proposals.  It reads what :func:`_edge_model`
+    computed at t: the :meth:`~numrange.matcore.Pencil.eigh` result
+    ``eig`` at the distinct angles (row ``inv[k]`` for t[k]), rho =
+    h + h'', h' and c = (x(t) - q) e^{-i t}.  Only the rows that pass the
+    cheap tests below (a touch point, the proposal inside the analytic
+    disk, the gap clear) take h''' (:meth:`~numrange.matcore.Pencil.third`).
 
     Where the face at t is a touch point, the boundary curve
-    x(t) = e^{i t}(h + i h') has x' = i e^{i t}(h + h'') and x'' =
-    e^{i t}(-(h + h'') + i(h' + h''')) (h''' from
-    :meth:`~numrange.matcore.Pencil.third`).  At delta = prop - t, f
-    differs from the distance of its second-order Taylor model,
+    x(t) = e^{i t}(h + i h') has x' = i e^{i t} rho and x'' =
+    e^{i t}(-rho + i(h' + h''')).  At delta = prop - t, f differs from
+    the distance of its second-order Taylor model,
     |x + delta x' + (delta^2 / 2) x'' - q| - member_tol, by at most
     (|delta|^3 / 6) max |x'''| on the segment, with x''' =
     e^{i t}(-2(h' + h''') + i(h'''' - h)).
@@ -792,50 +808,30 @@ def _certified_roots(pencil: mc.Pencil, t, q, prop, eig, strict_tol: float, memb
 
     A proposal is certified where the model's |f| plus that remainder is
     at most floor / 2, the other half left for the rounding of f where
-    it is evaluated.
+    it is evaluated.  A proposal far out, as later false-position steps
+    can make, overflows sinh and fails the gap test.
     """
     w, V = eig
     delta = prop - t
-    gap = pencil.top_gap(w)
+    gap = pencil.top_gap(w)[inv]
     r0, r1, s0, s1 = pencil._spectral_extent()
     K = (r1 - r0) / 2.0 + (s1 - s0) / 2.0
     sure = np.zeros(t.size, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.arcsinh(gap / (2.0 * K))
         clear = gap - 2.0 * K * np.sinh(np.abs(delta)) >= 2.0 * strict_tol
         i = np.nonzero((gap > strict_tol) & (np.abs(delta) < r) & clear)[0]
     if not i.size:
         return sure
-    ti, d, g = t[i], delta[i], gap[i]
-    # the derivatives at the distinct angles (the two edges of a smooth
-    # point share theirs)
-    ts, first, inv = np.unique(ti, return_index=True, return_inverse=True)
-    eig_s = w[i[first]], V[i[first]]
-    h = eig_s[0][:, -1]
-    h1 = pencil.slope(ts, eig_s[1][..., -1])
-    rho, h1, h3 = (h + pencil.curvature(ts, eig_s))[inv], h1[inv], pencil.third(ts, eig_s)[inv]
-    # x(t) - q and the model's step in the frame of the normal at t
-    u = np.exp(1j * ti)
-    c = (u * (h[inv] + 1j * h1) - q[i]) * np.conj(u)
-    model = np.abs(c + d * 1j * rho + (d * d / 2.0) * (-rho + 1j * (h1 + h3))) - member_tol
+    d, g, rho = delta[i], gap[i], rho[i]
+    # h''' at the distinct angles (the two edges of a smooth point share them)
+    rows, first, back = np.unique(inv[i], return_index=True, return_inverse=True)
+    h3 = pencil.third(t[i[first]], (w[rows], V[rows]))[back]
+    model = np.abs(c[i] + d * 1j * rho + (d * d / 2.0) * (-rho + 1j * (h1[i] + h3))) - member_tol
     rad = r[i] - np.abs(d)
     x3 = 3.0 * K + 6.0 * g / rad**3 + 12.0 * g / rad**4
-    sure[i] = np.abs(model) + np.abs(d) ** 3 / 6.0 * x3 <= floor / 2.0
+    sure[i] = np.abs(model) + np.abs(d) ** 3 / 6.0 * x3 <= _ROUNDING * pencil.scale / 2.0
     return sure
-
-
-def _eig_at(pencil: mc.Pencil, grid: int, t: np.ndarray, j: np.ndarray, on: np.ndarray):
-    """The :meth:`~numrange.matcore.Pencil.eigh` result at the angles t:
-    read from the ``grid``-angle grid at the integer indices j where
-    ``on`` (t is that grid angle there, up to a whole turn), and solved in
-    one stacked call elsewhere."""
-    if on.all():
-        return pencil._grid_eig(grid, j)
-    d = pencil.d
-    w, V = np.empty((t.size, d)), np.empty((t.size, d, d), dtype=complex)
-    w[on], V[on] = pencil._grid_eig(grid, j[on])
-    w[~on], V[~on] = pencil.eigh(t[~on])
-    return w, V
 
 
 def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
@@ -865,52 +861,38 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
 
     Their edges are the roots of f = distance - member tolerance.  The
     first call of :func:`_edge_model` evaluates f at both ends of every
-    bracket, reading the eigenpairs of the ends at grid angles from the
-    grid (:meth:`~numrange.matcore.Pencil._grid_eig`, by their integer
-    indices) and solving only the ends about refined portion angles, and
-    proposes each edge: a smooth point seeds it at member_tol / rho from
-    itself (rho = h + h'', the speed of the boundary curve), and an edge
-    where the face jumps to a segment follows the Taylor model of the top
-    gap.  A proposal made from the inside end is checked without a solve
-    (:func:`_certified_roots`): where a bound on the boundary curve's
-    Taylor remainder proves f within its rounding floor there, the
-    bracket closes at the proposal, where one evaluation by
-    :func:`_false_position` would have closed it.  On a smooth range
-    every edge closes so, and the grid's stack is the only solve.  The
-    brackets it refuses (corners, band edges, flat-portion ends off the
-    grid, clustered rows, proposals whose Taylor model is no root to
-    rounding) are refined together by :func:`_false_position`, with
-    false position and section steps where the model fails.  Each edge
-    ends at a root to rounding, or at a bracket of 2^-48 grid steps (or
-    4 ulp).
+    bracket, where :meth:`~numrange.matcore.Pencil.eigh` reads the ends
+    at grid angles from the grid and solves only the ends about refined
+    portion angles, and proposes each edge: a smooth point seeds it at
+    member_tol / rho from itself (rho = h + h'', the speed of the
+    boundary curve), and an edge where the face jumps to a segment
+    follows the Taylor model of the top gap.  The brackets are refined
+    together by :func:`_false_position`, from the proposal of the inside
+    end where it lies in the bracket, else that of the outside end.  A
+    proposal that :func:`_certified_roots` proves a root, from a bound on
+    the boundary curve's Taylor remainder, closes its bracket with no
+    evaluation, at any step: on a smooth range every edge closes at its
+    first proposal, and the grid's stack is the only solve.  The others
+    (corners, band edges, flat-portion ends off the grid, clustered rows,
+    proposals whose Taylor model is no root to rounding) take false
+    position and section steps where the model fails.  Each edge ends at
+    a root to rounding, or at a bracket of 2^-48 grid steps (or 4 ulp).
 
     A point that is a member of the face at its own grid angle takes its
     pre-image there, read from the grid: that angle lies inside its arc.
     The other points (flat-portion ends off the grid) take theirs at
     their arc midpoints, solved in one stack.  Where the top eigenvalue
     at that angle is clustered, the pre-image is the :func:`_pick` of the
-    point on the face there.
+    point on the face there.  A 1x1 matrix takes the same path: its one
+    point's arc is the whole circle.
     """
     _require_grid(grid, "extreme_points")
     pencil = mc.as_pencil(A)
-    A = pencil.A
     scale = pencil.scale
     dedup_tol = 1e-10 * scale
     member_tol = FACE_MEMBER_RTOL * scale
     match_tol = POINT_MATCH_RTOL * scale
     strict_tol = STRICT_GAP_RTOL * scale
-
-    if pencil.d == 1:
-        p = complex(A[0, 0])
-        return [
-            ExtremePointReport(
-                point=p,
-                kind="exposed",
-                preimage=np.ones((1, 1), dtype=complex),
-                multiply_generated=False,
-                normal_arc=(0.0, 2.0 * np.pi),
-            )
-        ]
 
     thetas, sup, mu_lo, mu_hi = pencil.grid_faces(grid, pencil.ctol)
     u_grid = np.exp(1j * thetas)
@@ -976,43 +958,23 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
         edge_pts = np.repeat(pts[owner], 2)
         inner, outer, f_in, f_out = (x[owner].ravel() for x in (inner, outer, f_in, f_out))
         outward = np.sign(outer - inner)
-        floor = _ROUNDING * scale
 
-        def f(t, idx, eig=None):
-            return _edge_model(pencil, t, edge_pts[idx], outward[idx], strict_tol, member_tol, eig)
+        def f(t, idx):
+            return _edge_model(pencil, t, edge_pts[idx], outward[idx], strict_tol, member_tol)
 
-        # both ends of every bracket at once, the grid angles read from the
-        # grid and the others (about refined portion angles) solved: a
-        # proposal from the inside end (a smooth point seeds its edge
+        # both ends of every bracket at once: f where the grid window left
+        # it unknown (about refined portion angles), and the first
+        # proposal, from the inside end (a smooth point seeds its edge
         # there) where it lies in the bracket, else from the outside end
         m = inner.size
         t_ends = np.concatenate([inner, outer])
-        j_ends = np.concatenate([j_in[owner].ravel(), (j_in + past)[owner].ravel()])
-        on_ends = np.tile(np.repeat(on_grid[owner], 2), 2)
-        _, first, back = np.unique(t_ends, return_index=True, return_inverse=True)
-        eig = _eig_at(pencil, grid, t_ends[first], j_ends[first], on_ends[first])
-        vals, props = f(t_ends, np.concatenate([np.arange(m)] * 2), eig)
+        vals, props, sure = f(t_ends, np.tile(np.arange(m), 2))
         off = np.isnan(f_in)
         f_in[off], f_out[off] = vals[:m][off], vals[m:][off]
-        p_in = props[:m]
-        use_in = (p_in - inner) * (p_in - outer) < 0.0
-        seed = np.where(use_in, p_in, props[m:]), np.where(use_in, inner, outer)
-        # an inside-end proposal that the first step of _false_position
-        # would take unmoved, and that is certified a root, closes its
-        # bracket there; the others are refined
+        use_in = (props[:m] - inner) * (props[:m] - outer) < 0.0
+        seed = tuple(np.where(use_in, x[:m], x[m:]) for x in (props, t_ends, sure))
         tol = step * 2.0**-_EDGE_HALVINGS
-        margin = _min_width(inner, outer, tol) / 2.0
-        sure = use_in & (np.abs(p_in - inner) >= margin) & (np.abs(p_in - outer) >= margin)
-        i = np.nonzero(sure)[0]
-        sure[i] = _certified_roots(
-            pencil, inner[i], edge_pts[i], p_in[i], (eig[0][back[i]], eig[1][back[i]]), strict_tol, member_tol, floor
-        )
-        edges, rest = p_in.copy(), np.nonzero(~sure)[0]
-        if rest.size:
-            ends = (x[rest] for x in (inner, f_in, outer, f_out))
-            edges[rest] = _false_position(
-                lambda t, idx: f(t, rest[idx]), *ends, tol, floor, (seed[0][rest], seed[1][rest])
-            )
+        edges = _false_position(f, inner, f_in, outer, f_out, tol, _ROUNDING * scale, seed)
         lo_edge[owner], hi_edge[owner] = edges[0::2], edges[1::2]
 
     # pre-images: a point that is a member of the face at its grid angle
@@ -1020,7 +982,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     # their arc midpoints, in one stacked solve.  Angles whose top
     # eigenvalue is clustered read the full face from their rows
     theta_rep = np.where(on_grid, thetas[j0], (lo_edge + hi_edge) / 2.0)
-    w_rep, V_rep = _eig_at(pencil, grid, theta_rep, j0, on_grid)
+    w_rep, V_rep = pencil.eigh(theta_rep)
     bases = list(mc._fix_phases(V_rep[:, :, -1:]))
     band = np.nonzero(pencil.top_gap(w_rep) <= pencil.ctol)[0]
     for i, fd in zip(band.tolist(), _faces(pencil, theta_rep[band], (w_rep[band], V_rep[band]))):

@@ -90,19 +90,6 @@ def _normals(u: np.ndarray) -> np.ndarray:
     return z
 
 
-def _gaussians(seed: int, start: int, count: int) -> np.ndarray:
-    """Standard normals on the counter stream (Box-Muller, both outputs).
-
-    Normals 2k and 2k+1 are derived from the uniform pair at counters
-    (2k, 2k+1), so any pair-consistent chunking reproduces the sequential
-    stream exactly.
-    """
-    first = start - (start % 2)
-    pairs = (start + count - first + 1) // 2
-    z = _normals(_uniforms(seed, np.arange(first, first + 2 * pairs, dtype=np.uint64)))
-    return z[start - first : start - first + count]
-
-
 def _gaussian_rows(seed: int, rows: np.ndarray, d: int) -> np.ndarray:
     """The Gaussian sample vectors ``rows``, normalized to unit length:
     row r takes the normals at counters 2rd .. 2(r+1)d - 1 as (re, im)

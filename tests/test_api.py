@@ -14,8 +14,9 @@ import numrange
 # validated eigensolver, a least-squares ellipse fit, one-line wrappers,
 # helpers that only tests used, a grid helper the cell scans replaced, and
 # the second normality test and private twins of the closure functions
-# that the per-Pencil classification replaced, and a polygon centroid the
-# probe no longer needs
+# that the per-Pencil classification replaced, a polygon centroid the
+# probe no longer needs, and the grid reader of extremal that
+# Pencil.eigh replaced
 REMOVED = {
     "matcore": [
         "re_part",
@@ -31,7 +32,8 @@ REMOVED = {
         "_null3",
         "_cross3",
     ],
-    "extremal": ["cluster_tolerance", "eigencurve_derivatives", "_grid_directions"],
+    "extremal": ["cluster_tolerance", "eigencurve_derivatives", "_grid_directions", "_eig_at"],
+    "oracle": ["_gaussians"],
     "rangegeo": [
         "support_value",
         "SupportSample",
@@ -54,8 +56,12 @@ REMOVED = {
 
 # parameters deleted from functions that stay: the grid's eigenvector
 # switch (the grid always keeps them), the faces' grid mode (grid faces are
-# asked for by N), and the hull's collinearity tolerance (the hull is exact)
+# asked for by N), the hull's collinearity tolerance (the hull is exact),
+# and the arc-edge model's eigenpairs and the seed model's grid size
+# (Pencil.eigh reads a grid solved whole)
 REMOVED_PARAMETERS = {
+    "extremal._edge_model": ["eig"],
+    "extremal._model_minima": ["grid"],
     "matcore.Pencil.grid": ["vectors"],
     "matcore.Pencil.faces": ["grid"],
     "rangegeo.convex_hull": ["collinear_tol"],
@@ -131,3 +137,16 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the state of a Pencil's grids, read by matcore alone: every other module
+# reaches the kept eigenpairs through Pencil.eigh, Pencil.grid and
+# Pencil.grid_faces
+GRID_STATE = {"_vectors", "_tables", "_grid_eig"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "matcore.py"], ids=lambda p: p.name)
+def test_only_matcore_reads_the_grid_state(path):
+    tree = ast.parse(path.read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & GRID_STATE
+    assert read == set()

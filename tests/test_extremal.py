@@ -646,7 +646,7 @@ def test_first_arc_edge_model_solves_no_grid_angle(A, grid, monkeypatch):
     step = 2.0 * np.pi / grid
     log = []
     record(monkeypatch, ex, "_flat_portions", lambda out, *args: log.clear())
-    record(monkeypatch, mc.Pencil, "eigh", lambda out, self, t: log.append(np.ravel(t)))
+    record(monkeypatch, mc.Pencil, "_eigh", lambda out, self, t: log.append(np.ravel(t)))
     models = record(monkeypatch, ex, "_edge_model", lambda out, pencil, t, *args: np.array(t))
     ex.extreme_points(A, grid)
     t, solved = models[0], np.concatenate([np.empty(0), *log])
@@ -680,7 +680,7 @@ def test_model_minima_read_grid_angles_from_the_grid(A, monkeypatch):
     # minima, and polished angles that land on the grid (10 of the 12 of
     # kron(I2, TRIANGLE)).  Only 2 angles off the grid are solved on each,
     # where 4 and 24 were
-    solved = record(monkeypatch, mc.Pencil, "eigh", lambda out, self, t: np.size(t))
+    solved = record(monkeypatch, mc.Pencil, "_eigh", lambda out, self, t: np.size(t))
     inside = []
     model_minima = ex._model_minima
 
@@ -694,6 +694,38 @@ def test_model_minima_read_grid_angles_from_the_grid(A, monkeypatch):
     ex.extreme_points(A, 256)
     assert len(inside) >= 2
     assert sum(inside) <= 2
+
+
+@pytest.mark.parametrize(
+    "A", [large_ginibre(3, 0) + 1e3 * np.eye(3), 1e-3 * large_ginibre(3, 0)], ids=["shifted", "scaled"]
+)
+def test_certified_later_steps_save_a_solve(A, monkeypatch):
+    # the first proposals of many edges are no roots to the floor here, and
+    # one false-position step evaluates them; the proposals made there are
+    # certified, so the next step closes those brackets without a solve
+    calls = record(monkeypatch, np.linalg, "eigh", matrices)
+    assert len(ex.extreme_points(A, 256)) == 256
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("grid", [64, 255, 512])
+@pytest.mark.parametrize("a", [0.0, 1e-300, 1.0, -2.5 + 3.0j, 1e8 - 1e-8j])
+def test_extreme_points_of_a_1x1_matrix(a, grid):
+    # W(a) = {a}: one exposed, simply generated point, whose normal arc is
+    # the whole circle
+    (r,) = ex.extreme_points(np.array([[a]], dtype=complex), grid)
+    assert abs(r.point - a) <= 1e-15 * (1.0 + abs(a))
+    assert (r.kind, r.multiply_generated, r.normal_arc) == ("exposed", False, (0.0, 2.0 * np.pi))
+    assert r.preimage.shape == (1, 1) and abs(abs(r.preimage[0, 0]) - 1.0) <= 1e-15
+
+
+def test_flat_candidates_polish_distinct_seeds(monkeypatch):
+    # the models of the two sizes and nearby gap minima give the same seed
+    # angles on kron(I2, TRIANGLE); each is polished once
+    seeds = record(monkeypatch, ex, "_polish", lambda out, pencil, t, m: np.array(t))
+    ex.extreme_points(np.kron(np.eye(2), TRIANGLE), 256)
+    assert len(seeds) >= 2
+    assert all(np.unique(t).size == t.size for t in seeds)
 
 
 def certificate_cases():
@@ -716,7 +748,7 @@ def test_certified_arc_edges_are_roots_and_move_no_bit(A, grid, every, monkeypat
     # are no roots to the floor, and they are refined
     pencil = mc.Pencil(A)
     floor = ex._ROUNDING * pencil.scale
-    certified = record(monkeypatch, ex, "_certified_roots", lambda out, pencil, t, q, prop, *args: (q[out], prop[out]))
+    certified = record(monkeypatch, ex, "_edge_model", lambda out, pencil, t, q, *args: (q[out[2]], out[1][out[2]]))
     reps = ex.extreme_points(pencil, grid)
     q, prop = (np.concatenate(x) for x in zip(*certified))
     if every:
@@ -788,9 +820,9 @@ def test_extreme_points_map_over_under_rotations_and_frames(A, grid, phi, U):
 def test_grid_faces_read_the_kept_eigenvectors(A, flat, monkeypatch):
     # the top eigenvalue is double at every angle, so every grid face is
     # clustered.  Its face reads the eigenvectors the grid kept: the only
-    # grid angles Pencil.segments solves are the flat-portion candidates
-    # that fall on the grid (TRIANGLE's normals pi/4, pi and 3 pi/2), and
-    # DISK2 solves no grid angle again at all
+    # grid angles Pencil.segments takes without eigenpairs are the
+    # flat-portion candidates that fall on the grid (TRIANGLE's normals
+    # pi/4, pi and 3 pi/2), and DISK2 solves no grid angle again at all
     grid = 256
     step = 2.0 * np.pi / grid
     pencil = mc.Pencil(A)
@@ -799,7 +831,7 @@ def test_grid_faces_read_the_kept_eigenvectors(A, flat, monkeypatch):
     segments = record(
         monkeypatch, mc.Pencil, "segments", lambda out, self, t, tol, eig=None: np.ravel(t) if eig is None else []
     )
-    solved = record(monkeypatch, mc.Pencil, "eigh", lambda out, self, t: np.ravel(t))
+    solved = record(monkeypatch, mc.Pencil, "_eigh", lambda out, self, t: np.ravel(t))
     ex.extreme_points(pencil, grid)
 
     def on_grid(t):

@@ -11,8 +11,11 @@ from conftest import (
     JORDAN3,
     SEGMENT,
     TRIANGLE,
+    large_ginibre,
+    matrices,
     random_hermitian,
     random_matrix,
+    record,
 )
 
 
@@ -329,3 +332,59 @@ def test_grid_clustered_face_in_second_half():
     poly = rg.boundary_polygon(TRIANGLE, 1024)
     assert rg.hausdorff(poly, rg.boundary_polygon(FullGridPencil(TRIANGLE), 1024)) <= 2e-12
     assert rg.hausdorff(poly, rg.ConvexPolygon.from_complex([0.0, 1.0, 1.0j])) <= 1e-15
+
+
+@pytest.mark.parametrize("N", [64, 65, 256])
+@pytest.mark.parametrize("A", [large_ginibre(3, 0), CIRCLE_POINT], ids=["ginibre3", "circle_point"])
+def test_eigh_reads_the_angles_of_a_kept_grid(A, N, monkeypatch):
+    # after grid(N), the grid angles k (2 pi / N) are read from the kept
+    # eigenpairs, bit for bit as _grid_eig gives them, with k taken mod N:
+    # -step and N step wrap, and a 2-D array keeps its shape
+    pencil = mc.Pencil(A)
+    pencil.grid(N)
+    k = np.array([[-1, 0, 1, N // 2], [N // 2 + 1, N - 1, N, 2 * N + 3]])
+    want = pencil._grid_eig(N, k.ravel())
+    solved = record(monkeypatch, np.linalg, "eigh", matrices)
+    w, V = pencil.eigh(k * (2.0 * np.pi / N))
+    w1, V1 = pencil.eigh(3 * (2.0 * np.pi / N))
+    assert solved == []
+    assert w.shape == (2, 4, 3) and V.shape == (2, 4, 3, 3)
+    assert w.reshape(-1, 3).tobytes() == want[0].tobytes()
+    assert V.reshape(-1, 3, 3).tobytes() == want[1].tobytes()
+    assert (w1.shape, V1.shape) == ((3,), (3, 3))
+    assert w1.tobytes() == pencil._grid_eig(N, [3])[0][0].tobytes()
+
+
+def test_eigh_solves_only_the_angles_off_the_grid(monkeypatch):
+    # a mixed array: one stacked solve of the angles off the grid, whose
+    # rows have the bits of a plain solve; the grid angles are read
+    N = 128
+    pencil = mc.Pencil(large_ginibre(8, 0))
+    pencil.grid(N)
+    off = np.array([0.3, -2.0, 1.7])
+    k = np.array([5, -3, 77])
+    t = np.empty(6)
+    t[[0, 3, 5]], t[[1, 2, 4]] = off, k * (2.0 * np.pi / N)
+    ref_off = np.linalg.eigh(pencil.rotate(off))
+    ref_grid = pencil._grid_eig(N, k)
+    solved = record(monkeypatch, np.linalg, "eigh", matrices)
+    w, V = pencil.eigh(t)
+    assert solved == [3]
+    for got, ref in zip((w, V), ref_off):
+        assert got[[0, 3, 5]].tobytes() == ref.tobytes()
+    for got, ref in zip((w, V), ref_grid):
+        assert got[[1, 2, 4]].tobytes() == ref.tobytes()
+
+
+def test_eigh_without_a_kept_grid_solves_every_angle(monkeypatch):
+    # cell scans fill eigenvalue tables but keep no eigenvectors, so eigh
+    # solves all the angles, grid angles too, in one call
+    N = 64
+    pencil = mc.Pencil(large_ginibre(3, 0))
+    pencil._scan(N, lambda t, w: np.zeros(t.size, dtype=bool))
+    t = np.arange(-2, 6) * (2.0 * np.pi / N)
+    ref = np.linalg.eigh(pencil.rotate(t))
+    solved = record(monkeypatch, np.linalg, "eigh", matrices)
+    w, V = pencil.eigh(t)
+    assert solved == [t.size]
+    assert w.tobytes() == ref[0].tobytes() and V.tobytes() == ref[1].tobytes()
