@@ -544,24 +544,25 @@ def _flat_candidates(pencil: mc.Pencil, grid: int) -> list[float]:
     found, spreads = [], []
     for m, n in sorted(set(zip(k[low] + 1, window[low]))):
         t = thetas[low & (k + 1 == m) & (window == n)]
-        seeds = [_model_minima(pencil, t, size, reach) for size in sorted({m, n})]
+        seeds = [_model_minima(pencil, t, size, reach, grid) for size in sorted({m, n})]
         t, s = _polish(pencil, np.unique(np.concatenate(seeds)), m)
         near = np.unique(t[s <= reach**3 * pencil.norm + pencil.ctol])
-        t2, s2 = _polish(pencil, np.unique(_model_minima(pencil, near, m, reach)), m)
+        t2, s2 = _polish(pencil, np.unique(_model_minima(pencil, near, m, reach, grid)), m)
         found += [t, t2]
         spreads += [s, s2]
     return _crossings(pencil, np.concatenate(found), np.concatenate(spreads))
 
 
-def _model_minima(pencil: mc.Pencil, t: np.ndarray, m: int, reach: float) -> np.ndarray:
+def _model_minima(pencil: mc.Pencil, t: np.ndarray, m: int, reach: float, grid: int) -> np.ndarray:
     """Seeds for :func:`_polish` near the angles ``t``: the local minima
     within ``reach`` of |traceless M(delta)|_F^2, a quartic in delta,
     where M is the second-order model of the top m eigenvalues at t
     (:meth:`~numrange.matcore.Pencil.reduced`), or t itself where there
-    is none.  The eigenpairs at t come from one
-    :meth:`~numrange.matcore.Pencil.eigh` call, which reads the grid
-    angles of a grid solved whole (inside :func:`extreme_points`)."""
-    eig = pencil.eigh(t)
+    is none.  The angles of t that are angles of the ``grid``-angle grid
+    read their eigenpairs from it where :meth:`~numrange.matcore.Pencil.grid`
+    solved it whole (inside :func:`extreme_points`); the others are
+    solved (:meth:`~numrange.matcore.Pencil._eigh_reading`)."""
+    eig = pencil._eigh_reading(t, grid)
     # the model needs the top m apart from the rest; where they touch (a
     # meeting of more than m) it is not finite
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -714,15 +715,16 @@ def _segment_distance(p, theta, support, mu_lo, mu_hi):
     return np.hypot(radial, off)
 
 
-def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol: float):
+def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol: float, grid: int):
     """Arc-edge function f = (distance of q to the face) - member_tol at
     the angles t, and the edge each local model predicts.
 
     ``q`` holds the points of the brackets and ``outward`` the sign of the
     direction from their inside ends to their outside ends.  Faces group
-    eigenvalues within ``strict_tol``.  One
-    :meth:`~numrange.matcore.Pencil.eigh` call at the distinct angles
-    (which reads the angles of a grid solved whole) gives every quantity:
+    eigenvalues within ``strict_tol``.  The eigenpairs at the distinct
+    angles, read where they are angles of the ``grid``-angle grid that
+    :func:`extreme_points` solved and solved in one stacked call elsewhere
+    (:meth:`~numrange.matcore.Pencil._eigh_reading`), give every quantity:
 
     - Where the face is a touch point x(t) = e^{i t}(h + i h'), the curve
       moves at x' = i e^{i t} rho with rho = h + h'' (h'' from
@@ -748,7 +750,7 @@ def _edge_model(pencil: mc.Pencil, t, q, outward, strict_tol: float, member_tol:
     evaluation.
     """
     ts, inv = np.unique(t, return_inverse=True)
-    eig = w, V = pencil.eigh(ts)
+    eig = w, V = pencil._eigh_reading(ts, grid)
     sup, lo, hi = pencil.faces(ts, strict_tol, eig)
     gap = pencil.top_gap(w)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -861,12 +863,12 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
 
     Their edges are the roots of f = distance - member tolerance.  The
     first call of :func:`_edge_model` evaluates f at both ends of every
-    bracket, where :meth:`~numrange.matcore.Pencil.eigh` reads the ends
-    at grid angles from the grid and solves only the ends about refined
-    portion angles, and proposes each edge: a smooth point seeds it at
-    member_tol / rho from itself (rho = h + h'', the speed of the
-    boundary curve), and an edge where the face jumps to a segment
-    follows the Taylor model of the top gap.  The brackets are refined
+    bracket, reading the ends at grid angles from the grid
+    (:meth:`~numrange.matcore.Pencil._eigh_reading`) and solving only the
+    ends about refined portion angles, and proposes each edge: a smooth
+    point seeds it at member_tol / rho from itself (rho = h + h'', the
+    speed of the boundary curve), and an edge where the face jumps to a
+    segment follows the Taylor model of the top gap.  The brackets are refined
     together by :func:`_false_position`, from the proposal of the inside
     end where it lies in the bracket, else that of the outside end.  A
     proposal that :func:`_certified_roots` proves a root, from a bound on
@@ -960,7 +962,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
         outward = np.sign(outer - inner)
 
         def f(t, idx):
-            return _edge_model(pencil, t, edge_pts[idx], outward[idx], strict_tol, member_tol)
+            return _edge_model(pencil, t, edge_pts[idx], outward[idx], strict_tol, member_tol, grid)
 
         # both ends of every bracket at once: f where the grid window left
         # it unknown (about refined portion angles), and the first
@@ -982,7 +984,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     # their arc midpoints, in one stacked solve.  Angles whose top
     # eigenvalue is clustered read the full face from their rows
     theta_rep = np.where(on_grid, thetas[j0], (lo_edge + hi_edge) / 2.0)
-    w_rep, V_rep = pencil.eigh(theta_rep)
+    w_rep, V_rep = pencil._eigh_reading(theta_rep, grid)
     bases = list(mc._fix_phases(V_rep[:, :, -1:]))
     band = np.nonzero(pencil.top_gap(w_rep) <= pencil.ctol)[0]
     for i, fd in zip(band.tolist(), _faces(pencil, theta_rep[band], (w_rep[band], V_rep[band]))):

@@ -47,7 +47,7 @@ BOUND_RTOL = 1e-12
 # a 32x32 one in about 50 us, while a round of cell bounds costs about
 # 50 us; the choice moves no answer.
 _FILL_COST = 32768
-# Pencil._eigh splits a stack whose n d^3 is at least this across the
+# Pencil.eigh splits a stack whose n d^3 is at least this across the
 # workers of _map, in pieces of about _PIECE complex entries, so that the
 # memory each worker thread takes from its own malloc arena stays small.
 # Every points and shapes3 stack is below it; a 512-angle d = 8 grid,
@@ -135,9 +135,9 @@ class Pencil:
     theta + pi are the negated eigenvalues at theta in reverse order, with
     the top eigenvector the bottom one at theta.  :meth:`grid` solves the
     whole grid with its eigenvectors, :meth:`grid_faces` reads every face
-    of it from them, and :meth:`eigh` reads every angle of it from them;
-    :meth:`_scan` solves only the cells of the grid that a question
-    needs, bounding the others (:meth:`_cells`).  Each
+    of it from them, and :meth:`_eigh_reading` reads any of its angles
+    from them; :meth:`_scan` solves only the cells of the grid that a
+    question needs, bounding the others (:meth:`_cells`).  Each
     angle is solved once per Pencil and kept, so every query that reaches
     W(A) through a grid of the same size shares its solves.  Public
     functions accept a matrix or a Pencil (:func:`as_pencil`); passing one
@@ -182,11 +182,11 @@ class Pencil:
         at every angle, shape (N, d).  For even N only the first N/2
         angles are solved: at theta_k + pi the eigenvalues are
         ``-w[k, ::-1]``, because A(theta + pi) = -A(theta).  Odd N solves
-        every angle.  The solve is :meth:`_eigh`, once per N: its
+        every angle.  The solve is :meth:`eigh`, once per N: its
         eigenvalues go to the table that :meth:`_scan` reads, and its
         eigenvectors are kept read-only for the solved angles only (no
         copy for the second half), where :meth:`_grid_eig` reads them
-        for :meth:`eigh` and :meth:`grid_faces`.
+        for :meth:`_eigh_reading` and :meth:`grid_faces`.
 
         Two callers need every angle: the N-vertex polygon of
         :func:`~numrange.rangegeo.boundary_polygon` and the face endpoints
@@ -195,7 +195,7 @@ class Pencil:
         """
         table, solved = self._table(N)
         if N not in self._vectors:
-            w, V = self._eigh(_grid_angles(N)[: len(solved)])
+            w, V = self.eigh(_grid_angles(N)[: len(solved)])
             table[:], solved[:] = w, True
             V.flags.writeable = False
             self._vectors[N] = V
@@ -203,12 +203,12 @@ class Pencil:
 
     def _grid_eig(self, N: int, k) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and eigenvectors of A(theta) at the integer
-        indices ``k`` of the N-angle grid, taken mod N, as :meth:`_eigh`
+        indices ``k`` of the N-angle grid, taken mod N, as :meth:`eigh`
         gives them, read from what :meth:`grid` kept.  An index k in the
         second half of an even grid reads the angle half a turn earlier:
         the eigenvalues are ``-w[k - N/2, ::-1]`` and the eigenvectors
-        ``V[k - N/2][..., ::-1]``.  Returns copies.  :meth:`eigh` and
-        :meth:`grid_faces` are its only readers."""
+        ``V[k - N/2][..., ::-1]``.  Returns copies.  :meth:`_eigh_reading`
+        and :meth:`grid_faces` are its only readers."""
         V = self._vectors[N]
         rows = len(V)
         k = np.asarray(k, dtype=int) % N
@@ -376,38 +376,9 @@ class Pencil:
         return -np.sin(t) * self.R + np.cos(t) * self.S
 
     def eigh(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors of A(theta).
-
-        The angles of a grid that :meth:`grid` solved whole are read from
-        it (:meth:`_grid_eig`): an angle t is the grid angle k of the
-        N-angle grid when ``t == k * (2 pi / N)`` with k = rint(t N / 2 pi),
-        which is how the grid's angles are built, and k is taken mod N, so
-        that -step and N step read the angles N - 1 and 0.  The other
-        angles are solved in one :meth:`_eigh` call, and none where every
-        angle is read.
-        """
-        t = np.asarray(thetas, dtype=float)
-        if not self._vectors:
-            return self._eigh(t)
-        todo, read = np.ones(t.shape, dtype=bool), []
-        for N in self._vectors:
-            k = np.rint(t / (2.0 * np.pi / N))
-            on = todo & (t == k * (2.0 * np.pi / N))
-            if on.any():
-                read.append((on, self._grid_eig(N, k[on].astype(int))))
-                todo &= ~on
-        if not read:
-            return self._eigh(t)
-        w, V = np.empty((*t.shape, self.d)), np.empty((*t.shape, self.d, self.d), dtype=complex)
-        for on, (w_on, V_on) in read:
-            w[on], V[on] = w_on, V_on
-        if todo.any():
-            w[todo], V[todo] = self._eigh(t[todo])
-        return w, V
-
-    def _eigh(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`eigh` solved at every angle: the LAPACK solve of the
-        package's eigenpairs, which :meth:`grid` calls too.
+        """Ascending eigenvalues and eigenvectors of A(theta), solved at
+        every angle: the LAPACK solve of the package's eigenpairs.  Its
+        result does not depend on what the Pencil kept before.
 
         A stack whose n d^3 is at least ``_SPLIT_WORK`` is built and solved
         in contiguous pieces on the workers of :func:`_map` (one per CPU of
@@ -431,6 +402,33 @@ class Pencil:
 
         _map(solve, zip(ends[:-1], ends[1:]))
         return w.reshape(*t.shape, d), V.reshape(*t.shape, d, d)
+
+    def _eigh_reading(self, thetas, N: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`eigh` at the angles ``thetas``, the angles of the N-angle
+        grid read from it where :meth:`grid` solved it whole.
+
+        An angle t is the grid angle k when ``t == k * (2 pi / N)`` with
+        k = rint(t N / 2 pi), which is how the grid's angles are built; k
+        is taken mod N (:meth:`_grid_eig`), so that -step and N step read
+        the angles N - 1 and 0.  The other angles are solved in one
+        :meth:`eigh` call, and none where every angle is read.  Only the
+        N grid is read, whose rows are what grid(N) solves whenever it
+        ran, so the result does not depend on the other grids the Pencil
+        kept.  :func:`~numrange.extremal.extreme_points`, which solves its
+        grid whole, is the caller.
+        """
+        t = np.asarray(thetas, dtype=float)
+        if N not in self._vectors:
+            return self.eigh(t)
+        k = np.rint(t / (2.0 * np.pi / N))
+        on = t == k * (2.0 * np.pi / N)
+        if not on.any():
+            return self.eigh(t)
+        w, V = np.empty((*t.shape, self.d)), np.empty((*t.shape, self.d, self.d), dtype=complex)
+        w[on], V[on] = self._grid_eig(N, k[on].astype(int))
+        if not on.all():
+            w[~on], V[~on] = self.eigh(t[~on])
+        return w, V
 
     def support(self, thetas) -> np.ndarray:
         """Support function of W(A): the top eigenvalue of A(theta)."""
@@ -555,7 +553,7 @@ class Pencil:
         Returns ``(support, Qm, mu, W)``: the top eigenvalues, and per angle
         the top cluster Qm and the ascending eigenpairs mu, W of A'(theta)
         compressed onto it; the face is e^{i theta}(support + i [mu[0],
-        mu[-1]]).  The eigenpairs come from one :meth:`eigh` call, or from
+        mu[-1]]).  The angles are solved in one stacked call, or read from
         the :meth:`eigh` result ``eig``; clusters of one size are compressed
         and solved together, a 1-column cluster without a solve.  The
         phases of Qm (which fix the frame of the compression) and of W are

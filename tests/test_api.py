@@ -16,7 +16,7 @@ import numrange
 # the second normality test and private twins of the closure functions
 # that the per-Pencil classification replaced, a polygon centroid the
 # probe no longer needs, and the grid reader of extremal that
-# Pencil.eigh replaced
+# Pencil._eigh_reading replaced
 REMOVED = {
     "matcore": [
         "re_part",
@@ -57,11 +57,9 @@ REMOVED = {
 # parameters deleted from functions that stay: the grid's eigenvector
 # switch (the grid always keeps them), the faces' grid mode (grid faces are
 # asked for by N), the hull's collinearity tolerance (the hull is exact),
-# and the arc-edge model's eigenpairs and the seed model's grid size
-# (Pencil.eigh reads a grid solved whole)
+# and the arc-edge model's eigenpairs (it reads the grid it is given)
 REMOVED_PARAMETERS = {
     "extremal._edge_model": ["eig"],
-    "extremal._model_minima": ["grid"],
     "matcore.Pencil.grid": ["vectors"],
     "matcore.Pencil.faces": ["grid"],
     "rangegeo.convex_hull": ["collinear_tol"],
@@ -140,7 +138,7 @@ def test_no_module_imports_a_name_it_never_uses(path):
 
 
 # the state of a Pencil's grids, read by matcore alone: every other module
-# reaches the kept eigenpairs through Pencil.eigh, Pencil.grid and
+# reaches the kept eigenpairs through Pencil._eigh_reading, Pencil.grid and
 # Pencil.grid_faces
 GRID_STATE = {"_vectors", "_tables", "_grid_eig"}
 

@@ -538,6 +538,23 @@ def test_supporting_angle_matches_bisection_reference(A, p):
         assert abs(np.angle(np.exp(1j * (t - t_ref)))) <= 1e-10
 
 
+@pytest.mark.parametrize("N", [256, 512])
+def test_supporting_angle_does_not_depend_on_the_grids_a_pencil_kept(N):
+    # a Pencil that kept the N grid (through boundary_polygon) and the 2N
+    # grid gives the bits of a fresh Pencil: the supporting-angle search
+    # solves its own angles and reads no kept eigenvector
+    moved = []
+    for case in supporting_angle_cases():
+        A, p = case.values
+        kept = mc.Pencil(A)
+        rg.boundary_polygon(kept, N)
+        kept.grid(2 * N)
+        got, want = (np.array(ex.supporting_angle(P, p, N)) for P in (kept, mc.Pencil(A)))
+        if got.tobytes() != want.tobytes():
+            moved.append(case.id)
+    assert moved == []
+
+
 def band_cases():
     """Points whose supporting angle lies in the band where the top
     eigenvalue of DISK_EIG_BOUNDARY is double within ctol (|theta| < ~2.5e-4)."""
@@ -646,7 +663,7 @@ def test_first_arc_edge_model_solves_no_grid_angle(A, grid, monkeypatch):
     step = 2.0 * np.pi / grid
     log = []
     record(monkeypatch, ex, "_flat_portions", lambda out, *args: log.clear())
-    record(monkeypatch, mc.Pencil, "_eigh", lambda out, self, t: log.append(np.ravel(t)))
+    record(monkeypatch, mc.Pencil, "eigh", lambda out, self, t: log.append(np.ravel(t)))
     models = record(monkeypatch, ex, "_edge_model", lambda out, pencil, t, *args: np.array(t))
     ex.extreme_points(A, grid)
     t, solved = models[0], np.concatenate([np.empty(0), *log])
@@ -680,7 +697,7 @@ def test_model_minima_read_grid_angles_from_the_grid(A, monkeypatch):
     # minima, and polished angles that land on the grid (10 of the 12 of
     # kron(I2, TRIANGLE)).  Only 2 angles off the grid are solved on each,
     # where 4 and 24 were
-    solved = record(monkeypatch, mc.Pencil, "_eigh", lambda out, self, t: np.size(t))
+    solved = record(monkeypatch, mc.Pencil, "eigh", lambda out, self, t: np.size(t))
     inside = []
     model_minima = ex._model_minima
 
@@ -709,14 +726,15 @@ def test_certified_later_steps_save_a_solve(A, monkeypatch):
 
 
 @pytest.mark.parametrize("grid", [64, 255, 512])
-@pytest.mark.parametrize("a", [0.0, 1e-300, 1.0, -2.5 + 3.0j, 1e8 - 1e-8j])
+@pytest.mark.parametrize("a", [0.0, 1e-300, 1.0, -2.5 + 3.0j, 3.3e5 + 7.1e-3j, 1e8 - 1e-8j])
 def test_extreme_points_of_a_1x1_matrix(a, grid):
     # W(a) = {a}: one exposed, simply generated point, whose normal arc is
-    # the whole circle
+    # the whole circle; the point is a itself and the pre-image [[1]],
+    # bit for bit
     (r,) = ex.extreme_points(np.array([[a]], dtype=complex), grid)
-    assert abs(r.point - a) <= 1e-15 * (1.0 + abs(a))
+    assert np.array(r.point).tobytes() == np.array(complex(a)).tobytes()
+    assert r.preimage.tobytes() == np.ones((1, 1), dtype=complex).tobytes()
     assert (r.kind, r.multiply_generated, r.normal_arc) == ("exposed", False, (0.0, 2.0 * np.pi))
-    assert r.preimage.shape == (1, 1) and abs(abs(r.preimage[0, 0]) - 1.0) <= 1e-15
 
 
 def test_flat_candidates_polish_distinct_seeds(monkeypatch):
@@ -761,6 +779,27 @@ def test_certified_arc_edges_are_roots_and_move_no_bit(A, grid, every, monkeypat
     assert np.abs(f).max(initial=0.0) <= floor
     monkeypatch.setattr(ex, "_certified_roots", lambda pencil, t, *args: np.zeros(t.size, dtype=bool))
     ref = ex.extreme_points(mc.Pencil(A), grid)
+    assert len(reps) == len(ref)
+    for r, s in zip(reps, ref):
+        assert (r.kind, r.multiply_generated) == (s.kind, s.multiply_generated)
+        assert np.array([r.point, *r.normal_arc]).tobytes() == np.array([s.point, *s.normal_arc]).tobytes()
+        assert r.preimage.tobytes() == s.preimage.tobytes()
+
+
+@pytest.mark.parametrize(
+    "A",
+    [CIRCLE_POINT, TRIANGLE, large_ginibre(3, 0), large_ginibre(8, 0)],
+    ids=["circle_point", "triangle", "d3", "d8"],
+)
+@pytest.mark.parametrize("grid", [255, 256])
+def test_extreme_points_do_not_depend_on_the_grids_a_pencil_kept(A, grid):
+    # extreme_points reads its own grid only: a Pencil that kept the grids
+    # of twice and half the size gives the reports of a fresh Pencil, bit
+    # for bit
+    kept = mc.Pencil(A)
+    kept.grid(2 * grid)
+    rg.boundary_polygon(kept, grid // 2)
+    reps, ref = ex.extreme_points(kept, grid), ex.extreme_points(mc.Pencil(A), grid)
     assert len(reps) == len(ref)
     for r, s in zip(reps, ref):
         assert (r.kind, r.multiply_generated) == (s.kind, s.multiply_generated)
@@ -820,9 +859,9 @@ def test_extreme_points_map_over_under_rotations_and_frames(A, grid, phi, U):
 def test_grid_faces_read_the_kept_eigenvectors(A, flat, monkeypatch):
     # the top eigenvalue is double at every angle, so every grid face is
     # clustered.  Its face reads the eigenvectors the grid kept: the only
-    # grid angles Pencil.segments takes without eigenpairs are the
-    # flat-portion candidates that fall on the grid (TRIANGLE's normals
-    # pi/4, pi and 3 pi/2), and DISK2 solves no grid angle again at all
+    # grid angles Pencil.segments solves are the flat-portion candidates
+    # that fall on the grid (TRIANGLE's normals pi/4, pi and 3 pi/2), and
+    # DISK2 solves no grid angle again at all
     grid = 256
     step = 2.0 * np.pi / grid
     pencil = mc.Pencil(A)
@@ -831,7 +870,7 @@ def test_grid_faces_read_the_kept_eigenvectors(A, flat, monkeypatch):
     segments = record(
         monkeypatch, mc.Pencil, "segments", lambda out, self, t, tol, eig=None: np.ravel(t) if eig is None else []
     )
-    solved = record(monkeypatch, mc.Pencil, "_eigh", lambda out, self, t: np.ravel(t))
+    solved = record(monkeypatch, mc.Pencil, "eigh", lambda out, self, t: np.ravel(t))
     ex.extreme_points(pencil, grid)
 
     def on_grid(t):

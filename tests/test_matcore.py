@@ -336,7 +336,7 @@ def test_grid_clustered_face_in_second_half():
 
 @pytest.mark.parametrize("N", [64, 65, 256])
 @pytest.mark.parametrize("A", [large_ginibre(3, 0), CIRCLE_POINT], ids=["ginibre3", "circle_point"])
-def test_eigh_reads_the_angles_of_a_kept_grid(A, N, monkeypatch):
+def test_eigh_reading_reads_the_angles_of_a_kept_grid(A, N, monkeypatch):
     # after grid(N), the grid angles k (2 pi / N) are read from the kept
     # eigenpairs, bit for bit as _grid_eig gives them, with k taken mod N:
     # -step and N step wrap, and a 2-D array keeps its shape
@@ -345,8 +345,8 @@ def test_eigh_reads_the_angles_of_a_kept_grid(A, N, monkeypatch):
     k = np.array([[-1, 0, 1, N // 2], [N // 2 + 1, N - 1, N, 2 * N + 3]])
     want = pencil._grid_eig(N, k.ravel())
     solved = record(monkeypatch, np.linalg, "eigh", matrices)
-    w, V = pencil.eigh(k * (2.0 * np.pi / N))
-    w1, V1 = pencil.eigh(3 * (2.0 * np.pi / N))
+    w, V = pencil._eigh_reading(k * (2.0 * np.pi / N), N)
+    w1, V1 = pencil._eigh_reading(3 * (2.0 * np.pi / N), N)
     assert solved == []
     assert w.shape == (2, 4, 3) and V.shape == (2, 4, 3, 3)
     assert w.reshape(-1, 3).tobytes() == want[0].tobytes()
@@ -355,7 +355,7 @@ def test_eigh_reads_the_angles_of_a_kept_grid(A, N, monkeypatch):
     assert w1.tobytes() == pencil._grid_eig(N, [3])[0][0].tobytes()
 
 
-def test_eigh_solves_only_the_angles_off_the_grid(monkeypatch):
+def test_eigh_reading_solves_only_the_angles_off_the_grid(monkeypatch):
     # a mixed array: one stacked solve of the angles off the grid, whose
     # rows have the bits of a plain solve; the grid angles are read
     N = 128
@@ -368,7 +368,7 @@ def test_eigh_solves_only_the_angles_off_the_grid(monkeypatch):
     ref_off = np.linalg.eigh(pencil.rotate(off))
     ref_grid = pencil._grid_eig(N, k)
     solved = record(monkeypatch, np.linalg, "eigh", matrices)
-    w, V = pencil.eigh(t)
+    w, V = pencil._eigh_reading(t, N)
     assert solved == [3]
     for got, ref in zip((w, V), ref_off):
         assert got[[0, 3, 5]].tobytes() == ref.tobytes()
@@ -376,15 +376,33 @@ def test_eigh_solves_only_the_angles_off_the_grid(monkeypatch):
         assert got[[1, 2, 4]].tobytes() == ref.tobytes()
 
 
-def test_eigh_without_a_kept_grid_solves_every_angle(monkeypatch):
-    # cell scans fill eigenvalue tables but keep no eigenvectors, so eigh
-    # solves all the angles, grid angles too, in one call
+def test_eigh_reading_reads_no_other_grid(monkeypatch):
+    # cell scans fill eigenvalue tables but keep no eigenvectors, and kept
+    # grids of other sizes are not read, so the result is a fresh solve's
+    # whatever the Pencil kept.  Every angle is solved, grid angles too,
+    # in one call
     N = 64
     pencil = mc.Pencil(large_ginibre(3, 0))
     pencil._scan(N, lambda t, w: np.zeros(t.size, dtype=bool))
+    pencil.grid(2 * N)
+    pencil.grid(N // 2)
     t = np.arange(-2, 6) * (2.0 * np.pi / N)
     ref = np.linalg.eigh(pencil.rotate(t))
     solved = record(monkeypatch, np.linalg, "eigh", matrices)
-    w, V = pencil.eigh(t)
+    w, V = pencil._eigh_reading(t, N)
     assert solved == [t.size]
     assert w.tobytes() == ref[0].tobytes() and V.tobytes() == ref[1].tobytes()
+
+
+@pytest.mark.parametrize("N", [64, 65])
+def test_eigh_solves_every_angle_of_a_kept_grid(N, monkeypatch):
+    # Pencil.eigh is the solver alone: after grid(N) it still solves the
+    # grid angles, with the bits of a fresh Pencil's solve
+    t = np.arange(-1, N + 1) * (2.0 * np.pi / N)
+    fresh = mc.Pencil(CIRCLE_POINT).eigh(t)
+    pencil = mc.Pencil(CIRCLE_POINT)
+    pencil.grid(N)
+    solved = record(monkeypatch, np.linalg, "eigh", matrices)
+    w, V = pencil.eigh(t)
+    assert solved == [t.size]
+    assert w.tobytes() == fresh[0].tobytes() and V.tobytes() == fresh[1].tobytes()
