@@ -186,18 +186,19 @@ def _require_grid(grid: int, what: str) -> None:
         raise PreconditionError(f"{what} requires grid >= 64")
 
 
-def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
+def _false_position(f, a, b, tol, floor) -> np.ndarray:
     """Batched safeguarded root search on the sign changes of f.
 
     Bracket i has its inside end ``a[i]`` (f <= 0) and its outside end
-    ``b[i]`` (f > 0), with values ``fa``/``fb``; ``f(t, idx)`` evaluates
-    f at the angles ``t`` of the brackets ``idx`` (one stacked solve; a
-    bracket may appear more than once) and returns ``(values, proposals,
-    certified)``: the angle a local model of the bracket predicts for its
-    root, nan where it has none, and whether that proposal is proved a
-    root, |f| <= ``floor``, without an evaluation.  ``seed`` holds the
-    proposals for the first step, the angles they were made at and
-    their certificates.
+    ``b[i]`` (f > 0).  ``f(t, idx)`` evaluates f at the angles ``t`` of
+    the brackets ``idx`` (one stacked solve; a bracket may appear more
+    than once) and returns ``(values, proposals, certified)``: the angle
+    a local model of the bracket predicts for its root, nan where it has
+    none, and whether that proposal is proved a root, |f| <= ``floor``,
+    without an evaluation.  The first call of f takes both ends of every
+    bracket and nothing else.  Each bracket's first proposal is that of
+    its inside end where it lies in the bracket, else that of its outside
+    end, the rule of the section step below.
 
     Each step takes one of four moves per bracket:
 
@@ -207,8 +208,9 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
     - a proposal, when it lies in the bracket and, as in rtsafe
       (Numerical Recipes), its step is at most half the step before
       when that was a proposal step too;
-    - else Illinois false position: an end kept by two false-position
-      steps in a row has its value halved;
+    - else Illinois false position (Dowell and Jarratt, BIT 11, 1971):
+      an end kept by two false-position steps in a row has its value
+      halved;
     - a section step where asked to: the bracket is cut into
       ``_SECTIONS`` equal parts, evaluated in the same stacked solve,
       and the part where f first turns positive from the inside end is
@@ -227,11 +229,19 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
     edges of a smooth range (:func:`extreme_points`) every first
     proposal is certified, and the first step closes every bracket.
     """
-    a, fa, b, fb = (np.array(x, dtype=float) for x in (a, fa, b, fb))
+    a, b = (np.array(x, dtype=float) for x in (a, b))
     tol = _min_width(a, b, tol)
-    # each bracket's proposal, where it was made, and whether it is certified
-    prop, at = (np.array(x, dtype=float) for x in seed[:2])
-    sure = np.array(seed[2], dtype=bool)
+
+    def first(a, b, pa, pb, ca, cb):
+        # the proposal of the inside end where it lies in the bracket,
+        # else that of the outside end: (proposal, made at, certified)
+        use_a = (pa - a) * (pa - b) < 0.0
+        return np.where(use_a, pa, pb), np.where(use_a, a, b), np.where(use_a, ca, cb)
+
+    m = a.size
+    fs, ps, cs = f(np.concatenate([a, b]), np.tile(np.arange(m), 2))
+    fa, fb = fs[:m].copy(), fs[m:].copy()
+    prop, at, sure = first(a, b, ps[:m], ps[m:], cs[:m], cs[m:])
     last = np.full(a.size, np.inf)  # the last proposal step, inf after any other step
     kept = np.zeros(a.size, dtype=int)  # end kept by the last false-position step: +1 a, -1 b
     section = np.zeros(a.size, dtype=bool)
@@ -288,13 +298,7 @@ def _false_position(f, a, fa, b, fb, tol, floor, seed) -> np.ndarray:
             section[many] = fk[r, j] > 0.75 * fk[r, nxt]
             a[many], fa[many] = tk[r, j - 1], fk[r, j - 1]
             b[many], fb[many], f_out[many] = tk[r, j], fk[r, j], fk[r, j]
-            # the proposal of the new inside end where it lies in the part,
-            # else that of the new outside end
-            pa, pb = pk[r, j - 1], pk[r, j]
-            use_a = (pa - a[many]) * (pa - b[many]) < 0.0
-            prop[many] = np.where(use_a, pa, pb)
-            at[many] = np.where(use_a, a[many], b[many])
-            sure[many] = np.where(use_a, ck[r, j - 1], ck[r, j])
+            prop[many], at[many], sure[many] = first(a[many], b[many], pk[r, j - 1], pk[r, j], ck[r, j - 1], ck[r, j])
             last[many] = np.inf
             kept[many] = 0
             t1 = np.concatenate([t1, tk[:, 1:-1].ravel()])
@@ -853,32 +857,32 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     (:meth:`~numrange.matcore.Pencil.grid_faces`), no angle solved again.
     The arc runs of every point come from the distances of the grid faces
     to the point, taken in a window of five grid angles about the angle
-    the point was seen at.  A run that ends inside the window is read from
-    it.  A run that reaches the edge of the window (a wide corner, or the
-    whole circle of a scalar matrix) is read from the distances at every
-    grid angle instead, and a point that is no member of the face at its
-    own grid angle (a flat-portion end off the grid) is bracketed by the
-    grid steps about its angle.  The distance is elementwise, so the
-    window holds the values the full row would.
+    the point was seen at; the runs only bracket the arc edges.  A run
+    that ends inside the window is read from it.  A run that reaches the
+    edge of the window (a wide corner, or the whole circle of a scalar
+    matrix) is read from the distances at every grid angle instead, and
+    a point that is no member of the face at its own grid angle (a
+    flat-portion end off the grid) is bracketed by the grid steps about
+    its angle.  The distance is elementwise, so the window holds the
+    values the full row would.
 
-    Their edges are the roots of f = distance - member tolerance.  The
-    first call of :func:`_edge_model` evaluates f at both ends of every
-    bracket, reading the ends at grid angles from the grid
+    Their edges are the roots of f = distance - member tolerance
+    (:func:`_edge_model`), refined together by :func:`_false_position`.
+    Its first call of f takes both ends of every bracket, reading the
+    ends at grid angles from the grid
     (:meth:`~numrange.matcore.Pencil._eigh_reading`) and solving only the
     ends about refined portion angles, and proposes each edge: a smooth
     point seeds it at member_tol / rho from itself (rho = h + h'', the
     speed of the boundary curve), and an edge where the face jumps to a
-    segment follows the Taylor model of the top gap.  The brackets are refined
-    together by :func:`_false_position`, from the proposal of the inside
-    end where it lies in the bracket, else that of the outside end.  A
-    proposal that :func:`_certified_roots` proves a root, from a bound on
-    the boundary curve's Taylor remainder, closes its bracket with no
-    evaluation, at any step: on a smooth range every edge closes at its
-    first proposal, and the grid's stack is the only solve.  The others
-    (corners, band edges, flat-portion ends off the grid, clustered rows,
-    proposals whose Taylor model is no root to rounding) take false
-    position and section steps where the model fails.  Each edge ends at
-    a root to rounding, or at a bracket of 2^-48 grid steps (or 4 ulp).
+    segment follows the Taylor model of the top gap.  A proposal that
+    :func:`_certified_roots` proves a root, from a bound on the boundary
+    curve's Taylor remainder, closes its bracket with no evaluation, at
+    any step: on a smooth range every edge closes at its first proposal,
+    and the grid's stack is the only solve.  The others (corners, band
+    edges, flat-portion ends off the grid, clustered rows, proposals
+    whose Taylor model is no root to rounding) take false position and
+    section steps where the model fails.  Each edge ends at a root to
+    rounding, or at a bracket of 2^-48 grid steps (or 4 ulp).
 
     A point that is a member of the face at its own grid angle takes its
     pre-image there, read from the grid: that angle lies inside its arc.
@@ -918,7 +922,7 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     n = pts.size
 
     # distance of every point to the faces at the grid angles about its
-    # own: its runs give the arcs, its values seed the arc-edge refinement
+    # own: its runs give the brackets of the arc edges
     step = 2.0 * np.pi / grid
     strict_faces = pencil.grid_faces(grid, strict_tol)[1:]
     j0 = np.rint((th0 % (2 * np.pi)) / step).astype(int) % grid
@@ -930,27 +934,22 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     run_l = np.where(left.any(axis=1), np.argmax(left, axis=1), half)
     run_r = np.where(right.any(axis=1), np.argmax(right, axis=1), half)
     on_grid = f_win[:, half] <= 0.0
-    # f at the inside ends of the runs and at the grid angles just outside
-    rows, past = np.arange(n)[:, None], np.array([-1, 1])
-    ends = np.stack([half - run_l, half + run_r], axis=1)
-    f_in, f_out = f_win[rows, ends], f_win[rows, np.clip(ends + past, 0, 2 * half)]
     whole = np.zeros(n, dtype=bool)
     wide = np.nonzero(on_grid & ((run_l == half) | (run_r == half)))[0]
     if wide.size:
         # runs past the window: the distances at every grid angle
         f_row = _segment_distance(pts[wide, None], thetas, *strict_faces) - member_tol
         whole[wide] = (f_row <= 0.0).all(axis=1)
-        k, r = np.arange(1, grid), rows[: wide.size]
+        k, r = np.arange(1, grid), np.arange(wide.size)[:, None]
         run_l[wide] = np.argmax(f_row[r, (j0[wide, None] - k) % grid] > 0.0, axis=1)
         run_r[wide] = np.argmax(f_row[r, (j0[wide, None] + k) % grid] > 0.0, axis=1)
-        ends = j0[wide, None] + np.stack([-run_l[wide], run_r[wide]], axis=1)
-        f_in[wide], f_out[wide] = f_row[r, ends % grid], f_row[r, (ends + past) % grid]
+    # the inside ends of the runs and the grid angles just outside
+    past = np.array([-1, 1])
     j_in = j0[:, None] + np.stack([-run_l, run_r], axis=1)
     inner, outer = j_in * step, (j_in + past) * step
     # a seed angle that came from a refined portion angle off the grid
     inner[~on_grid] = th0[~on_grid, None]
     outer[~on_grid] = th0[~on_grid, None] + past * step
-    f_in[~on_grid] = f_out[~on_grid] = np.nan
 
     lo_edge = np.zeros(n)
     hi_edge = np.full(n, 2.0 * np.pi)
@@ -958,25 +957,14 @@ def extreme_points(A, grid: int = 512) -> list[ExtremePointReport]:
     owner = np.nonzero(~whole)[0]
     if owner.size:
         edge_pts = np.repeat(pts[owner], 2)
-        inner, outer, f_in, f_out = (x[owner].ravel() for x in (inner, outer, f_in, f_out))
+        inner, outer = inner[owner].ravel(), outer[owner].ravel()
         outward = np.sign(outer - inner)
 
         def f(t, idx):
             return _edge_model(pencil, t, edge_pts[idx], outward[idx], strict_tol, member_tol, grid)
 
-        # both ends of every bracket at once: f where the grid window left
-        # it unknown (about refined portion angles), and the first
-        # proposal, from the inside end (a smooth point seeds its edge
-        # there) where it lies in the bracket, else from the outside end
-        m = inner.size
-        t_ends = np.concatenate([inner, outer])
-        vals, props, sure = f(t_ends, np.tile(np.arange(m), 2))
-        off = np.isnan(f_in)
-        f_in[off], f_out[off] = vals[:m][off], vals[m:][off]
-        use_in = (props[:m] - inner) * (props[:m] - outer) < 0.0
-        seed = tuple(np.where(use_in, x[:m], x[m:]) for x in (props, t_ends, sure))
         tol = step * 2.0**-_EDGE_HALVINGS
-        edges = _false_position(f, inner, f_in, outer, f_out, tol, _ROUNDING * scale, seed)
+        edges = _false_position(f, inner, outer, tol, _ROUNDING * scale)
         lo_edge[owner], hi_edge[owner] = edges[0::2], edges[1::2]
 
     # pre-images: a point that is a member of the face at its grid angle

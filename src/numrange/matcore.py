@@ -128,20 +128,21 @@ class Pencil:
     solved in one LAPACK call, with results indexed by angle along the
     leading axis.
 
-    The angles of the uniform grid of N angles on [0, 2 pi) are solved in
-    one place, a table per N that fills as angles are asked for.  It uses
-    the half-turn identity A(theta + pi) = -A(theta): on an even grid
-    only the first half of the angles is solved, and the eigenvalues at
-    theta + pi are the negated eigenvalues at theta in reverse order, with
-    the top eigenvector the bottom one at theta.  :meth:`grid` solves the
-    whole grid with its eigenvectors, :meth:`grid_faces` reads every face
-    of it from them, and :meth:`_eigh_reading` reads any of its angles
-    from them; :meth:`_scan` solves only the cells of the grid that a
-    question needs, bounding the others (:meth:`_cells`).  Each
-    angle is solved once per Pencil and kept, so every query that reaches
-    W(A) through a grid of the same size shares its solves.  Public
-    functions accept a matrix or a Pencil (:func:`as_pencil`); passing one
-    Pencil down a chain of calls shares its tables.
+    The angles of the uniform grid of N angles on [0, 2 pi) are kept per
+    N, solved once per Pencil.  They use the half-turn identity A(theta +
+    pi) = -A(theta): on an even grid only the first half of the angles is
+    solved, and the eigenvalues at theta + pi are the negated eigenvalues
+    at theta in reverse order, with the top eigenvector the bottom one at
+    theta.  :meth:`grid` solves the whole grid with its eigenvectors,
+    :meth:`grid_faces` reads every face of it from them, and
+    :meth:`_eigh_reading` reads any of its angles from them.
+    :meth:`_scan` solves only the cells of the grid that a question needs,
+    bounding the others (:meth:`_cells`), into an eigenvalue table that
+    fills as angles are asked for.  The two keep apart: ``eigvalsh`` and
+    ``eigh`` differ in the last bits, and a scan gives the same answer
+    whether or not the grid was solved.  Public functions accept a matrix
+    or a Pencil (:func:`as_pencil`); passing one Pencil down a chain of
+    calls shares what it kept.
 
     R, S and every cos(theta) R + sin(theta) S are Hermitian by
     construction: their (i, j) and (j, i) entries are conjugate in
@@ -162,13 +163,13 @@ class Pencil:
         self.norm = fro(self.A)
         self.scale = 1.0 + self.norm
         self.ctol = CLUSTER_RTOL * self.scale
-        # per grid size N: the ascending eigenvalues at the angles of the
-        # first half of the grid (every angle for odd N), and which of
-        # them are solved
+        # per grid size N scanned by _scan: the ascending eigenvalues at
+        # the angles of the first half of the grid (every angle for odd
+        # N), and which of them are solved
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # per grid size N solved by grid(N): the eigenvectors at the angles
-        # of the table rows, read by _grid_eig
-        self._vectors: dict[int, np.ndarray] = {}
+        # per grid size N solved by grid(N): the eigenvalues and
+        # eigenvectors at the angles of the table rows, read by _grid_eig
+        self._vectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._extent: tuple[float, float, float, float] | None = None
         self._L0 = 0.0
         # answers to per-matrix questions of other modules, by the function
@@ -183,38 +184,39 @@ class Pencil:
         angles are solved: at theta_k + pi the eigenvalues are
         ``-w[k, ::-1]``, because A(theta + pi) = -A(theta).  Odd N solves
         every angle.  The solve is :meth:`eigh`, once per N: its
-        eigenvalues go to the table that :meth:`_scan` reads, and its
-        eigenvectors are kept read-only for the solved angles only (no
-        copy for the second half), where :meth:`_grid_eig` reads them
-        for :meth:`_eigh_reading` and :meth:`grid_faces`.
+        eigenpairs are kept read-only for the solved angles only (no copy
+        for the second half), where :meth:`_grid_eig` reads them for
+        :meth:`_eigh_reading` and :meth:`grid_faces`.  The eigenvalue
+        table of :meth:`_scan` is left alone: its ``eigvalsh`` rows differ
+        from these in the last bits, and a scan must not depend on
+        whether the grid was solved.
 
         Two callers need every angle: the N-vertex polygon of
         :func:`~numrange.rangegeo.boundary_polygon` and the face endpoints
         of :func:`~numrange.extremal.extreme_points`, both through
         :meth:`grid_faces`.  Every other scan goes through :meth:`_scan`.
         """
-        table, solved = self._table(N)
         if N not in self._vectors:
-            w, V = self.eigh(_grid_angles(N)[: len(solved)])
-            table[:], solved[:] = w, True
-            V.flags.writeable = False
-            self._vectors[N] = V
-        return _grid_angles(N), self._at(N, np.arange(len(solved)))
+            w, V = self.eigh(_grid_angles(N)[: N // 2 if N % 2 == 0 else N])
+            w.flags.writeable = V.flags.writeable = False
+            self._vectors[N] = w, V
+        w = self._vectors[N][0]
+        return _grid_angles(N), np.concatenate([w, -w[:, ::-1]]) if len(w) < N else w.copy()
 
     def _grid_eig(self, N: int, k) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and eigenvectors of A(theta) at the integer
         indices ``k`` of the N-angle grid, taken mod N, as :meth:`eigh`
-        gives them, read from what :meth:`grid` kept.  An index k in the
-        second half of an even grid reads the angle half a turn earlier:
+        gives them, read from the eigenpairs :meth:`grid` kept.  An index k
+        in the second half of an even grid reads the angle half a turn earlier:
         the eigenvalues are ``-w[k - N/2, ::-1]`` and the eigenvectors
         ``V[k - N/2][..., ::-1]``.  Returns copies.  :meth:`_eigh_reading`
         and :meth:`grid_faces` are its only readers."""
-        V = self._vectors[N]
+        w, V = self._vectors[N]
         rows = len(V)
         k = np.asarray(k, dtype=int) % N
         flip = k >= rows
         r = np.where(flip, k - rows, k)
-        w, X = self._table(N)[0][r], V[r]
+        w, X = w[r], V[r]
         if flip.any():
             w[flip], X[flip] = -w[flip, ::-1], X[flip, :, ::-1]
         return w, X
@@ -500,16 +502,10 @@ class Pencil:
         h' is the :meth:`slope` on (1, d) rows, so each angle is its own
         product, with the bits of a one-angle call; h'' is the
         :meth:`curvature`, and nan where the top gap is at most ``ctol``
-        (a clustered top eigenvalue has no second derivative).  A single
-        angle, as most Newton steps take, uses the plain vector and matrix
-        products, which round as the one-row stacks do at less cost.
+        (a clustered top eigenvalue has no second derivative).
         """
         t = np.asarray(thetas, dtype=float)
         w, V = eig
-        if t.shape == (1,):
-            simple = self.top_gap(w[0]) > self.ctol
-            h2 = self.curvature(t[0], (w[0], V[0])) if simple else np.nan
-            return w[:, -1], self.slope(t, V[0, :, -1]), np.array([h2])
         h1 = self.slope(t[..., None], V[..., None, :, -1])[..., 0]
         simple = self.top_gap(w) > self.ctol
         if simple.all():
@@ -596,7 +592,7 @@ class Pencil:
         through :meth:`_grid_eig`.  No grid angle is solved again.
         """
         thetas, w = self.grid(N)
-        V = self._vectors[N]
+        V = self._vectors[N][1]
         x = np.concatenate([V[..., -1], V[..., 0]] if len(V) < N else [V[..., -1]])
         return (thetas, *self._faces_from(thetas, tol, w, x, lambda j: self._grid_eig(N, j)))
 

@@ -60,6 +60,7 @@ REMOVED = {
 # and the arc-edge model's eigenpairs (it reads the grid it is given)
 REMOVED_PARAMETERS = {
     "extremal._edge_model": ["eig"],
+    "extremal._false_position": ["fa", "fb", "seed"],
     "matcore.Pencil.grid": ["vectors"],
     "matcore.Pencil.faces": ["grid"],
     "rangegeo.convex_hull": ["collinear_tol"],

@@ -489,8 +489,10 @@ def reference_supporting_angle(A, p, grid=512):
 
 
 def supporting_angle_cases():
-    """Boundary, interior and exterior points of the fixtures and of seeded
-    unit-Frobenius Ginibre matrices, d = 3, 8 and 32."""
+    """Boundary, interior and exterior points of the fixtures, of seeded
+    unit-Frobenius Ginibre matrices, d = 3, 8 and 32, and of TRIANGLE and
+    CIRCLE_POINT in two Haar frames each (whose corners sit off the grid
+    axes, where g has a plateau)."""
     rng = np.random.default_rng(11)
     cases = [
         ("circle_point", CIRCLE_POINT),
@@ -504,6 +506,11 @@ def supporting_angle_cases():
         for k in range(2):
             G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             cases.append((f"ginibre{d}_{k}", G / np.linalg.norm(G)))
+    frames = np.random.default_rng(12)
+    for name, A in (("triangle", TRIANGLE), ("circle_point", CIRCLE_POINT)):
+        for k in range(2):
+            U = haar_unitary(frames, 3)
+            cases.append((f"{name}_haar{k}", U.conj().T @ A @ U))
     out = []
     for name, A in cases:
         R, S = hermitian_parts(A)
@@ -542,7 +549,10 @@ def test_supporting_angle_matches_bisection_reference(A, p):
 def test_supporting_angle_does_not_depend_on_the_grids_a_pencil_kept(N):
     # a Pencil that kept the N grid (through boundary_polygon) and the 2N
     # grid gives the bits of a fresh Pencil: the supporting-angle search
-    # solves its own angles and reads no kept eigenvector
+    # solves its own angles and reads no kept eigenvector, and its cell
+    # scan reads no eigenvalue the grid solved.  At the corners of the
+    # Haar frames g has a plateau, where the last bits of a scan's
+    # samples pick the argmax
     moved = []
     for case in supporting_angle_cases():
         A, p = case.values
@@ -553,6 +563,18 @@ def test_supporting_angle_does_not_depend_on_the_grids_a_pencil_kept(N):
         if got.tobytes() != want.tobytes():
             moved.append(case.id)
     assert moved == []
+
+
+@pytest.mark.parametrize("N", [256, 512])
+@pytest.mark.parametrize("B", [TRIANGLE, CIRCLE_POINT, DISK_EIG_BOUNDARY], ids=["triangle", "circle_point", "disk_eig_boundary"])
+def test_range_distance_does_not_depend_on_the_grids_a_pencil_kept(B, N):
+    # the cell scan of range_distance solves its own eigenvalues, so a
+    # Pencil that kept the N grid (through boundary_polygon) gives the
+    # bits of a fresh Pencil
+    kept = mc.Pencil(JORDAN3)
+    rg.boundary_polygon(kept, N)
+    got, want = (rg.range_distance(P, B, N) for P in (kept, mc.Pencil(JORDAN3)))
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def band_cases():
@@ -744,6 +766,81 @@ def test_flat_candidates_polish_distinct_seeds(monkeypatch):
     ex.extreme_points(np.kron(np.eye(2), TRIANGLE), 256)
     assert len(seeds) >= 2
     assert all(np.unique(t).size == t.size for t in seeds)
+
+
+def false_position_brackets():
+    """Three brackets with their roots: two with the inside end on the
+    left, one with it on the right."""
+    a, b = np.array([0.0, 1.0, -0.5]), np.array([1.0, 0.0, 0.5])
+    return a, b, np.array([0.3, 0.6, 0.1 + 1.0 / 3.0])
+
+
+def recorded(f):
+    """f, and the list of the (t, idx) of each of its calls."""
+    calls = []
+
+    def g(t, idx):
+        calls.append((np.array(t), np.array(idx)))
+        return f(t, idx)
+
+    return g, calls
+
+
+def test_false_position_first_call_takes_both_ends_of_every_bracket():
+    # the root finder evaluates both ends of every bracket in its first
+    # call of f, and nothing else; a linear f without proposals then
+    # closes each bracket on its root
+    a, b, root = false_position_brackets()
+    sign = np.sign(b - a)
+
+    def f(t, idx):
+        return (t - root[idx]) * sign[idx], np.full(t.size, np.nan), np.zeros(t.size, dtype=bool)
+
+    f, calls = recorded(f)
+    got = ex._false_position(f, a, b, 1e-12, 1e-15)
+    assert calls[0][0].tobytes() == np.concatenate([a, b]).tobytes()
+    assert calls[0][1].tolist() == [0, 1, 2, 0, 1, 2]
+    assert np.abs(got - root).max() <= 1e-12
+
+
+def test_false_position_closes_a_certified_first_proposal_in_one_call():
+    # brackets 0 and 1 take a certified first proposal at their root, from
+    # the inside end (0, whose outside end proposes another angle in the
+    # bracket) and, where the inside end proposes nothing, from the
+    # outside end (1): they close there with the first call of f and are
+    # never evaluated again.  Bracket 2 proposes nothing and refines
+    a, b, root = false_position_brackets()
+    sign = np.sign(b - a)
+
+    def f(t, idx):
+        prop = root[idx] + np.where((idx == 0) & (t == b[idx]), 0.25, 0.0)
+        prop[((idx == 1) & (t == a[idx])) | (idx == 2)] = np.nan
+        return (t - root[idx]) * sign[idx], prop, idx < 2
+
+    f, calls = recorded(f)
+    got = ex._false_position(f, a, b, 1e-12, 1e-15)
+    assert got[:2].tobytes() == root[:2].tobytes()
+    assert len(calls) >= 2 and all(set(idx.tolist()) == {2} for _, idx in calls[1:])
+    assert abs(got[2] - root[2]) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_false_position_brackets_a_jump_within_the_min_width(tol):
+    # a step function has no root to any floor: each bracket ends at most
+    # _min_width wide about the jump, its inside end just before it.  The
+    # jump from -1 to 3 sends the secant point a quarter of the way in,
+    # which section steps take over
+    a, b, jump = false_position_brackets()
+    sign = np.sign(b - a)
+
+    def f(t, idx):
+        return np.where((t - jump[idx]) * sign[idx] >= 0.0, 3.0, -1.0), np.full(t.size, np.nan), np.zeros(t.size, dtype=bool)
+
+    f, calls = recorded(f)
+    got = ex._false_position(f, a, b, tol, 0.0)
+    ahead = (jump - got) * sign
+    assert np.all(ahead > 0.0) and np.all(ahead <= ex._min_width(a, b, tol))
+    assert max(np.bincount(idx).max() for _, idx in calls[1:]) == ex._SECTIONS - 1
 
 
 def certificate_cases():
